@@ -22,7 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import lagrange_scaling, ledger_check
+from .diagnostics import (
+    GOOD_ITERATION_BAND,
+    lagrange_scaling,
+    ledger_check,
+    state_energy,
+)
 from .grid import (
     DegeneratePhaseError,
     EmptyPhaseError,
@@ -361,6 +366,9 @@ def read_dump(path: Path | str):
     for line in head_lines[1:]:
         key, _, value = line.partition("=")
         fields[key] = value
+    for key in ("dim", "n", "side", "h", "step", "phases"):
+        if key not in fields:
+            raise ValueError(f"{path}: header lacks '{key}'")
     ns = [int(tok) for tok in fields["n"].split(",")]
     dim = int(fields["dim"])
     if len(ns) != dim or len(set(ns)) != 1:
@@ -376,6 +384,10 @@ def read_dump(path: Path | str):
     h = float(fields["h"])
     step = int(fields["step"])
     if phases == 2:
+        if payload.max(initial=0) > 1:
+            raise ValueError(
+                f"{path}: two-phase payload holds label {payload.max()}, not 0 or 1"
+            )
         return PhaseField(grid, labels.astype(bool)), h, step
     return MultiPhaseState(grid, labels.astype(np.int32), phases - 1), h, step
 
@@ -402,7 +414,7 @@ def _write_ledger_csv(path: Path, traj: Trajectory) -> None:
                     "" if r.lam is None else _fmt(r.lam),
                     _fmt(r.energy_after),
                     _fmt(r.dissipation),
-                    _fmt(r.ed_slack),
+                    _fmt(r.slack),
                     "" if r.bounding_radius is None else _fmt(r.bounding_radius),
                 ]
             )
@@ -431,10 +443,10 @@ def cmd_run(config_path: str) -> int:
                     out_dir / f"state_{idx:06d}.mbof", state, scheme_cfg.h, idx
                 )
         _write_ledger_csv(out_dir / "ledger.csv", traj)
-        report = ledger_check(traj)
     except (DegeneratePhaseError, EmptyPhaseError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    report = traj.ledger
     print(f"status: {traj.status} after {len(traj.records)} steps")
     print(f"ledger: {'PASS' if report.passed else 'FAIL'} "
           f"(tolerance {report.tolerance:.3g})")
@@ -499,7 +511,7 @@ def cmd_sweep(config_path: str) -> int:
                 lam_series.append((h, lams))
                 offsets = np.asarray(lams) - 0.5
                 row["M"] = float(h * np.sum(offsets**2))
-                row["bad"] = int(np.count_nonzero(np.abs(offsets) >= 0.25))
+                row["bad"] = int(np.count_nonzero(abs(offsets) >= GOOD_ITERATION_BAND))
             rows.append(row)
     except (DegeneratePhaseError, EmptyPhaseError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
@@ -552,6 +564,9 @@ def _states_from_dumps(paths: Sequence[str]):
         state, h, step = read_dump(p)
         loaded.append((step, h, state))
     loaded.sort(key=lambda item: item[0])
+    for (a, _, _), (b, _, _) in zip(loaded, loaded[1:]):
+        if b != a + 1:
+            raise ValueError(f"step {b} follows step {a}; steps must be consecutive")
     hs = {item[1] for item in loaded}
     if len(hs) != 1:
         raise ValueError(f"dumps disagree on h: {sorted(hs)}")
@@ -561,6 +576,23 @@ def _states_from_dumps(paths: Sequence[str]):
     return [item[2] for item in loaded], hs.pop()
 
 
+def _audit_setup(state, config_path: str | None):
+    """Scheme, force and tensions under which a stored ``state`` is audited."""
+    multiphase = isinstance(state, MultiPhaseState)
+    if config_path is None:
+        if multiphase:
+            raise ConfigError("multiphase dumps need --config for the tensions")
+        return "mbo", None, None
+    cfg = parse_config(Path(config_path).read_text())
+    scheme = str(cfg.get("scheme", "mbo"))
+    force = build_force(cfg)
+    if multiphase:
+        return "grain_growth", force, build_tensions(cfg, state.num_grains)
+    if scheme == "grain_growth":
+        raise ConfigError("two-phase dumps with a grain_growth config")
+    return scheme, force, None
+
+
 def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
     """Re-audit stored states: recompute the per-step energy ledger."""
     try:
@@ -568,42 +600,17 @@ def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"cannot load dumps: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    multiphase = isinstance(states[0], MultiPhaseState)
-    scheme = "mbo"
-    force = None
-    tensions = None
-    if config_path is not None:
-        try:
-            cfg = parse_config(Path(config_path).read_text())
-            scheme = str(cfg.get("scheme", "mbo"))
-            force = build_force(cfg)
-            if multiphase:
-                tensions = build_tensions(cfg, states[0].num_grains)
-        except (ConfigError, FileNotFoundError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    elif multiphase:
-        print(
-            "config error: multiphase dumps need --config for the tensions",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    if multiphase:
-        scheme = "grain_growth"
-    elif scheme == "grain_growth":
-        print("config error: two-phase dumps with a grain_growth config",
-              file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        scheme, force, tensions = _audit_setup(states[0], config_path)
         scheme_cfg = SchemeConfig(
             scheme=scheme,
             grid=states[0].grid,
             h=h,
             steps=max(1, len(states) - 1),
             force=force if scheme == "forced" else None,
-            tensions=tensions if multiphase else None,
+            tensions=tensions,
         )
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     traj = Trajectory(
@@ -638,25 +645,14 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
     if not bandwidth > 0:
         print("config error: h must be positive", file=sys.stderr)
         return EXIT_CONFIG
-    from .diagnostics import energy_multiphase, energy_two_phase
-
+    tensions = None
     if isinstance(state, MultiPhaseState):
-        if config_path is None:
-            print(
-                "config error: multiphase dumps need --config for the tensions",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
         try:
-            cfg = parse_config(Path(config_path).read_text())
-            tensions = build_tensions(cfg, state.num_grains)
+            _, _, tensions = _audit_setup(state, config_path)
         except (ConfigError, FileNotFoundError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        value = energy_multiphase(state, tensions, bandwidth)
-    else:
-        value = energy_two_phase(state, bandwidth)
-    print(_fmt(value))
+    print(_fmt(state_energy(state, bandwidth, tensions=tensions)))
     return EXIT_OK
 
 

@@ -26,10 +26,10 @@ import numpy as np
 from scipy.special import erfinv
 
 from .grid import Grid, MultiPhaseState, PhaseField, RealField
-from .kernel import HeatKernelPlan, convolve, spectral_divergence
+from .kernel import HeatKernelPlan, convolve, convolve_labels, spectral_divergence
 
 if TYPE_CHECKING:  # only for annotations; no runtime dependency on schemes
-    from .schemes import SurfaceTensionMatrix, Trajectory
+    from .schemes import SchemeConfig, SurfaceTensionMatrix, Trajectory
 
 # A step is a "good iteration" when its volume multiplier stays within
 # this band of its resting value (1/2 for two-phase, 0 for grain growth).
@@ -51,24 +51,35 @@ def _cellsum(grid: Grid, values: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Bookkeeping for one scheme step.
+class LedgerRow:
+    """Energy ledger of one step.
 
-    ``ed_slack`` is energy_before - energy_after - dissipation, plus the
-    forcing transfer term when a force is present; descent steps keep it
-    nonnegative up to rounding.  ``lam`` is the selection threshold for
-    volume-preserving steps, the score cut for grain growth, and None for
-    plain and forced thresholding.  ``curvature_proxy`` rescales the
-    multiplier offset into curvature units.
+    ``slack`` is energy_before - energy_after - dissipation + transfer, where
+    ``transfer`` is the forcing term (0.0 without a force); descent steps
+    keep it nonnegative up to rounding.
     """
 
     step: int
-    time: float
-    lam: float | None
     energy_before: float
     energy_after: float
     dissipation: float
-    ed_slack: float
+    transfer: float
+    slack: float
+
+
+@dataclass(frozen=True)
+class StepRecord(LedgerRow):
+    """Ledger row of one scheme step plus the run's bookkeeping.
+
+    ``lam`` is the selection threshold for volume-preserving steps, the
+    score cut for grain growth, and None for plain and forced thresholding.
+    ``force_transfer`` repeats ``transfer`` for forced runs and is None
+    otherwise.  ``curvature_proxy`` rescales the multiplier offset into
+    curvature units.
+    """
+
+    time: float
+    lam: float | None
     bounding_radius: float | None
     good_iteration: bool | None
     force_transfer: float | None = None
@@ -80,11 +91,7 @@ class StepRecord:
 
 
 def energy_two_phase(
-    chi: PhaseField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
-    smoothed: RealField | None = None,
+    chi: PhaseField, h: float, *, smoothed: RealField | None = None
 ) -> float:
     """Interfacial energy (1/sqrt h) * integral of (1-chi) G_h chi.
 
@@ -92,12 +99,9 @@ def energy_two_phase(
     interface contributes exactly 1/sqrt(pi) per unit length in the limit.
     Pass ``smoothed`` if the convolution of ``chi`` is already available.
     """
-    if plan is None:
-        plan = HeatKernelPlan(chi.grid, h)
     if smoothed is None:
-        smoothed = convolve(plan, chi)
-    values = (1.0 - chi.as_float()) * smoothed.values
-    return _cellsum(chi.grid, values) / math.sqrt(h)
+        smoothed = convolve(HeatKernelPlan(chi.grid, h), chi)
+    return _cellsum(chi.grid, ~chi.mask * smoothed.values) / math.sqrt(h)
 
 
 def phase_difference(a: PhaseField, b: PhaseField) -> RealField:
@@ -112,7 +116,6 @@ def dissipation_two_phase(
     h: float,
     *,
     plan: HeatKernelPlan | None = None,
-    smoothed: RealField | None = None,
 ) -> float:
     """Dissipation (1/sqrt h) * integral of omega G_h omega, nonnegative.
 
@@ -125,9 +128,7 @@ def dissipation_two_phase(
         raise ValueError("omega must take values in {-1, 0, 1}")
     if plan is None:
         plan = HeatKernelPlan(omega.grid, h)
-    if smoothed is None:
-        smoothed = RealField(omega.grid, plan.apply(vals))
-    return _cellsum(omega.grid, vals * smoothed.values) / math.sqrt(h)
+    return _cellsum(omega.grid, vals * plan.apply(vals)) / math.sqrt(h)
 
 
 def linearized_energy(
@@ -151,14 +152,18 @@ def linearized_energy(
 # multiphase energy pieces
 
 
-def _grain_smoothed(
-    state: MultiPhaseState, plan: HeatKernelPlan
-) -> list[np.ndarray]:
-    """Smoothed indicator of every label, vapor first."""
-    return [
-        convolve(plan, state.indicator(j)).values
-        for j in range(state.num_grains + 1)
-    ]
+def tension_rows(ext: np.ndarray, fields: Sequence[np.ndarray]):
+    """Yield sum over j of ext[i, j] * fields[j] for each label i, in j order.
+
+    One buffer holds every row in turn; copy a row to keep it.
+    """
+    acc, term = np.empty_like(fields[0]), np.empty_like(fields[0])
+    for i in range(len(fields)):
+        acc.fill(0.0)
+        for j, f in enumerate(fields):
+            if ext[i, j] != 0.0:
+                acc += np.multiply(ext[i, j], f, out=term)
+        yield acc
 
 
 def energy_multiphase(
@@ -166,7 +171,6 @@ def energy_multiphase(
     tensions: "SurfaceTensionMatrix",
     h: float,
     *,
-    plan: HeatKernelPlan | None = None,
     smoothed: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Weighted interfacial energy of a vapor/grain partition.
@@ -177,18 +181,30 @@ def energy_multiphase(
     """
     if tensions.num_grains != state.num_grains:
         raise ValueError("tension matrix size does not match state")
-    if plan is None:
-        plan = HeatKernelPlan(state.grid, h)
-    psi = list(smoothed) if smoothed is not None else _grain_smoothed(state, plan)
+    if smoothed is None:
+        smoothed = convolve_labels(HeatKernelPlan(state.grid, h), state)
     p = state.num_grains
     labels = state.labels.ravel()
-    # overlap[i, j] = sum over cells of label i of psi_j
+    # overlap[i, j] = sum over cells of label i of smoothed label j
     overlap = np.empty((p + 1, p + 1))
-    for j in range(p + 1):
-        overlap[:, j] = np.bincount(labels, weights=psi[j].ravel(), minlength=p + 1)
+    for j, psi in enumerate(smoothed):
+        overlap[:, j] = np.bincount(labels, weights=psi.ravel(), minlength=p + 1)
     grain_part = float(np.sum(tensions.sigma * overlap[1:, 1:]))
     vapor_part = 2.0 * float(np.sum(overlap[1:, 0]))
     return (grain_part + vapor_part) * state.grid.cell_volume / math.sqrt(h)
+
+
+def state_energy(
+    state: PhaseField | MultiPhaseState,
+    h: float,
+    *,
+    tensions: "SurfaceTensionMatrix | None" = None,
+    smoothed=None,
+) -> float:
+    """Energy of a two-phase state, or of a partition under ``tensions``."""
+    if isinstance(state, MultiPhaseState):
+        return energy_multiphase(state, tensions, h, smoothed=smoothed)
+    return energy_two_phase(state, h, smoothed=smoothed)
 
 
 def state_difference(a: MultiPhaseState, b: MultiPhaseState) -> np.ndarray:
@@ -226,30 +242,13 @@ def dissipation_multiphase(
     if plan is None:
         plan = HeatKernelPlan(grid, h)
     w = omega.astype(np.float64)
-    smoothed = [plan.apply(w[j]) for j in range(p + 1)]
-    ext = tensions.extended
-    total = 0.0
-    for i in range(p + 1):
-        row = np.zeros(grid.shape)
-        for j in range(p + 1):
-            if ext[i, j] != 0.0:
-                row += ext[i, j] * smoothed[j]
-        total += float((w[i] * row).sum())
+    rows = tension_rows(tensions.extended, [plan.apply(w[j]) for j in range(p + 1)])
+    total = sum(float((w[i] * row).sum()) for i, row in enumerate(rows))
     return -total * grid.cell_volume / math.sqrt(h)
 
 
 # ---------------------------------------------------------------------------
 # ledger and multiplier statistics
-
-
-@dataclass(frozen=True)
-class LedgerRow:
-    step: int
-    energy_before: float
-    energy_after: float
-    dissipation: float
-    transfer: float
-    slack: float
 
 
 @dataclass(frozen=True)
@@ -260,59 +259,84 @@ class LedgerReport:
     tolerance: float
 
 
+def step_ledger(
+    config: "SchemeConfig",
+    step: int,
+    prev: PhaseField | MultiPhaseState,
+    cur: PhaseField | MultiPhaseState,
+    prev_smoothed,
+    cur_smoothed,
+    energy_before: float,
+    force_now: RealField | None = None,
+) -> LedgerRow:
+    """Ledger row of the step from ``prev`` to ``cur`` under ``config``.
+
+    The smoothed fields are the clamped convolutions of the two states, as
+    :func:`convolve` (two-phase) or :func:`convolve_labels` (multiphase)
+    return them.  By linearity of the kernel the dissipation needs no
+    convolution of its own: it pairs omega = cur - prev with G cur - G prev.
+    That difference is written over ``prev_smoothed``, which is dead after
+    the step.  Forced steps pass the force sampled at the step's target time.
+    """
+    grid, h = cur.grid, config.h
+    energy = state_energy(cur, h, tensions=config.tensions, smoothed=cur_smoothed)
+    transfer = 0.0
+    if isinstance(cur, MultiPhaseState):
+        for new, old in zip(cur_smoothed, prev_smoothed):
+            np.subtract(new, old, out=old)
+        omega = state_difference(cur, prev)
+        rows = tension_rows(config.tensions.extended, prev_smoothed)
+        quad = sum(float((omega[i] * row).sum()) for i, row in enumerate(rows))
+        dissipation = -quad * grid.cell_volume / math.sqrt(h)
+    else:
+        omega = cur.as_float()
+        omega -= prev.mask
+        diff = prev_smoothed.values
+        np.subtract(cur_smoothed.values, diff, out=diff)
+        dissipation = _cellsum(grid, np.multiply(omega, diff, out=diff)) / math.sqrt(h)
+        if force_now is not None:
+            transfer = _cellsum(grid, force_now.values * omega) / math.sqrt(math.pi)
+    slack = energy_before - energy - dissipation + transfer
+    return LedgerRow(step, energy_before, energy, dissipation, transfer, slack)
+
+
+def ledger_report(rows: Sequence[LedgerRow]) -> LedgerReport:
+    """Verdict on ledger rows: a slack below -LEDGER_RTOL times the initial
+    energy (or times 1, if that is larger) is a violation."""
+    if not rows:
+        return LedgerReport((), True, None, 0.0)
+    tol = LEDGER_RTOL * max(1.0, abs(rows[0].energy_before))
+    first = next((r.step for r in rows if r.slack < -tol), None)
+    return LedgerReport(tuple(rows), first is None, first, tol)
+
+
 def ledger_check(trajectory: "Trajectory") -> LedgerReport:
     """Recompute the per-step energy inequality from the stored states.
 
     Every step of a descent scheme must satisfy
     ``energy_after + dissipation <= energy_before`` (forced runs add the
     forcing transfer to the right side).  Energies and dissipations are
-    recomputed here from the states themselves, so a corrupted state shows
-    up as a violated step regardless of what the run recorded.
+    recomputed here from the states themselves, one convolution per state,
+    so a corrupted state shows up as a violated step regardless of what the
+    run recorded.  The arithmetic is the run's own (:func:`step_ledger`), so
+    untouched states reproduce the run's rows bit for bit.
     """
     cfg = trajectory.config
-    grid = cfg.grid
-    plan = HeatKernelPlan(grid, cfg.h)
     states = trajectory.states
-    if len(states) < 2:
-        return LedgerReport((), True, None, 0.0)
+    plan = HeatKernelPlan(cfg.grid, cfg.h)
+    smooth = convolve_labels if cfg.scheme == "grain_growth" else convolve
+    smoothed = smooth(plan, states[0])
+    energy = state_energy(states[0], cfg.h, tensions=cfg.tensions, smoothed=smoothed)
     rows: list[LedgerRow] = []
-    multiphase = cfg.scheme == "grain_growth"
-    if multiphase:
-        prev_energy = energy_multiphase(states[0], cfg.tensions, cfg.h, plan=plan)
-    else:
-        prev_energy = energy_two_phase(states[0], cfg.h, plan=plan)
-    scale = max(1.0, abs(prev_energy))
-    tol = LEDGER_RTOL * scale
-    passed = True
-    first_violation: int | None = None
     for n in range(1, len(states)):
-        cur, prev = states[n], states[n - 1]
-        if multiphase:
-            energy = energy_multiphase(cur, cfg.tensions, cfg.h, plan=plan)
-            omega = state_difference(cur, prev)
-            dissipation = dissipation_multiphase(
-                omega, grid, cfg.tensions, cfg.h, plan=plan
-            )
-            transfer = 0.0
-        else:
-            energy = energy_two_phase(cur, cfg.h, plan=plan)
-            omega = phase_difference(cur, prev)
-            dissipation = dissipation_two_phase(omega, cfg.h, plan=plan)
-            transfer = 0.0
-            if cfg.scheme == "forced":
-                force_now = cfg.force(grid, n * cfg.h)
-                transfer = _cellsum(
-                    grid, force_now.values * omega.values
-                ) / math.sqrt(math.pi)
-        slack = prev_energy - energy - dissipation + transfer
-        rows.append(
-            LedgerRow(n, prev_energy, energy, dissipation, transfer, slack)
+        new_smoothed = smooth(plan, states[n])
+        force_now = cfg.force(cfg.grid, n * cfg.h) if cfg.force else None
+        row = step_ledger(
+            cfg, n, states[n - 1], states[n], smoothed, new_smoothed, energy, force_now
         )
-        if slack < -tol and passed:
-            passed = False
-            first_violation = n
-        prev_energy = energy
-    return LedgerReport(tuple(rows), passed, first_violation, tol)
+        rows.append(row)
+        smoothed, energy = new_smoothed, row.energy_after
+    return ledger_report(rows)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import Grid, PhaseField, RealField
+from .grid import Grid, MultiPhaseState, PhaseField, RealField
 
 logger = logging.getLogger(__name__)
 
@@ -151,7 +151,9 @@ def convolve(
     """
     if field_in.grid != plan.grid:
         raise ValueError("field grid does not match plan grid")
-    out = plan.inverse(plan.forward(_input_values(field_in)) * plan.multipliers)
+    spectrum = plan.forward(_input_values(field_in))
+    spectrum *= plan.multipliers
+    out = plan.inverse(spectrum)
     if clamp is None:
         clamp = isinstance(field_in, PhaseField)
     if clamp:
@@ -162,9 +164,16 @@ def convolve(
                 overshoot,
                 CLAMP_TOLERANCE,
             )
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
         out += 0.0  # normalize -0.0 so downstream orderings are exact
     return RealField(plan.grid, out)
+
+
+def convolve_labels(plan: HeatKernelPlan, state: MultiPhaseState) -> list[np.ndarray]:
+    """Clamped smoothed indicator of every label of a partition, vapor first."""
+    return [
+        convolve(plan, state.indicator(j)).values for j in range(state.num_grains + 1)
+    ]
 
 
 def grad_convolve(

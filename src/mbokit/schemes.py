@@ -15,9 +15,9 @@ bandwidth sqrt(h) and rebuilds sharp phases from the smoothed values:
   cell count is preserved exactly through a bottom selection of the
   grain-versus-vapor score.
 
-``run`` iterates a step map, recording energies, dissipations, thresholds,
-and support radii per step, and stops early when the state freezes or a
-phase disappears.
+``run`` iterates a step map, recording the energy ledger (computed by
+``diagnostics.step_ledger``), thresholds, and support radii per step, and
+stops early when the state freezes or a phase disappears.
 """
 
 from __future__ import annotations
@@ -39,9 +39,17 @@ from .grid import (
     bounding_radius,
     centroid,
 )
-from .kernel import HeatKernelPlan, convolve
+from .kernel import HeatKernelPlan, convolve, convolve_labels
 from .threshold import select_bottom_cells, select_top_cells
-from .diagnostics import GOOD_ITERATION_BAND, StepRecord
+from .diagnostics import (
+    GOOD_ITERATION_BAND,
+    LedgerReport,
+    StepRecord,
+    ledger_report,
+    state_energy,
+    step_ledger,
+    tension_rows,
+)
 
 SCHEMES = ("mbo", "volume_preserving", "forced", "grain_growth")
 
@@ -173,6 +181,11 @@ class Trajectory:
     initial_radius: float
 
     @property
+    def ledger(self) -> LedgerReport:
+        """Pass/fail verdict on the run's own ledger rows, the records."""
+        return ledger_report(self.records)
+
+    @property
     def lambdas(self) -> list[float]:
         return [r.lam for r in self.records if r.lam is not None]
 
@@ -275,15 +288,10 @@ def step_grain_growth(
     if plan is None:
         plan = HeatKernelPlan(grid, h)
     if smoothed is None:
-        smoothed = [
-            convolve(plan, state.indicator(j)).values for j in range(p + 1)
-        ]
-    ext = tensions.extended
-    phi = np.zeros((p + 1,) + grid.shape)
-    for i in range(p + 1):
-        for j in range(p + 1):
-            if ext[i, j] != 0.0:
-                phi[i] += ext[i, j] * smoothed[j]
+        smoothed = convolve_labels(plan, state)
+    phi = np.empty((p + 1,) + grid.shape)
+    for i, row in enumerate(tension_rows(tensions.extended, smoothed)):
+        phi[i] = row
     best = np.argmin(phi[1:], axis=0)  # first minimum, so lowest grain wins ties
     phi_best = np.take_along_axis(phi[1:], best[None], axis=0)[0]
     sel = select_bottom_cells(RealField(grid, phi_best - phi[0]), solid_count)
@@ -316,10 +324,6 @@ def run(config: SchemeConfig, initial) -> Trajectory:
     warning fires if it ever exceeds 40 percent of the side, where the
     periodic images start to interact.
     """
-    # imported here: diagnostics needs our types only for annotations,
-    # while we need its energies at runtime
-    from . import diagnostics as dg
-
     grid = config.grid
     multiphase = config.scheme == "grain_growth"
     if multiphase != isinstance(initial, MultiPhaseState):
@@ -347,75 +351,43 @@ def run(config: SchemeConfig, initial) -> Trajectory:
     records: list[StepRecord] = []
     status = "completed"
 
-    if multiphase:
-        smoothed = dg._grain_smoothed(initial, plan)
-        energy = dg.energy_multiphase(
-            initial, config.tensions, config.h, plan=plan, smoothed=smoothed
-        )
-    else:
-        smoothed = convolve(plan, initial)
-        energy = dg.energy_two_phase(initial, config.h, plan=plan, smoothed=smoothed)
+    smooth = convolve_labels if multiphase else convolve
+    smoothed = smooth(plan, initial)
+    energy = state_energy(
+        initial, config.h, tensions=config.tensions, smoothed=smoothed
+    )
 
     state = initial
     for n in range(1, config.steps + 1):
         t = n * config.h
         lam: float | None = None
-        transfer: float | None = None
+        good: bool | None = None
         proxy: float | None = None
+        force_now: RealField | None = None
 
         if multiphase:
             new_state, lam = step_grain_growth(
                 state, config.tensions, config.h, plan=plan, smoothed=smoothed
             )
-            new_smoothed = dg._grain_smoothed(new_state, plan)
-            omega = dg.state_difference(new_state, state).astype(np.float64)
-            ext = config.tensions.extended
-            quad = 0.0
-            for i in range(config.tensions.num_grains + 1):
-                acc = np.zeros(grid.shape)
-                for j in range(config.tensions.num_grains + 1):
-                    if ext[i, j] != 0.0:
-                        acc += ext[i, j] * (new_smoothed[j] - smoothed[j])
-                quad += float((omega[i] * acc).sum())
-            dissipation = -quad * grid.cell_volume / sqrt_h
-            new_energy = dg.energy_multiphase(
-                new_state, config.tensions, config.h, plan=plan, smoothed=new_smoothed
-            )
             good = abs(lam) < GOOD_ITERATION_BAND
+        elif config.scheme == "mbo":
+            new_state = step_mbo(state, config.h, plan=plan, smoothed=smoothed)
+        elif config.scheme == "forced":
+            force_now = config.force(grid, t)
+            new_state = step_forced(
+                state, force_now, config.h, plan=plan, smoothed=smoothed
+            )
         else:
-            if config.scheme == "mbo":
-                new_state = step_mbo(state, config.h, plan=plan, smoothed=smoothed)
-            elif config.scheme == "forced":
-                force_now = config.force(grid, t)
-                new_state = step_forced(
-                    state, force_now, config.h, plan=plan, smoothed=smoothed
-                )
-            else:
-                new_state, lam = step_volume_preserving(
-                    state, config.h, plan=plan, smoothed=smoothed
-                )
-            new_smoothed = convolve(plan, new_state)
-            omega = new_state.as_float() - state.as_float()
-            dissipation = (
-                float((omega * (new_smoothed.values - smoothed.values)).sum())
-                * grid.cell_volume
-                / sqrt_h
+            new_state, lam = step_volume_preserving(
+                state, config.h, plan=plan, smoothed=smoothed
             )
-            new_energy = dg.energy_two_phase(
-                new_state, config.h, plan=plan, smoothed=new_smoothed
-            )
-            good = None
-            if lam is not None:
-                good = abs(lam - 0.5) < GOOD_ITERATION_BAND
-                proxy = -math.sqrt(math.pi) * (2.0 * lam - 1.0) / sqrt_h
-            if config.scheme == "forced":
-                transfer = (
-                    float((force_now.values * omega).sum())
-                    * grid.cell_volume
-                    / math.sqrt(math.pi)
-                )
+            good = abs(lam - 0.5) < GOOD_ITERATION_BAND
+            proxy = -math.sqrt(math.pi) * (2.0 * lam - 1.0) / sqrt_h
+        new_smoothed = smooth(plan, new_state)
+        row = step_ledger(
+            config, n, state, new_state, smoothed, new_smoothed, energy, force_now
+        )
 
-        slack = energy - new_energy - dissipation + (transfer or 0.0)
         new_solid = _solid_of(new_state)
         radius = None
         if new_solid.cell_count:
@@ -430,16 +402,12 @@ def run(config: SchemeConfig, initial) -> Trajectory:
 
         records.append(
             StepRecord(
-                step=n,
+                **vars(row),
                 time=t,
                 lam=lam,
-                energy_before=energy,
-                energy_after=new_energy,
-                dissipation=dissipation,
-                ed_slack=slack,
                 bounding_radius=radius,
                 good_iteration=good,
-                force_transfer=transfer,
+                force_transfer=None if force_now is None else row.transfer,
                 curvature_proxy=proxy,
             )
         )
@@ -451,6 +419,6 @@ def run(config: SchemeConfig, initial) -> Trajectory:
         if _states_equal(new_state, state):
             status = "pinned"
             break
-        state, smoothed, energy = new_state, new_smoothed, new_energy
+        state, smoothed, energy = new_state, new_smoothed, row.energy_after
 
     return Trajectory(config, states, records, status, center, initial_radius)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from mbokit.grid import Grid, PhaseField, rasterize_ball
+from mbokit.grid import (
+    Grid,
+    PhaseField,
+    RealField,
+    random_blob,
+    rasterize_ball,
+    voronoi_labels,
+)
 from mbokit.kernel import HeatKernelPlan
+from mbokit.schemes import SchemeConfig, equal_tensions
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +47,38 @@ def generic_mask(grid: Grid, seed: int, fill: float = 0.35) -> np.ndarray:
     """Random mask with no symmetry, for tie-free threshold tests."""
     r = np.random.default_rng(seed)
     return r.random(grid.shape) < fill
+
+
+def _const_force(grid: Grid, _t: float) -> RealField:
+    return RealField(grid, np.full(grid.shape, 2.0))
+
+
+@pytest.fixture(
+    params=["mbo", "volume_preserving", "forced", "grain_growth", "mbo_extinct"]
+)
+def scheme_case(request, grid128, ball128):
+    """A short run of every scheme, plus a plain run that stops early.
+
+    Returns ``(config, initial)``; the ``mbo_extinct`` run shrinks a small
+    ball until it vanishes, well before its step budget (the same run as
+    ``test_small_ball_goes_extinct``).
+    """
+    name = request.param
+    if name == "grain_growth":
+        initial = voronoi_labels(
+            grid128,
+            [(0.35, 0.3), (0.65, 0.35), (0.5, 0.7)],
+            solid=rasterize_ball(grid128, (0.5, 0.5), 0.3),
+        )
+        cfg = SchemeConfig(
+            scheme=name, grid=grid128, h=1e-3, steps=4, tensions=equal_tensions(3)
+        )
+        return cfg, initial
+    if name == "mbo_extinct":
+        small = rasterize_ball(grid128, (0.5, 0.5), 0.05)
+        return SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=50), small
+    force = _const_force if name == "forced" else None
+    cfg = SchemeConfig(scheme=name, grid=grid128, h=1e-3, steps=4, force=force)
+    if name == "volume_preserving":
+        return cfg, random_blob(grid128, seed=31)
+    return cfg, ball128

@@ -146,6 +146,25 @@ class TestDumpRoundTrip:
         with pytest.raises(ValueError, match="MBOF1"):
             read_dump(p)
 
+    @pytest.mark.parametrize("key", ["dim", "n", "side", "h", "step", "phases"])
+    def test_missing_header_key_named(self, tmp_path, key):
+        p = tmp_path / "k.mbof"
+        write_dump(p, rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.2), 1e-3, 0)
+        head, _, payload = p.read_bytes().partition(b"\n\n")
+        kept = [ln for ln in head.split(b"\n") if not ln.startswith(f"{key}=".encode())]
+        p.write_bytes(b"\n".join(kept) + b"\n\n" + payload)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            read_dump(p)
+
+    def test_two_phase_payload_outside_zero_one_rejected(self, tmp_path):
+        p = tmp_path / "b.mbof"
+        write_dump(p, rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.2), 1e-3, 0)
+        blob = bytearray(p.read_bytes())
+        blob[-1] = 7
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="7"):
+            read_dump(p)
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -222,6 +241,41 @@ class TestCommands:
         write_dump(victim, PhaseField(state.grid, grown), h, step)
         dumps = sorted(str(p) for p in (tmp_path / "out").glob("state_*.mbof"))
         assert main(["check", *dumps]) == 2
+
+    def test_check_header_without_side_exits_4(self, tmp_path, capsys):
+        p = tmp_path / "s.mbof"
+        write_dump(p, rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.2), 1e-3, 0)
+        p.write_bytes(p.read_bytes().replace(b"side=1\n", b""))
+        assert main(["check", str(p)]) == 4
+        assert "'side'" in capsys.readouterr().err
+
+    def test_energy_rejects_two_phase_byte_seven(self, tmp_path):
+        p = tmp_path / "e.mbof"
+        write_dump(p, rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.3), 4e-3, 0)
+        blob = bytearray(p.read_bytes())
+        blob[-1] = 7
+        p.write_bytes(bytes(blob))
+        assert main(["energy", str(p)]) == 4
+
+    @pytest.mark.parametrize(
+        "picked, gap",
+        [
+            ((0, 2, 4, 6), "step 2 follows step 0"),
+            ((0, 1, 1, 2), "step 1 follows step 1"),
+        ],
+        ids=["stride", "repeat"],
+    )
+    def test_check_refuses_non_consecutive_steps(self, tmp_path, capsys, picked, gap):
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("steps = 3", "steps = 6")
+            + f"out_dir = {tmp_path}/out\ndump_every = 1\n",
+        )
+        assert main(["run", cfg]) == 0
+        capsys.readouterr()
+        dumps = [str(tmp_path / "out" / f"state_{k:06d}.mbof") for k in picked]
+        assert main(["check", *dumps]) == 4
+        assert gap in capsys.readouterr().err
 
     def test_check_multiphase_needs_config(self, tmp_path):
         g = Grid(dim=2, n=64)

@@ -211,6 +211,35 @@ class TestLedger:
         assert report.first_violation is None
         assert len(report.rows) == len(traj.records)
 
+    def test_run_rows_equal_audit_rows_bitwise(self, scheme_case):
+        traj = run(*scheme_case)
+        report = ledger_check(traj)
+        assert (report.passed, report.tolerance) == (True, traj.ledger.tolerance)
+        assert len(report.rows) == len(traj.records) > 0
+        for rec, row in zip(traj.records, report.rows):
+            assert rec.step == row.step
+            assert rec.energy_before == row.energy_before
+            assert rec.energy_after == row.energy_after
+            assert rec.dissipation == row.dissipation
+            assert rec.slack == row.slack
+            assert rec.transfer == row.transfer == (rec.force_transfer or 0.0)
+
+    def test_merged_dissipation_matches_reference_forms(self, scheme_case):
+        cfg, initial = scheme_case
+        traj = run(cfg, initial)
+        plan = HeatKernelPlan(cfg.grid, cfg.h)
+        for rec, prev, cur in zip(traj.records, traj.states, traj.states[1:]):
+            if cfg.tensions is None:
+                omega = phase_difference(cur, prev)
+                ref = dissipation_two_phase(omega, cfg.h, plan=plan)
+            else:
+                omega = state_difference(cur, prev)
+                ref = dissipation_multiphase(
+                    omega, cfg.grid, cfg.tensions, cfg.h, plan=plan
+                )
+            assert ref > 0.0
+            assert rec.dissipation == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_fails_on_corrupted_state(self, grid128, ball128):
         # negative control: tamper with one state, the audit must notice
         cfg = SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=6)

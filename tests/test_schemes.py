@@ -296,6 +296,16 @@ class TestRun:
             s.solid_cell_count == state.solid_cell_count for s in traj.states
         )
 
+    def test_bitwise_independent_of_thread_count(self, scheme_case, monkeypatch):
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MBO_THREADS", threads)
+            traj = run(*scheme_case)
+            final = traj.final()
+            raw = final.labels if isinstance(final, MultiPhaseState) else final.mask
+            results.append((raw.tobytes(), traj.status, traj.records))
+        assert results[0] == results[1]
+
     def test_rejects_state_grid_mismatch(self, grid64, ball128):
         cfg = SchemeConfig(scheme="mbo", grid=grid64, h=1e-3, steps=1)
         with pytest.raises(ValueError):
