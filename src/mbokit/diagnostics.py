@@ -155,13 +155,16 @@ def linearized_energy(
 def tension_rows(ext: np.ndarray, fields: Sequence[np.ndarray]):
     """Yield sum over j of ext[i, j] * fields[j] for each label i, in j order.
 
-    One buffer holds every row in turn; copy a row to keep it.
+    One buffer holds every row in turn; copy a row to keep it.  Weights of
+    exactly 1 add ``f`` itself, which is the same sum without the multiply.
     """
     acc, term = np.empty_like(fields[0]), np.empty_like(fields[0])
     for i in range(len(fields)):
         acc.fill(0.0)
         for j, f in enumerate(fields):
-            if ext[i, j] != 0.0:
+            if ext[i, j] == 1.0:
+                acc += f
+            elif ext[i, j] != 0.0:
                 acc += np.multiply(ext[i, j], f, out=term)
         yield acc
 
@@ -275,18 +278,25 @@ def step_ledger(
     :func:`convolve` (two-phase) or :func:`convolve_labels` (multiphase)
     return them.  By linearity of the kernel the dissipation needs no
     convolution of its own: it pairs omega = cur - prev with G cur - G prev.
-    That difference is written over ``prev_smoothed``, which is dead after
-    the step.  Forced steps pass the force sampled at the step's target time.
+    Two-phase steps write it over ``prev_smoothed``, dead after the step;
+    multiphase ones form the tension rows on changed cells only (omega is
+    zero elsewhere) and sum them scattered into a zero field, bit for bit
+    the full-grid sum.  Forced steps pass the force at the target time.
     """
     grid, h = cur.grid, config.h
     energy = state_energy(cur, h, tensions=config.tensions, smoothed=cur_smoothed)
     transfer = 0.0
     if isinstance(cur, MultiPhaseState):
-        for new, old in zip(cur_smoothed, prev_smoothed):
-            np.subtract(new, old, out=old)
-        omega = state_difference(cur, prev)
-        rows = tension_rows(config.tensions.extended, prev_smoothed)
-        quad = sum(float((omega[i] * row).sum()) for i, row in enumerate(rows))
+        cells = np.flatnonzero(cur.labels != prev.labels)
+        new_labels, old_labels = cur.labels.ravel()[cells], prev.labels.ravel()[cells]
+        pairs = zip(cur_smoothed, prev_smoothed)
+        diffs = [a.ravel()[cells] - b.ravel()[cells] for a, b in pairs]
+        products = np.zeros(grid.total_cells)
+        quad = 0.0
+        for i, row in enumerate(tension_rows(config.tensions.extended, diffs)):
+            omega = (new_labels == i) * 1.0 - (old_labels == i)
+            products[cells] = omega * row
+            quad += float(products.sum())
         dissipation = -quad * grid.cell_volume / math.sqrt(h)
     else:
         omega = cur.as_float()

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .grid import (
     DegeneratePhaseError,
@@ -94,15 +93,15 @@ class SurfaceTensionMatrix:
                 "off-diagonal tensions must stay below 2, the cost of the "
                 "vapor route between two grains"
             )
-        for k in range(p):
-            others = [i for i in range(p) if i != k]
-            for i in others:
-                for j in others:
-                    if i != j and not s[i, j] < s[i, k] + s[k, j]:
-                        raise ValueError(
-                            f"triangle inequality fails: sigma[{i},{j}] >= "
-                            f"sigma[{i},{k}] + sigma[{k},{j}]"
-                        )
+        for k in range(p):  # one p x p slice per k, first (i, j) in row order
+            bad = off & ~(s < s[:, k, None] + s[k])
+            bad[k] = bad[:, k] = False
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"triangle inequality fails: sigma[{i},{j}] >= "
+                    f"sigma[{i},{k}] + sigma[{k},{j}]"
+                )
         ext = np.ones((p + 1, p + 1))
         ext[0, 0] = 0.0
         ext[1:, 1:] = s
@@ -125,7 +124,7 @@ def _mean_zero_neg_bound(matrix: np.ndarray) -> float:
     n = matrix.shape[0]
     if n < 2:
         return math.inf
-    basis = scipy.linalg.null_space(np.ones((1, n)))
+    basis = np.linalg.svd(np.ones((1, n)))[2][1:].T  # orthonormal, mean zero
     eigs = np.linalg.eigvalsh(basis.T @ matrix @ basis)
     return float(-eigs.max())
 
@@ -272,11 +271,12 @@ def step_grain_growth(
 ) -> tuple[MultiPhaseState, float]:
     """One multiphase step preserving the total solid cell count.
 
-    Builds the comparison fields phi_i as tension-weighted sums of the
-    smoothed indicators (vapor enters each grain's field with weight one).
-    Each cell's candidate grain minimizes phi over grains, lowest label on
-    ties; the solid set keeps exactly its cell count by a bottom selection
-    of phi_best - phi_vapor.  Returns the new state and the score cut.
+    Builds the comparison fields phi_i one at a time as tension-weighted
+    sums of the smoothed indicators (vapor enters each grain's field with
+    weight one).  Each cell's candidate grain minimizes phi over grains,
+    lowest label on ties, through a running minimum; the solid set keeps
+    exactly its cell count by a bottom selection of phi_best - phi_vapor.
+    Returns the new state and the score cut.
     """
     p = tensions.num_grains
     if state.num_grains != p:
@@ -289,13 +289,15 @@ def step_grain_growth(
         plan = HeatKernelPlan(grid, h)
     if smoothed is None:
         smoothed = convolve_labels(plan, state)
-    phi = np.empty((p + 1,) + grid.shape)
-    for i, row in enumerate(tension_rows(tensions.extended, smoothed)):
-        phi[i] = row
-    best = np.argmin(phi[1:], axis=0)  # first minimum, so lowest grain wins ties
-    phi_best = np.take_along_axis(phi[1:], best[None], axis=0)[0]
-    sel = select_bottom_cells(RealField(grid, phi_best - phi[0]), solid_count)
-    labels = np.where(sel.mask.mask, best.astype(np.int32) + 1, 0)
+    rows = tension_rows(tensions.extended, smoothed)
+    phi_vapor, phi_best = next(rows).copy(), next(rows).copy()
+    best = np.ones(grid.shape, dtype=np.int32)
+    for i, row in enumerate(rows, start=2):
+        lower = row < phi_best  # strict, so the lowest grain wins ties
+        np.copyto(phi_best, row, where=lower)
+        np.copyto(best, i, where=lower)
+    sel = select_bottom_cells(RealField(grid, phi_best - phi_vapor), solid_count)
+    labels = np.where(sel.mask.mask, best, 0)
     return MultiPhaseState(grid, labels, p), float(sel.threshold)
 
 

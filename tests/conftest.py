@@ -49,6 +49,12 @@ def generic_mask(grid: Grid, seed: int, fill: float = 0.35) -> np.ndarray:
     return r.random(grid.shape) < fill
 
 
+def symmetric_tensions(p, seed, low, high):
+    """Symmetric random off-diagonal entries in [low, high), zero diagonal."""
+    upper = np.triu(np.random.default_rng(seed).uniform(low, high, (p, p)), 1)
+    return upper + upper.T
+
+
 def _const_force(grid: Grid, _t: float) -> RealField:
     return RealField(grid, np.full(grid.shape, 2.0))
 

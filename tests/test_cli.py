@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mbokit
 
 from mbokit.cli import (
     ConfigError,
@@ -333,3 +340,16 @@ class TestCommands:
         assert main(["sweep", cfg]) == 0
         out = capsys.readouterr().out
         assert "oracle" in out and "slope" in out
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg alone costs tens of milliseconds of start-up per process
+        src = str(Path(mbokit.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, mbokit.cli; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

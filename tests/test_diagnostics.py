@@ -31,6 +31,7 @@ from mbokit.diagnostics import (
     phase_difference,
     radial_bump_field,
     state_difference,
+    step_ledger,
     tightness_monitor,
 )
 from mbokit.grid import (
@@ -40,15 +41,24 @@ from mbokit.grid import (
     random_blob,
     rasterize_ball,
     rasterize_slab,
+    voronoi_labels,
 )
-from mbokit.kernel import HeatKernelPlan, ResolutionWarning, convolve
+from mbokit.kernel import (
+    HeatKernelPlan,
+    ResolutionWarning,
+    convolve,
+    convolve_labels,
+)
 from mbokit.schemes import (
     SchemeConfig,
+    SurfaceTensionMatrix,
     equal_tensions,
     run,
     step_volume_preserving,
 )
 from mbokit.threshold import select_top_cells
+
+from conftest import symmetric_tensions
 
 
 def periodized_gaussian_matrix(grid: Grid, h: float, images: int = 3) -> np.ndarray:
@@ -66,6 +76,22 @@ def periodized_gaussian_matrix(grid: Grid, h: float, images: int = 3) -> np.ndar
             d = pts[:, None, :] - pts[None, :, :] + np.array([mi, mj]) * grid.side
             k += (4.0 * np.pi * h) ** -1 * np.exp(-(d**2).sum(-1) / (4.0 * h))
     return k
+
+
+def full_grid_dissipation(cfg, prev, cur, prev_smoothed, cur_smoothed):
+    """Multiphase dissipation over every cell: omega_i paired with row_i of
+    the tension-weighted smoothed differences, as step_ledger once did."""
+    ext = cfg.tensions.extended
+    diffs = [new - old for new, old in zip(cur_smoothed, prev_smoothed)]
+    omega = state_difference(cur, prev)
+    quad = 0
+    for i in range(len(diffs)):
+        row = np.zeros(cfg.grid.shape)
+        for j, d in enumerate(diffs):
+            if ext[i, j] != 0.0:
+                row += ext[i, j] * d
+        quad += float((omega[i] * row).sum())
+    return -quad * cfg.grid.cell_volume / math.sqrt(cfg.h)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +265,38 @@ class TestLedger:
                 )
             assert ref > 0.0
             assert rec.dissipation == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("unequal", [False, True])
+    def test_changed_cell_dissipation_equals_full_grid_form(self, grid128, unequal):
+        p = 4
+        if unequal:
+            tensions = SurfaceTensionMatrix(symmetric_tensions(p, 8, 0.7, 1.3))
+        else:
+            tensions = equal_tensions(p)
+        initial = voronoi_labels(
+            grid128,
+            [(0.35, 0.3), (0.65, 0.35), (0.5, 0.7), (0.45, 0.5)],
+            solid=rasterize_ball(grid128, (0.5, 0.5), 0.3),
+        )
+        cfg = SchemeConfig(
+            scheme="grain_growth", grid=grid128, h=1e-3, steps=3, tensions=tensions
+        )
+        states = run(cfg, initial).states
+        states.append(states[-1])  # a step that flips no cell
+        plan = HeatKernelPlan(grid128, cfg.h)
+        smoothed = [convolve_labels(plan, s) for s in states]
+        for n in range(1, len(states)):
+            prev, cur = states[n - 1], states[n]
+            expected = full_grid_dissipation(
+                cfg, prev, cur, smoothed[n - 1], smoothed[n]
+            )
+            row = step_ledger(cfg, n, prev, cur, smoothed[n - 1], smoothed[n], 1.0)
+            assert row.dissipation == expected
+            assert np.signbit(row.dissipation) == np.signbit(expected)
+            if n == len(states) - 1:
+                assert row.dissipation == 0.0
+            else:
+                assert row.dissipation > 0.0
 
     def test_fails_on_corrupted_state(self, grid128, ball128):
         # negative control: tamper with one state, the audit must notice

@@ -8,12 +8,13 @@ from mbokit.grid import (
     Grid,
     MultiPhaseState,
     PhaseField,
+    RealField,
     random_blob,
     rasterize_ball,
     rasterize_slab,
     voronoi_labels,
 )
-from mbokit.kernel import HeatKernelPlan, ResolutionWarning
+from mbokit.kernel import HeatKernelPlan, ResolutionWarning, convolve_labels
 from mbokit.schemes import (
     SchemeConfig,
     SurfaceTensionMatrix,
@@ -24,6 +25,41 @@ from mbokit.schemes import (
     step_forced,
     step_volume_preserving,
 )
+from mbokit.threshold import select_bottom_cells
+
+from conftest import symmetric_tensions
+
+
+def triangle_message_reference(s):
+    """The O(p^3) triple loop the vectorized check replaced."""
+    p = s.shape[0]
+    for k in range(p):
+        others = [i for i in range(p) if i != k]
+        for i in others:
+            for j in others:
+                if i != j and not s[i, j] < s[i, k] + s[k, j]:
+                    return (
+                        f"triangle inequality fails: sigma[{i},{j}] >= "
+                        f"sigma[{i},{k}] + sigma[{k},{j}]"
+                    )
+    return None
+
+
+def grain_step_reference(state, tensions, smoothed):
+    """Full (p+1)-field phi stack and argmin, as the streamed step replaced."""
+    ext = tensions.extended
+    phi = np.zeros((len(smoothed),) + state.grid.shape)
+    for i in range(len(smoothed)):
+        for j, f in enumerate(smoothed):
+            if ext[i, j] != 0.0:
+                phi[i] += ext[i, j] * f
+    best = np.argmin(phi[1:], axis=0)
+    phi_best = np.take_along_axis(phi[1:], best[None], axis=0)[0]
+    sel = select_bottom_cells(
+        RealField(state.grid, phi_best - phi[0]), state.solid_cell_count
+    )
+    labels = np.where(sel.mask.mask, best.astype(np.int32) + 1, 0)
+    return labels, float(sel.threshold)
 
 
 def quiet_plan(grid, h):
@@ -66,6 +102,37 @@ class TestSurfaceTensionMatrix:
         )
         with pytest.raises(ValueError, match="triangle"):
             SurfaceTensionMatrix(sigma)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            # equality is a violation too: sigma[0,1] == sigma[0,2] + sigma[2,1]
+            np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+            # one violation, through the last grain only
+            np.where(
+                np.eye(5, dtype=bool),
+                0.0,
+                np.array(
+                    [
+                        [0, 1.9, 1, 1, 0.9],
+                        [1.9, 0, 1, 1, 0.9],
+                        [1, 1, 0, 1, 1],
+                        [1, 1, 1, 0, 1],
+                        [0.9, 0.9, 1, 1, 0],
+                    ]
+                ),
+            ),
+        ]
+        + [symmetric_tensions(6, seed, 0.05, 1.95) for seed in range(4)]
+        + [symmetric_tensions(40, seed, 0.3, 1.9) for seed in range(2)],
+        ids=lambda s: f"p{s.shape[0]}",
+    )
+    def test_triangle_message_matches_triple_loop(self, sigma):
+        expected = triangle_message_reference(sigma)
+        assert expected is not None
+        with pytest.raises(ValueError) as err:
+            SurfaceTensionMatrix(sigma)
+        assert str(err.value) == expected
 
     def test_unequal_tensions_accepted(self):
         sigma = np.array(
@@ -216,6 +283,49 @@ class TestStepGrainGrowth:
         vp_mask, lam_vp = step_volume_preserving(blob, 1e-3, plan=plan)
         assert (gg_state.labels.astype(bool) == vp_mask.mask).all()
         assert lam_gg == pytest.approx(1.0 - 2.0 * lam_vp, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_streamed_step_matches_full_stack_unequal_tensions(self, grid128, seed):
+        p = 5
+        tensions = SurfaceTensionMatrix(symmetric_tensions(p, seed, 0.7, 1.3))
+        plan = HeatKernelPlan(grid128, 1e-3)
+        points = np.random.default_rng(seed).uniform(0.3, 0.7, (p, 2))
+        state = voronoi_labels(
+            grid128,
+            [tuple(x) for x in points],
+            solid=rasterize_ball(grid128, (0.5, 0.5), 0.3),
+        )
+        smoothed = convolve_labels(plan, state)
+        out, lam = step_grain_growth(
+            state, tensions, 1e-3, plan=plan, smoothed=smoothed
+        )
+        labels, lam_ref = grain_step_reference(state, tensions, smoothed)
+        assert np.array_equal(out.labels, labels)
+        assert lam == lam_ref
+
+    @pytest.mark.parametrize(
+        "weights", [(1.0,), (0.75, 1.0, 1.25)], ids=["unit", "mixed"]
+    )
+    def test_streamed_step_matches_full_stack_on_exact_ties(self, grid64, weights):
+        # quarter-valued fields and tensions in quarters: every phi is exact,
+        # so many cells tie between grains and the lowest label must win
+        p = 4
+        r = np.random.default_rng(3)
+        sigma = r.choice(weights, (p, p))
+        sigma = np.triu(sigma, 1) + np.triu(sigma, 1).T
+        tensions = SurfaceTensionMatrix(sigma)
+        smoothed = [r.integers(0, 5, grid64.shape) / 4.0 for _ in range(p + 1)]
+        state = MultiPhaseState(grid64, r.integers(0, p + 1, grid64.shape), p)
+        out, lam = step_grain_growth(state, tensions, 1e-3, smoothed=smoothed)
+        labels, lam_ref = grain_step_reference(state, tensions, smoothed)
+        assert np.array_equal(out.labels, labels)
+        assert lam == lam_ref
+        ext = tensions.extended
+        phi = np.stack(
+            [sum(w * f for w, f in zip(ext[i], smoothed)) for i in range(1, p + 1)]
+        )
+        tied = (phi == phi.min(axis=0)).sum(axis=0) > 1
+        assert tied.sum() > 100
 
     def test_translation_equivariance(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
