@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.special import erfinv
 
 from .grid import Grid, MultiPhaseState, PhaseField, RealField
 from .kernel import HeatKernelPlan, convolve, convolve_labels, spectral_divergence
@@ -36,9 +35,10 @@ if TYPE_CHECKING:  # only for annotations; no runtime dependency on schemes
 GOOD_ITERATION_BAND = 0.25
 
 # Distance C with  integral_0^C of the unit-bandwidth 1-d kernel = 1/4,
-# i.e. erf(C/2) = 1/2.  Within one good iteration the support radius can
-# grow by at most C*sqrt(h) plus a multiplier term with slope 1/G1(C).
-TIGHTNESS_REACH = float(2.0 * erfinv(0.5))
+# i.e. erf(C/2) = 1/2, so C = 2 erfinv(1/2).  Within one good iteration the
+# support radius can grow by at most C*sqrt(h) plus a multiplier term with
+# slope 1/G1(C).
+TIGHTNESS_REACH = 0.9538725524089398
 _KERNEL_AT_REACH = float((4.0 * np.pi) ** -0.5 * np.exp(-(TIGHTNESS_REACH**2) / 4.0))
 TIGHTNESS_SLOPE = 1.0 / _KERNEL_AT_REACH
 

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 
 class EmptyPhaseError(ValueError):
@@ -97,8 +96,9 @@ class Grid:
         """Squared periodic distance from every cell center to ``point``."""
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coords, grid is {self.dim}-d")
-        d2 = np.zeros(self.shape)
-        for k in range(self.dim):
+        # per-axis 1-D squared deltas, summed by broadcasting in axis order
+        d2 = self.wrap_delta(self.coordinate(0) - point[0]) ** 2
+        for k in range(1, self.dim):
             d2 = d2 + self.wrap_delta(self.coordinate(k) - point[k]) ** 2
         return d2
 
@@ -301,6 +301,8 @@ def random_blob(
     """
     if not 0 < fill < 1:
         raise ValueError(f"fill must be in (0, 1), got {fill}")
+    from scipy import ndimage  # imported here: the only scipy use at run time
+
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
     smooth = ndimage.gaussian_filter(noise, sigma=smoothing / grid.dx, mode="wrap")
@@ -326,7 +328,7 @@ def bounding_radius(field: PhaseField, center: Sequence[float]) -> float:
     if field.cell_count == 0:
         raise EmptyPhaseError("bounding_radius of an empty phase")
     d2 = field.grid.periodic_distance_sq(center)
-    return float(np.sqrt(d2[field.mask].max()))
+    return float(np.sqrt(np.max(d2, where=field.mask, initial=0.0)))
 
 
 def centroid(field: PhaseField) -> tuple[float, ...]:

@@ -5,6 +5,10 @@ the exact spectral multiplier ``exp(-h |k|^2)`` with ``k = 2 pi m / side``.
 This keeps the zero mode untouched (mass is conserved to rounding), makes
 the semigroup property exact up to rounding, and never truncates tails.
 Gradients of the smoothed field use the multipliers ``i k_j exp(-h |k|^2)``.
+
+The transforms run on numpy's pocketfft one axis at a time, in the axis
+order and with the single ``1/N`` scale of ``scipy.fft.rfftn``/``irfftn``,
+so their bits equal scipy's while no process has to import it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import Grid, MultiPhaseState, PhaseField, RealField
 
@@ -47,6 +50,64 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+@lru_cache(maxsize=None)
+def _thread_pool(workers: int):
+    """One pool per thread count; its threads start on the first submit."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mbokit-fft")
+
+
+def _transform_lines(transform, src, out, axis: int, workers: int, **kwargs) -> None:
+    """Apply a 1-D numpy transform to every line of ``src`` along ``axis``.
+
+    The lines are split into ``workers`` blocks along another axis, run on
+    one thread each (numpy releases the GIL inside pocketfft).  Every line
+    is transformed on its own, so the bits do not depend on ``workers``.
+    """
+    split = 1 if axis == 0 else 0
+    m = src.shape[split]
+    blocks = min(workers, m)
+    if blocks == 1:
+        transform(src, axis=axis, out=out, **kwargs)
+        return
+
+    def run(i: int) -> None:
+        idx = (slice(None),) * split + (slice(m * i // blocks, m * (i + 1) // blocks),)
+        transform(src[idx], axis=axis, out=out[idx], **kwargs)
+
+    for done in [_thread_pool(workers).submit(run, i) for i in range(blocks)]:
+        done.result()
+
+
+def _rfftn(values: np.ndarray, workers: int) -> np.ndarray:
+    """``scipy.fft.rfftn`` bit for bit: r2c on the last axis, then c2c on 0 .. d-2."""
+    shape = values.shape
+    spectrum = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
+    _transform_lines(np.fft.rfft, values, spectrum, len(shape) - 1, workers)
+    for axis in range(len(shape) - 1):
+        _transform_lines(np.fft.fft, spectrum, spectrum, axis, workers)
+    return spectrum
+
+
+def _irfftn(spectrum: np.ndarray, shape: tuple[int, ...], workers: int) -> np.ndarray:
+    """``scipy.fft.irfftn`` bit for bit; overwrites ``spectrum``.
+
+    The passes run unscaled and the result is scaled once by ``1.0 / N``,
+    which equals scipy's scale (``1/N`` in long double, rounded to double)
+    for every n from 8 to 2048 in 2-D and 3-D.
+    """
+    for axis in range(len(shape) - 1):
+        _transform_lines(np.fft.ifft, spectrum, spectrum, axis, workers, norm="forward")
+    out = np.empty(shape)
+    last = len(shape) - 1
+    _transform_lines(
+        np.fft.irfft, spectrum, out, last, workers, n=shape[-1], norm="forward"
+    )
+    out *= 1.0 / out.size
+    return out
+
+
 @lru_cache(maxsize=16)
 def _frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
     """Angular frequency of each spatial axis, broadcastable to rfft layout.
@@ -58,9 +119,9 @@ def _frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
     for array_axis in range(grid.dim):
         spatial = grid.dim - 1 - array_axis
         if array_axis == grid.dim - 1:
-            f = sfft.rfftfreq(grid.n, d=grid.dx)
+            f = np.fft.rfftfreq(grid.n, d=grid.dx)
         else:
-            f = sfft.fftfreq(grid.n, d=grid.dx)
+            f = np.fft.fftfreq(grid.n, d=grid.dx)
         shape = [1] * grid.dim
         shape[array_axis] = f.size
         out[spatial] = (2.0 * np.pi * f).reshape(shape)
@@ -116,10 +177,12 @@ class HeatKernelPlan:
         return (self.grid.n,) * (self.grid.dim - 1) + (self.grid.n // 2 + 1,)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(values, workers=self.workers)
+        """Real-to-complex transform of a float64 grid array."""
+        return _rfftn(values, self.workers)
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(spectrum, s=self.grid.shape, workers=self.workers)
+        """Complex-to-real transform back to the grid; overwrites ``spectrum``."""
+        return _irfftn(spectrum, self.grid.shape, self.workers)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Smooth a raw array (no clamping, no wrapping in field types)."""
@@ -200,6 +263,7 @@ def spectral_divergence(
     factors = _derivative_factors(grid)
     out = np.zeros(grid.shape)
     for k in range(grid.dim):
-        spec = sfft.rfftn(np.asarray(components[k], dtype=np.float64), workers=w)
-        out += sfft.irfftn(spec * factors[k], s=grid.shape, workers=w)
+        spec = _rfftn(np.asarray(components[k], dtype=np.float64), w)
+        spec *= factors[k]
+        out += _irfftn(spec, grid.shape, w)
     return out

@@ -73,7 +73,6 @@ class SurfaceTensionMatrix:
 
     sigma: np.ndarray
     extended: np.ndarray = field(init=False, repr=False)
-    neg_bound: float = field(init=False)
     extended_neg_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -107,7 +106,6 @@ class SurfaceTensionMatrix:
         ext[1:, 1:] = s
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "extended", ext)
-        object.__setattr__(self, "neg_bound", _mean_zero_neg_bound(s))
         object.__setattr__(self, "extended_neg_bound", _mean_zero_neg_bound(ext))
         if not self.extended_neg_bound > 0:
             raise ValueError(
@@ -122,8 +120,6 @@ class SurfaceTensionMatrix:
 def _mean_zero_neg_bound(matrix: np.ndarray) -> float:
     """Largest admissible bound b with  x.M.x <= -b |x|^2  on mean-zero x."""
     n = matrix.shape[0]
-    if n < 2:
-        return math.inf
     basis = np.linalg.svd(np.ones((1, n)))[2][1:].T  # orthonormal, mean zero
     eigs = np.linalg.eigvalsh(basis.T @ matrix @ basis)
     return float(-eigs.max())

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erfinv
 
 from mbokit.diagnostics import (
     GOOD_ITERATION_BAND,
@@ -337,6 +338,9 @@ class TestTightness:
         assert TIGHTNESS_REACH == pytest.approx(0.9538725524089398, rel=1e-12)
         assert TIGHTNESS_SLOPE == pytest.approx(4.4503392758878, rel=1e-10)
         assert GOOD_ITERATION_BAND == 0.25
+
+    def test_reach_is_two_erfinv_half(self):
+        assert TIGHTNESS_REACH == float(2.0 * erfinv(0.5))
 
     def test_clean_on_stationary_ball(self, grid128, ball128):
         cfg = SchemeConfig(

@@ -61,6 +61,17 @@ class TestGrid:
         nearest = float(d2.min())
         assert nearest < 0.01
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_periodic_distance_equals_per_cell_loop(self, dim):
+        # reference: a zero field plus each axis's squared delta, axis 0 first
+        g = Grid(dim=dim, n=24, side=0.7)
+        rng = np.random.default_rng(dim)
+        for point in rng.random((5, dim)) * 0.7:
+            expected = np.zeros(g.shape)
+            for k in range(dim):
+                expected = expected + g.wrap_delta(g.coordinate(k) - point[k]) ** 2
+            assert np.array_equal(g.periodic_distance_sq(point), expected)
+
 
 class TestPhaseField:
     def test_counts_and_complement(self, grid64):
@@ -210,6 +221,13 @@ class TestMeasurements:
         f = rasterize_ball(grid128, (0.5, 0.5), 0.2)
         r = bounding_radius(f, (0.5, 0.5))
         assert 0.2 - grid128.dx <= r <= 0.2 + grid128.dx
+
+    def test_bounding_radius_is_largest_occupied_distance(self):
+        g = Grid(dim=3, n=24)
+        f = random_blob(g, seed=3, fill=0.2)
+        center = (0.3, 0.6, 0.45)
+        d2 = g.periodic_distance_sq(center)
+        assert bounding_radius(f, center) == float(np.sqrt(d2[f.mask].max()))
 
     def test_bounding_radius_empty_raises(self, grid64):
         f = PhaseField(grid64, np.zeros(grid64.shape, dtype=bool))

@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from mbokit.grid import Grid, PhaseField, RealField, rasterize_ball, rasterize_slab
 from mbokit.kernel import (
     HeatKernelPlan,
     ResolutionWarning,
+    _derivative_factors,
     convolve,
     default_workers,
     grad_convolve,
@@ -155,3 +157,56 @@ class TestGradConvolve:
                 + np.roll(smooth, 1, axis=arr_axis)
             ) / grid128.dx**2
         assert np.abs(div - fd).max() <= 0.05 * np.abs(fd).max()
+
+
+class TestTransformsMatchScipy:
+    """numpy's pocketfft, one axis at a time, reproduces scipy.fft bit for bit."""
+
+    @pytest.mark.parametrize("n", [9, 15, 24, 33, 96, 97, 128])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_forward_inverse_divergence_bit_equal(self, dim, n):
+        grid = Grid(dim=dim, n=n)
+        rng = np.random.default_rng(n * 10 + dim)
+        u = rng.standard_normal(grid.shape)
+        plan = HeatKernelPlan(grid, 16.0 * grid.dx**2, workers=1)
+        spectrum = plan.forward(u)
+        assert np.array_equal(spectrum, sfft.rfftn(u, workers=1))
+        spectrum *= plan.multipliers
+        expected = sfft.irfftn(spectrum, s=grid.shape, workers=1)
+        assert np.array_equal(plan.inverse(spectrum), expected)
+
+        comps = tuple(rng.standard_normal(grid.shape) for _ in range(dim))
+        expected = np.zeros(grid.shape)
+        for k in range(dim):
+            spec = sfft.rfftn(comps[k], workers=1) * _derivative_factors(grid)[k]
+            expected += sfft.irfftn(spec, s=grid.shape, workers=1)
+        assert np.array_equal(spectral_divergence(grid, comps, workers=1), expected)
+
+    @pytest.mark.parametrize("dim, n", [(2, 50), (3, 20)])
+    def test_three_threads_equal_one(self, dim, n, monkeypatch):
+        # n and the half-spectrum length are not multiples of 3: uneven blocks
+        grid = Grid(dim=dim, n=n)
+        rng = np.random.default_rng(7)
+        ball = rasterize_ball(grid, (0.45,) * dim, 0.3)
+        comps = tuple(rng.standard_normal(grid.shape) for _ in range(dim))
+        results = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("MBO_THREADS", threads)
+            plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
+            assert plan.workers == int(threads)
+            results.append(
+                (
+                    plan.forward(comps[0]),
+                    convolve(plan, ball).values,
+                    spectral_divergence(grid, comps),
+                )
+            )
+        for one, three in zip(*results):
+            assert np.array_equal(one, three)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unit_scale_equals_long_double_scale(self, dim):
+        # pocketfft scales the c2r result by 1/N rounded from long double
+        for n in range(8, 2049):
+            total = n**dim
+            assert 1.0 / total == float(np.longdouble(1) / total), n
