@@ -6,7 +6,8 @@ experiment.  States are stored in a small self-describing dump format
 (ASCII header, raw row-major uint8 labels) that round-trips bit for bit.
 
 Exit codes: 0 success (and ledger PASS), 2 ledger FAIL, 3 configuration
-error, 4 runtime error (degenerate states, unreadable dumps).
+error, 4 runtime error (degenerate states, unreadable dumps, output that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -443,7 +444,7 @@ def cmd_run(config_path: str) -> int:
                     out_dir / f"state_{idx:06d}.mbof", state, scheme_cfg.h, idx
                 )
         _write_ledger_csv(out_dir / "ledger.csv", traj)
-    except (DegeneratePhaseError, EmptyPhaseError) as exc:
+    except (DegeneratePhaseError, EmptyPhaseError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     report = traj.ledger
@@ -544,21 +545,26 @@ def cmd_sweep(config_path: str) -> int:
     print(f"fitted slope: {'n/a' if slope is None else f'{slope:.4f}'}")
 
     out_dir = Path(str(cfg.get("out_dir", "out")))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow(
-                [
-                    str(row[c]) if isinstance(row[c], int) else _fmt(float(row[c]))
-                    for c in cols
-                ]
-            )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "sweep.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(cols)
+            for row in rows:
+                writer.writerow(
+                    [
+                        str(row[c]) if isinstance(row[c], int) else _fmt(float(row[c]))
+                        for c in cols
+                    ]
+                )
+    except OSError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
 def _states_from_dumps(paths: Sequence[str]):
+    """States sorted by step, their common h, and the first state's step."""
     loaded = []
     for p in paths:
         state, h, step = read_dump(p)
@@ -573,7 +579,7 @@ def _states_from_dumps(paths: Sequence[str]):
     grids = {item[2].grid for item in loaded}
     if len(grids) != 1:
         raise ValueError("dumps live on different grids")
-    return [item[2] for item in loaded], hs.pop()
+    return [item[2] for item in loaded], hs.pop(), loaded[0][0]
 
 
 def _audit_setup(state, config_path: str | None):
@@ -596,7 +602,7 @@ def _audit_setup(state, config_path: str | None):
 def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
     """Re-audit stored states: recompute the per-step energy ledger."""
     try:
-        states, h = _states_from_dumps(paths)
+        states, h, first_step = _states_from_dumps(paths)
     except (ValueError, FileNotFoundError) as exc:
         print(f"cannot load dumps: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -621,7 +627,7 @@ def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
         radius_center=(0.0,) * states[0].grid.dim,
         initial_radius=0.0,
     )
-    report = ledger_check(traj)
+    report = ledger_check(traj, first_step)
     for row in report.rows:
         print(
             f"step {row.step}: E {row.energy_before:.9g} -> {row.energy_after:.9g}"

@@ -320,7 +320,7 @@ def ledger_report(rows: Sequence[LedgerRow]) -> LedgerReport:
     return LedgerReport(tuple(rows), first is None, first, tol)
 
 
-def ledger_check(trajectory: "Trajectory") -> LedgerReport:
+def ledger_check(trajectory: "Trajectory", first_step: int = 0) -> LedgerReport:
     """Recompute the per-step energy inequality from the stored states.
 
     Every step of a descent scheme must satisfy
@@ -329,7 +329,9 @@ def ledger_check(trajectory: "Trajectory") -> LedgerReport:
     recomputed here from the states themselves, one convolution per state,
     so a corrupted state shows up as a violated step regardless of what the
     run recorded.  The arithmetic is the run's own (:func:`step_ledger`), so
-    untouched states reproduce the run's rows bit for bit.
+    untouched states reproduce the run's rows bit for bit.  ``first_step``
+    is the step number of ``states[0]``: rows are numbered, and a force is
+    evaluated, at the steps the states were produced at.
     """
     cfg = trajectory.config
     states = trajectory.states
@@ -339,10 +341,12 @@ def ledger_check(trajectory: "Trajectory") -> LedgerReport:
     energy = state_energy(states[0], cfg.h, tensions=cfg.tensions, smoothed=smoothed)
     rows: list[LedgerRow] = []
     for n in range(1, len(states)):
+        step = first_step + n
         new_smoothed = smooth(plan, states[n])
-        force_now = cfg.force(cfg.grid, n * cfg.h) if cfg.force else None
+        force_now = cfg.force(cfg.grid, step * cfg.h) if cfg.force else None
         row = step_ledger(
-            cfg, n, states[n - 1], states[n], smoothed, new_smoothed, energy, force_now
+            cfg, step, states[n - 1], states[n], smoothed, new_smoothed, energy,
+            force_now,
         )
         rows.append(row)
         smoothed, energy = new_smoothed, row.energy_after

@@ -295,23 +295,81 @@ def random_blob(
 ) -> PhaseField:
     """Deterministic smooth random shape occupying ``fill`` of the cells.
 
-    White noise is smoothed periodically at length ``smoothing`` and
-    thresholded at the exact quantile, so the cell count is reproducible
-    bit for bit for a given seed.
+    White noise is smoothed periodically at length ``smoothing`` (0 keeps
+    the raw noise) and thresholded at the exact quantile, so the cell count
+    is reproducible bit for bit for a given seed.
     """
     if not 0 < fill < 1:
         raise ValueError(f"fill must be in (0, 1), got {fill}")
-    from scipy import ndimage  # imported here: the only scipy use at run time
-
+    if not 0 <= smoothing < np.inf:
+        raise ValueError(f"smoothing must be finite and nonnegative, got {smoothing}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
-    smooth = ndimage.gaussian_filter(noise, sigma=smoothing / grid.dx, mode="wrap")
+    smooth = _periodic_gaussian(noise, smoothing / grid.dx)
     target = max(1, min(grid.total_cells - 1, round(fill * grid.total_cells)))
-    flat = smooth.ravel()
-    order = np.argsort(-flat, kind="stable")
-    mask = np.zeros(grid.total_cells, dtype=bool)
-    mask[order[:target]] = True
+    mask, _ = _smallest_cells(-smooth.ravel(), target)
     return PhaseField(grid, mask.reshape(grid.shape))
+
+
+# Cells per block of a filter pass; at 96^3 blocks of 2^16 cells ran
+# fastest of 2^14 ... 2^22 (2-vCPU VM).
+_FILTER_BLOCK = 1 << 16
+
+
+def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(values, sigma, mode="wrap")``, bit for bit.
+
+    scipy's arithmetic in numpy: weights ``exp(-0.5 / sigma**2 * x**2)`` for
+    ``|x| <= r = int(4 * sigma + 0.5)``, divided by their sum; one pass per
+    array axis in order 0 ... d-1, each reading the last pass's output; and
+    per cell ``w[0] * x[k]``, then ``(x[k-j] + x[k+j]) * w[j]`` added for
+    j = r down to 1, indices taken modulo n (r may exceed n).  A ``sigma``
+    of at most 1e-15 (or negative) filters nothing, as in scipy.  Returns a
+    new C-contiguous array.
+    """
+    if not sigma > 1e-15:
+        return np.array(values, dtype=np.float64)
+    out = np.asarray(values, dtype=np.float64)
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = (phi / phi.sum())[r:]  # weight of offsets +j and -j (exactly symmetric)
+    for axis in range(out.ndim):
+        n = out.shape[axis]
+        lines = np.moveaxis(out, axis, 0)
+        # wrap-padded copy: the filtered axis first, the others flattened
+        pad = lines.take(np.arange(-r, n + r) % n, axis=0).reshape(n + 2 * r, -1)
+        res = np.empty((n, pad.shape[1]))
+        rows = max(1, _FILTER_BLOCK // pad.shape[1])
+        tmp = np.empty((rows, pad.shape[1]))
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            acc, t = res[lo:hi], tmp[: hi - lo]
+            np.multiply(pad[r + lo : r + hi], w[0], out=acc)
+            for j in range(r, 0, -1):
+                np.add(pad[r + lo - j : r + hi - j], pad[r + lo + j : r + hi + j], t)
+                t *= w[j]
+                acc += t
+        out = np.moveaxis(res.reshape(lines.shape), 0, axis)
+    return np.ascontiguousarray(out)
+
+
+def _smallest_cells(key: np.ndarray, count: int) -> tuple[np.ndarray, np.float64]:
+    """Flat mask of the ``count`` smallest entries of ``key``, and the cut value.
+
+    Every entry below the cut is taken; the rest come from entries equal to
+    it in ascending index order, so the mask marks the same cells as
+    ``np.argsort(key, kind="stable")[:count]``.  Needs ``1 <= count <=
+    key.size`` and no NaN.  Shared with :mod:`mbokit.threshold`; private, so
+    a traced run charges its time to the caller.
+    """
+    cut = np.partition(key, count - 1)[count - 1]
+    mask = key < cut
+    missing = count - int(np.count_nonzero(mask))
+    if missing:
+        ties = np.flatnonzero(key == cut)
+        mask[ties[:missing]] = True
+    return mask, cut
 
 
 # ---------------------------------------------------------------------------

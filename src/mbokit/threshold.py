@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PhaseField, RealField
+from .grid import PhaseField, RealField, _smallest_cells
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,7 @@ def _selection(
     if target_cells == 0:
         empty = PhaseField(grid, np.zeros(grid.shape, dtype=bool))
         return SelectionResult(None, empty, 0)
-    key = -flat if descending else flat
-    cut = np.partition(key, target_cells - 1)[target_cells - 1]
-    mask = key < cut  # strictly better than the cut value
-    missing = target_cells - int(np.count_nonzero(mask))
-    if missing:
-        ties = np.flatnonzero(key == cut)
-        mask[ties[:missing]] = True
+    mask, cut = _smallest_cells(-flat if descending else flat, target_cells)
     threshold = float(-cut) if descending else float(cut)
     return SelectionResult(threshold, PhaseField(grid, mask.reshape(grid.shape)), target_cells)
 

@@ -284,6 +284,47 @@ class TestCommands:
         assert main(["check", *dumps]) == 4
         assert gap in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, keys",
+        [("run", ""), ("sweep", "h_list = 4e-3, 2e-3, 1e-3\nT = 8e-3\n")],
+        ids=["run", "sweep"],
+    )
+    def test_out_dir_naming_a_file_exits_4(self, tmp_path, capsys, command, keys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        cfg = write_cfg(tmp_path, BASE + keys + f"out_dir = {blocker}\n")
+        assert main([command, cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and "Traceback" not in err
+        assert blocker.read_text() == "not a directory"
+
+    def test_run_negative_blob_smoothing_is_config_error(self, tmp_path, capsys):
+        text = BASE.replace("scheme = mbo", "scheme = volume_preserving")
+        text = text.replace("init = ball", "init = blob\nblob_seed = 3")
+        text += f"blob_smoothing = -0.05\nout_dir = {tmp_path}/out\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", cfg]) == 3
+        assert "smoothing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_check_numbers_rows_by_dump_step(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("steps = 3", "steps = 6")
+            + f"out_dir = {tmp_path}/out\ndump_every = 1\n",
+        )
+        assert main(["run", cfg]) == 0
+        dumps = [str(tmp_path / "out" / f"state_{k:06d}.mbof") for k in range(7)]
+        capsys.readouterr()
+        assert main(["check", *dumps]) == 0
+        full = capsys.readouterr().out.splitlines()
+        assert main(["check", *dumps[3:]]) == 0
+        tail = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in tail[:-1]] == [
+            "step 4", "step 5", "step 6"
+        ]
+        assert tail == full[3:]
+
     def test_check_multiphase_needs_config(self, tmp_path):
         g = Grid(dim=2, n=64)
         state = voronoi_labels(g, [(0.2, 0.2), (0.8, 0.8)])
@@ -342,17 +383,30 @@ class TestCommands:
         assert "oracle" in out and "slope" in out
 
 
+def scipy_modules_after(code: str) -> str:
+    """Sorted ``scipy*`` modules loaded by running ``code`` in a fresh process."""
+    src = str(Path(mbokit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # importing scipy.fft alone costs about 0.3 s of start-up per process
-        src = str(Path(mbokit.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
+        assert scipy_modules_after("import sys, mbokit.cli") == "[]"
+
+    def test_blob_initial_state_leaves_scipy_unloaded(self):
+        # the blob filter used to import scipy.ndimage, about 0.3 s per process
         code = (
-            "import sys, mbokit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import sys\n"
+            "from mbokit.cli import build_grid, build_initial, parse_config\n"
+            "cfg = parse_config('n = 32\\ndim = 3\\ninit = blob\\nblob_seed = 4\\n')\n"
+            "blob = build_initial(cfg, build_grid(cfg))\n"
+            "assert blob.cell_count == round(0.3 * 32**3)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert scipy_modules_after(code) == "[]"

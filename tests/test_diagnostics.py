@@ -39,6 +39,7 @@ from mbokit.grid import (
     Grid,
     MultiPhaseState,
     PhaseField,
+    RealField,
     random_blob,
     rasterize_ball,
     rasterize_slab,
@@ -53,6 +54,7 @@ from mbokit.kernel import (
 from mbokit.schemes import (
     SchemeConfig,
     SurfaceTensionMatrix,
+    Trajectory,
     equal_tensions,
     run,
     step_volume_preserving,
@@ -298,6 +300,30 @@ class TestLedger:
                 assert row.dissipation == 0.0
             else:
                 assert row.dissipation > 0.0
+
+    def test_audit_from_a_later_step_reproduces_run_rows(self, grid128, ball128):
+        # a force that changes every step: rows must be evaluated at their own
+        # step number, not at the position of the state in the audited list
+        def ramp(grid, t):
+            return RealField(grid, np.full(grid.shape, 2.0 - 250.0 * t))
+
+        cfg = SchemeConfig(
+            scheme="forced", grid=grid128, h=1e-3, steps=6, force=ramp
+        )
+        traj = run(cfg, ball128)
+        assert traj.status == "completed"
+        tail = Trajectory(
+            cfg, traj.states[3:], [], "completed", traj.radius_center, 0.0
+        )
+        report = ledger_check(tail, first_step=3)
+        assert [row.step for row in report.rows] == [4, 5, 6]
+        for rec, row in zip(traj.records[3:], report.rows):
+            assert (rec.step, rec.energy_before, rec.energy_after) == (
+                row.step, row.energy_before, row.energy_after
+            )
+            assert (rec.dissipation, rec.transfer, rec.slack) == (
+                row.dissipation, row.transfer, row.slack
+            )
 
     def test_fails_on_corrupted_state(self, grid128, ball128):
         # negative control: tamper with one state, the audit must notice

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mbokit.grid import (
     EmptyPhaseError,
     Grid,
     MultiPhaseState,
     PhaseField,
+    _periodic_gaussian,
+    _smallest_cells,
     bounding_radius,
     centroid,
     random_blob,
@@ -201,6 +204,64 @@ class TestRandomBlob:
         a = random_blob(grid128, seed=1)
         b = random_blob(grid128, seed=2)
         assert (a.mask != b.mask).any()
+
+    @pytest.mark.parametrize(
+        "dim, n, smoothing", [(2, 96, 0.05), (2, 33, 0.2), (3, 24, 0.06), (2, 40, 0.0)]
+    )
+    def test_mask_equals_stable_argsort_of_scipy_filter(self, dim, n, smoothing):
+        g = Grid(dim=dim, n=n, side=1.3)
+        for seed in (5, 6):
+            noise = np.random.default_rng(seed).standard_normal(g.shape)
+            smooth = ndimage.gaussian_filter(noise, smoothing / g.dx, mode="wrap")
+            target = round(0.3 * g.total_cells)
+            expected = np.zeros(g.total_cells, dtype=bool)
+            expected[np.argsort(-smooth.ravel(), kind="stable")[:target]] = True
+            blob = random_blob(g, seed=seed, fill=0.3, smoothing=smoothing)
+            assert np.array_equal(blob.mask.ravel(), expected)
+
+    @pytest.mark.parametrize("smoothing", [-0.05, -1e-300, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_smoothing(self, grid64, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            random_blob(grid64, seed=1, smoothing=smoothing)
+
+
+class TestPeriodicGaussian:
+    """The blob filter against ``scipy.ndimage.gaussian_filter(mode="wrap")``."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 9, 33, 96])
+    def test_bit_equal_to_scipy(self, dim, n):
+        # radii 0, 3, a little above n and (below 96) about 3n
+        sigmas = [0.1, 0.7, n / 3.5] + ([3.0 * n / 4.0] if n < 96 else [])
+        for seed, sigma in enumerate(sigmas):
+            x = np.random.default_rng(seed).standard_normal((n,) * dim)
+            expected = ndimage.gaussian_filter(x, sigma, mode="wrap")
+            got = _periodic_gaussian(x, sigma)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-15, -2.0])
+    def test_zero_or_negative_width_is_identity(self, sigma):
+        x = np.random.default_rng(1).standard_normal((9, 12))
+        got = _periodic_gaussian(x, sigma)
+        assert got is not x
+        assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
+        expected = ndimage.gaussian_filter(x, sigma, mode="wrap")
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestSmallestCells:
+    @pytest.mark.parametrize("count", [1, 7, 500, 1023, 1024])
+    def test_equals_stable_argsort_on_many_ties(self, count):
+        # values quantised to halves: about 20 distinct keys over 1024 cells
+        key = np.round(2.0 * np.random.default_rng(4).standard_normal(1024)) / 2.0
+        key[::5] *= -1.0  # -0.0 and +0.0 both occur and must compare equal
+        mask, cut = _smallest_cells(key, count)
+        order = np.argsort(key, kind="stable")
+        expected = np.zeros(key.size, dtype=bool)
+        expected[order[:count]] = True
+        assert np.array_equal(mask, expected)
+        assert cut == key[order[count - 1]]
 
 
 class TestMeasurements:
