@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -27,6 +28,7 @@ from .diagnostics import (
     GOOD_ITERATION_BAND,
     lagrange_scaling,
     ledger_check,
+    ledger_report,
     state_energy,
 )
 from .grid import (
@@ -44,6 +46,7 @@ from .grid import (
 from .oracles import ExtinctionError, circle_mcf
 from .schemes import (
     SchemeConfig,
+    Stepper,
     SurfaceTensionMatrix,
     Trajectory,
     run,
@@ -331,11 +334,18 @@ def build_scheme_config(cfg: ExperimentConfig, grid: Grid, initial) -> SchemeCon
 
 
 def write_dump(path: Path | str, state, h: float, step: int) -> None:
-    """Store a state: ASCII header, blank line, raw uint8 labels."""
+    """Store a state: ASCII header, blank line, raw uint8 labels.
+
+    A partition with one grain has two labels, as a two-phase field has; its
+    header adds ``kind=labels`` so that it reads back as a partition.
+    """
+    kind = ""
     if isinstance(state, MultiPhaseState):
         labels, phases = state.labels, state.num_grains + 1
+        if phases == 2:
+            kind = "kind=labels\n"
     else:
-        labels, phases = state.mask.astype(np.uint8), 2
+        labels, phases = state.mask.view(np.uint8), 2
     if phases > 256:
         raise ValueError("dump format carries at most 256 labels")
     grid = state.grid
@@ -347,20 +357,43 @@ def write_dump(path: Path | str, state, h: float, step: int) -> None:
         f"h={_fmt(h)}\n"
         f"step={step}\n"
         f"phases={phases}\n"
+        f"{kind}"
         "\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(labels, dtype=np.uint8).data)
 
 
-def read_dump(path: Path | str):
-    """Load a stored state; returns (state, h, step)."""
-    blob = Path(path).read_bytes()
-    sep = blob.find(b"\n\n")
+# A header is a few short lines; this much is read to find its end.
+_HEADER_LIMIT = 1 << 16
+
+
+@dataclass(frozen=True)
+class DumpHeader:
+    """A dump's header, checked against the size of its file.
+
+    ``num_grains`` is None for a two-phase field; ``offset`` is where the
+    payload of ``grid.total_cells`` bytes starts.
+    """
+
+    path: str
+    grid: Grid
+    h: float
+    step: int
+    num_grains: int | None
+    offset: int
+
+
+def read_header(path: Path | str) -> DumpHeader:
+    """Check a dump's header and its payload size without reading the payload."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_LIMIT)
+        size = os.fstat(fh.fileno()).st_size
+    sep = head.find(b"\n\n")
     if sep < 0:
         raise ValueError(f"{path}: missing header terminator")
-    head_lines = blob[:sep].decode("ascii").splitlines()
+    head_lines = head[:sep].decode("ascii").splitlines()
     if not head_lines or head_lines[0] != MAGIC:
         raise ValueError(f"{path}: not a {MAGIC} dump")
     fields: dict[str, str] = {}
@@ -376,38 +409,51 @@ def read_dump(path: Path | str):
         raise ValueError(f"{path}: unsupported cell counts {ns}")
     grid = Grid(dim=dim, n=ns[0], side=float(fields["side"]))
     phases = int(fields["phases"])
-    payload = np.frombuffer(blob[sep + 2 :], dtype=np.uint8)
-    if payload.size != grid.total_cells:
-        raise ValueError(
-            f"{path}: expected {grid.total_cells} cells, got {payload.size}"
-        )
+    if phases < 2:
+        raise ValueError(f"{path}: phases={phases}, need at least 2")
+    kind = fields.get("kind")
+    if kind not in (None, "labels"):
+        raise ValueError(f"{path}: unknown kind '{kind}'")
+    offset = sep + 2
+    cells = size - offset
+    if cells != grid.total_cells:
+        raise ValueError(f"{path}: expected {grid.total_cells} cells, got {cells}")
+    num_grains = phases - 1 if kind == "labels" or phases > 2 else None
+    return DumpHeader(
+        str(path), grid, float(fields["h"]), int(fields["step"]), num_grains, offset
+    )
+
+
+def read_dump(path: Path | str):
+    """Load a stored state; returns (state, h, step)."""
+    header = read_header(path)
+    payload = np.fromfile(path, dtype=np.uint8, offset=header.offset)
+    grid = header.grid
     labels = payload.reshape(grid.shape)
-    h = float(fields["h"])
-    step = int(fields["step"])
-    if phases == 2:
+    if header.num_grains is None:
         if payload.max(initial=0) > 1:
             raise ValueError(
                 f"{path}: two-phase payload holds label {payload.max()}, not 0 or 1"
             )
-        return PhaseField(grid, labels.astype(bool)), h, step
-    return MultiPhaseState(grid, labels.astype(np.int32), phases - 1), h, step
+        state = PhaseField(grid, labels.view(bool))
+    else:
+        state = MultiPhaseState(grid, labels.astype(np.int32), header.num_grains)
+    return state, header.h, header.step
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _write_ledger_csv(path: Path, traj: Trajectory) -> None:
+def _write_ledger_csv(path: Path, records, initial_radius: float) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "t", "lambda", "E_h", "D_h", "slack", "radius"])
-        first_energy = (
-            traj.records[0].energy_before if traj.records else float("nan")
-        )
+        first_energy = records[0].energy_before if records else float("nan")
         writer.writerow(
-            ["0", _fmt(0.0), "", _fmt(first_energy), "", "", _fmt(traj.initial_radius)]
+            ["0", _fmt(0.0), "", _fmt(first_energy), "", "", _fmt(initial_radius)]
         )
-        for r in traj.records:
+        for r in records:
             writer.writerow(
                 [
                     str(r.step),
@@ -422,7 +468,12 @@ def _write_ledger_csv(path: Path, traj: Trajectory) -> None:
 
 
 def cmd_run(config_path: str) -> int:
-    """Run a configured trajectory, write dumps and the ledger CSV."""
+    """Run a configured trajectory, write dumps and the ledger CSV.
+
+    Dumps are written as their steps finish and only the newest state is
+    kept; the initial dump waits for the first step, so a run whose first
+    step fails creates no ``out_dir``.
+    """
     try:
         cfg = parse_config(Path(config_path).read_text())
         grid = build_grid(cfg)
@@ -432,23 +483,34 @@ def cmd_run(config_path: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(str(cfg.get("out_dir", "out")))
-    try:
-        traj = run(scheme_cfg, initial)
+    dump_every = int(cfg.get("dump_every", 0))
+
+    def dump(state, step: int) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        dump_every = int(cfg.get("dump_every", 0))
-        last = len(traj.states) - 1
-        for idx, state in enumerate(traj.states):
-            keep = idx in (0, last) or (dump_every > 0 and idx % dump_every == 0)
-            if keep:
-                write_dump(
-                    out_dir / f"state_{idx:06d}.mbof", state, scheme_cfg.h, idx
-                )
-        _write_ledger_csv(out_dir / "ledger.csv", traj)
+        write_dump(out_dir / f"state_{step:06d}.mbof", state, scheme_cfg.h, step)
+
+    def due(step: int) -> bool:
+        return dump_every > 0 and step % dump_every == 0
+
+    try:
+        stepper = Stepper(scheme_cfg, initial)
+        step, state = 0, initial
+        for step, state in enumerate(stepper, start=1):
+            if step == 1:
+                dump(initial, 0)
+                del initial
+            if due(step):
+                dump(state, step)
+        if step == 0 or not due(step):
+            dump(state, step)
+        _write_ledger_csv(
+            out_dir / "ledger.csv", stepper.records, stepper.initial_radius
+        )
     except (DegeneratePhaseError, EmptyPhaseError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    report = traj.ledger
-    print(f"status: {traj.status} after {len(traj.records)} steps")
+    report = ledger_report(stepper.records)
+    print(f"status: {stepper.status} after {len(stepper.records)} steps")
     print(f"ledger: {'PASS' if report.passed else 'FAIL'} "
           f"(tolerance {report.tolerance:.3g})")
     if not report.passed:
@@ -563,56 +625,74 @@ def cmd_sweep(config_path: str) -> int:
     return EXIT_OK
 
 
-def _states_from_dumps(paths: Sequence[str]):
-    """States sorted by step, their common h, and the first state's step."""
-    loaded = []
-    for p in paths:
-        state, h, step = read_dump(p)
-        loaded.append((step, h, state))
-    loaded.sort(key=lambda item: item[0])
-    for (a, _, _), (b, _, _) in zip(loaded, loaded[1:]):
-        if b != a + 1:
-            raise ValueError(f"step {b} follows step {a}; steps must be consecutive")
-    hs = {item[1] for item in loaded}
+def _dump_headers(paths: Sequence[str]) -> list[DumpHeader]:
+    """Headers of the dumps sorted by step, checked to form one run:
+    consecutive steps, one h, one grid, one kind of state."""
+    headers = sorted((read_header(p) for p in paths), key=lambda hd: hd.step)
+    for a, b in zip(headers, headers[1:]):
+        if b.step != a.step + 1:
+            raise ValueError(
+                f"step {b.step} follows step {a.step}; steps must be consecutive"
+            )
+    hs = {hd.h for hd in headers}
     if len(hs) != 1:
         raise ValueError(f"dumps disagree on h: {sorted(hs)}")
-    grids = {item[2].grid for item in loaded}
-    if len(grids) != 1:
+    if len({hd.grid for hd in headers}) != 1:
         raise ValueError("dumps live on different grids")
-    return [item[2] for item in loaded], hs.pop(), loaded[0][0]
+    if len({hd.num_grains for hd in headers}) != 1:
+        raise ValueError("dumps disagree on their labels")
+    return headers
 
 
-def _audit_setup(state, config_path: str | None):
-    """Scheme, force and tensions under which a stored ``state`` is audited."""
-    multiphase = isinstance(state, MultiPhaseState)
+class _UnreadableDump(Exception):
+    """A dump whose header passed failed to load."""
+
+
+def _dump_states(headers: Sequence[DumpHeader]):
+    """The dumps' states in order, each read when it is asked for."""
+    for hd in headers:
+        try:
+            yield read_dump(hd.path)[0]
+        except (ValueError, OSError) as exc:
+            raise _UnreadableDump(str(exc)) from exc
+
+
+def _audit_setup(num_grains: int | None, config_path: str | None):
+    """Scheme, force and tensions under which stored states are audited;
+    ``num_grains`` is None for two-phase states."""
     if config_path is None:
-        if multiphase:
+        if num_grains is not None:
             raise ConfigError("multiphase dumps need --config for the tensions")
         return "mbo", None, None
     cfg = parse_config(Path(config_path).read_text())
     scheme = str(cfg.get("scheme", "mbo"))
     force = build_force(cfg)
-    if multiphase:
-        return "grain_growth", force, build_tensions(cfg, state.num_grains)
+    if num_grains is not None:
+        return "grain_growth", force, build_tensions(cfg, num_grains)
     if scheme == "grain_growth":
         raise ConfigError("two-phase dumps with a grain_growth config")
     return scheme, force, None
 
 
 def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
-    """Re-audit stored states: recompute the per-step energy ledger."""
+    """Re-audit stored states: recompute the per-step energy ledger.
+
+    Every header is checked first; the states are then read and audited
+    two at a time.
+    """
     try:
-        states, h, first_step = _states_from_dumps(paths)
-    except (ValueError, FileNotFoundError) as exc:
+        headers = _dump_headers(paths)
+    except (ValueError, OSError) as exc:
         print(f"cannot load dumps: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    first = headers[0]
     try:
-        scheme, force, tensions = _audit_setup(states[0], config_path)
+        scheme, force, tensions = _audit_setup(first.num_grains, config_path)
         scheme_cfg = SchemeConfig(
             scheme=scheme,
-            grid=states[0].grid,
-            h=h,
-            steps=max(1, len(states) - 1),
+            grid=first.grid,
+            h=first.h,
+            steps=max(1, len(headers) - 1),
             force=force if scheme == "forced" else None,
             tensions=tensions,
         )
@@ -621,13 +701,17 @@ def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
         return EXIT_CONFIG
     traj = Trajectory(
         config=scheme_cfg,
-        states=list(states),
+        states=_dump_states(headers),
         records=[],
         status="completed",
-        radius_center=(0.0,) * states[0].grid.dim,
+        radius_center=(0.0,) * first.grid.dim,
         initial_radius=0.0,
     )
-    report = ledger_check(traj, first_step)
+    try:
+        report = ledger_check(traj, first.step)
+    except _UnreadableDump as exc:
+        print(f"cannot load dumps: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     for row in report.rows:
         print(
             f"step {row.step}: E {row.energy_before:.9g} -> {row.energy_after:.9g}"
@@ -644,7 +728,7 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
     """Print the interfacial energy of one stored state."""
     try:
         state, dump_h, _step = read_dump(path)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"cannot load dump: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     bandwidth = dump_h if h is None else h
@@ -654,7 +738,7 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
     tensions = None
     if isinstance(state, MultiPhaseState):
         try:
-            _, _, tensions = _audit_setup(state, config_path)
+            _, _, tensions = _audit_setup(state.num_grains, config_path)
         except (ConfigError, FileNotFoundError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

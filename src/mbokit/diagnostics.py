@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -262,36 +262,68 @@ class LedgerReport:
     tolerance: float
 
 
+class StepChange(NamedTuple):
+    """Where one step changed the state, and what the smoothing read there.
+
+    ``cells`` are the flat row-major indices of the cells whose label
+    changed; ``before`` holds the previous state's smoothed values on those
+    cells: one array, or one per label (vapor first) for a partition.
+    """
+
+    cells: np.ndarray
+    before: np.ndarray | list[np.ndarray]
+
+
+def step_change(
+    prev: PhaseField | MultiPhaseState,
+    cur: PhaseField | MultiPhaseState,
+    prev_smoothed,
+) -> StepChange:
+    """The cells that changed from ``prev`` to ``cur``, and ``prev_smoothed``
+    (as :func:`convolve` or :func:`convolve_labels` returns it) on them.
+
+    Once this is taken the previous smoothed fields are no longer needed,
+    so a run holds one set of smoothed fields at a time.
+    """
+    if isinstance(cur, MultiPhaseState):
+        cells = np.flatnonzero(cur.labels != prev.labels)
+        return StepChange(cells, [f.ravel()[cells] for f in prev_smoothed])
+    cells = np.flatnonzero(cur.mask != prev.mask)
+    return StepChange(cells, prev_smoothed.values.ravel()[cells])
+
+
 def step_ledger(
     config: "SchemeConfig",
     step: int,
     prev: PhaseField | MultiPhaseState,
     cur: PhaseField | MultiPhaseState,
-    prev_smoothed,
+    change: StepChange,
     cur_smoothed,
     energy_before: float,
     force_now: RealField | None = None,
 ) -> LedgerRow:
     """Ledger row of the step from ``prev`` to ``cur`` under ``config``.
 
-    The smoothed fields are the clamped convolutions of the two states, as
+    ``cur_smoothed`` is the clamped convolution of ``cur``, as
     :func:`convolve` (two-phase) or :func:`convolve_labels` (multiphase)
-    return them.  By linearity of the kernel the dissipation needs no
-    convolution of its own: it pairs omega = cur - prev with G cur - G prev.
-    Two-phase steps write it over ``prev_smoothed``, dead after the step;
-    multiphase ones form the tension rows on changed cells only (omega is
-    zero elsewhere) and sum them scattered into a zero field, bit for bit
-    the full-grid sum.  Forced steps pass the force at the target time.
+    returns it, and ``change`` is :func:`step_change` of the step.  By
+    linearity of the kernel the dissipation needs no convolution of its
+    own: it pairs omega = cur - prev with G cur - G prev, and omega is zero
+    off the changed cells.  The dissipation (tension rows for a partition)
+    and the forcing transfer are formed on those cells only, scattered into
+    a zero field and summed there, bit for bit the full-grid sums.  A
+    partition's differences are written over ``change.before``, which is
+    dead after the step.  Forced steps pass the force at the target time.
     """
     grid, h = cur.grid, config.h
     energy = state_energy(cur, h, tensions=config.tensions, smoothed=cur_smoothed)
+    cells = change.cells
+    products = np.zeros(grid.total_cells)
     transfer = 0.0
     if isinstance(cur, MultiPhaseState):
-        cells = np.flatnonzero(cur.labels != prev.labels)
         new_labels, old_labels = cur.labels.ravel()[cells], prev.labels.ravel()[cells]
-        pairs = zip(cur_smoothed, prev_smoothed)
-        diffs = [a.ravel()[cells] - b.ravel()[cells] for a, b in pairs]
-        products = np.zeros(grid.total_cells)
+        pairs = zip(cur_smoothed, change.before)
+        diffs = [np.subtract(a.ravel()[cells], b, out=b) for a, b in pairs]
         quad = 0.0
         for i, row in enumerate(tension_rows(config.tensions.extended, diffs)):
             omega = (new_labels == i) * 1.0 - (old_labels == i)
@@ -299,13 +331,13 @@ def step_ledger(
             quad += float(products.sum())
         dissipation = -quad * grid.cell_volume / math.sqrt(h)
     else:
-        omega = cur.as_float()
-        omega -= prev.mask
-        diff = prev_smoothed.values
-        np.subtract(cur_smoothed.values, diff, out=diff)
-        dissipation = _cellsum(grid, np.multiply(omega, diff, out=diff)) / math.sqrt(h)
+        omega = cur.mask.ravel()[cells] * 1.0 - prev.mask.ravel()[cells]
+        diff = cur_smoothed.values.ravel()[cells] - change.before
+        products[cells] = omega * diff
+        dissipation = _cellsum(grid, products) / math.sqrt(h)
         if force_now is not None:
-            transfer = _cellsum(grid, force_now.values * omega) / math.sqrt(math.pi)
+            products[cells] = force_now.values.ravel()[cells] * omega
+            transfer = _cellsum(grid, products) / math.sqrt(math.pi)
     slack = energy_before - energy - dissipation + transfer
     return LedgerRow(step, energy_before, energy, dissipation, transfer, slack)
 
@@ -330,26 +362,30 @@ def ledger_check(trajectory: "Trajectory", first_step: int = 0) -> LedgerReport:
     so a corrupted state shows up as a violated step regardless of what the
     run recorded.  The arithmetic is the run's own (:func:`step_ledger`), so
     untouched states reproduce the run's rows bit for bit.  ``first_step``
-    is the step number of ``states[0]``: rows are numbered, and a force is
-    evaluated, at the steps the states were produced at.
+    is the step number of the first state: rows are numbered, and a force
+    is evaluated, at the steps the states were produced at.
+
+    ``trajectory.states`` may be any iterable; it is read once, in order,
+    and at most two states and one set of smoothed fields are held.
     """
     cfg = trajectory.config
-    states = trajectory.states
+    states = iter(trajectory.states)
+    state = next(states)
     plan = HeatKernelPlan(cfg.grid, cfg.h)
     smooth = convolve_labels if cfg.scheme == "grain_growth" else convolve
-    smoothed = smooth(plan, states[0])
-    energy = state_energy(states[0], cfg.h, tensions=cfg.tensions, smoothed=smoothed)
+    smoothed = smooth(plan, state)
+    energy = state_energy(state, cfg.h, tensions=cfg.tensions, smoothed=smoothed)
     rows: list[LedgerRow] = []
-    for n in range(1, len(states)):
-        step = first_step + n
-        new_smoothed = smooth(plan, states[n])
+    for step, new_state in enumerate(states, start=first_step + 1):
+        change = step_change(state, new_state, smoothed)
+        del smoothed
+        smoothed = smooth(plan, new_state)
         force_now = cfg.force(cfg.grid, step * cfg.h) if cfg.force else None
         row = step_ledger(
-            cfg, step, states[n - 1], states[n], smoothed, new_smoothed, energy,
-            force_now,
+            cfg, step, state, new_state, change, smoothed, energy, force_now
         )
         rows.append(row)
-        smoothed, energy = new_smoothed, row.energy_after
+        state, energy = new_state, row.energy_after
     return ledger_report(rows)
 
 

@@ -15,9 +15,10 @@ bandwidth sqrt(h) and rebuilds sharp phases from the smoothed values:
   cell count is preserved exactly through a bottom selection of the
   grain-versus-vapor score.
 
-``run`` iterates a step map, recording the energy ledger (computed by
-``diagnostics.step_ledger``), thresholds, and support radii per step, and
-stops early when the state freezes or a phase disappears.
+``Stepper`` iterates a step map one state at a time, recording the energy
+ledger (computed by ``diagnostics.step_ledger``), thresholds, and support
+radii per step, and stops early when the state freezes or a phase
+disappears; ``run`` collects its states into a ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .diagnostics import (
     StepRecord,
     ledger_report,
     state_energy,
+    step_change,
     step_ledger,
     tension_rows,
 )
@@ -307,116 +309,136 @@ def _solid_of(state) -> PhaseField:
     return state
 
 
-def _states_equal(a, b) -> bool:
-    if isinstance(a, MultiPhaseState):
-        return np.array_equal(a.labels, b.labels)
-    return np.array_equal(a.mask, b.mask)
+class Stepper:
+    """The configured scheme run from ``initial``, one step per iteration.
+
+    Construction checks the initial state and measures its support radius
+    from the initial solid's centroid.  Iterating runs the steps and yields
+    each new state as its step finishes, appending the step's ledger row
+    to ``records``.  It stops early with ``status`` "pinned" when a step
+    changes no cell and "extinct" when the evolving phase empties;
+    ``status`` is "completed" once every step ran.  Only the current and
+    the previous state and one set of smoothed fields are held: before a
+    new state is smoothed, the old fields are reduced to their values on
+    the cells that changed (:func:`step_change`).  A warning fires if the
+    support radius ever exceeds 40 percent of the side, where the periodic
+    images start to interact.
+    """
+
+    def __init__(self, config: SchemeConfig, initial) -> None:
+        grid = config.grid
+        if (config.scheme == "grain_growth") != isinstance(initial, MultiPhaseState):
+            raise TypeError("initial state type does not match the scheme")
+        if initial.grid != grid:
+            raise ValueError("initial state lives on a different grid")
+        self.config = config
+        plan = HeatKernelPlan(grid, config.h)
+        solid0 = _solid_of(initial)
+        if solid0.cell_count == 0:
+            raise DegeneratePhaseError("initial state has no occupied cells")
+        self.center = centroid(solid0)
+        self.initial_radius = bounding_radius(solid0, self.center)
+        self.records: list[StepRecord] = []
+        self.status = "running"
+        if self.initial_radius > WRAP_RADIUS_FRACTION * grid.side:
+            warnings.warn(
+                f"initial support radius {self.initial_radius:.3g} exceeds "
+                f"{WRAP_RADIUS_FRACTION:.0%} of the side; periodic images interact",
+                stacklevel=3,
+            )
+        self._steps = self._iterate(plan, initial)
+
+    def __iter__(self):
+        return self._steps
+
+    def _iterate(self, plan: HeatKernelPlan, state):
+        config = self.config
+        grid, h = config.grid, config.h
+        sqrt_h = math.sqrt(h)
+        wrap_warned = self.initial_radius > WRAP_RADIUS_FRACTION * grid.side
+        multiphase = config.scheme == "grain_growth"
+        smooth = convolve_labels if multiphase else convolve
+        smoothed = smooth(plan, state)
+        energy = state_energy(state, h, tensions=config.tensions, smoothed=smoothed)
+        for n in range(1, config.steps + 1):
+            t = n * h
+            lam: float | None = None
+            good: bool | None = None
+            proxy: float | None = None
+            force_now: RealField | None = None
+
+            if multiphase:
+                new_state, lam = step_grain_growth(
+                    state, config.tensions, h, plan=plan, smoothed=smoothed
+                )
+                good = abs(lam) < GOOD_ITERATION_BAND
+            elif config.scheme == "mbo":
+                new_state = step_mbo(state, h, plan=plan, smoothed=smoothed)
+            elif config.scheme == "forced":
+                force_now = config.force(grid, t)
+                new_state = step_forced(
+                    state, force_now, h, plan=plan, smoothed=smoothed
+                )
+            else:
+                new_state, lam = step_volume_preserving(
+                    state, h, plan=plan, smoothed=smoothed
+                )
+                good = abs(lam - 0.5) < GOOD_ITERATION_BAND
+                proxy = -math.sqrt(math.pi) * (2.0 * lam - 1.0) / sqrt_h
+            change = step_change(state, new_state, smoothed)
+            del smoothed
+            smoothed = smooth(plan, new_state)
+            row = step_ledger(
+                config, n, state, new_state, change, smoothed, energy, force_now
+            )
+
+            new_solid = _solid_of(new_state)
+            radius = None
+            if new_solid.cell_count:
+                radius = bounding_radius(new_solid, self.center)
+                if radius > WRAP_RADIUS_FRACTION * grid.side and not wrap_warned:
+                    warnings.warn(
+                        f"support radius {radius:.3g} at step {n} exceeds "
+                        f"{WRAP_RADIUS_FRACTION:.0%} of the side",
+                        stacklevel=2,
+                    )
+                    wrap_warned = True
+
+            self.records.append(
+                StepRecord(
+                    **vars(row),
+                    time=t,
+                    lam=lam,
+                    bounding_radius=radius,
+                    good_iteration=good,
+                    force_transfer=None if force_now is None else row.transfer,
+                    curvature_proxy=proxy,
+                )
+            )
+            if new_solid.cell_count == 0:
+                self.status = "extinct"
+            elif change.cells.size == 0:
+                self.status = "pinned"
+            yield new_state
+            if self.status != "running":
+                return
+            state, energy = new_state, row.energy_after
+        self.status = "completed"
 
 
 def run(config: SchemeConfig, initial) -> Trajectory:
     """Iterate the configured scheme, recording a ledger row per step.
 
-    Stops early with status "pinned" when a step reproduces its input
-    exactly and with status "extinct" when the evolving phase empties.
-    The support radius is measured from the initial solid's centroid; a
-    warning fires if it ever exceeds 40 percent of the side, where the
-    periodic images start to interact.
+    Collects every state of a :class:`Stepper` (which see for the early
+    stops and the support-radius warning) into a :class:`Trajectory`.
     """
-    grid = config.grid
-    multiphase = config.scheme == "grain_growth"
-    if multiphase != isinstance(initial, MultiPhaseState):
-        raise TypeError("initial state type does not match the scheme")
-    if initial.grid != grid:
-        raise ValueError("initial state lives on a different grid")
-
-    plan = HeatKernelPlan(grid, config.h)
-    sqrt_h = math.sqrt(config.h)
-    solid0 = _solid_of(initial)
-    if solid0.cell_count == 0:
-        raise DegeneratePhaseError("initial state has no occupied cells")
-    center = centroid(solid0)
-    initial_radius = bounding_radius(solid0, center)
-    wrap_warned = False
-    if initial_radius > WRAP_RADIUS_FRACTION * grid.side:
-        warnings.warn(
-            f"initial support radius {initial_radius:.3g} exceeds "
-            f"{WRAP_RADIUS_FRACTION:.0%} of the side; periodic images interact",
-            stacklevel=2,
-        )
-        wrap_warned = True
-
-    states = [initial]
-    records: list[StepRecord] = []
-    status = "completed"
-
-    smooth = convolve_labels if multiphase else convolve
-    smoothed = smooth(plan, initial)
-    energy = state_energy(
-        initial, config.h, tensions=config.tensions, smoothed=smoothed
+    stepper = Stepper(config, initial)
+    states = [initial, *stepper]
+    return Trajectory(
+        config,
+        states,
+        stepper.records,
+        stepper.status,
+        stepper.center,
+        stepper.initial_radius,
     )
-
-    state = initial
-    for n in range(1, config.steps + 1):
-        t = n * config.h
-        lam: float | None = None
-        good: bool | None = None
-        proxy: float | None = None
-        force_now: RealField | None = None
-
-        if multiphase:
-            new_state, lam = step_grain_growth(
-                state, config.tensions, config.h, plan=plan, smoothed=smoothed
-            )
-            good = abs(lam) < GOOD_ITERATION_BAND
-        elif config.scheme == "mbo":
-            new_state = step_mbo(state, config.h, plan=plan, smoothed=smoothed)
-        elif config.scheme == "forced":
-            force_now = config.force(grid, t)
-            new_state = step_forced(
-                state, force_now, config.h, plan=plan, smoothed=smoothed
-            )
-        else:
-            new_state, lam = step_volume_preserving(
-                state, config.h, plan=plan, smoothed=smoothed
-            )
-            good = abs(lam - 0.5) < GOOD_ITERATION_BAND
-            proxy = -math.sqrt(math.pi) * (2.0 * lam - 1.0) / sqrt_h
-        new_smoothed = smooth(plan, new_state)
-        row = step_ledger(
-            config, n, state, new_state, smoothed, new_smoothed, energy, force_now
-        )
-
-        new_solid = _solid_of(new_state)
-        radius = None
-        if new_solid.cell_count:
-            radius = bounding_radius(new_solid, center)
-            if radius > WRAP_RADIUS_FRACTION * grid.side and not wrap_warned:
-                warnings.warn(
-                    f"support radius {radius:.3g} at step {n} exceeds "
-                    f"{WRAP_RADIUS_FRACTION:.0%} of the side",
-                    stacklevel=2,
-                )
-                wrap_warned = True
-
-        records.append(
-            StepRecord(
-                **vars(row),
-                time=t,
-                lam=lam,
-                bounding_radius=radius,
-                good_iteration=good,
-                force_transfer=None if force_now is None else row.transfer,
-                curvature_proxy=proxy,
-            )
-        )
-        states.append(new_state)
-
-        if new_solid.cell_count == 0:
-            status = "extinct"
-            break
-        if _states_equal(new_state, state):
-            status = "pinned"
-            break
-        state, smoothed, energy = new_state, new_smoothed, row.energy_after
-
-    return Trajectory(config, states, records, status, center, initial_radius)

@@ -163,6 +163,50 @@ class TestDumpRoundTrip:
         with pytest.raises(ValueError, match=f"'{key}'"):
             read_dump(p)
 
+    def test_single_grain_partition_round_trips_as_partition(self, tmp_path):
+        # one grain means two labels, the same count as a two-phase field
+        g = Grid(dim=2, n=64)
+        state = voronoi_labels(
+            g, [(0.5, 0.5)], solid=rasterize_ball(g, (0.5, 0.5), 0.3)
+        )
+        p = tmp_path / "g1.mbof"
+        write_dump(p, state, 1e-3, 4)
+        loaded, h, step = read_dump(p)
+        assert isinstance(loaded, MultiPhaseState)
+        assert loaded.num_grains == 1
+        assert (loaded.labels == state.labels).all()
+        assert (h, step) == (1e-3, 4)
+        q = tmp_path / "again.mbof"
+        write_dump(q, loaded, h, step)
+        assert p.read_bytes() == q.read_bytes()
+
+    def test_only_single_grain_dumps_carry_a_kind_line(self, tmp_path):
+        # every other dump keeps the bytes it always had
+        g = Grid(dim=2, n=64)
+        keys = b"MBOF1 dim n side h step phases".split()
+        states = {
+            "ball": rasterize_ball(g, (0.5, 0.5), 0.3),
+            "grains": voronoi_labels(g, [(0.2, 0.3), (0.7, 0.6)]),
+            "grain": voronoi_labels(g, [(0.5, 0.5)], vapor_margin=0.1),
+        }
+        for name, state in states.items():
+            write_dump(tmp_path / name, state, 1e-3, 0)
+            head = (tmp_path / name).read_bytes().partition(b"\n\n")[0]
+            got = [ln.partition(b"=")[0] for ln in head.split(b"\n")]
+            assert got == keys + ([b"kind"] if name == "grain" else [])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [(b"phases=1", "phases=1"), (b"phases=2\nkind=grains", "kind 'grains'")],
+        ids=["one_phase", "unknown_kind"],
+    )
+    def test_bad_phases_or_kind_rejected(self, tmp_path, line, message):
+        p = tmp_path / "k.mbof"
+        write_dump(p, rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.2), 1e-3, 0)
+        p.write_bytes(p.read_bytes().replace(b"phases=2", line, 1))
+        with pytest.raises(ValueError, match=message):
+            read_dump(p)
+
     def test_two_phase_payload_outside_zero_one_rejected(self, tmp_path):
         p = tmp_path / "b.mbof"
         write_dump(p, rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.2), 1e-3, 0)
@@ -324,6 +368,92 @@ class TestCommands:
             "step 4", "step 5", "step 6"
         ]
         assert tail == full[3:]
+
+    def test_check_audits_a_single_grain_run_with_its_config(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "scheme = grain_growth\nn = 64\nh = 4e-3\nsteps = 3\n"
+            "init = voronoi\nseeds = 0.5 0.5\nvapor_margin = 0.22\n"
+            f"out_dir = {tmp_path}/out\ndump_every = 1\n",
+        )
+        assert main(["run", cfg]) == 0
+        dumps = sorted(str(p) for p in (tmp_path / "out").glob("state_*.mbof"))
+        assert len(dumps) == 4
+        capsys.readouterr()
+        assert main(["check", *dumps, "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out] == [
+            "step 1", "step 2", "step 3", "ledger"
+        ]
+
+    @pytest.mark.parametrize("damage", ["truncated", "byte_seven"])
+    def test_check_bad_dump_midway_prints_no_row(self, tmp_path, capsys, damage):
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("steps = 3", "steps = 6")
+            + f"out_dir = {tmp_path}/out\ndump_every = 1\n",
+        )
+        assert main(["run", cfg]) == 0
+        dumps = [str(tmp_path / "out" / f"state_{k:06d}.mbof") for k in range(7)]
+        victim = Path(dumps[4])
+        blob = bytearray(victim.read_bytes())
+        if damage == "truncated":
+            del blob[-10:]
+        else:
+            blob[-1] = 7
+        victim.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["check", *dumps]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot load dumps:")
+        assert "state_000004" in captured.err
+        assert "step" not in captured.out
+
+    def test_check_refuses_dumps_with_different_labels(self, tmp_path, capsys):
+        g = Grid(dim=2, n=64)
+        ball = rasterize_ball(g, (0.5, 0.5), 0.3)
+        grains = voronoi_labels(g, [(0.2, 0.3), (0.7, 0.6)], vapor_margin=0.1)
+        write_dump(tmp_path / "a.mbof", ball, 1e-3, 0)
+        write_dump(tmp_path / "b.mbof", grains, 1e-3, 1)
+        paths = [str(tmp_path / "a.mbof"), str(tmp_path / "b.mbof")]
+        assert main(["check", *paths]) == 4
+        assert "labels" in capsys.readouterr().err
+
+    def test_run_failing_first_step_creates_no_out_dir(self, tmp_path, capsys):
+        # a full slab cannot take a volume-preserving step
+        text = BASE.replace("scheme = mbo", "scheme = volume_preserving")
+        text = text.replace("init = ball", "init = slab")
+        text = text.replace("ball_center = 0.5 0.5", "slab_lo = 0.0")
+        text = text.replace("ball_radius = 0.3", "slab_hi = 1.0")
+        cfg = write_cfg(tmp_path, text + f"out_dir = {tmp_path}/out\n")
+        assert main(["run", cfg]) == 4
+        assert capsys.readouterr().err.startswith("runtime error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_failing_later_step_leaves_earlier_dumps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import mbokit.schemes as schemes
+        from mbokit.grid import DegeneratePhaseError
+
+        real_step, calls = schemes.step_mbo, []
+
+        def failing_third_step(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DegeneratePhaseError("injected failure")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, "step_mbo", failing_third_step)
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("steps = 3", "steps = 5")
+            + f"out_dir = {tmp_path}/out\ndump_every = 1\n",
+        )
+        assert main(["run", cfg]) == 4
+        assert "injected failure" in capsys.readouterr().err
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == [f"state_{k:06d}.mbof" for k in range(3)]
 
     def test_check_multiphase_needs_config(self, tmp_path):
         g = Grid(dim=2, n=64)

@@ -32,6 +32,7 @@ from mbokit.diagnostics import (
     phase_difference,
     radial_bump_field,
     state_difference,
+    step_change,
     step_ledger,
     tightness_monitor,
 )
@@ -95,6 +96,20 @@ def full_grid_dissipation(cfg, prev, cur, prev_smoothed, cur_smoothed):
                 row += ext[i, j] * d
         quad += float((omega[i] * row).sum())
     return -quad * cfg.grid.cell_volume / math.sqrt(cfg.h)
+
+
+def full_grid_two_phase(cfg, prev, cur, prev_smoothed, cur_smoothed, force_now):
+    """Two-phase dissipation and forcing transfer summed over every cell, as
+    step_ledger once formed them."""
+    omega = cur.as_float()
+    omega -= prev.mask
+    diff = cur_smoothed.values - prev_smoothed.values
+    cell = cfg.grid.cell_volume
+    dissipation = float((omega * diff).sum()) * cell / math.sqrt(cfg.h)
+    transfer = 0.0
+    if force_now is not None:
+        transfer = float((force_now.values * omega).sum()) * cell / math.sqrt(math.pi)
+    return dissipation, transfer
 
 
 @pytest.fixture(scope="module")
@@ -293,13 +308,51 @@ class TestLedger:
             expected = full_grid_dissipation(
                 cfg, prev, cur, smoothed[n - 1], smoothed[n]
             )
-            row = step_ledger(cfg, n, prev, cur, smoothed[n - 1], smoothed[n], 1.0)
+            change = step_change(prev, cur, smoothed[n - 1])
+            row = step_ledger(cfg, n, prev, cur, change, smoothed[n], 1.0)
             assert row.dissipation == expected
             assert np.signbit(row.dissipation) == np.signbit(expected)
             if n == len(states) - 1:
                 assert row.dissipation == 0.0
             else:
                 assert row.dissipation > 0.0
+
+    @pytest.mark.parametrize("scheme", ["mbo", "forced"])
+    def test_changed_cell_two_phase_terms_equal_full_grid_form(
+        self, grid128, ball128, scheme
+    ):
+        force = None
+        if scheme == "forced":
+            def force(grid, t):  # changes sign across the grid and in time
+                x = grid.coordinate(0) + 0.5 * grid.coordinate(1)
+                return RealField(grid, 10.0 * np.cos(2.0 * np.pi * x) - 40.0 * t)
+
+        cfg = SchemeConfig(
+            scheme=scheme, grid=grid128, h=1e-3, steps=4, force=force
+        )
+        states = run(cfg, ball128).states
+        states.append(states[-1])  # a step that flips no cell
+        plan = HeatKernelPlan(grid128, cfg.h)
+        smoothed = [convolve(plan, s) for s in states]
+        for n in range(1, len(states)):
+            prev, cur = states[n - 1], states[n]
+            force_now = force(grid128, n * cfg.h) if force else None
+            expected = full_grid_two_phase(
+                cfg, prev, cur, smoothed[n - 1], smoothed[n], force_now
+            )
+            change = step_change(prev, cur, smoothed[n - 1])
+            row = step_ledger(cfg, n, prev, cur, change, smoothed[n], 1.0, force_now)
+            got = (row.dissipation, row.transfer)
+            assert got == expected
+            assert list(np.signbit(got)) == list(np.signbit(expected))
+            flipped = np.count_nonzero(cur.mask != prev.mask)
+            assert change.cells.size == flipped
+            if n == len(states) - 1:
+                assert flipped == 0
+                assert not np.signbit(got).any() and got == (0.0, 0.0)
+            else:
+                assert flipped > 0 and row.dissipation > 0.0
+                assert scheme == "mbo" or row.transfer != 0.0
 
     def test_audit_from_a_later_step_reproduces_run_rows(self, grid128, ball128):
         # a force that changes every step: rows must be evaluated at their own
