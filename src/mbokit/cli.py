@@ -44,13 +44,7 @@ from .grid import (
     voronoi_labels,
 )
 from .oracles import ExtinctionError, circle_mcf
-from .schemes import (
-    SchemeConfig,
-    Stepper,
-    SurfaceTensionMatrix,
-    Trajectory,
-    run,
-)
+from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix, run
 
 MAGIC = "MBOF1"
 
@@ -158,6 +152,17 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(values, lines)
     _validate_sigma_entries(cfg)
     return cfg
+
+
+def read_config(path: Path | str) -> ExperimentConfig:
+    """Parse the config file at ``path``; a file that cannot be read as
+    UTF-8 text is a :class:`ConfigError` too."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from exc
+    return parse_config(text)
 
 
 def _known_key(key: str) -> bool:
@@ -445,15 +450,13 @@ def read_dump(path: Path | str):
 # commands
 
 
-def _write_ledger_csv(path: Path, records, initial_radius: float) -> None:
+def _write_ledger_csv(path: Path, stepper: Stepper) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "t", "lambda", "E_h", "D_h", "slack", "radius"])
-        first_energy = records[0].energy_before if records else float("nan")
-        writer.writerow(
-            ["0", _fmt(0.0), "", _fmt(first_energy), "", "", _fmt(initial_radius)]
-        )
-        for r in records:
+        e0, r0 = _fmt(stepper.initial_energy), _fmt(stepper.initial_radius)
+        writer.writerow(["0", _fmt(0.0), "", e0, "", "", r0])
+        for r in stepper.records:
             writer.writerow(
                 [
                     str(r.step),
@@ -475,11 +478,11 @@ def cmd_run(config_path: str) -> int:
     step fails creates no ``out_dir``.
     """
     try:
-        cfg = parse_config(Path(config_path).read_text())
+        cfg = read_config(config_path)
         grid = build_grid(cfg)
         initial = build_initial(cfg, grid)
         scheme_cfg = build_scheme_config(cfg, grid, initial)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(str(cfg.get("out_dir", "out")))
@@ -503,9 +506,7 @@ def cmd_run(config_path: str) -> int:
                 dump(state, step)
         if step == 0 or not due(step):
             dump(state, step)
-        _write_ledger_csv(
-            out_dir / "ledger.csv", stepper.records, stepper.initial_radius
-        )
+        _write_ledger_csv(out_dir / "ledger.csv", stepper)
     except (DegeneratePhaseError, EmptyPhaseError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -530,7 +531,7 @@ def _measured_radius(state: PhaseField) -> float:
 def cmd_sweep(config_path: str) -> int:
     """Bandwidth sweep: convergence order for mbo, multiplier scaling for vp."""
     try:
-        cfg = parse_config(Path(config_path).read_text())
+        cfg = read_config(config_path)
         grid = build_grid(cfg)
         scheme = cfg.require("scheme")
         h_list = cfg.require("h_list")
@@ -541,7 +542,7 @@ def cmd_sweep(config_path: str) -> int:
             raise ConfigError(f"sweep supports mbo and volume_preserving, not {scheme}")
         if scheme == "mbo" and cfg.require("init") != "ball":
             raise ConfigError("mbo sweep compares against a shrinking ball")
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -664,7 +665,7 @@ def _audit_setup(num_grains: int | None, config_path: str | None):
         if num_grains is not None:
             raise ConfigError("multiphase dumps need --config for the tensions")
         return "mbo", None, None
-    cfg = parse_config(Path(config_path).read_text())
+    cfg = read_config(config_path)
     scheme = str(cfg.get("scheme", "mbo"))
     force = build_force(cfg)
     if num_grains is not None:
@@ -692,23 +693,15 @@ def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
             scheme=scheme,
             grid=first.grid,
             h=first.h,
-            steps=max(1, len(headers) - 1),
+            steps=len(headers) - 1,
             force=force if scheme == "forced" else None,
             tensions=tensions,
         )
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    traj = Trajectory(
-        config=scheme_cfg,
-        states=_dump_states(headers),
-        records=[],
-        status="completed",
-        radius_center=(0.0,) * first.grid.dim,
-        initial_radius=0.0,
-    )
     try:
-        report = ledger_check(traj, first.step)
+        report = ledger_check(scheme_cfg, _dump_states(headers), first.step)
     except _UnreadableDump as exc:
         print(f"cannot load dumps: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -739,7 +732,7 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
     if isinstance(state, MultiPhaseState):
         try:
             _, _, tensions = _audit_setup(state.num_grains, config_path)
-        except (ConfigError, FileNotFoundError) as exc:
+        except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     print(_fmt(state_energy(state, bandwidth, tensions=tensions)))

@@ -18,9 +18,9 @@ range, stated where they are used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -73,16 +73,13 @@ class StepRecord(LedgerRow):
 
     ``lam`` is the selection threshold for volume-preserving steps, the
     score cut for grain growth, and None for plain and forced thresholding.
-    ``force_transfer`` repeats ``transfer`` for forced runs and is None
-    otherwise.  ``curvature_proxy`` rescales the multiplier offset into
-    curvature units.
+    ``curvature_proxy`` rescales the multiplier offset into curvature units.
     """
 
     time: float
     lam: float | None
     bounding_radius: float | None
     good_iteration: bool | None
-    force_transfer: float | None = None
     curvature_proxy: float | None = None
 
 
@@ -262,84 +259,90 @@ class LedgerReport:
     tolerance: float
 
 
-class StepChange(NamedTuple):
-    """Where one step changed the state, and what the smoothing read there.
+class LedgerWalk:
+    """The energy ledger along consecutive states under ``config``.
 
-    ``cells`` are the flat row-major indices of the cells whose label
-    changed; ``before`` holds the previous state's smoothed values on those
-    cells: one array, or one per label (vapor first) for a partition.
+    Holds the newest ``state``, its clamped smoothed fields ``smoothed``
+    (as :func:`convolve` or :func:`convolve_labels` returns them, which a
+    step map reads) and its ``energy``.  :meth:`advance` moves to the next
+    state and returns the step's row.  Runs and audits both walk their
+    states through here, so an audit of untouched states reproduces the
+    run's rows bit for bit, and at most two states and one set of smoothed
+    fields are alive.
     """
 
-    cells: np.ndarray
-    before: np.ndarray | list[np.ndarray]
+    def __init__(
+        self,
+        config: "SchemeConfig",
+        state: PhaseField | MultiPhaseState,
+        plan: HeatKernelPlan | None = None,
+    ) -> None:
+        self.config = config
+        self.plan = plan if plan is not None else HeatKernelPlan(config.grid, config.h)
+        self._smooth = convolve_labels if config.scheme == "grain_growth" else convolve
+        self.state = state
+        self.smoothed = self._smooth(self.plan, state)
+        self.energy = state_energy(
+            state, config.h, tensions=config.tensions, smoothed=self.smoothed
+        )
+        self.changed = np.empty(0, dtype=np.intp)
 
+    def advance(
+        self,
+        step: int,
+        cur: PhaseField | MultiPhaseState,
+        force_now: RealField | None = None,
+    ) -> LedgerRow:
+        """Ledger row of the step from ``state`` to ``cur``, then move to ``cur``.
 
-def step_change(
-    prev: PhaseField | MultiPhaseState,
-    cur: PhaseField | MultiPhaseState,
-    prev_smoothed,
-) -> StepChange:
-    """The cells that changed from ``prev`` to ``cur``, and ``prev_smoothed``
-    (as :func:`convolve` or :func:`convolve_labels` returns it) on them.
-
-    Once this is taken the previous smoothed fields are no longer needed,
-    so a run holds one set of smoothed fields at a time.
-    """
-    if isinstance(cur, MultiPhaseState):
-        cells = np.flatnonzero(cur.labels != prev.labels)
-        return StepChange(cells, [f.ravel()[cells] for f in prev_smoothed])
-    cells = np.flatnonzero(cur.mask != prev.mask)
-    return StepChange(cells, prev_smoothed.values.ravel()[cells])
-
-
-def step_ledger(
-    config: "SchemeConfig",
-    step: int,
-    prev: PhaseField | MultiPhaseState,
-    cur: PhaseField | MultiPhaseState,
-    change: StepChange,
-    cur_smoothed,
-    energy_before: float,
-    force_now: RealField | None = None,
-) -> LedgerRow:
-    """Ledger row of the step from ``prev`` to ``cur`` under ``config``.
-
-    ``cur_smoothed`` is the clamped convolution of ``cur``, as
-    :func:`convolve` (two-phase) or :func:`convolve_labels` (multiphase)
-    returns it, and ``change`` is :func:`step_change` of the step.  By
-    linearity of the kernel the dissipation needs no convolution of its
-    own: it pairs omega = cur - prev with G cur - G prev, and omega is zero
-    off the changed cells.  The dissipation (tension rows for a partition)
-    and the forcing transfer are formed on those cells only, scattered into
-    a zero field and summed there, bit for bit the full-grid sums.  A
-    partition's differences are written over ``change.before``, which is
-    dead after the step.  Forced steps pass the force at the target time.
-    """
-    grid, h = cur.grid, config.h
-    energy = state_energy(cur, h, tensions=config.tensions, smoothed=cur_smoothed)
-    cells = change.cells
-    products = np.zeros(grid.total_cells)
-    transfer = 0.0
-    if isinstance(cur, MultiPhaseState):
-        new_labels, old_labels = cur.labels.ravel()[cells], prev.labels.ravel()[cells]
-        pairs = zip(cur_smoothed, change.before)
-        diffs = [np.subtract(a.ravel()[cells], b, out=b) for a, b in pairs]
-        quad = 0.0
-        for i, row in enumerate(tension_rows(config.tensions.extended, diffs)):
-            omega = (new_labels == i) * 1.0 - (old_labels == i)
-            products[cells] = omega * row
-            quad += float(products.sum())
-        dissipation = -quad * grid.cell_volume / math.sqrt(h)
-    else:
-        omega = cur.mask.ravel()[cells] * 1.0 - prev.mask.ravel()[cells]
-        diff = cur_smoothed.values.ravel()[cells] - change.before
-        products[cells] = omega * diff
-        dissipation = _cellsum(grid, products) / math.sqrt(h)
-        if force_now is not None:
-            products[cells] = force_now.values.ravel()[cells] * omega
-            transfer = _cellsum(grid, products) / math.sqrt(math.pi)
-    slack = energy_before - energy - dissipation + transfer
-    return LedgerRow(step, energy_before, energy, dissipation, transfer, slack)
+        ``changed`` becomes the flat row-major indices of the cells whose
+        label changed.  By linearity of the kernel the dissipation needs no
+        convolution of its own: it pairs omega = cur - prev with G cur -
+        G prev, and omega is zero off the changed cells.  So the old
+        smoothed fields are cut down to those cells before ``cur`` is
+        smoothed, and the dissipation (tension rows for a partition) and
+        the forcing transfer are scattered into a zero field and summed
+        there, bit for bit the full-grid sums.  Forced steps pass the force
+        at the target time.
+        """
+        cfg, prev = self.config, self.state
+        grid, h = cfg.grid, cfg.h
+        multiphase = isinstance(cur, MultiPhaseState)
+        if multiphase:
+            cells = np.flatnonzero(cur.labels != prev.labels)
+            before = [f.ravel()[cells] for f in self.smoothed]
+        else:
+            cells = np.flatnonzero(cur.mask != prev.mask)
+            before = self.smoothed.values.ravel()[cells]
+        self.smoothed = None  # drop the old fields before smoothing cur
+        self.smoothed = smoothed = self._smooth(self.plan, cur)
+        energy = state_energy(cur, h, tensions=cfg.tensions, smoothed=smoothed)
+        products = np.zeros(grid.total_cells)
+        transfer = 0.0
+        if multiphase:
+            new_labels = cur.labels.ravel()[cells]
+            old_labels = prev.labels.ravel()[cells]
+            # the differences overwrite ``before``, which is dead after this
+            pairs = zip(smoothed, before)
+            diffs = [np.subtract(a.ravel()[cells], b, out=b) for a, b in pairs]
+            quad = 0.0
+            for i, row in enumerate(tension_rows(cfg.tensions.extended, diffs)):
+                omega = (new_labels == i) * 1.0 - (old_labels == i)
+                products[cells] = omega * row
+                quad += float(products.sum())
+            dissipation = -quad * grid.cell_volume / math.sqrt(h)
+        else:
+            omega = cur.mask.ravel()[cells] * 1.0 - prev.mask.ravel()[cells]
+            diff = smoothed.values.ravel()[cells] - before
+            products[cells] = omega * diff
+            dissipation = _cellsum(grid, products) / math.sqrt(h)
+            if force_now is not None:
+                products[cells] = force_now.values.ravel()[cells] * omega
+                transfer = _cellsum(grid, products) / math.sqrt(math.pi)
+        slack = self.energy - energy - dissipation + transfer
+        row = LedgerRow(step, self.energy, energy, dissipation, transfer, slack)
+        self.state, self.energy, self.changed = cur, energy, cells
+        return row
 
 
 def ledger_report(rows: Sequence[LedgerRow]) -> LedgerReport:
@@ -352,7 +355,9 @@ def ledger_report(rows: Sequence[LedgerRow]) -> LedgerReport:
     return LedgerReport(tuple(rows), first is None, first, tol)
 
 
-def ledger_check(trajectory: "Trajectory", first_step: int = 0) -> LedgerReport:
+def ledger_check(
+    config: "SchemeConfig", states: Iterable, first_step: int = 0
+) -> LedgerReport:
     """Recompute the per-step energy inequality from the stored states.
 
     Every step of a descent scheme must satisfy
@@ -360,32 +365,20 @@ def ledger_check(trajectory: "Trajectory", first_step: int = 0) -> LedgerReport:
     forcing transfer to the right side).  Energies and dissipations are
     recomputed here from the states themselves, one convolution per state,
     so a corrupted state shows up as a violated step regardless of what the
-    run recorded.  The arithmetic is the run's own (:func:`step_ledger`), so
+    run recorded.  The states walk the run's own :class:`LedgerWalk`, so
     untouched states reproduce the run's rows bit for bit.  ``first_step``
     is the step number of the first state: rows are numbered, and a force
     is evaluated, at the steps the states were produced at.
 
-    ``trajectory.states`` may be any iterable; it is read once, in order,
-    and at most two states and one set of smoothed fields are held.
+    ``states`` may be any iterable; it is read once, in order, and at most
+    two states and one set of smoothed fields are held.
     """
-    cfg = trajectory.config
-    states = iter(trajectory.states)
-    state = next(states)
-    plan = HeatKernelPlan(cfg.grid, cfg.h)
-    smooth = convolve_labels if cfg.scheme == "grain_growth" else convolve
-    smoothed = smooth(plan, state)
-    energy = state_energy(state, cfg.h, tensions=cfg.tensions, smoothed=smoothed)
+    states = iter(states)
+    walk = LedgerWalk(config, next(states))
     rows: list[LedgerRow] = []
-    for step, new_state in enumerate(states, start=first_step + 1):
-        change = step_change(state, new_state, smoothed)
-        del smoothed
-        smoothed = smooth(plan, new_state)
-        force_now = cfg.force(cfg.grid, step * cfg.h) if cfg.force else None
-        row = step_ledger(
-            cfg, step, state, new_state, change, smoothed, energy, force_now
-        )
-        rows.append(row)
-        state, energy = new_state, row.energy_after
+    for step, state in enumerate(states, start=first_step + 1):
+        force_now = config.force(config.grid, step * config.h) if config.force else None
+        rows.append(walk.advance(step, state, force_now))
     return ledger_report(rows)
 
 

@@ -150,12 +150,14 @@ class HeatKernelPlan:
 
     Building a plan is cheap but not free; reuse one across the steps of a
     run.  The zero-frequency multiplier is exactly 1, all others in (0, 1).
+    The transforms run on ``workers`` threads, read from
+    :func:`default_workers` when the plan is built.
     """
 
     grid: Grid
     h: float
     multipliers: np.ndarray = field(init=False, repr=False)
-    workers: int = field(default_factory=default_workers)
+    workers: int = field(init=False, default_factory=default_workers)
 
     def __post_init__(self) -> None:
         if not self.h > 0:
@@ -200,26 +202,20 @@ def _input_values(field_in: PhaseField | RealField) -> np.ndarray:
     return field_in.values
 
 
-def convolve(
-    plan: HeatKernelPlan,
-    field_in: PhaseField | RealField,
-    clamp: bool | None = None,
-) -> RealField:
+def convolve(plan: HeatKernelPlan, field_in: PhaseField | RealField) -> RealField:
     """Smooth a field with the heat kernel of the plan's bandwidth.
 
     Indicator inputs are clamped back to [0, 1] after the transform; the
     spectral ringing removed this way is tiny (order 1e-15) and a warning
-    fires if it ever exceeds the recorded tolerance.  Pass ``clamp=False``
-    to inspect the raw values.  The cell average is preserved to rounding.
+    fires if it ever exceeds the recorded tolerance.  ``plan.apply`` gives
+    the raw values.  The cell average is preserved to rounding.
     """
     if field_in.grid != plan.grid:
         raise ValueError("field grid does not match plan grid")
     spectrum = plan.forward(_input_values(field_in))
     spectrum *= plan.multipliers
     out = plan.inverse(spectrum)
-    if clamp is None:
-        clamp = isinstance(field_in, PhaseField)
-    if clamp:
+    if isinstance(field_in, PhaseField):
         overshoot = max(0.0, float(out.max()) - 1.0, -float(out.min()))
         if overshoot > CLAMP_TOLERANCE:
             logger.warning(
@@ -253,13 +249,11 @@ def grad_convolve(
     )
 
 
-def spectral_divergence(
-    grid: Grid, components: tuple[np.ndarray, ...], workers: int | None = None
-) -> np.ndarray:
+def spectral_divergence(grid: Grid, components: tuple[np.ndarray, ...]) -> np.ndarray:
     """Divergence of a smooth vector field via spectral differentiation."""
     if len(components) != grid.dim:
         raise ValueError(f"need {grid.dim} components, got {len(components)}")
-    w = workers if workers is not None else default_workers()
+    w = default_workers()
     factors = _derivative_factors(grid)
     out = np.zeros(grid.shape)
     for k in range(grid.dim):

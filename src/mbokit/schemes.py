@@ -16,7 +16,7 @@ bandwidth sqrt(h) and rebuilds sharp phases from the smoothed values:
   grain-versus-vapor score.
 
 ``Stepper`` iterates a step map one state at a time, recording the energy
-ledger (computed by ``diagnostics.step_ledger``), thresholds, and support
+ledger (walked by ``diagnostics.LedgerWalk``), thresholds, and support
 radii per step, and stops early when the state freezes or a phase
 disappears; ``run`` collects its states into a ``Trajectory``.
 """
@@ -44,11 +44,9 @@ from .threshold import select_bottom_cells, select_top_cells
 from .diagnostics import (
     GOOD_ITERATION_BAND,
     LedgerReport,
+    LedgerWalk,
     StepRecord,
     ledger_report,
-    state_energy,
-    step_change,
-    step_ledger,
     tension_rows,
 )
 
@@ -312,17 +310,17 @@ def _solid_of(state) -> PhaseField:
 class Stepper:
     """The configured scheme run from ``initial``, one step per iteration.
 
-    Construction checks the initial state and measures its support radius
-    from the initial solid's centroid.  Iterating runs the steps and yields
-    each new state as its step finishes, appending the step's ledger row
-    to ``records``.  It stops early with ``status`` "pinned" when a step
-    changes no cell and "extinct" when the evolving phase empties;
-    ``status`` is "completed" once every step ran.  Only the current and
-    the previous state and one set of smoothed fields are held: before a
-    new state is smoothed, the old fields are reduced to their values on
-    the cells that changed (:func:`step_change`).  A warning fires if the
-    support radius ever exceeds 40 percent of the side, where the periodic
-    images start to interact.
+    Construction checks the initial state, measures its support radius
+    from the initial solid's centroid, and smooths it to take its energy,
+    ``initial_energy``.  Iterating runs the steps and yields each new state
+    as its step finishes, appending the step's ledger row to ``records``.
+    It stops early with ``status`` "pinned" when a step changes no cell and
+    "extinct" when the evolving phase empties; ``status`` is "completed"
+    once every step ran.  The step maps read the smoothed fields of a
+    :class:`LedgerWalk`, so only the current and the previous state and one
+    set of smoothed fields are held.  A warning fires if the support radius
+    ever exceeds 40 percent of the side, where the periodic images start to
+    interact.
     """
 
     def __init__(self, config: SchemeConfig, initial) -> None:
@@ -346,20 +344,20 @@ class Stepper:
                 f"{WRAP_RADIUS_FRACTION:.0%} of the side; periodic images interact",
                 stacklevel=3,
             )
-        self._steps = self._iterate(plan, initial)
+        walk = LedgerWalk(config, initial, plan)
+        self.initial_energy = walk.energy
+        self._steps = self._iterate(walk)
 
     def __iter__(self):
         return self._steps
 
-    def _iterate(self, plan: HeatKernelPlan, state):
-        config = self.config
+    def _iterate(self, walk: LedgerWalk):
+        # walk.smoothed is read inline, never bound to a name here, so the
+        # old fields die inside walk.advance before the new ones are made
+        config, plan = self.config, walk.plan
         grid, h = config.grid, config.h
         sqrt_h = math.sqrt(h)
         wrap_warned = self.initial_radius > WRAP_RADIUS_FRACTION * grid.side
-        multiphase = config.scheme == "grain_growth"
-        smooth = convolve_labels if multiphase else convolve
-        smoothed = smooth(plan, state)
-        energy = state_energy(state, h, tensions=config.tensions, smoothed=smoothed)
         for n in range(1, config.steps + 1):
             t = n * h
             lam: float | None = None
@@ -367,30 +365,25 @@ class Stepper:
             proxy: float | None = None
             force_now: RealField | None = None
 
-            if multiphase:
+            if config.scheme == "grain_growth":
                 new_state, lam = step_grain_growth(
-                    state, config.tensions, h, plan=plan, smoothed=smoothed
+                    walk.state, config.tensions, h, plan=plan, smoothed=walk.smoothed
                 )
                 good = abs(lam) < GOOD_ITERATION_BAND
             elif config.scheme == "mbo":
-                new_state = step_mbo(state, h, plan=plan, smoothed=smoothed)
+                new_state = step_mbo(walk.state, h, plan=plan, smoothed=walk.smoothed)
             elif config.scheme == "forced":
                 force_now = config.force(grid, t)
                 new_state = step_forced(
-                    state, force_now, h, plan=plan, smoothed=smoothed
+                    walk.state, force_now, h, plan=plan, smoothed=walk.smoothed
                 )
             else:
                 new_state, lam = step_volume_preserving(
-                    state, h, plan=plan, smoothed=smoothed
+                    walk.state, h, plan=plan, smoothed=walk.smoothed
                 )
                 good = abs(lam - 0.5) < GOOD_ITERATION_BAND
                 proxy = -math.sqrt(math.pi) * (2.0 * lam - 1.0) / sqrt_h
-            change = step_change(state, new_state, smoothed)
-            del smoothed
-            smoothed = smooth(plan, new_state)
-            row = step_ledger(
-                config, n, state, new_state, change, smoothed, energy, force_now
-            )
+            row = walk.advance(n, new_state, force_now)
 
             new_solid = _solid_of(new_state)
             radius = None
@@ -411,18 +404,16 @@ class Stepper:
                     lam=lam,
                     bounding_radius=radius,
                     good_iteration=good,
-                    force_transfer=None if force_now is None else row.transfer,
                     curvature_proxy=proxy,
                 )
             )
             if new_solid.cell_count == 0:
                 self.status = "extinct"
-            elif change.cells.size == 0:
+            elif walk.changed.size == 0:
                 self.status = "pinned"
             yield new_state
             if self.status != "running":
                 return
-            state, energy = new_state, row.energy_after
         self.status = "completed"
 
 

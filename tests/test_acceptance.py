@@ -143,7 +143,10 @@ def matrix():
                 tensions=equal_tensions(state.num_grains),
             )
             runs.append((f"grain_growth:{name}:h={h}", "grain_growth", run(cfg, state)))
-    reports = [(name, scheme, traj, ledger_check(traj)) for name, scheme, traj in runs]
+    reports = [
+        (name, scheme, traj, ledger_check(traj.config, traj.states))
+        for name, scheme, traj in runs
+    ]
     return reports
 
 
@@ -406,7 +409,8 @@ def test_c08_grain_growth(matrix):
         for name, scheme, traj, rep in matrix
         if scheme == "grain_growth"
     ]
-    gg_reports.append(("brick-relaxation", traj, ledger_check(traj)))
+    brick_report = ledger_check(traj.config, traj.states)
+    gg_reports.append(("brick-relaxation", traj, brick_report))
     for name, gtraj, rep in gg_reports:
         assert all(row.dissipation >= 0.0 for row in rep.rows), (
             f"C8 FAIL: negative dissipation in {name}"

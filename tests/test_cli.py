@@ -245,6 +245,18 @@ class TestCommands:
         dumps = sorted((tmp_path / "out0").glob("state_*.mbof"))
         assert [d.name for d in dumps] == ["state_000000.mbof"]
 
+    def test_run_steps_zero_ledger_carries_initial_energy(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("steps = 3", "steps = 0") + f"out_dir = {tmp_path}/out0\n",
+        )
+        assert main(["run", cfg]) == 0
+        rows = (tmp_path / "out0" / "ledger.csv").read_text().splitlines()
+        assert len(rows) == 2
+        capsys.readouterr()
+        assert main(["energy", str(tmp_path / "out0" / "state_000000.mbof")]) == 0
+        assert rows[1].split(",")[3] == capsys.readouterr().out.strip()
+
     def test_run_reruns_bit_identical(self, tmp_path):
         cfg_a = write_cfg(
             tmp_path, BASE + f"out_dir = {tmp_path}/a\ndump_every = 1\n", "a.cfg"
@@ -261,6 +273,40 @@ class TestCommands:
     def test_run_config_error_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "mystery = 3\n")
         assert main(["run", cfg]) == 3
+
+    @pytest.mark.parametrize(
+        "command, unreadable",
+        [
+            ("run", "directory"),
+            ("sweep", "directory"),
+            ("run", "byte_ff"),
+            ("check", "directory"),
+            ("energy", "directory"),
+        ],
+    )
+    def test_unreadable_config_is_config_error(
+        self, tmp_path, capsys, command, unreadable
+    ):
+        if unreadable == "directory":
+            cfg = tmp_path / "cfgdir"
+            cfg.mkdir()
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_bytes(BASE.encode() + b"# \xff\n")
+        g = Grid(dim=2, n=64)
+        dump = tmp_path / "s.mbof"
+        if command == "check":
+            write_dump(dump, rasterize_ball(g, (0.5, 0.5), 0.3), 4e-3, 0)
+        if command == "energy":
+            write_dump(dump, voronoi_labels(g, [(0.2, 0.2), (0.8, 0.8)]), 4e-3, 0)
+        args = {
+            "run": ["run", str(cfg)],
+            "sweep": ["sweep", str(cfg)],
+            "check": ["check", str(dump), "--config", str(cfg)],
+            "energy": ["energy", str(dump), "--config", str(cfg)],
+        }[command]
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_run_degenerate_exit(self, tmp_path):
         text = BASE.replace("scheme = mbo", "scheme = volume_preserving")
@@ -529,6 +575,11 @@ class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # importing scipy.fft alone costs about 0.3 s of start-up per process
         assert scipy_modules_after("import sys, mbokit.cli") == "[]"
+
+    def test_all_names_resolve_once(self):
+        assert len(set(mbokit.__all__)) == len(mbokit.__all__)
+        for name in mbokit.__all__:
+            assert getattr(mbokit, name) is not None, name
 
     def test_blob_initial_state_leaves_scipy_unloaded(self):
         # the blob filter used to import scipy.ndimage, about 0.3 s per process

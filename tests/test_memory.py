@@ -96,6 +96,6 @@ def test_grain_run_holds_one_stack_of_smoothed_fields(many_grains):
 def test_grain_audit_holds_one_stack_of_smoothed_fields(many_grains):
     cfg, initial, stack = many_grains
     traj = run(cfg, initial)
-    report, peak = traced_peak(ledger_check, traj)
+    report, peak = traced_peak(ledger_check, cfg, traj.states)
     assert report.passed and len(report.rows) == 2
     assert stack < peak < 1.5 * stack
