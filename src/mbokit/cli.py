@@ -25,10 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import (
-    GOOD_ITERATION_BAND,
     lagrange_scaling,
     ledger_check,
     ledger_report,
+    multiplier_integral,
     state_energy,
 )
 from .grid import (
@@ -314,12 +314,23 @@ def build_force(cfg: ExperimentConfig):
     return force
 
 
+def _check_initial_kind(scheme: str, initial) -> None:
+    """Grain growth evolves a partition (``init = voronoi``) and every other
+    scheme a two-phase field; any other pairing is a config error."""
+    multiphase = isinstance(initial, MultiPhaseState)
+    if scheme == "grain_growth" and not multiphase:
+        raise ConfigError("grain_growth needs init = voronoi")
+    if scheme != "grain_growth" and multiphase:
+        raise ConfigError(
+            f"scheme {scheme} evolves a two-phase field, not init = voronoi"
+        )
+
+
 def build_scheme_config(cfg: ExperimentConfig, grid: Grid, initial) -> SchemeConfig:
     scheme = cfg.require("scheme")
+    _check_initial_kind(scheme, initial)
     tensions = None
     if scheme == "grain_growth":
-        if not isinstance(initial, MultiPhaseState):
-            raise ConfigError("grain_growth needs init = voronoi")
         tensions = build_tensions(cfg, initial.num_grains)
     try:
         return SchemeConfig(
@@ -536,12 +547,19 @@ def cmd_sweep(config_path: str) -> int:
         scheme = cfg.require("scheme")
         h_list = cfg.require("h_list")
         horizon = float(cfg.require("T"))
+        if not math.isfinite(horizon):
+            raise ConfigError(f"T must be finite, got {horizon}")
         if len(h_list) < 3:
             raise ConfigError("h_list needs at least 3 entries")
+        for h in h_list:
+            if not 0 < h < math.inf:
+                raise ConfigError(f"h_list entry {h} is not positive and finite")
         if scheme not in ("mbo", "volume_preserving"):
             raise ConfigError(f"sweep supports mbo and volume_preserving, not {scheme}")
         if scheme == "mbo" and cfg.require("init") != "ball":
             raise ConfigError("mbo sweep compares against a shrinking ball")
+        initial = build_initial(cfg, grid)
+        _check_initial_kind(scheme, initial)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -551,7 +569,6 @@ def cmd_sweep(config_path: str) -> int:
     try:
         for h in h_list:
             steps = max(1, round(horizon / h))
-            initial = build_initial(cfg, grid)
             scheme_cfg = SchemeConfig(scheme=scheme, grid=grid, h=h, steps=steps)
             traj = run(scheme_cfg, initial)
             row: dict[str, float | int | None] = {
@@ -573,9 +590,7 @@ def cmd_sweep(config_path: str) -> int:
             else:
                 lams = traj.lambdas
                 lam_series.append((h, lams))
-                offsets = np.asarray(lams) - 0.5
-                row["M"] = float(h * np.sum(offsets**2))
-                row["bad"] = int(np.count_nonzero(abs(offsets) >= GOOD_ITERATION_BAND))
+                row["M"], row["bad"] = multiplier_integral(h, lams)
             rows.append(row)
     except (DegeneratePhaseError, EmptyPhaseError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
@@ -725,8 +740,8 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
         print(f"cannot load dump: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     bandwidth = dump_h if h is None else h
-    if not bandwidth > 0:
-        print("config error: h must be positive", file=sys.stderr)
+    if not 0 < bandwidth < math.inf:
+        print("config error: h must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
     tensions = None
     if isinstance(state, MultiPhaseState):

@@ -1,10 +1,9 @@
-"""Energies, dissipations, audit checks, and variational residuals.
+"""Energies, the energy ledger, audit checks, and variational residuals.
 
 The thresholding schemes in this package are implicit descent steps for a
-nonlocal interfacial energy.  This module computes that energy, the
-step-to-step dissipation, and the linearized functional whose pointwise
-minimization is what a thresholding step actually performs.  On top of
-those it provides audit tools: a per-step energy ledger, the scaling
+nonlocal interfacial energy.  This module computes that energy and walks
+the per-step energy ledger, whose dissipation it sums over the changed
+cells only.  On top of those it provides audit tools: the scaling
 statistic of the volume multiplier, a support-growth monitor, and inner
 variations of energy and dissipation whose weighted sum is the discrete
 stationarity residual of a step.
@@ -101,50 +100,6 @@ def energy_two_phase(
     return _cellsum(chi.grid, ~chi.mask * smoothed.values) / math.sqrt(h)
 
 
-def phase_difference(a: PhaseField, b: PhaseField) -> RealField:
-    """Signed difference a - b as a real field with values in {-1, 0, 1}."""
-    if a.grid != b.grid:
-        raise ValueError("phase fields live on different grids")
-    return RealField(a.grid, a.as_float() - b.as_float())
-
-
-def dissipation_two_phase(
-    omega: RealField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
-) -> float:
-    """Dissipation (1/sqrt h) * integral of omega G_h omega, nonnegative.
-
-    ``omega`` must take values in {-1, 0, 1} (a difference of indicators).
-    Positivity holds because the kernel has a positive transform, so tiny
-    negative rounding is the worst that can appear.
-    """
-    vals = omega.values
-    if not np.isin(vals, (-1.0, 0.0, 1.0)).all():
-        raise ValueError("omega must take values in {-1, 0, 1}")
-    if plan is None:
-        plan = HeatKernelPlan(omega.grid, h)
-    return _cellsum(omega.grid, vals * plan.apply(vals)) / math.sqrt(h)
-
-
-def linearized_energy(
-    phi: RealField, chi: PhaseField, threshold: float, h: float
-) -> float:
-    """Linear comparison functional whose pointwise minimizer is the update.
-
-    Equals (1/sqrt h) * integral of (1-chi) phi + chi (2*threshold - phi).
-    Among all cell sets of the same volume it is minimized exactly by the
-    superlevel selection of ``phi`` at ``threshold``, which is how the
-    volume-preserving step is defined.
-    """
-    if phi.grid != chi.grid:
-        raise ValueError("phi and chi live on different grids")
-    c = chi.as_float()
-    values = (1.0 - c) * phi.values + c * (2.0 * threshold - phi.values)
-    return _cellsum(chi.grid, values) / math.sqrt(h)
-
-
 # ---------------------------------------------------------------------------
 # multiphase energy pieces
 
@@ -215,36 +170,6 @@ def state_difference(a: MultiPhaseState, b: MultiPhaseState) -> np.ndarray:
     for i in range(a.num_grains + 1):
         out[i] = (a.labels == i).astype(np.int8) - (b.labels == i).astype(np.int8)
     return out
-
-
-def dissipation_multiphase(
-    omega: np.ndarray,
-    grid: Grid,
-    tensions: "SurfaceTensionMatrix",
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
-) -> float:
-    """Dissipation of a partition increment: minus its quadratic energy.
-
-    ``omega`` stacks the per-label indicator differences (vapor first) and
-    must sum to zero across labels in every cell.  The extended tension
-    matrix is negative definite on that zero-sum subspace while the kernel
-    has a positive transform, so the value is nonnegative up to rounding.
-    """
-    p = tensions.num_grains
-    if omega.shape != (p + 1,) + grid.shape:
-        raise ValueError(f"omega shape {omega.shape} does not match state layout")
-    if not np.isin(omega, (-1, 0, 1)).all():
-        raise ValueError("omega entries must lie in {-1, 0, 1}")
-    if omega.sum(axis=0, dtype=np.int64).any():
-        raise ValueError("omega must sum to zero across labels in every cell")
-    if plan is None:
-        plan = HeatKernelPlan(grid, h)
-    w = omega.astype(np.float64)
-    rows = tension_rows(tensions.extended, [plan.apply(w[j]) for j in range(p + 1)])
-    total = sum(float((w[i] * row).sum()) for i, row in enumerate(rows))
-    return -total * grid.cell_volume / math.sqrt(h)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +315,29 @@ class LagrangeScalingReport:
     slope: float | None
 
 
+def multiplier_integral(
+    h: float, lams: Sequence[float], center: float = 0.5
+) -> tuple[float, int]:
+    """M(h) of one run and its number of bad iterations.
+
+    M(h) = h * sum over steps of (lambda_n - center)^2 is a discrete time
+    integral of the squared multiplier offset; a bad iteration is a step
+    with offset at least GOOD_ITERATION_BAND.
+    """
+    offsets = np.asarray([lam - center for lam in lams], dtype=np.float64)
+    m = float(h * np.sum(offsets**2))
+    return m, int(np.count_nonzero(np.abs(offsets) >= GOOD_ITERATION_BAND))
+
+
 def lagrange_scaling(
     series: Sequence[tuple[float, Sequence[float]]], center: float = 0.5
 ) -> LagrangeScalingReport:
     """Scaling statistic of the volume multiplier across bandwidths.
 
-    For each run, M(h) = h * sum over steps of (lambda_n - center)^2, a
-    discrete time integral of the squared multiplier offset.  The report
-    carries the least-squares slope of log M against log h (None when some
-    M vanishes) and the per-run count of bad iterations, i.e. steps with
-    offset at least GOOD_ITERATION_BAND.
+    For each run, M(h) and the count of bad iterations come from
+    :func:`multiplier_integral`.  The report carries the least-squares
+    slope of log M against log h (None when some M vanishes) and the
+    per-run counts.
     """
     if len(series) < 3:
         raise ValueError("need at least 3 bandwidths for a scaling fit")
@@ -407,10 +345,10 @@ def lagrange_scaling(
     for h, lams in series:
         if not h > 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
-        offsets = np.asarray([lam - center for lam in lams], dtype=np.float64)
+        m, bad = multiplier_integral(h, lams, center)
         hs.append(float(h))
-        ms.append(float(h * np.sum(offsets**2)))
-        bads.append(int(np.count_nonzero(np.abs(offsets) >= GOOD_ITERATION_BAND)))
+        ms.append(m)
+        bads.append(bad)
     if len(set(hs)) < 3:
         raise ValueError("need at least 3 distinct bandwidths")
     slope = None

@@ -196,12 +196,6 @@ class HeatKernelPlan:
         return self.inverse(self.forward(values) * self.multipliers * factor)
 
 
-def _input_values(field_in: PhaseField | RealField) -> np.ndarray:
-    if isinstance(field_in, PhaseField):
-        return field_in.as_float()
-    return field_in.values
-
-
 def convolve(plan: HeatKernelPlan, field_in: PhaseField | RealField) -> RealField:
     """Smooth a field with the heat kernel of the plan's bandwidth.
 
@@ -212,10 +206,11 @@ def convolve(plan: HeatKernelPlan, field_in: PhaseField | RealField) -> RealFiel
     """
     if field_in.grid != plan.grid:
         raise ValueError("field grid does not match plan grid")
-    spectrum = plan.forward(_input_values(field_in))
+    indicator = isinstance(field_in, PhaseField)
+    spectrum = plan.forward(field_in.as_float() if indicator else field_in.values)
     spectrum *= plan.multipliers
     out = plan.inverse(spectrum)
-    if isinstance(field_in, PhaseField):
+    if indicator:
         overshoot = max(0.0, float(out.max()) - 1.0, -float(out.min()))
         if overshoot > CLAMP_TOLERANCE:
             logger.warning(
@@ -233,20 +228,6 @@ def convolve_labels(plan: HeatKernelPlan, state: MultiPhaseState) -> list[np.nda
     return [
         convolve(plan, state.indicator(j)).values for j in range(state.num_grains + 1)
     ]
-
-
-def grad_convolve(
-    plan: HeatKernelPlan, field_in: PhaseField | RealField
-) -> tuple[RealField, ...]:
-    """Gradient of the smoothed field, one component per spatial axis."""
-    if field_in.grid != plan.grid:
-        raise ValueError("field grid does not match plan grid")
-    spectrum = plan.forward(_input_values(field_in)) * plan.multipliers
-    factors = _derivative_factors(plan.grid)
-    return tuple(
-        RealField(plan.grid, plan.inverse(spectrum * factors[k]))
-        for k in range(plan.grid.dim)
-    )
 
 
 def spectral_divergence(grid: Grid, components: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -134,14 +134,6 @@ def solve_two_ball_vp(
     return TwoBallSolution(ts, out_small, out_big, extinction)
 
 
-def two_ball_vp(
-    r1_0: float, r2_0: float, t: float, dim: int = 2
-) -> tuple[float, float]:
-    """Radii of the two-ball system at a single time."""
-    sol = solve_two_ball_vp(r1_0, r2_0, [t], dim=dim)
-    return float(sol.r1[0]), float(sol.r2[0])
-
-
 def forced_ball(
     r0: float, f: float, t: float, dim: int = 2, n_steps: int | None = None
 ) -> float:

@@ -145,8 +145,8 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, pick one of {SCHEMES}")
-        if not self.h > 0:
-            raise ValueError(f"bandwidth h must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"bandwidth h must be positive and finite, got {self.h}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         if self.scheme == "forced" and self.force is None:

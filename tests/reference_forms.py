@@ -1,0 +1,93 @@
+"""Full-grid reference forms that the package's own paths are tested against.
+
+No scheme step and no audit calls these: ``diagnostics.LedgerWalk`` computes
+the dissipation of runs and audits on the changed cells only.  They keep the
+textbook definitions as independent oracles, built from public ``mbokit``
+names alone.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from mbokit.diagnostics import tension_rows
+from mbokit.grid import Grid, PhaseField, RealField
+from mbokit.kernel import HeatKernelPlan
+from mbokit.schemes import SurfaceTensionMatrix
+
+
+def phase_difference(a: PhaseField, b: PhaseField) -> RealField:
+    """Signed difference a - b as a real field with values in {-1, 0, 1}."""
+    if a.grid != b.grid:
+        raise ValueError("phase fields live on different grids")
+    return RealField(a.grid, a.as_float() - b.as_float())
+
+
+def dissipation_two_phase(
+    omega: RealField,
+    h: float,
+    *,
+    plan: HeatKernelPlan | None = None,
+) -> float:
+    """Dissipation (1/sqrt h) * integral of omega G_h omega, nonnegative.
+
+    ``omega`` must take values in {-1, 0, 1} (a difference of indicators).
+    Positivity holds because the kernel has a positive transform, so tiny
+    negative rounding is the worst that can appear.
+    """
+    vals = omega.values
+    if not np.isin(vals, (-1.0, 0.0, 1.0)).all():
+        raise ValueError("omega must take values in {-1, 0, 1}")
+    if plan is None:
+        plan = HeatKernelPlan(omega.grid, h)
+    products = vals * plan.apply(vals)
+    return float(products.sum()) * omega.grid.cell_volume / math.sqrt(h)
+
+
+def linearized_energy(
+    phi: RealField, chi: PhaseField, threshold: float, h: float
+) -> float:
+    """Linear comparison functional whose pointwise minimizer is the update.
+
+    Equals (1/sqrt h) * integral of (1-chi) phi + chi (2*threshold - phi).
+    Among all cell sets of the same volume it is minimized exactly by the
+    superlevel selection of ``phi`` at ``threshold``, which is how the
+    volume-preserving step is defined.
+    """
+    if phi.grid != chi.grid:
+        raise ValueError("phi and chi live on different grids")
+    c = chi.as_float()
+    values = (1.0 - c) * phi.values + c * (2.0 * threshold - phi.values)
+    return float(values.sum()) * chi.grid.cell_volume / math.sqrt(h)
+
+
+def dissipation_multiphase(
+    omega: np.ndarray,
+    grid: Grid,
+    tensions: SurfaceTensionMatrix,
+    h: float,
+    *,
+    plan: HeatKernelPlan | None = None,
+) -> float:
+    """Dissipation of a partition increment: minus its quadratic energy.
+
+    ``omega`` stacks the per-label indicator differences (vapor first) and
+    must sum to zero across labels in every cell.  The extended tension
+    matrix is negative definite on that zero-sum subspace while the kernel
+    has a positive transform, so the value is nonnegative up to rounding.
+    """
+    p = tensions.num_grains
+    if omega.shape != (p + 1,) + grid.shape:
+        raise ValueError(f"omega shape {omega.shape} does not match state layout")
+    if not np.isin(omega, (-1, 0, 1)).all():
+        raise ValueError("omega entries must lie in {-1, 0, 1}")
+    if omega.sum(axis=0, dtype=np.int64).any():
+        raise ValueError("omega must sum to zero across labels in every cell")
+    if plan is None:
+        plan = HeatKernelPlan(grid, h)
+    w = omega.astype(np.float64)
+    rows = tension_rows(tensions.extended, [plan.apply(w[j]) for j in range(p + 1)])
+    total = sum(float((w[i] * row).sum()) for i, row in enumerate(rows))
+    return -total * grid.cell_volume / math.sqrt(h)

@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbokit
 
@@ -18,7 +21,13 @@ from mbokit.cli import (
     read_dump,
     write_dump,
 )
-from mbokit.grid import Grid, MultiPhaseState, rasterize_ball, voronoi_labels
+from mbokit.grid import (
+    Grid,
+    MultiPhaseState,
+    PhaseField,
+    rasterize_ball,
+    voronoi_labels,
+)
 
 BASE = """\
 scheme = mbo
@@ -114,7 +123,47 @@ class TestBuildInitial:
             build_initial(cfg, build_grid(cfg))
 
 
+@st.composite
+def dump_cases(draw):
+    """A random state of every kind the dump format stores: a two-phase
+    field, a one-grain and a many-grain partition, in 2-D and 3-D."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(8, 24 if dim == 2 else 10))
+    side = draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    grid = Grid(dim=dim, n=n, side=side)
+    kind = draw(st.sampled_from(["two_phase", "one_grain", "many_grains"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "two_phase":
+        state = PhaseField(grid, rng.random(grid.shape) < draw(st.floats(0, 1)))
+    else:
+        grains = 1 if kind == "one_grain" else draw(st.integers(2, 255))
+        labels = rng.integers(0, grains + 1, size=grid.shape, dtype=np.int32)
+        state = MultiPhaseState(grid, labels, grains)
+    h = draw(st.floats(0, 1e3, exclude_min=True, allow_nan=False))
+    step = draw(st.integers(0, 10**9))
+    return state, h, step
+
+
 class TestDumpRoundTrip:
+    @given(dump_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_every_state_kind(self, case):
+        state, h, step = case
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.mbof"), Path(tmp, "b.mbof")
+            write_dump(first, state, h, step)
+            loaded, h_read, step_read = read_dump(first)
+            assert type(loaded) is type(state)
+            assert loaded.grid == state.grid
+            assert (h_read, step_read) == (h, step)
+            if isinstance(state, MultiPhaseState):
+                assert loaded.num_grains == state.num_grains
+                assert np.array_equal(loaded.labels, state.labels)
+            else:
+                assert np.array_equal(loaded.mask, state.mask)
+            write_dump(second, loaded, h_read, step_read)
+            assert first.read_bytes() == second.read_bytes()
+
     def test_two_phase_bit_exact(self, tmp_path):
         g = Grid(dim=2, n=64)
         ball = rasterize_ball(g, (0.4, 0.6), 0.22)
@@ -397,6 +446,21 @@ class TestCommands:
         assert "smoothing" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "energy"])
+    def test_infinite_bandwidth_is_config_error(self, tmp_path, capsys, command):
+        if command == "run":
+            text = BASE.replace("h = 4e-3", "h = inf") + f"out_dir = {tmp_path}/out\n"
+            args = ["run", write_cfg(tmp_path, text)]
+        else:
+            dump = tmp_path / "e.mbof"
+            ball = rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.3)
+            write_dump(dump, ball, 4e-3, 0)
+            args = ["energy", str(dump), "--h", "inf"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_check_numbers_rows_by_dump_step(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -557,6 +621,50 @@ class TestCommands:
         assert main(["sweep", cfg]) == 0
         out = capsys.readouterr().out
         assert "oracle" in out and "slope" in out
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("ball_center = 0.5 0.5\n", "", "ball_center"),
+            ("h_list = 4e-3, 2e-3, 1e-3", "h_list = 4e-3, -2e-3, 1e-3", "-0.002"),
+            ("h_list = 4e-3, 2e-3, 1e-3", "h_list = 4e-3, 0, 1e-3", "0.0"),
+            ("h_list = 4e-3, 2e-3, 1e-3", "h_list = 4e-3, inf, 1e-3", "inf"),
+            ("T = 8e-3", "T = nan", "nan"),
+        ],
+        ids=["ball_without_center", "negative_h", "zero_h", "infinite_h", "nan_T"],
+    )
+    def test_sweep_bad_config_is_config_error(
+        self, tmp_path, capsys, old, new, message
+    ):
+        text = BASE.replace("scheme = mbo", "scheme = volume_preserving")
+        text += "h_list = 4e-3, 2e-3, 1e-3\nT = 8e-3\n" + f"out_dir = {tmp_path}/sw\n"
+        assert old in text
+        cfg = write_cfg(tmp_path, text.replace(old, new))
+        assert main(["sweep", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize(
+        "command, scheme, extra",
+        [
+            ("run", "mbo", ""),
+            ("sweep", "volume_preserving", "h_list = 4e-3, 2e-3, 1e-3\nT = 8e-3\n"),
+        ],
+        ids=["run_mbo", "sweep_volume_preserving"],
+    )
+    def test_two_phase_scheme_with_voronoi_is_config_error(
+        self, tmp_path, capsys, command, scheme, extra
+    ):
+        text = (
+            f"scheme = {scheme}\nn = 64\nh = 4e-3\nsteps = 3\n"
+            "init = voronoi\nseeds = 0.3 0.3; 0.7 0.7\nvapor_margin = 0.05\n"
+            f"out_dir = {tmp_path}/out\n" + extra
+        )
+        assert main([command, write_cfg(tmp_path, text)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "voronoi" in err
+        assert not (tmp_path / "out").exists()
 
 
 def scipy_modules_after(code: str) -> str:

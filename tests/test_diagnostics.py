@@ -8,6 +8,7 @@ without the FFT, or random competitor search.
 import logging
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,17 +21,17 @@ from mbokit.diagnostics import (
     LedgerWalk,
     approx_monotonicity_check,
     constant_vector_field,
-    dissipation_multiphase,
-    dissipation_two_phase,
     energy_multiphase,
     energy_two_phase,
     euler_lagrange_residual,
+    euler_lagrange_residual_forced,
+    euler_lagrange_residual_grain_growth,
     first_variation_dissipation,
+    first_variation_dissipation_multiphase,
     first_variation_energy,
+    first_variation_energy_multiphase,
     lagrange_scaling,
     ledger_check,
-    linearized_energy,
-    phase_difference,
     radial_bump_field,
     state_difference,
     tightness_monitor,
@@ -56,11 +57,18 @@ from mbokit.schemes import (
     SurfaceTensionMatrix,
     equal_tensions,
     run,
+    step_grain_growth,
     step_volume_preserving,
 )
 from mbokit.threshold import select_top_cells
 
 from conftest import symmetric_tensions
+from reference_forms import (
+    dissipation_multiphase,
+    dissipation_two_phase,
+    linearized_energy,
+    phase_difference,
+)
 
 
 def periodized_gaussian_matrix(grid: Grid, h: float, images: int = 3) -> np.ndarray:
@@ -471,6 +479,76 @@ class TestFirstVariations:
         xi = constant_vector_field(grid256, (0.0, 1.0))
         res = euler_lagrange_residual(chi1, ball, lam, xi, h, plan=plan)
         assert abs(res) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def single_grain_step():
+    """One volume-preserving step of a blob (chi0 -> chi1) and one
+    grain-growth step of the same blob as a single-grain partition
+    (state0 -> state1), at sqrt(h) = 5 dx; both flip the same 552 cells.
+    The bump field is off-centre so that no variation vanishes by symmetry."""
+    g = Grid(dim=2, n=128)
+    h = (5.0 * g.dx) ** 2
+    plan = HeatKernelPlan(g, h)
+    chi0 = random_blob(g, seed=3, fill=0.3, smoothing=0.08)
+    chi1, lam = step_volume_preserving(chi0, h, plan=plan)
+    state0 = MultiPhaseState(g, chi0.mask.astype(np.int32), 1)
+    state1, cut = step_grain_growth(state0, equal_tensions(1), h, plan=plan)
+    assert np.count_nonzero(chi1.mask != chi0.mask) == 552
+    assert (state1.labels == chi1.mask).all()
+    xi = radial_bump_field(g, (0.43, 0.55), 0.22, 0.05)
+    return SimpleNamespace(
+        chi0=chi0, chi1=chi1, lam=lam, state0=state0, state1=state1, cut=cut,
+        tensions=equal_tensions(1), xi=xi, h=h, plan=plan,
+    )
+
+
+class TestMultiphaseStationarity:
+    """A single grain is the two-phase problem with every interface counted
+    from both sides: the energy doubles, so the multiphase variations and
+    residual are twice the two-phase ones (the dissipation variation enters
+    with the opposite sign convention)."""
+
+    def test_energy_variation_doubles(self, single_grain_step):
+        s = single_grain_step
+        two = first_variation_energy(s.chi1, s.xi, s.h, plan=s.plan)
+        multi = first_variation_energy_multiphase(
+            s.state1, s.tensions, s.xi, s.h, plan=s.plan
+        )
+        assert two == pytest.approx(-0.27931, abs=1e-5)
+        assert multi == pytest.approx(2.0 * two, rel=1e-12)
+
+    def test_dissipation_variation_is_minus_twice(self, single_grain_step):
+        s = single_grain_step
+        two = first_variation_dissipation(s.chi1, s.chi0, s.xi, s.h, plan=s.plan)
+        multi = first_variation_dissipation_multiphase(
+            s.state1, s.state0, s.tensions, s.xi, s.h, plan=s.plan
+        )
+        assert two == pytest.approx(-0.79629, abs=1e-5)
+        assert multi == pytest.approx(-2.0 * two, rel=1e-12)
+
+    def test_grain_growth_residual_is_twice_volume_preserving(
+        self, single_grain_step
+    ):
+        s = single_grain_step
+        assert s.cut == pytest.approx(1.0 - 2.0 * s.lam, rel=1e-12)
+        two = euler_lagrange_residual(s.chi1, s.chi0, s.lam, s.xi, s.h, plan=s.plan)
+        multi = euler_lagrange_residual_grain_growth(
+            s.state1, s.state0, s.cut, s.tensions, s.xi, s.h, plan=s.plan
+        )
+        assert two != 0.0
+        assert multi / two == pytest.approx(2.0, rel=1e-10)
+
+    def test_zero_force_residual_is_half_multiplier_residual(
+        self, single_grain_step
+    ):
+        s = single_grain_step
+        zero = RealField(s.chi1.grid, np.zeros(s.chi1.grid.shape))
+        forced = euler_lagrange_residual_forced(
+            s.chi1, s.chi0, zero, s.xi, s.h, plan=s.plan
+        )
+        half = euler_lagrange_residual(s.chi1, s.chi0, 0.5, s.xi, s.h, plan=s.plan)
+        assert forced == half
 
 
 class TestApproxMonotonicity:

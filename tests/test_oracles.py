@@ -10,7 +10,6 @@ from mbokit.oracles import (
     forced_ball,
     junction_angles,
     solve_two_ball_vp,
-    two_ball_vp,
 )
 from mbokit.oracles import _rk4
 
@@ -59,7 +58,8 @@ class TestTwoBall:
             assert r1**2 + r2**2 == pytest.approx(0.0544, rel=1e-10)
 
     def test_large_ball_grows_small_shrinks(self):
-        r1, r2 = two_ball_vp(0.20, 0.12, 1e-3)
+        sol = solve_two_ball_vp(0.20, 0.12, [1e-3])
+        r1, r2 = sol.r1[0], sol.r2[0]
         assert r1 > 0.20
         assert r2 < 0.12
 
