@@ -424,9 +424,12 @@ def read_header(path: Path | str) -> DumpHeader:
     if len(ns) != dim or len(set(ns)) != 1:
         raise ValueError(f"{path}: unsupported cell counts {ns}")
     grid = Grid(dim=dim, n=ns[0], side=float(fields["side"]))
+    h = float(fields["h"])
+    if not 0 < h < math.inf:
+        raise ValueError(f"{path}: h={h} must be positive and finite")
     phases = int(fields["phases"])
-    if phases < 2:
-        raise ValueError(f"{path}: phases={phases}, need at least 2")
+    if not 2 <= phases <= 256:
+        raise ValueError(f"{path}: phases={phases}, need 2 to 256")
     kind = fields.get("kind")
     if kind not in (None, "labels"):
         raise ValueError(f"{path}: unknown kind '{kind}'")
@@ -435,9 +438,7 @@ def read_header(path: Path | str) -> DumpHeader:
     if cells != grid.total_cells:
         raise ValueError(f"{path}: expected {grid.total_cells} cells, got {cells}")
     num_grains = phases - 1 if kind == "labels" or phases > 2 else None
-    return DumpHeader(
-        str(path), grid, float(fields["h"]), int(fields["step"]), num_grains, offset
-    )
+    return DumpHeader(str(path), grid, h, int(fields["step"]), num_grains, offset)
 
 
 def read_dump(path: Path | str):
@@ -547,8 +548,8 @@ def cmd_sweep(config_path: str) -> int:
         scheme = cfg.require("scheme")
         h_list = cfg.require("h_list")
         horizon = float(cfg.require("T"))
-        if not math.isfinite(horizon):
-            raise ConfigError(f"T must be finite, got {horizon}")
+        if not 0 < horizon < math.inf:
+            raise ConfigError(f"T must be positive and finite, got {horizon}")
         if len(h_list) < 3:
             raise ConfigError("h_list needs at least 3 entries")
         for h in h_list:

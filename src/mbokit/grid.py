@@ -10,6 +10,8 @@ axis 0 innermost.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -54,8 +56,14 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8:
             raise ValueError(f"need at least 8 cells per axis, got {self.n}")
-        if not self.side > 0:
-            raise ValueError(f"side must be positive, got {self.side}")
+        if not 0 < self.side < np.inf:
+            raise ValueError(f"side must be positive and finite, got {self.side}")
+        try:
+            volume = self.cell_volume
+        except OverflowError:  # float ** raises where float * gives inf
+            volume = np.inf
+        if not sys.float_info.min <= volume < np.inf:
+            raise ValueError(f"side {self.side} gives cell volume {volume}")
 
     @property
     def dx(self) -> float:
@@ -307,13 +315,15 @@ def random_blob(
     noise = rng.standard_normal(grid.shape)
     smooth = _periodic_gaussian(noise, smoothing / grid.dx)
     target = max(1, min(grid.total_cells - 1, round(fill * grid.total_cells)))
-    mask, _ = _smallest_cells(-smooth.ravel(), target)
+    # the filter leaves the noise dead; it is the selection's scratch key
+    mask, _ = _select_cells(smooth.ravel(), target, top=True, key=noise.ravel())
     return PhaseField(grid, mask.reshape(grid.shape))
 
 
-# Cells per block of a filter pass; at 96^3 blocks of 2^16 cells ran
-# fastest of 2^14 ... 2^22 (2-vCPU VM).
-_FILTER_BLOCK = 1 << 16
+# A filter pass works on blocks of whole lines: about 2^15 output cells,
+# and at most 2^18 cells once wrap-padded, however far the kernel reaches.
+_BLOCK_CELLS = 1 << 15
+_BLOCK_PADDED = 1 << 18
 
 
 def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
@@ -325,49 +335,67 @@ def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
     per cell ``w[0] * x[k]``, then ``(x[k-j] + x[k+j]) * w[j]`` added for
     j = r down to 1, indices taken modulo n (r may exceed n).  A ``sigma``
     of at most 1e-15 (or negative) filters nothing, as in scipy.  Returns a
-    new C-contiguous array.
+    new C-contiguous array and leaves ``values`` as it was.
     """
     if not sigma > 1e-15:
         return np.array(values, dtype=np.float64)
-    out = np.asarray(values, dtype=np.float64)
+    src = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.empty(src.shape)
     r = int(4.0 * sigma + 0.5)
     x = np.arange(-r, r + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     w = (phi / phi.sum())[r:]  # weight of offsets +j and -j (exactly symmetric)
-    for axis in range(out.ndim):
-        n = out.shape[axis]
-        lines = np.moveaxis(out, axis, 0)
-        # wrap-padded copy: the filtered axis first, the others flattened
-        pad = lines.take(np.arange(-r, n + r) % n, axis=0).reshape(n + 2 * r, -1)
-        res = np.empty((n, pad.shape[1]))
-        rows = max(1, _FILTER_BLOCK // pad.shape[1])
-        tmp = np.empty((rows, pad.shape[1]))
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            acc, t = res[lo:hi], tmp[: hi - lo]
-            np.multiply(pad[r + lo : r + hi], w[0], out=acc)
-            for j in range(r, 0, -1):
-                np.add(pad[r + lo - j : r + hi - j], pad[r + lo + j : r + hi + j], t)
-                t *= w[j]
-                acc += t
-        out = np.moveaxis(res.reshape(lines.shape), 0, axis)
-    return np.ascontiguousarray(out)
+    for axis, n in enumerate(src.shape):
+        # the lines along the axis as (outer, n, inner); a block of lines is
+        # gathered before its result is written back, so every pass after
+        # the first filters ``out`` in place
+        shape = (math.prod(src.shape[:axis]), n, math.prod(src.shape[axis + 1 :]))
+        lines, dest = src.reshape(shape), out.reshape(shape)
+        wrap = np.arange(-r, n + r) % n
+        block = max(1, min(_BLOCK_CELLS // n, _BLOCK_PADDED // (n + 2 * r)))
+        bi = min(shape[2], block)
+        bo = block // bi
+        for o in range(0, shape[0], bo):
+            for i in range(0, shape[2], bi):
+                # the block's lines wrap-padded, the filtered axis first
+                pad = lines[o : o + bo, :, i : i + bi].transpose(1, 0, 2).take(wrap, 0)
+                acc = pad[r : r + n] * w[0]
+                t = np.empty(acc.shape)
+                for j in range(r, 0, -1):
+                    np.add(pad[r - j : r - j + n], pad[r + j : r + j + n], t)
+                    t *= w[j]
+                    acc += t
+                dest[o : o + bo, :, i : i + bi] = acc.transpose(1, 0, 2)
+        src = out
+    return out
 
 
-def _smallest_cells(key: np.ndarray, count: int) -> tuple[np.ndarray, np.float64]:
-    """Flat mask of the ``count`` smallest entries of ``key``, and the cut value.
+def _select_cells(
+    values: np.ndarray, count: int, top: bool, key: np.ndarray
+) -> tuple[np.ndarray, np.float64]:
+    """Flat mask of the ``count`` largest (``top``) or smallest of the flat
+    ``values``, and the value at the cut.
 
-    Every entry below the cut is taken; the rest come from entries equal to
+    Every value beyond the cut is taken; the rest come from values equal to
     it in ascending index order, so the mask marks the same cells as
-    ``np.argsort(key, kind="stable")[:count]``.  Needs ``1 <= count <=
-    key.size`` and no NaN.  Shared with :mod:`mbokit.threshold`; private, so
-    a traced run charges its time to the caller.
+    ``np.argsort(k, kind="stable")[:count]`` for ``k = -(values + 0.0)``
+    (top) or ``values + 0.0``.  The cut is found by partitioning ``key``, a
+    scratch array of ``values.size`` floats that is overwritten; a zero cut
+    is returned as +0.0.  Needs ``1 <= count <= values.size`` and no NaN.
+    Shared with :mod:`mbokit.threshold`; private, so a traced run charges
+    its time to the caller.
     """
-    cut = np.partition(key, count - 1)[count - 1]
-    mask = key < cut
+    # 0.0 - x is -x and x + 0.0 is x, each with every zero made +0.0
+    if top:
+        np.subtract(0.0, values, out=key)
+    else:
+        np.add(values, 0.0, out=key)
+    key.partition(count - 1)
+    cut = 0.0 - key[count - 1] if top else key[count - 1]
+    mask = values > cut if top else values < cut
     missing = count - int(np.count_nonzero(mask))
     if missing:
-        ties = np.flatnonzero(key == cut)
+        ties = np.flatnonzero(values == cut)
         mask[ties[:missing]] = True
     return mask, cut
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PhaseField, RealField, _smallest_cells
+from .grid import PhaseField, RealField, _select_cells
 
 
 @dataclass(frozen=True)
@@ -31,25 +31,18 @@ class SelectionResult:
     target_cells: int
 
 
-def _normalize(scores: RealField) -> np.ndarray:
-    # adding 0.0 turns any -0.0 into +0.0 and changes nothing else,
-    # so equal-valued cells compare equal regardless of zero sign
-    return scores.values.ravel() + 0.0
-
-
-def _selection(
-    scores: RealField, target_cells: int, flat: np.ndarray, descending: bool
-) -> SelectionResult:
+def _selection(scores: RealField, target_cells: int, top: bool) -> SelectionResult:
     grid = scores.grid
-    total = flat.size
-    if not 0 <= target_cells <= total:
-        raise ValueError(f"target_cells {target_cells} outside [0, {total}]")
+    flat = scores.values.ravel()
+    if not 0 <= target_cells <= flat.size:
+        raise ValueError(f"target_cells {target_cells} outside [0, {flat.size}]")
     if target_cells == 0:
         empty = PhaseField(grid, np.zeros(grid.shape, dtype=bool))
         return SelectionResult(None, empty, 0)
-    mask, cut = _smallest_cells(-flat if descending else flat, target_cells)
-    threshold = float(-cut) if descending else float(cut)
-    return SelectionResult(threshold, PhaseField(grid, mask.reshape(grid.shape)), target_cells)
+    mask, cut = _select_cells(flat, target_cells, top=top, key=np.empty(flat.size))
+    return SelectionResult(
+        float(cut), PhaseField(grid, mask.reshape(grid.shape)), target_cells
+    )
 
 
 def select_top_cells(scores: RealField, target_cells: int) -> SelectionResult:
@@ -59,7 +52,7 @@ def select_top_cells(scores: RealField, target_cells: int) -> SelectionResult:
     is filled from the cells scoring exactly the threshold in ascending
     row-major index order.
     """
-    return _selection(scores, target_cells, _normalize(scores), descending=True)
+    return _selection(scores, target_cells, top=True)
 
 
 def select_bottom_cells(scores: RealField, target_cells: int) -> SelectionResult:
@@ -68,4 +61,4 @@ def select_bottom_cells(scores: RealField, target_cells: int) -> SelectionResult
     Mirror image of :func:`select_top_cells`; for tie-free scores it picks
     the same cells as top selection on the negated field.
     """
-    return _selection(scores, target_cells, _normalize(scores), descending=False)
+    return _selection(scores, target_cells, top=False)

@@ -19,6 +19,7 @@ from mbokit.cli import (
     main,
     parse_config,
     read_dump,
+    read_header,
     write_dump,
 )
 from mbokit.grid import (
@@ -144,6 +145,52 @@ def dump_cases(draw):
     return state, h, step
 
 
+HEADER_KEYS = ("dim", "n", "side", "h", "step", "phases")
+
+# values no writer produces: non-numeric, out of range, too large or too small
+odd_values = st.one_of(
+    st.sampled_from(
+        ["", " ", "x", "1.5", "0", "-1", "8,8", "8,,8", "8,8,8", "-8,-8", "1e309",
+         "-inf", "nan", "1e-320", "1e308", "9" * 40, "256", "257", "1_0", "0x10"]
+    ),
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=10),
+)
+
+
+@st.composite
+def header_mutations(draw):
+    """A valid two-phase dump with one to three of its header lines dropped,
+    repeated, garbled or given odd values, or with bytes after its payload."""
+    head, _, payload = _valid_dump_bytes().partition(b"\n\n")
+    lines = head.split(b"\n")
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "repeat", "garble", "value", "append"]))
+        key = draw(st.sampled_from(HEADER_KEYS)).encode()
+        at = [i for i, ln in enumerate(lines) if ln.partition(b"=")[0] == key]
+        if op == "append":
+            payload += draw(st.binary(min_size=1, max_size=600))
+        elif op == "repeat":
+            value = draw(st.one_of(st.just("1"), odd_values)).encode()
+            lines.insert(draw(st.integers(1, len(lines))), key + b"=" + value)
+        elif at and op == "drop":
+            del lines[at[0]]
+        elif at and op == "garble":
+            garbled = draw(st.binary(min_size=0, max_size=8))
+            lines[at[0]] = garbled + b"=" + lines[at[0]].partition(b"=")[2]
+        elif at:
+            lines[at[0]] = key + b"=" + draw(odd_values).encode()
+    return b"\n".join(lines) + b"\n\n" + payload
+
+
+def _valid_dump_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "v.mbof")
+        write_dump(path, rasterize_ball(Grid(dim=2, n=8), (0.5, 0.5), 0.3), 1e-3, 2)
+        return path.read_bytes()
+
+
 class TestDumpRoundTrip:
     @given(dump_cases())
     @settings(max_examples=60, deadline=None)
@@ -163,6 +210,25 @@ class TestDumpRoundTrip:
                 assert np.array_equal(loaded.mask, state.mask)
             write_dump(second, loaded, h_read, step_read)
             assert first.read_bytes() == second.read_bytes()
+
+    @given(header_mutations())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_header_reads_back_or_check_exits_4(self, dump):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "f.mbof")
+            path.write_bytes(dump)
+            try:
+                header = read_header(path)
+                read_dump(path)
+            except (ValueError, OSError):
+                assert main(["check", str(path)]) == 4
+                return
+            args = ["check", str(path)]
+            if header.num_grains is not None:  # a partition: tensions needed
+                config = Path(tmp, "grains.cfg")
+                config.write_text("scheme = grain_growth\n")
+                args += ["--config", str(config)]
+            assert main(args) == 0
 
     def test_two_phase_bit_exact(self, tmp_path):
         g = Grid(dim=2, n=64)
@@ -323,6 +389,13 @@ class TestCommands:
         cfg = write_cfg(tmp_path, BASE + "mystery = 3\n")
         assert main(["run", cfg]) == 3
 
+    @pytest.mark.parametrize("side", ["inf", "1e-320", "1e200"])
+    def test_run_side_out_of_range_is_config_error(self, tmp_path, capsys, side):
+        text = BASE + f"side = {side}\nout_dir = {tmp_path}/out\n"
+        assert main(["run", write_cfg(tmp_path, text)]) == 3
+        assert capsys.readouterr().err.startswith("config error: side")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command, unreadable",
         [
@@ -394,6 +467,25 @@ class TestCommands:
         p.write_bytes(p.read_bytes().replace(b"side=1\n", b""))
         assert main(["check", str(p)]) == 4
         assert "'side'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "energy"])
+    @pytest.mark.parametrize(
+        "line",
+        [b"h=0", b"h=-0.001", b"h=inf", b"h=nan", b"side=inf"],
+        ids=["zero_h", "negative_h", "infinite_h", "nan_h", "infinite_side"],
+    )
+    def test_bad_bandwidth_or_side_in_header_exits_4(
+        self, tmp_path, capsys, command, line
+    ):
+        p = tmp_path / "s.mbof"
+        write_dump(p, rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.2), 1e-3, 0)
+        key = line.partition(b"=")[0]
+        head, _, payload = p.read_bytes().partition(b"\n\n")
+        lines = [line if ln.startswith(key + b"=") else ln for ln in head.split(b"\n")]
+        p.write_bytes(b"\n".join(lines) + b"\n\n" + payload)
+        assert main([command, str(p)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load dump") and "finite" in err
 
     def test_energy_rejects_two_phase_byte_seven(self, tmp_path):
         p = tmp_path / "e.mbof"
@@ -630,8 +722,18 @@ class TestCommands:
             ("h_list = 4e-3, 2e-3, 1e-3", "h_list = 4e-3, 0, 1e-3", "0.0"),
             ("h_list = 4e-3, 2e-3, 1e-3", "h_list = 4e-3, inf, 1e-3", "inf"),
             ("T = 8e-3", "T = nan", "nan"),
+            ("T = 8e-3", "T = 0", "0.0"),
+            ("T = 8e-3", "T = -8e-3", "-0.008"),
         ],
-        ids=["ball_without_center", "negative_h", "zero_h", "infinite_h", "nan_T"],
+        ids=[
+            "ball_without_center",
+            "negative_h",
+            "zero_h",
+            "infinite_h",
+            "nan_T",
+            "zero_T",
+            "negative_T",
+        ],
     )
     def test_sweep_bad_config_is_config_error(
         self, tmp_path, capsys, old, new, message

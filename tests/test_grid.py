@@ -10,7 +10,7 @@ from mbokit.grid import (
     MultiPhaseState,
     PhaseField,
     _periodic_gaussian,
-    _smallest_cells,
+    _select_cells,
     bounding_radius,
     centroid,
     random_blob,
@@ -29,6 +29,20 @@ class TestGrid:
         assert g.cell_volume == pytest.approx((2.0 / 128) ** 2)
         assert g.shape == (128, 128)
         assert g.total_cells == 128 * 128
+
+    @pytest.mark.parametrize(
+        "dim, side",
+        [(2, math.inf), (2, 1e-310), (3, 1e-300), (3, 1e150), (2, 1e200)],
+        ids=["infinite", "2d_tiny", "3d_tiny", "3d_huge", "2d_huge"],
+    )
+    def test_rejects_side_whose_cell_volume_is_not_a_normal_float(self, dim, side):
+        with pytest.raises(ValueError, match="side"):
+            Grid(dim=dim, n=8, side=side)
+
+    def test_accepts_extreme_sides_with_a_normal_cell_volume(self):
+        for dim, side in [(2, 1e-150), (3, 1e-100), (3, 1e100), (2, 1e150)]:
+            g = Grid(dim=dim, n=8, side=side)
+            assert 0 < g.cell_volume < math.inf
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -256,7 +270,7 @@ class TestSmallestCells:
         # values quantised to halves: about 20 distinct keys over 1024 cells
         key = np.round(2.0 * np.random.default_rng(4).standard_normal(1024)) / 2.0
         key[::5] *= -1.0  # -0.0 and +0.0 both occur and must compare equal
-        mask, cut = _smallest_cells(key, count)
+        mask, cut = _select_cells(key, count, False, np.empty(key.size))
         order = np.argsort(key, kind="stable")
         expected = np.zeros(key.size, dtype=bool)
         expected[order[:count]] = True

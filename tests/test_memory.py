@@ -7,12 +7,14 @@ depend on the allocator or on other processes.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mbokit.cli import main
 from mbokit.diagnostics import ledger_check
-from mbokit.grid import Grid, rasterize_ball, voronoi_labels
+from mbokit.grid import Grid, RealField, random_blob, rasterize_ball, voronoi_labels
 from mbokit.schemes import SchemeConfig, equal_tensions, run
+from mbokit.threshold import select_bottom_cells, select_top_cells
 
 
 def traced_peak(fn, *args):
@@ -99,3 +101,23 @@ def test_grain_audit_holds_one_stack_of_smoothed_fields(many_grains):
     report, peak = traced_peak(ledger_check, cfg, traj.states)
     assert report.passed and len(report.rows) == 2
     assert stack < peak < 1.5 * stack
+
+
+GRID64 = Grid(dim=3, n=64)
+FIELD64 = GRID64.total_cells * 8  # bytes of one float64 field
+
+
+def test_blob_set_up_holds_two_grid_fields():
+    # the noise and one filtered field; the selection key reuses the noise
+    blob, peak = traced_peak(random_blob, GRID64, 3)
+    assert blob.cell_count == round(0.3 * GRID64.total_cells)
+    assert peak < 3 * FIELD64
+
+
+@pytest.mark.parametrize("select", [select_top_cells, select_bottom_cells])
+def test_selection_holds_one_scratch_field(select):
+    scores = RealField(GRID64, np.random.default_rng(5).standard_normal(GRID64.shape))
+    target = GRID64.total_cells // 3
+    sel, peak = traced_peak(select, scores, target)
+    assert sel.mask.cell_count == target
+    assert peak < 1.5 * FIELD64

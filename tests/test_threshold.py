@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,53 @@ class TestBottomSelection:
         kept_out = np.flatnonzero(~sel.mask.mask.ravel())
         assert kept_out.tolist() == [0, 1]
         assert sel.threshold == 0.3
+
+
+def signed_zero_scores(zeros):
+    """Scores on a 16x16 grid quantised to halves, so that every value recurs
+    many times, with about a fifth of the cells zero; ``zeros`` picks the sign
+    of those zeros: "mixed", "negative" or "positive"."""
+    g = Grid(dim=2, n=16)
+    noise = np.random.default_rng(8).standard_normal(g.total_cells)
+    values = np.round(2.0 * noise) / 2.0
+    values[::3] *= -1.0
+    zero = values == 0.0
+    if zeros != "mixed":
+        values[zero] = -0.0 if zeros == "negative" else 0.0
+    signs = np.signbit(values[zero])
+    assert zero.sum() > 30 and signs.any() == (zeros != "positive")
+    assert (~signs).any() == (zeros != "negative")
+    return g, values
+
+
+SELECT = {"top": select_top_cells, "bottom": select_bottom_cells}
+
+
+class TestSelectionEdgeCases:
+    """Signed zeros and long runs of exact ties at the cut."""
+
+    @pytest.mark.parametrize("zeros", ["mixed", "negative", "positive"])
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    def test_mask_equals_stable_argsort_of_normalised_key(self, side, zeros):
+        g, values = signed_zero_scores(zeros)
+        key = values + 0.0
+        order = np.argsort(-key if side == "top" else key, kind="stable")
+        for target in (1, 17, 100, 128, 200, 255, 256):
+            sel = SELECT[side](_field(g, values), target)
+            expected = np.zeros(g.total_cells, dtype=bool)
+            expected[order[:target]] = True
+            assert np.array_equal(sel.mask.mask.ravel(), expected)
+            assert sel.threshold == values[order[target - 1]]
+
+    @pytest.mark.parametrize("zeros", ["mixed", "negative", "positive"])
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    def test_zero_cut_gives_positive_zero_threshold(self, side, zeros):
+        g, values = signed_zero_scores(zeros)
+        beyond = int(np.count_nonzero(values > 0 if side == "top" else values < 0))
+        run = int(np.count_nonzero(values == 0.0))
+        for target in (beyond + 1, beyond + run // 2, beyond + run):
+            lam = SELECT[side](_field(g, values), target).threshold
+            assert lam == 0.0 and math.copysign(1.0, lam) == 1.0
 
 
 @st.composite
