@@ -44,7 +44,7 @@ from .grid import (
     voronoi_labels,
 )
 from .oracles import ExtinctionError, circle_mcf
-from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix, run
+from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
 
 MAGIC = "MBOF1"
 
@@ -307,6 +307,8 @@ def build_force(cfg: ExperimentConfig):
     if kind != "const":
         raise ConfigError(f"unknown force '{kind}' (supported: const)")
     value = float(cfg.require("force_value"))
+    if not math.isfinite(value):
+        raise ConfigError(f"force_value must be finite, got {value}")
 
     def force(grid: Grid, _t: float) -> RealField:
         return RealField(grid, np.full(grid.shape, value))
@@ -349,23 +351,14 @@ def build_scheme_config(cfg: ExperimentConfig, grid: Grid, initial) -> SchemeCon
 # dump format
 
 
-def write_dump(path: Path | str, state, h: float, step: int) -> None:
-    """Store a state: ASCII header, blank line, raw uint8 labels.
+def _header(grid: Grid, h: float, step: int, phases: int, partition: bool) -> bytes:
+    """The header of a dump, through its blank line.
 
     A partition with one grain has two labels, as a two-phase field has; its
     header adds ``kind=labels`` so that it reads back as a partition.
     """
-    kind = ""
-    if isinstance(state, MultiPhaseState):
-        labels, phases = state.labels, state.num_grains + 1
-        if phases == 2:
-            kind = "kind=labels\n"
-    else:
-        labels, phases = state.mask.view(np.uint8), 2
-    if phases > 256:
-        raise ValueError("dump format carries at most 256 labels")
-    grid = state.grid
-    header = (
+    kind = "kind=labels\n" if partition and phases == 2 else ""
+    return (
         f"{MAGIC}\n"
         f"dim={grid.dim}\n"
         f"n={','.join(str(grid.n) for _ in range(grid.dim))}\n"
@@ -375,9 +368,20 @@ def write_dump(path: Path | str, state, h: float, step: int) -> None:
         f"phases={phases}\n"
         f"{kind}"
         "\n"
-    )
+    ).encode("ascii")
+
+
+def write_dump(path: Path | str, state, h: float, step: int) -> None:
+    """Store a state: ASCII header, blank line, raw uint8 labels."""
+    partition = isinstance(state, MultiPhaseState)
+    if partition:
+        labels, phases = state.labels, state.num_grains + 1
+    else:
+        labels, phases = state.mask.view(np.uint8), 2
+    if phases > 256:
+        raise ValueError("dump format carries at most 256 labels")
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(_header(state.grid, h, step, phases, partition))
         fh.write(np.ascontiguousarray(labels, dtype=np.uint8).data)
 
 
@@ -402,7 +406,11 @@ class DumpHeader:
 
 
 def read_header(path: Path | str) -> DumpHeader:
-    """Check a dump's header and its payload size without reading the payload."""
+    """Check a dump's header and its payload size without reading the payload.
+
+    Only the exact header that :func:`write_dump` writes for the values it
+    holds is accepted, so every dump that reads rewrites to the same bytes.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_LIMIT)
         size = os.fstat(fh.fileno()).st_size
@@ -419,11 +427,8 @@ def read_header(path: Path | str) -> DumpHeader:
     for key in ("dim", "n", "side", "h", "step", "phases"):
         if key not in fields:
             raise ValueError(f"{path}: header lacks '{key}'")
-    ns = [int(tok) for tok in fields["n"].split(",")]
-    dim = int(fields["dim"])
-    if len(ns) != dim or len(set(ns)) != 1:
-        raise ValueError(f"{path}: unsupported cell counts {ns}")
-    grid = Grid(dim=dim, n=ns[0], side=float(fields["side"]))
+    n = int(fields["n"].partition(",")[0])
+    grid = Grid(dim=int(fields["dim"]), n=n, side=float(fields["side"]))
     h = float(fields["h"])
     if not 0 < h < math.inf:
         raise ValueError(f"{path}: h={h} must be positive and finite")
@@ -433,12 +438,15 @@ def read_header(path: Path | str) -> DumpHeader:
     kind = fields.get("kind")
     if kind not in (None, "labels"):
         raise ValueError(f"{path}: unknown kind '{kind}'")
+    step = int(fields["step"])
     offset = sep + 2
+    if head[:offset] != _header(grid, h, step, phases, kind == "labels"):
+        raise ValueError(f"{path}: header does not rewrite to the same bytes")
     cells = size - offset
     if cells != grid.total_cells:
         raise ValueError(f"{path}: expected {grid.total_cells} cells, got {cells}")
     num_grains = phases - 1 if kind == "labels" or phases > 2 else None
-    return DumpHeader(str(path), grid, h, int(fields["step"]), num_grains, offset)
+    return DumpHeader(str(path), grid, h, step, num_grains, offset)
 
 
 def read_dump(path: Path | str):
@@ -571,14 +579,14 @@ def cmd_sweep(config_path: str) -> int:
         for h in h_list:
             steps = max(1, round(horizon / h))
             scheme_cfg = SchemeConfig(scheme=scheme, grid=grid, h=h, steps=steps)
-            traj = run(scheme_cfg, initial)
-            row: dict[str, float | int | None] = {
-                "h": h,
-                "steps": len(traj.records),
-            }
+            stepper, final = Stepper(scheme_cfg, initial), initial
+            for final in stepper:  # keep only the newest state
+                pass
+            records = stepper.records
+            row: dict[str, float | int | None] = {"h": h, "steps": len(records)}
             if scheme == "mbo":
-                t_end = len(traj.records) * h
-                measured = _measured_radius(traj.final())
+                t_end = len(records) * h
+                measured = _measured_radius(final)
                 try:
                     target = circle_mcf(
                         float(cfg.require("ball_radius")), t_end, grid.dim
@@ -589,7 +597,7 @@ def cmd_sweep(config_path: str) -> int:
                 row["oracle"] = target
                 row["error"] = abs(measured - target)
             else:
-                lams = traj.lambdas
+                lams = [r.lam for r in records]
                 lam_series.append((h, lams))
                 row["M"], row["bad"] = multiplier_integral(h, lams)
             rows.append(row)

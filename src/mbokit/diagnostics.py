@@ -197,13 +197,10 @@ class LedgerWalk:
     """
 
     def __init__(
-        self,
-        config: "SchemeConfig",
-        state: PhaseField | MultiPhaseState,
-        plan: HeatKernelPlan | None = None,
+        self, config: "SchemeConfig", state: PhaseField | MultiPhaseState
     ) -> None:
         self.config = config
-        self.plan = plan if plan is not None else HeatKernelPlan(config.grid, config.h)
+        self.plan = HeatKernelPlan(config.grid, config.h)
         self._smooth = convolve_labels if config.scheme == "grain_growth" else convolve
         self.state = state
         self.smoothed = self._smooth(self.plan, state)
@@ -315,22 +312,20 @@ class LagrangeScalingReport:
     slope: float | None
 
 
-def multiplier_integral(
-    h: float, lams: Sequence[float], center: float = 0.5
-) -> tuple[float, int]:
+def multiplier_integral(h: float, lams: Sequence[float]) -> tuple[float, int]:
     """M(h) of one run and its number of bad iterations.
 
-    M(h) = h * sum over steps of (lambda_n - center)^2 is a discrete time
+    M(h) = h * sum over steps of (lambda_n - 1/2)^2 is a discrete time
     integral of the squared multiplier offset; a bad iteration is a step
     with offset at least GOOD_ITERATION_BAND.
     """
-    offsets = np.asarray([lam - center for lam in lams], dtype=np.float64)
+    offsets = np.asarray([lam - 0.5 for lam in lams], dtype=np.float64)
     m = float(h * np.sum(offsets**2))
     return m, int(np.count_nonzero(np.abs(offsets) >= GOOD_ITERATION_BAND))
 
 
 def lagrange_scaling(
-    series: Sequence[tuple[float, Sequence[float]]], center: float = 0.5
+    series: Sequence[tuple[float, Sequence[float]]]
 ) -> LagrangeScalingReport:
     """Scaling statistic of the volume multiplier across bandwidths.
 
@@ -345,7 +340,7 @@ def lagrange_scaling(
     for h, lams in series:
         if not h > 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
-        m, bad = multiplier_integral(h, lams, center)
+        m, bad = multiplier_integral(h, lams)
         hs.append(float(h))
         ms.append(m)
         bads.append(bad)
@@ -464,13 +459,7 @@ def radial_bump_field(
     return TestVectorField(grid, tuple(comps))
 
 
-def first_variation_energy(
-    chi: PhaseField,
-    xi: TestVectorField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
-) -> float:
+def first_variation_energy(chi: PhaseField, xi: TestVectorField, h: float) -> float:
     """Inner variation of the two-phase energy along the flow of ``xi``.
 
     Uses the divergence form in which every term is a kernel convolution of
@@ -480,8 +469,7 @@ def first_variation_energy(
             xi . (1-chi) grad(G chi)  -  (1-chi) gradG . (xi chi)
           + div(xi) (1-chi) (G chi)   +  (1-chi) G(div(xi) chi)
     """
-    if plan is None:
-        plan = HeatKernelPlan(chi.grid, h)
+    plan = HeatKernelPlan(chi.grid, h)
     g = chi.grid
     c = chi.as_float()
     outside = 1.0 - c
@@ -497,12 +485,7 @@ def first_variation_energy(
 
 
 def first_variation_dissipation(
-    chi1: PhaseField,
-    chi0: PhaseField,
-    xi: TestVectorField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
+    chi1: PhaseField, chi0: PhaseField, xi: TestVectorField, h: float
 ) -> float:
     """Inner variation of the dissipation term at the updated phase.
 
@@ -511,8 +494,7 @@ def first_variation_dissipation(
     predecessor increases the dissipation, so for a pure translation flow
     past a just-translated state this comes out positive.
     """
-    if plan is None:
-        plan = HeatKernelPlan(chi1.grid, h)
+    plan = HeatKernelPlan(chi1.grid, h)
     g = chi1.grid
     omega = chi1.as_float() - chi0.as_float()
     c1 = chi1.as_float()
@@ -528,11 +510,12 @@ def _weighted_variation_terms(
     fields: Sequence[np.ndarray],
     tensions: "SurfaceTensionMatrix",
     xi: TestVectorField,
-    plan: HeatKernelPlan,
+    h: float,
 ) -> float:
     """Sum over labels j of  w_j xi . grad(G f_j) + div(xi) w_j (G f_j)
     with weights w_j(x) = extended_sigma[label(x), j]."""
-    g = plan.grid
+    g = xi.grid
+    plan = HeatKernelPlan(g, h)
     ext = tensions.extended
     total = np.zeros(g.shape)
     div = xi.divergence
@@ -550,16 +533,10 @@ def first_variation_energy_multiphase(
     tensions: "SurfaceTensionMatrix",
     xi: TestVectorField,
     h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
 ) -> float:
     """Inner variation of the multiphase energy along ``xi``."""
-    if plan is None:
-        plan = HeatKernelPlan(state.grid, h)
-    fields = [
-        state.indicator(j).as_float() for j in range(state.num_grains + 1)
-    ]
-    raw = _weighted_variation_terms(state.labels, fields, tensions, xi, plan)
+    fields = [state.indicator(j).as_float() for j in range(state.num_grains + 1)]
+    raw = _weighted_variation_terms(state.labels, fields, tensions, xi, h)
     return 2.0 * raw / math.sqrt(h)
 
 
@@ -569,26 +546,16 @@ def first_variation_dissipation_multiphase(
     tensions: "SurfaceTensionMatrix",
     xi: TestVectorField,
     h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
 ) -> float:
     """Inner variation of the quadratic increment energy at the update."""
-    if plan is None:
-        plan = HeatKernelPlan(state1.grid, h)
     omega = state_difference(state1, state0).astype(np.float64)
     fields = [omega[j] for j in range(state1.num_grains + 1)]
-    raw = _weighted_variation_terms(state1.labels, fields, tensions, xi, plan)
+    raw = _weighted_variation_terms(state1.labels, fields, tensions, xi, h)
     return 2.0 * raw / math.sqrt(h)
 
 
 def euler_lagrange_residual(
-    chi1: PhaseField,
-    chi0: PhaseField,
-    lam: float,
-    xi: TestVectorField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
+    chi1: PhaseField, chi0: PhaseField, lam: float, xi: TestVectorField, h: float
 ) -> float:
     """Stationarity residual of a volume-preserving step against ``xi``.
 
@@ -597,14 +564,12 @@ def euler_lagrange_residual(
     exact continuum minimizer makes this vanish; on a grid it is a
     discretization monitor that should shrink under refinement.
     """
-    if plan is None:
-        plan = HeatKernelPlan(chi1.grid, h)
     g = chi1.grid
     multiplier = (2.0 * lam - 1.0) / math.sqrt(h)
     volume_term = multiplier * _cellsum(g, xi.divergence * chi1.as_float())
     return (
-        first_variation_energy(chi1, xi, h, plan=plan)
-        + first_variation_dissipation(chi1, chi0, xi, h, plan=plan)
+        first_variation_energy(chi1, xi, h)
+        + first_variation_dissipation(chi1, chi0, xi, h)
         + volume_term
     )
 
@@ -615,8 +580,6 @@ def euler_lagrange_residual_forced(
     force_now: RealField,
     xi: TestVectorField,
     h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
 ) -> float:
     """Stationarity residual of a forced step against ``xi``.
 
@@ -624,15 +587,13 @@ def euler_lagrange_residual_forced(
     -(1/sqrt pi) * integral of div(f xi) chi1, with the product divergence
     computed spectrally from the sampled force.
     """
-    if plan is None:
-        plan = HeatKernelPlan(chi1.grid, h)
     g = chi1.grid
     fxi = tuple(force_now.values * c for c in xi.components)
     div_fxi = spectral_divergence(g, fxi)
     force_term = -_cellsum(g, div_fxi * chi1.as_float()) / math.sqrt(math.pi)
     return (
-        first_variation_energy(chi1, xi, h, plan=plan)
-        + first_variation_dissipation(chi1, chi0, xi, h, plan=plan)
+        first_variation_energy(chi1, xi, h)
+        + first_variation_dissipation(chi1, chi0, xi, h)
         + force_term
     )
 
@@ -644,20 +605,14 @@ def euler_lagrange_residual_grain_growth(
     tensions: "SurfaceTensionMatrix",
     xi: TestVectorField,
     h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
 ) -> float:
     """Stationarity residual of a grain-growth step against ``xi``."""
-    if plan is None:
-        plan = HeatKernelPlan(state1.grid, h)
     g = state1.grid
     solid1 = state1.solid_mask.astype(np.float64)
     volume_term = (2.0 * lam / math.sqrt(h)) * _cellsum(g, xi.divergence * solid1)
     return (
-        first_variation_energy_multiphase(state1, tensions, xi, h, plan=plan)
-        - first_variation_dissipation_multiphase(
-            state1, state0, tensions, xi, h, plan=plan
-        )
+        first_variation_energy_multiphase(state1, tensions, xi, h)
+        - first_variation_dissipation_multiphase(state1, state0, tensions, xi, h)
         - volume_term
     )
 

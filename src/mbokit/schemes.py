@@ -1,7 +1,9 @@
 """Thresholding schemes: diffuse, threshold, repeat.
 
 One step smooths the current phase configuration with the heat kernel of
-bandwidth sqrt(h) and rebuilds sharp phases from the smoothed values:
+bandwidth sqrt(h) and rebuilds sharp phases from the smoothed values.  The
+step maps are the thresholding rules alone; they are handed the smoothed
+fields, which ``diagnostics.LedgerWalk`` computes once per state:
 
 * ``step_mbo``: threshold at 1/2; interfaces move by mean curvature.
 * ``step_volume_preserving``: keep exactly the current cell count by
@@ -39,7 +41,6 @@ from .grid import (
     bounding_radius,
     centroid,
 )
-from .kernel import HeatKernelPlan, convolve, convolve_labels
 from .threshold import select_bottom_cells, select_top_cells
 from .diagnostics import (
     GOOD_ITERATION_BAND,
@@ -172,7 +173,6 @@ class Trajectory:
     states: list
     records: list[StepRecord]
     status: str
-    radius_center: tuple[float, ...]
     initial_radius: float
 
     @property
@@ -192,30 +192,16 @@ class Trajectory:
 # single steps
 
 
-def step_mbo(
-    chi: PhaseField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
-    smoothed: RealField | None = None,
-) -> PhaseField:
-    """One plain thresholding step: smooth, then keep cells above 1/2."""
-    if plan is None:
-        plan = HeatKernelPlan(chi.grid, h)
-    if smoothed is None:
-        smoothed = convolve(plan, chi)
+def step_mbo(chi: PhaseField, smoothed: RealField) -> PhaseField:
+    """One plain thresholding step: keep the cells whose ``smoothed`` value,
+    the heat-kernel convolution of ``chi``, exceeds 1/2."""
     return PhaseField(chi.grid, smoothed.values > 0.5)
 
 
 def step_forced(
-    chi: PhaseField,
-    force_now: RealField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
-    smoothed: RealField | None = None,
+    chi: PhaseField, smoothed: RealField, force_now: RealField, h: float
 ) -> PhaseField:
-    """One forced step: threshold at 1/2 - f sqrt(h) / (2 sqrt(pi)).
+    """One forced step: threshold ``smoothed`` at 1/2 - f sqrt(h) / (2 sqrt(pi)).
 
     ``force_now`` is the forcing sampled at the step's target time.  A zero
     force reproduces :func:`step_mbo` bit for bit, because the threshold
@@ -223,25 +209,17 @@ def step_forced(
     """
     if force_now.grid != chi.grid:
         raise ValueError("force field lives on a different grid")
-    if plan is None:
-        plan = HeatKernelPlan(chi.grid, h)
-    if smoothed is None:
-        smoothed = convolve(plan, chi)
     tau = 0.5 - force_now.values * (math.sqrt(h) / (2.0 * math.sqrt(math.pi)))
     return PhaseField(chi.grid, smoothed.values > tau)
 
 
 def step_volume_preserving(
-    chi: PhaseField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
-    smoothed: RealField | None = None,
+    chi: PhaseField, smoothed: RealField
 ) -> tuple[PhaseField, float]:
     """One exactly volume-preserving step.
 
-    Smooths the phase and selects precisely the current number of cells,
-    largest smoothed values first.  Returns the new phase and the selection
+    Selects precisely the current number of cells of ``chi``, largest
+    ``smoothed`` values first.  Returns the new phase and the selection
     threshold (the volume multiplier of the step).
     """
     count = chi.cell_count
@@ -249,30 +227,24 @@ def step_volume_preserving(
         raise DegeneratePhaseError(
             "volume-preserving step needs a phase that is neither empty nor full"
         )
-    if plan is None:
-        plan = HeatKernelPlan(chi.grid, h)
-    if smoothed is None:
-        smoothed = convolve(plan, chi)
     sel = select_top_cells(smoothed, count)
     return sel.mask, float(sel.threshold)
 
 
 def step_grain_growth(
     state: MultiPhaseState,
+    smoothed: Sequence[np.ndarray],
     tensions: SurfaceTensionMatrix,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
-    smoothed: Sequence[np.ndarray] | None = None,
 ) -> tuple[MultiPhaseState, float]:
     """One multiphase step preserving the total solid cell count.
 
     Builds the comparison fields phi_i one at a time as tension-weighted
-    sums of the smoothed indicators (vapor enters each grain's field with
-    weight one).  Each cell's candidate grain minimizes phi over grains,
-    lowest label on ties, through a running minimum; the solid set keeps
-    exactly its cell count by a bottom selection of phi_best - phi_vapor.
-    Returns the new state and the score cut.
+    sums of the smoothed indicators ``smoothed`` (vapor first; vapor enters
+    each grain's field with weight one).  Each cell's candidate grain
+    minimizes phi over grains, lowest label on ties, through a running
+    minimum; the solid set keeps exactly its cell count by a bottom
+    selection of phi_best - phi_vapor.  Returns the new state and the score
+    cut.
     """
     p = tensions.num_grains
     if state.num_grains != p:
@@ -281,10 +253,6 @@ def step_grain_growth(
     solid_count = state.solid_cell_count
     if solid_count == 0:
         raise DegeneratePhaseError("grain growth needs at least one solid cell")
-    if plan is None:
-        plan = HeatKernelPlan(grid, h)
-    if smoothed is None:
-        smoothed = convolve_labels(plan, state)
     rows = tension_rows(tensions.extended, smoothed)
     phi_vapor, phi_best = next(rows).copy(), next(rows).copy()
     best = np.ones(grid.shape, dtype=np.int32)
@@ -330,7 +298,6 @@ class Stepper:
         if initial.grid != grid:
             raise ValueError("initial state lives on a different grid")
         self.config = config
-        plan = HeatKernelPlan(grid, config.h)
         solid0 = _solid_of(initial)
         if solid0.cell_count == 0:
             raise DegeneratePhaseError("initial state has no occupied cells")
@@ -344,7 +311,7 @@ class Stepper:
                 f"{WRAP_RADIUS_FRACTION:.0%} of the side; periodic images interact",
                 stacklevel=3,
             )
-        walk = LedgerWalk(config, initial, plan)
+        walk = LedgerWalk(config, initial)
         self.initial_energy = walk.energy
         self._steps = self._iterate(walk)
 
@@ -354,7 +321,7 @@ class Stepper:
     def _iterate(self, walk: LedgerWalk):
         # walk.smoothed is read inline, never bound to a name here, so the
         # old fields die inside walk.advance before the new ones are made
-        config, plan = self.config, walk.plan
+        config = self.config
         grid, h = config.grid, config.h
         sqrt_h = math.sqrt(h)
         wrap_warned = self.initial_radius > WRAP_RADIUS_FRACTION * grid.side
@@ -367,20 +334,16 @@ class Stepper:
 
             if config.scheme == "grain_growth":
                 new_state, lam = step_grain_growth(
-                    walk.state, config.tensions, h, plan=plan, smoothed=walk.smoothed
+                    walk.state, walk.smoothed, config.tensions
                 )
                 good = abs(lam) < GOOD_ITERATION_BAND
             elif config.scheme == "mbo":
-                new_state = step_mbo(walk.state, h, plan=plan, smoothed=walk.smoothed)
+                new_state = step_mbo(walk.state, walk.smoothed)
             elif config.scheme == "forced":
                 force_now = config.force(grid, t)
-                new_state = step_forced(
-                    walk.state, force_now, h, plan=plan, smoothed=walk.smoothed
-                )
+                new_state = step_forced(walk.state, walk.smoothed, force_now, h)
             else:
-                new_state, lam = step_volume_preserving(
-                    walk.state, h, plan=plan, smoothed=walk.smoothed
-                )
+                new_state, lam = step_volume_preserving(walk.state, walk.smoothed)
                 good = abs(lam - 0.5) < GOOD_ITERATION_BAND
                 proxy = -math.sqrt(math.pi) * (2.0 * lam - 1.0) / sqrt_h
             row = walk.advance(n, new_state, force_now)
@@ -430,6 +393,5 @@ def run(config: SchemeConfig, initial) -> Trajectory:
         states,
         stepper.records,
         stepper.status,
-        stepper.center,
         stepper.initial_radius,
     )

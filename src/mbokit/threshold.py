@@ -18,7 +18,7 @@ from .grid import PhaseField, RealField, _select_cells
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of a selection: threshold, mask, and the requested count.
+    """Outcome of a selection: threshold and mask.
 
     ``threshold`` is None when zero cells were requested (empty selection,
     infinite cut).  Otherwise it equals the score of the last cell in:
@@ -28,7 +28,6 @@ class SelectionResult:
 
     threshold: float | None
     mask: PhaseField
-    target_cells: int
 
 
 def _selection(scores: RealField, target_cells: int, top: bool) -> SelectionResult:
@@ -38,11 +37,9 @@ def _selection(scores: RealField, target_cells: int, top: bool) -> SelectionResu
         raise ValueError(f"target_cells {target_cells} outside [0, {flat.size}]")
     if target_cells == 0:
         empty = PhaseField(grid, np.zeros(grid.shape, dtype=bool))
-        return SelectionResult(None, empty, 0)
+        return SelectionResult(None, empty)
     mask, cut = _select_cells(flat, target_cells, top=top, key=np.empty(flat.size))
-    return SelectionResult(
-        float(cut), PhaseField(grid, mask.reshape(grid.shape)), target_cells
-    )
+    return SelectionResult(float(cut), PhaseField(grid, mask.reshape(grid.shape)))
 
 
 def select_top_cells(scores: RealField, target_cells: int) -> SelectionResult:

@@ -38,7 +38,7 @@ from mbokit.grid import (
     rasterize_slab,
     voronoi_labels,
 )
-from mbokit.kernel import HeatKernelPlan
+from mbokit.kernel import HeatKernelPlan, convolve, convolve_labels
 from mbokit.oracles import circle_mcf, junction_angles, solve_two_ball_vp
 from mbokit.schemes import (
     SchemeConfig,
@@ -381,8 +381,10 @@ def test_c08_grain_growth(matrix):
     tensions = equal_tensions(1)
     worst_gap = 0.0
     for _ in range(5):
-        chi, lam_vp = step_volume_preserving(chi, h, plan=plan)
-        state, lam_gg = step_grain_growth(state, tensions, h, plan=plan)
+        chi, lam_vp = step_volume_preserving(chi, convolve(plan, chi))
+        state, lam_gg = step_grain_growth(
+            state, convolve_labels(plan, state), tensions
+        )
         assert np.array_equal(chi.mask, state.labels == 1), (
             "C8 FAIL: single-grain masks diverge"
         )

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,27 @@ class TestDumpRoundTrip:
                 args += ["--config", str(config)]
             assert main(args) == 0
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"n=16,16", b"n=0_16,16"),
+            (b"step=3", b"step=+3"),
+            (b"h=0.001", b"h=+1e-3"),
+            (b"dim=2", b"dim= 2"),
+        ],
+        ids=["underscore_n", "signed_step", "signed_h", "spaced_dim"],
+    )
+    def test_header_that_does_not_round_trip_exits_4(self, tmp_path, old, new):
+        # such a header parses, but rewriting its state would change the bytes
+        p = tmp_path / "r.mbof"
+        write_dump(p, rasterize_ball(Grid(dim=2, n=16), (0.5, 0.5), 0.3), 1e-3, 3)
+        data = p.read_bytes()
+        assert data.count(old) == 1
+        p.write_bytes(data.replace(old, new))
+        with pytest.raises(ValueError, match="header"):
+            read_header(p)
+        assert main(["check", str(p)]) == 4
+
     def test_two_phase_bit_exact(self, tmp_path):
         g = Grid(dim=2, n=64)
         ball = rasterize_ball(g, (0.4, 0.6), 0.22)
@@ -330,6 +352,14 @@ class TestDumpRoundTrip:
         p.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="7"):
             read_dump(p)
+
+
+def quiet_main(args):
+    """``main`` with warnings ignored whatever the active filters are, so
+    stderr holds only the command's own messages."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(args)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -524,7 +554,7 @@ class TestCommands:
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory")
         cfg = write_cfg(tmp_path, BASE + keys + f"out_dir = {blocker}\n")
-        assert main([command, cfg]) == 4
+        assert quiet_main([command, cfg]) == 4
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and "Traceback" not in err
         assert blocker.read_text() == "not a directory"
@@ -551,6 +581,27 @@ class TestCommands:
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_force_value_is_config_error(
+        self, tmp_path, capsys, command, value
+    ):
+        text = BASE.replace("scheme = mbo", "scheme = forced")
+        text += f"force = const\nforce_value = {value}\nout_dir = {tmp_path}/out\n"
+        cfg = write_cfg(tmp_path, text)
+        if command == "run":
+            args = ["run", cfg]
+        else:  # two dumps, so that the audit evaluates the force once
+            ball = rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.3)
+            dumps = [str(tmp_path / f"s{k}.mbof") for k in range(2)]
+            for k, dump in enumerate(dumps):
+                write_dump(dump, ball, 4e-3, k)
+            args = ["check", *dumps, "--config", cfg]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "force_value" in err
         assert not (tmp_path / "out").exists()
 
     def test_check_numbers_rows_by_dump_step(self, tmp_path, capsys):
@@ -628,7 +679,7 @@ class TestCommands:
         text = text.replace("ball_center = 0.5 0.5", "slab_lo = 0.0")
         text = text.replace("ball_radius = 0.3", "slab_hi = 1.0")
         cfg = write_cfg(tmp_path, text + f"out_dir = {tmp_path}/out\n")
-        assert main(["run", cfg]) == 4
+        assert quiet_main(["run", cfg]) == 4
         assert capsys.readouterr().err.startswith("runtime error:")
         assert not (tmp_path / "out").exists()
 

@@ -309,7 +309,7 @@ class TestLedger:
         states.append(states[-1])  # a step that flips no cell
         plan = HeatKernelPlan(grid128, cfg.h)
         smoothed = [convolve_labels(plan, s) for s in states]
-        walk = LedgerWalk(cfg, states[0], plan)
+        walk = LedgerWalk(cfg, states[0])
         for n in range(1, len(states)):
             prev, cur = states[n - 1], states[n]
             expected = full_grid_dissipation(
@@ -340,7 +340,7 @@ class TestLedger:
         states.append(states[-1])  # a step that flips no cell
         plan = HeatKernelPlan(grid128, cfg.h)
         smoothed = [convolve(plan, s) for s in states]
-        walk = LedgerWalk(cfg, states[0], plan)
+        walk = LedgerWalk(cfg, states[0])
         for n in range(1, len(states)):
             prev, cur = states[n - 1], states[n]
             force_now = force(grid128, n * cfg.h) if force else None
@@ -444,29 +444,26 @@ class TestFirstVariations:
     def test_translation_field_gives_zero_energy_variation(self, grid256):
         h = 1e-4
         logging.getLogger("mbokit.kernel").setLevel(logging.ERROR)
-        plan = HeatKernelPlan(grid256, h)
         ball = rasterize_ball(grid256, (0.5, 0.5), 0.25)
         xi = constant_vector_field(grid256, (1.0, 0.0))
-        assert abs(first_variation_energy(ball, xi, h, plan=plan)) <= 1e-8
+        assert abs(first_variation_energy(ball, xi, h)) <= 1e-8
 
     def test_radial_bump_variation_matches_line_integral(self, grid256):
         # tangential divergence on the circle: dE -> 2*pi*g(R)/sqrt(pi)
         h = 1e-4
-        plan = HeatKernelPlan(grid256, h)
         ball = rasterize_ball(grid256, (0.5, 0.5), 0.25)
         xi = radial_bump_field(grid256, (0.5, 0.5), 0.25, 0.08)
-        got = first_variation_energy(ball, xi, h, plan=plan)
+        got = first_variation_energy(ball, xi, h)
         assert got == pytest.approx(2.0 * math.sqrt(math.pi), rel=0.05)
 
     def test_slab_shift_dissipation_value(self):
         # one-cell shift against xi = e1: dD = +2*dx/(h*sqrt(pi)) + o(1)
         g = Grid(dim=2, n=256)
         h = 1e-3
-        plan = HeatKernelPlan(g, h)
         before = rasterize_slab(g, 0, 0.25, 0.75)
         after = PhaseField(g, np.roll(before.mask, 1, axis=1))
         xi = constant_vector_field(g, (1.0, 0.0))
-        got = first_variation_dissipation(after, before, xi, h, plan=plan)
+        got = first_variation_dissipation(after, before, xi, h)
         target = 2.0 * g.dx / (h * math.sqrt(math.pi))
         assert got == pytest.approx(target, rel=0.01)
         assert got > 0.0
@@ -475,9 +472,9 @@ class TestFirstVariations:
         h = 1e-4
         plan = HeatKernelPlan(grid256, h)
         ball = rasterize_ball(grid256, (0.5, 0.5), 0.25)
-        chi1, lam = step_volume_preserving(ball, h, plan=plan)
+        chi1, lam = step_volume_preserving(ball, convolve(plan, ball))
         xi = constant_vector_field(grid256, (0.0, 1.0))
-        res = euler_lagrange_residual(chi1, ball, lam, xi, h, plan=plan)
+        res = euler_lagrange_residual(chi1, ball, lam, xi, h)
         assert abs(res) <= 1e-6
 
 
@@ -491,15 +488,17 @@ def single_grain_step():
     h = (5.0 * g.dx) ** 2
     plan = HeatKernelPlan(g, h)
     chi0 = random_blob(g, seed=3, fill=0.3, smoothing=0.08)
-    chi1, lam = step_volume_preserving(chi0, h, plan=plan)
+    chi1, lam = step_volume_preserving(chi0, convolve(plan, chi0))
     state0 = MultiPhaseState(g, chi0.mask.astype(np.int32), 1)
-    state1, cut = step_grain_growth(state0, equal_tensions(1), h, plan=plan)
+    state1, cut = step_grain_growth(
+        state0, convolve_labels(plan, state0), equal_tensions(1)
+    )
     assert np.count_nonzero(chi1.mask != chi0.mask) == 552
     assert (state1.labels == chi1.mask).all()
     xi = radial_bump_field(g, (0.43, 0.55), 0.22, 0.05)
     return SimpleNamespace(
         chi0=chi0, chi1=chi1, lam=lam, state0=state0, state1=state1, cut=cut,
-        tensions=equal_tensions(1), xi=xi, h=h, plan=plan,
+        tensions=equal_tensions(1), xi=xi, h=h,
     )
 
 
@@ -511,18 +510,18 @@ class TestMultiphaseStationarity:
 
     def test_energy_variation_doubles(self, single_grain_step):
         s = single_grain_step
-        two = first_variation_energy(s.chi1, s.xi, s.h, plan=s.plan)
+        two = first_variation_energy(s.chi1, s.xi, s.h)
         multi = first_variation_energy_multiphase(
-            s.state1, s.tensions, s.xi, s.h, plan=s.plan
+            s.state1, s.tensions, s.xi, s.h
         )
         assert two == pytest.approx(-0.27931, abs=1e-5)
         assert multi == pytest.approx(2.0 * two, rel=1e-12)
 
     def test_dissipation_variation_is_minus_twice(self, single_grain_step):
         s = single_grain_step
-        two = first_variation_dissipation(s.chi1, s.chi0, s.xi, s.h, plan=s.plan)
+        two = first_variation_dissipation(s.chi1, s.chi0, s.xi, s.h)
         multi = first_variation_dissipation_multiphase(
-            s.state1, s.state0, s.tensions, s.xi, s.h, plan=s.plan
+            s.state1, s.state0, s.tensions, s.xi, s.h
         )
         assert two == pytest.approx(-0.79629, abs=1e-5)
         assert multi == pytest.approx(-2.0 * two, rel=1e-12)
@@ -532,9 +531,9 @@ class TestMultiphaseStationarity:
     ):
         s = single_grain_step
         assert s.cut == pytest.approx(1.0 - 2.0 * s.lam, rel=1e-12)
-        two = euler_lagrange_residual(s.chi1, s.chi0, s.lam, s.xi, s.h, plan=s.plan)
+        two = euler_lagrange_residual(s.chi1, s.chi0, s.lam, s.xi, s.h)
         multi = euler_lagrange_residual_grain_growth(
-            s.state1, s.state0, s.cut, s.tensions, s.xi, s.h, plan=s.plan
+            s.state1, s.state0, s.cut, s.tensions, s.xi, s.h
         )
         assert two != 0.0
         assert multi / two == pytest.approx(2.0, rel=1e-10)
@@ -545,9 +544,9 @@ class TestMultiphaseStationarity:
         s = single_grain_step
         zero = RealField(s.chi1.grid, np.zeros(s.chi1.grid.shape))
         forced = euler_lagrange_residual_forced(
-            s.chi1, s.chi0, zero, s.xi, s.h, plan=s.plan
+            s.chi1, s.chi0, zero, s.xi, s.h
         )
-        half = euler_lagrange_residual(s.chi1, s.chi0, 0.5, s.xi, s.h, plan=s.plan)
+        half = euler_lagrange_residual(s.chi1, s.chi0, 0.5, s.xi, s.h)
         assert forced == half
 
 

@@ -72,6 +72,22 @@ def test_check_command_peak_does_not_grow_with_dumps(tmp_path):
     assert abs(peak21 - peak3) < 256 * 256  # one boolean mask
 
 
+def test_sweep_command_peak_does_not_grow_with_horizon(tmp_path):
+    def sweep_command(horizon):
+        cfg = tmp_path / f"sweep{horizon}.cfg"
+        cfg.write_text(
+            BALL_RUN
+            + f"h_list = 4e-3, 2e-3, 1e-3\nT = {horizon}\nout_dir = {tmp_path}/s\n"
+        )
+        return main(["sweep", str(cfg)])
+
+    sweep_command(0.008)  # warm the plan and transform caches
+    code1, peak1 = traced_peak(sweep_command, 0.016)
+    code2, peak2 = traced_peak(sweep_command, 0.032)
+    assert code1 == code2 == 0
+    assert peak2 - peak1 < 256 * 256  # one boolean mask
+
+
 @pytest.fixture(scope="module")
 def many_grains():
     """57 grains in a ball at 128^2, and the bytes of one stack of its p+1

@@ -14,7 +14,7 @@ from mbokit.grid import (
     rasterize_slab,
     voronoi_labels,
 )
-from mbokit.kernel import HeatKernelPlan, ResolutionWarning, convolve_labels
+from mbokit.kernel import HeatKernelPlan, ResolutionWarning, convolve, convolve_labels
 from mbokit.schemes import (
     SchemeConfig,
     SurfaceTensionMatrix,
@@ -176,27 +176,27 @@ class TestStepMbo:
         plan = HeatKernelPlan(grid128, 1e-3)
         small = rasterize_ball(grid128, (0.5, 0.5), 0.15)
         big = rasterize_ball(grid128, (0.5, 0.5), 0.3)
-        out_small = step_mbo(small, 1e-3, plan=plan)
-        out_big = step_mbo(big, 1e-3, plan=plan)
+        out_small = step_mbo(small, convolve(plan, small))
+        out_big = step_mbo(big, convolve(plan, big))
         assert (out_big.mask | ~out_small.mask).all()
 
     def test_ball_shrinks(self, grid128, ball128):
         plan = HeatKernelPlan(grid128, 1e-3)
-        out = step_mbo(ball128, 1e-3, plan=plan)
+        out = step_mbo(ball128, convolve(plan, ball128))
         assert 0 < out.cell_count < ball128.cell_count
 
     def test_slab_is_fixed_point(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
         slab = rasterize_slab(grid128, 0, 0.25, 0.75)
-        out = step_mbo(slab, 1e-3, plan=plan)
+        out = step_mbo(slab, convolve(plan, slab))
         assert (out.mask == slab.mask).all()
 
     def test_translation_equivariance_masks(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
         blob = random_blob(grid128, seed=42)
         rolled = PhaseField(grid128, np.roll(blob.mask, (9, 5), axis=(0, 1)))
-        base = step_mbo(blob, 1e-3, plan=plan)
-        shifted = step_mbo(rolled, 1e-3, plan=plan)
+        base = step_mbo(blob, convolve(plan, blob))
+        shifted = step_mbo(rolled, convolve(plan, rolled))
         assert (np.roll(base.mask, (9, 5), axis=(0, 1)) == shifted.mask).all()
 
 
@@ -206,8 +206,8 @@ class TestStepForced:
 
         plan = HeatKernelPlan(grid128, 1e-3)
         zero = RealField(grid128, np.zeros(grid128.shape))
-        a = step_mbo(ball128, 1e-3, plan=plan)
-        b = step_forced(ball128, zero, 1e-3, plan=plan)
+        a = step_mbo(ball128, convolve(plan, ball128))
+        b = step_forced(ball128, convolve(plan, ball128), zero, 1e-3)
         assert (a.mask == b.mask).all()
 
     def test_positive_force_grows_interface(self, grid128, ball128):
@@ -215,8 +215,8 @@ class TestStepForced:
 
         plan = HeatKernelPlan(grid128, 1e-3)
         f = RealField(grid128, np.full(grid128.shape, 8.0))
-        grown = step_forced(ball128, f, 1e-3, plan=plan)
-        plain = step_mbo(ball128, 1e-3, plan=plan)
+        grown = step_forced(ball128, convolve(plan, ball128), f, 1e-3)
+        plain = step_mbo(ball128, convolve(plan, ball128))
         assert grown.cell_count > plain.cell_count
 
 
@@ -224,7 +224,7 @@ class TestStepVolumePreserving:
     def test_conserves_count_exactly(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
         blob = random_blob(grid128, seed=9)
-        out, lam = step_volume_preserving(blob, 1e-3, plan=plan)
+        out, lam = step_volume_preserving(blob, convolve(plan, blob))
         assert out.cell_count == blob.cell_count
         assert isinstance(lam, float)
 
@@ -232,7 +232,7 @@ class TestStepVolumePreserving:
         # multiplier off-center only by the one-cell quantization
         plan = HeatKernelPlan(grid128, 1e-3)
         slab = rasterize_slab(grid128, 0, 0.25, 0.75)
-        out, lam = step_volume_preserving(slab, 1e-3, plan=plan)
+        out, lam = step_volume_preserving(slab, convolve(plan, slab))
         assert (out.mask == slab.mask).all()
         one_cell = (4.0 * np.pi * 1e-3) ** -0.5 * grid128.dx
         assert abs(lam - 0.5) <= one_cell
@@ -241,8 +241,8 @@ class TestStepVolumePreserving:
         plan = HeatKernelPlan(grid128, 1e-3)
         blob = random_blob(grid128, seed=17)
         rolled = PhaseField(grid128, np.roll(blob.mask, (3, 11), axis=(0, 1)))
-        base, lam_a = step_volume_preserving(blob, 1e-3, plan=plan)
-        shifted, lam_b = step_volume_preserving(rolled, 1e-3, plan=plan)
+        base, lam_a = step_volume_preserving(blob, convolve(plan, blob))
+        shifted, lam_b = step_volume_preserving(rolled, convolve(plan, rolled))
         assert (np.roll(base.mask, (3, 11), axis=(0, 1)) == shifted.mask).all()
         assert lam_a == pytest.approx(lam_b, abs=1e-12)
 
@@ -250,13 +250,13 @@ class TestStepVolumePreserving:
         plan = quiet_plan(grid64, 1e-3)
         empty = PhaseField(grid64, np.zeros(grid64.shape, dtype=bool))
         with pytest.raises(DegeneratePhaseError):
-            step_volume_preserving(empty, 1e-3, plan=plan)
+            step_volume_preserving(empty, convolve(plan, empty))
 
     def test_full_phase_rejected(self, grid64):
         plan = quiet_plan(grid64, 1e-3)
         full = PhaseField(grid64, np.ones(grid64.shape, dtype=bool))
         with pytest.raises(DegeneratePhaseError):
-            step_volume_preserving(full, 1e-3, plan=plan)
+            step_volume_preserving(full, convolve(plan, full))
 
 
 class TestStepGrainGrowth:
@@ -267,7 +267,9 @@ class TestStepGrainGrowth:
             [(0.3, 0.3), (0.7, 0.4), (0.45, 0.75)],
             solid=rasterize_ball(grid128, (0.5, 0.5), 0.35),
         )
-        out, lam = step_grain_growth(state, equal_tensions(3), 1e-3, plan=plan)
+        out, lam = step_grain_growth(
+            state, convolve_labels(plan, state), equal_tensions(3)
+        )
         assert out.solid_cell_count == state.solid_cell_count
 
     def test_single_grain_reduces_to_volume_preserving(self, grid128):
@@ -278,9 +280,9 @@ class TestStepGrainGrowth:
             grid128, blob.mask.astype(np.int32), num_grains=1
         )
         gg_state, lam_gg = step_grain_growth(
-            state, equal_tensions(1), 1e-3, plan=plan
+            state, convolve_labels(plan, state), equal_tensions(1)
         )
-        vp_mask, lam_vp = step_volume_preserving(blob, 1e-3, plan=plan)
+        vp_mask, lam_vp = step_volume_preserving(blob, convolve(plan, blob))
         assert (gg_state.labels.astype(bool) == vp_mask.mask).all()
         assert lam_gg == pytest.approx(1.0 - 2.0 * lam_vp, abs=1e-12)
 
@@ -296,9 +298,7 @@ class TestStepGrainGrowth:
             solid=rasterize_ball(grid128, (0.5, 0.5), 0.3),
         )
         smoothed = convolve_labels(plan, state)
-        out, lam = step_grain_growth(
-            state, tensions, 1e-3, plan=plan, smoothed=smoothed
-        )
+        out, lam = step_grain_growth(state, smoothed, tensions)
         labels, lam_ref = grain_step_reference(state, tensions, smoothed)
         assert np.array_equal(out.labels, labels)
         assert lam == lam_ref
@@ -316,7 +316,7 @@ class TestStepGrainGrowth:
         tensions = SurfaceTensionMatrix(sigma)
         smoothed = [r.integers(0, 5, grid64.shape) / 4.0 for _ in range(p + 1)]
         state = MultiPhaseState(grid64, r.integers(0, p + 1, grid64.shape), p)
-        out, lam = step_grain_growth(state, tensions, 1e-3, smoothed=smoothed)
+        out, lam = step_grain_growth(state, smoothed, tensions)
         labels, lam_ref = grain_step_reference(state, tensions, smoothed)
         assert np.array_equal(out.labels, labels)
         assert lam == lam_ref
@@ -337,8 +337,9 @@ class TestStepGrainGrowth:
         rolled = MultiPhaseState(
             grid128, np.roll(state.labels, (7, 2), axis=(0, 1)), state.num_grains
         )
-        base, _ = step_grain_growth(state, equal_tensions(3), 1e-3, plan=plan)
-        shifted, _ = step_grain_growth(rolled, equal_tensions(3), 1e-3, plan=plan)
+        tensions = equal_tensions(3)
+        base, _ = step_grain_growth(state, convolve_labels(plan, state), tensions)
+        shifted, _ = step_grain_growth(rolled, convolve_labels(plan, rolled), tensions)
         assert (np.roll(base.labels, (7, 2), axis=(0, 1)) == shifted.labels).all()
 
 
