@@ -18,18 +18,18 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .diagnostics import (
-    lagrange_scaling,
+    LedgerWalk,
     ledger_check,
     ledger_report,
+    loglog_slope,
     multiplier_integral,
-    state_energy,
 )
 from .grid import (
     DegeneratePhaseError,
@@ -67,7 +67,21 @@ def _fmt(x: float) -> str:
 
 _SIGMA_KEY = re.compile(r"^sigma\.(\d+)\.(\d+)$")
 
-_SCALAR_KEYS = {
+
+def _point(value: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in value.split())
+
+
+def _float_list(value: str) -> tuple[float, ...]:
+    return tuple(float(tok.strip()) for tok in value.split(",") if tok.strip())
+
+
+def _seed_list(value: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_point(part) for part in value.split(";") if part.strip())
+
+
+# The parser of each key's value; ``sigma.<i>.<j>`` keys parse as floats.
+_KEYS = {
     "scheme": str,
     "init": str,
     "force": str,
@@ -92,10 +106,12 @@ _SCALAR_KEYS = {
     "force_value": float,
     "sigma_default": float,
     "T": float,
+    "ball_center": _point,
+    "ball2_center": _point,
+    "solid_center": _point,
+    "h_list": _float_list,
+    "seeds": _seed_list,
 }
-_POINT_KEYS = {"ball_center", "ball2_center", "solid_center"}
-_LIST_KEYS = {"h_list"}
-_SEED_KEYS = {"seeds"}
 
 
 @dataclass
@@ -140,12 +156,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"line {lineno}: duplicate key '{key}' (first set on line {lines[key]})"
             )
-        if not _known_key(key):
+        parse = _KEYS.get(key, float if _SIGMA_KEY.match(key) else None)
+        if parse is None:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         try:
-            values[key] = _parse_value(key, value)
-        except ConfigError:
-            raise
+            values[key] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
         lines[key] = lineno
@@ -163,35 +178,6 @@ def read_config(path: Path | str) -> ExperimentConfig:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read {path}: {reason}") from exc
     return parse_config(text)
-
-
-def _known_key(key: str) -> bool:
-    return (
-        key in _SCALAR_KEYS
-        or key in _POINT_KEYS
-        or key in _LIST_KEYS
-        or key in _SEED_KEYS
-        or _SIGMA_KEY.match(key) is not None
-    )
-
-
-def _parse_value(key: str, value: str):
-    if key in _SCALAR_KEYS:
-        return _SCALAR_KEYS[key](value)
-    if key in _POINT_KEYS:
-        return tuple(float(tok) for tok in value.split())
-    if key in _LIST_KEYS:
-        return tuple(float(tok.strip()) for tok in value.split(",") if tok.strip())
-    if key in _SEED_KEYS:
-        seeds = []
-        for part in value.split(";"):
-            part = part.strip()
-            if part:
-                seeds.append(tuple(float(tok) for tok in part.split()))
-        return tuple(seeds)
-    if _SIGMA_KEY.match(key):
-        return float(value)
-    raise ConfigError(f"unknown key '{key}'")  # unreachable, _known_key ran first
 
 
 def _validate_sigma_entries(cfg: ExperimentConfig) -> None:
@@ -560,9 +546,11 @@ def cmd_sweep(config_path: str) -> int:
             raise ConfigError(f"T must be positive and finite, got {horizon}")
         if len(h_list) < 3:
             raise ConfigError("h_list needs at least 3 entries")
-        for h in h_list:
+        for k, h in enumerate(h_list):
             if not 0 < h < math.inf:
                 raise ConfigError(f"h_list entry {h} is not positive and finite")
+            if h in h_list[:k]:
+                raise ConfigError(f"h_list repeats {h}")
         if scheme not in ("mbo", "volume_preserving"):
             raise ConfigError(f"sweep supports mbo and volume_preserving, not {scheme}")
         if scheme == "mbo" and cfg.require("init") != "ball":
@@ -574,7 +562,6 @@ def cmd_sweep(config_path: str) -> int:
         return EXIT_CONFIG
 
     rows: list[dict[str, float | int | None]] = []
-    lam_series: list[tuple[float, Sequence[float]]] = []
     try:
         for h in h_list:
             steps = max(1, round(horizon / h))
@@ -582,14 +569,15 @@ def cmd_sweep(config_path: str) -> int:
             stepper, final = Stepper(scheme_cfg, initial), initial
             for final in stepper:  # keep only the newest state
                 pass
+            # a run that stopped early is scored at the horizon steps * h: a
+            # pinned state repeats itself, and an emptied phase stays empty
             records = stepper.records
             row: dict[str, float | int | None] = {"h": h, "steps": len(records)}
             if scheme == "mbo":
-                t_end = len(records) * h
                 measured = _measured_radius(final)
                 try:
                     target = circle_mcf(
-                        float(cfg.require("ball_radius")), t_end, grid.dim
+                        float(cfg.require("ball_radius")), steps * h, grid.dim
                     )
                 except ExtinctionError:
                     target = 0.0
@@ -598,27 +586,14 @@ def cmd_sweep(config_path: str) -> int:
                 row["error"] = abs(measured - target)
             else:
                 lams = [r.lam for r in records]
-                lam_series.append((h, lams))
-                row["M"], row["bad"] = multiplier_integral(h, lams)
+                row["M"], row["bad"] = multiplier_integral(h, lams, steps)
             rows.append(row)
     except (DegeneratePhaseError, EmptyPhaseError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    distinct = sorted({r["h"] for r in rows})
-    slope = None
-    if scheme == "mbo":
-        errs = {r["h"]: r["error"] for r in rows}
-        if len(distinct) >= 3 and all(errs[h] > 0 for h in distinct):
-            slope = float(
-                np.polyfit(np.log(distinct), np.log([errs[h] for h in distinct]), 1)[0]
-            )
-    else:
-        try:
-            report = lagrange_scaling(lam_series)
-            slope = report.slope
-        except ValueError:
-            slope = None
+    fitted = "error" if scheme == "mbo" else "M"
+    slope = loglog_slope(h_list, [row[fitted] for row in rows])
 
     cols = list(rows[0].keys())
     print("  ".join(f"{c:>14}" for c in cols))
@@ -742,7 +717,8 @@ def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
 
 
 def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> int:
-    """Print the interfacial energy of one stored state."""
+    """Print the interfacial energy of one stored state, as a run's
+    :class:`LedgerWalk` takes it."""
     try:
         state, dump_h, _step = read_dump(path)
     except (ValueError, OSError) as exc:
@@ -752,14 +728,15 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
     if not 0 < bandwidth < math.inf:
         print("config error: h must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
-    tensions = None
+    scheme, tensions = "mbo", None
     if isinstance(state, MultiPhaseState):
         try:
-            _, _, tensions = _audit_setup(state.num_grains, config_path)
+            scheme, _, tensions = _audit_setup(state.num_grains, config_path)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    print(_fmt(state_energy(state, bandwidth, tensions=tensions)))
+    scheme_cfg = SchemeConfig(scheme, state.grid, bandwidth, 0, tensions=tensions)
+    print(_fmt(LedgerWalk(scheme_cfg, state).energy))
     return EXIT_OK
 
 

@@ -4,9 +4,9 @@ The thresholding schemes in this package are implicit descent steps for a
 nonlocal interfacial energy.  This module computes that energy and walks
 the per-step energy ledger, whose dissipation it sums over the changed
 cells only.  On top of those it provides audit tools: the scaling
-statistic of the volume multiplier, a support-growth monitor, and inner
-variations of energy and dissipation whose weighted sum is the discrete
-stationarity residual of a step.
+statistic of the volume multiplier and its log-log fit, a support-growth
+monitor, and inner variations of energy and dissipation whose weighted sum
+is the discrete stationarity residual of a step.
 
 All integrals are plain cell sums times the cell volume.  Quantities that
 are exact by construction are checked at tolerances near machine rounding;
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .grid import Grid, MultiPhaseState, PhaseField, RealField
 from .kernel import HeatKernelPlan, convolve, convolve_labels, spectral_divergence
 
 if TYPE_CHECKING:  # only for annotations; no runtime dependency on schemes
-    from .schemes import SchemeConfig, SurfaceTensionMatrix, Trajectory
+    from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
 
 # A step is a "good iteration" when its volume multiplier stays within
 # this band of its resting value (1/2 for two-phase, 0 for grain growth).
@@ -41,7 +41,8 @@ TIGHTNESS_REACH = 0.9538725524089398
 _KERNEL_AT_REACH = float((4.0 * np.pi) ** -0.5 * np.exp(-(TIGHTNESS_REACH**2) / 4.0))
 TIGHTNESS_SLOPE = 1.0 / _KERNEL_AT_REACH
 
-# Ledger slack below -1e-9 times the energy scale counts as a violation.
+# Ledger slack below -1e-9 times the energy scale counts as a violation,
+# as does any ledger value that is not finite.
 LEDGER_RTOL = 1e-9
 
 
@@ -72,31 +73,25 @@ class StepRecord(LedgerRow):
 
     ``lam`` is the selection threshold for volume-preserving steps, the
     score cut for grain growth, and None for plain and forced thresholding.
-    ``curvature_proxy`` rescales the multiplier offset into curvature units.
     """
 
     time: float
     lam: float | None
     bounding_radius: float | None
     good_iteration: bool | None
-    curvature_proxy: float | None = None
 
 
 # ---------------------------------------------------------------------------
 # two-phase energy pieces
 
 
-def energy_two_phase(
-    chi: PhaseField, h: float, *, smoothed: RealField | None = None
-) -> float:
+def energy_two_phase(chi: PhaseField, smoothed: RealField, h: float) -> float:
     """Interfacial energy (1/sqrt h) * integral of (1-chi) G_h chi.
 
-    Scales like perimeter / sqrt(pi) once the interface is resolved; a flat
-    interface contributes exactly 1/sqrt(pi) per unit length in the limit.
-    Pass ``smoothed`` if the convolution of ``chi`` is already available.
+    ``smoothed`` is G_h chi, as :func:`convolve` returns it.  Scales like
+    perimeter / sqrt(pi) once the interface is resolved; a flat interface
+    contributes exactly 1/sqrt(pi) per unit length in the limit.
     """
-    if smoothed is None:
-        smoothed = convolve(HeatKernelPlan(chi.grid, h), chi)
     return _cellsum(chi.grid, ~chi.mask * smoothed.values) / math.sqrt(h)
 
 
@@ -123,21 +118,19 @@ def tension_rows(ext: np.ndarray, fields: Sequence[np.ndarray]):
 
 def energy_multiphase(
     state: MultiPhaseState,
-    tensions: "SurfaceTensionMatrix",
+    smoothed: Sequence[np.ndarray],
     h: float,
-    *,
-    smoothed: Sequence[np.ndarray] | None = None,
+    tensions: "SurfaceTensionMatrix",
 ) -> float:
     """Weighted interfacial energy of a vapor/grain partition.
 
-    Grain pairs are weighted by their surface tension; the vapor boundary
-    carries weight 1, entering twice because the functional sums both
-    orientations of that interface.
+    ``smoothed`` holds the smoothed indicators, vapor first, as
+    :func:`convolve_labels` returns them.  Grain pairs are weighted by their
+    surface tension; the vapor boundary carries weight 1, entering twice
+    because the functional sums both orientations of that interface.
     """
     if tensions.num_grains != state.num_grains:
         raise ValueError("tension matrix size does not match state")
-    if smoothed is None:
-        smoothed = convolve_labels(HeatKernelPlan(state.grid, h), state)
     p = state.num_grains
     labels = state.labels.ravel()
     # overlap[i, j] = sum over cells of label i of smoothed label j
@@ -147,19 +140,6 @@ def energy_multiphase(
     grain_part = float(np.sum(tensions.sigma * overlap[1:, 1:]))
     vapor_part = 2.0 * float(np.sum(overlap[1:, 0]))
     return (grain_part + vapor_part) * state.grid.cell_volume / math.sqrt(h)
-
-
-def state_energy(
-    state: PhaseField | MultiPhaseState,
-    h: float,
-    *,
-    tensions: "SurfaceTensionMatrix | None" = None,
-    smoothed=None,
-) -> float:
-    """Energy of a two-phase state, or of a partition under ``tensions``."""
-    if isinstance(state, MultiPhaseState):
-        return energy_multiphase(state, tensions, h, smoothed=smoothed)
-    return energy_two_phase(state, h, smoothed=smoothed)
 
 
 def state_difference(a: MultiPhaseState, b: MultiPhaseState) -> np.ndarray:
@@ -189,11 +169,12 @@ class LedgerWalk:
 
     Holds the newest ``state``, its clamped smoothed fields ``smoothed``
     (as :func:`convolve` or :func:`convolve_labels` returns them, which a
-    step map reads) and its ``energy``.  :meth:`advance` moves to the next
-    state and returns the step's row.  Runs and audits both walk their
-    states through here, so an audit of untouched states reproduces the
-    run's rows bit for bit, and at most two states and one set of smoothed
-    fields are alive.
+    step map reads) and its ``energy`` (:func:`energy_two_phase` or, for
+    grain growth, :func:`energy_multiphase` of those fields).
+    :meth:`advance` moves to the next state and returns the step's row.
+    Runs and audits both walk their states through here, so an audit of
+    untouched states reproduces the run's rows bit for bit, and at most two
+    states and one set of smoothed fields are alive.
     """
 
     def __init__(
@@ -201,12 +182,14 @@ class LedgerWalk:
     ) -> None:
         self.config = config
         self.plan = HeatKernelPlan(config.grid, config.h)
-        self._smooth = convolve_labels if config.scheme == "grain_growth" else convolve
+        if config.scheme == "grain_growth":
+            self._smooth = convolve_labels
+            self._energy = partial(energy_multiphase, tensions=config.tensions)
+        else:
+            self._smooth, self._energy = convolve, energy_two_phase
         self.state = state
         self.smoothed = self._smooth(self.plan, state)
-        self.energy = state_energy(
-            state, config.h, tensions=config.tensions, smoothed=self.smoothed
-        )
+        self.energy = self._energy(state, self.smoothed, config.h)
         self.changed = np.empty(0, dtype=np.intp)
 
     def advance(
@@ -238,7 +221,7 @@ class LedgerWalk:
             before = self.smoothed.values.ravel()[cells]
         self.smoothed = None  # drop the old fields before smoothing cur
         self.smoothed = smoothed = self._smooth(self.plan, cur)
-        energy = state_energy(cur, h, tensions=cfg.tensions, smoothed=smoothed)
+        energy = self._energy(cur, smoothed, h)
         products = np.zeros(grid.total_cells)
         transfer = 0.0
         if multiphase:
@@ -268,12 +251,20 @@ class LedgerWalk:
 
 
 def ledger_report(rows: Sequence[LedgerRow]) -> LedgerReport:
-    """Verdict on ledger rows: a slack below -LEDGER_RTOL times the initial
-    energy (or times 1, if that is larger) is a violation."""
+    """Verdict on ledger rows: a row is a violation when its slack is below
+    -LEDGER_RTOL times the initial energy (or times 1, if that is larger or
+    the initial energy is not finite), or when any of its energies,
+    dissipation, transfer or slack is not finite."""
     if not rows:
         return LedgerReport((), True, None, 0.0)
-    tol = LEDGER_RTOL * max(1.0, abs(rows[0].energy_before))
-    first = next((r.step for r in rows if r.slack < -tol), None)
+    e0 = abs(rows[0].energy_before)
+    tol = LEDGER_RTOL * (max(1.0, e0) if math.isfinite(e0) else 1.0)
+
+    def violated(r: LedgerRow) -> bool:
+        values = (r.energy_before, r.energy_after, r.dissipation, r.transfer, r.slack)
+        return not all(map(math.isfinite, values)) or r.slack < -tol
+
+    first = next((r.step for r in rows if violated(r)), None)
     return LedgerReport(tuple(rows), first is None, first, tol)
 
 
@@ -304,52 +295,30 @@ def ledger_check(
     return ledger_report(rows)
 
 
-@dataclass(frozen=True)
-class LagrangeScalingReport:
-    h_values: tuple[float, ...]
-    m_values: tuple[float, ...]
-    bad_counts: tuple[int, ...]
-    slope: float | None
-
-
-def multiplier_integral(h: float, lams: Sequence[float]) -> tuple[float, int]:
-    """M(h) of one run and its number of bad iterations.
+def multiplier_integral(
+    h: float, lams: Sequence[float], steps: int
+) -> tuple[float, int]:
+    """M(h) of one run over ``steps`` steps and its number of bad iterations.
 
     M(h) = h * sum over steps of (lambda_n - 1/2)^2 is a discrete time
     integral of the squared multiplier offset; a bad iteration is a step
-    with offset at least GOOD_ITERATION_BAND.
+    with offset at least GOOD_ITERATION_BAND.  A run that pinned before
+    ``steps`` repeats its last state, and with it its last multiplier, so
+    ``lams`` is padded with its last entry up to ``steps`` entries.
     """
+    lams = list(lams)
+    lams += lams[-1:] * (steps - len(lams))
     offsets = np.asarray([lam - 0.5 for lam in lams], dtype=np.float64)
     m = float(h * np.sum(offsets**2))
     return m, int(np.count_nonzero(np.abs(offsets) >= GOOD_ITERATION_BAND))
 
 
-def lagrange_scaling(
-    series: Sequence[tuple[float, Sequence[float]]]
-) -> LagrangeScalingReport:
-    """Scaling statistic of the volume multiplier across bandwidths.
-
-    For each run, M(h) and the count of bad iterations come from
-    :func:`multiplier_integral`.  The report carries the least-squares
-    slope of log M against log h (None when some M vanishes) and the
-    per-run counts.
-    """
-    if len(series) < 3:
-        raise ValueError("need at least 3 bandwidths for a scaling fit")
-    hs, ms, bads = [], [], []
-    for h, lams in series:
-        if not h > 0:
-            raise ValueError(f"bandwidth must be positive, got {h}")
-        m, bad = multiplier_integral(h, lams)
-        hs.append(float(h))
-        ms.append(m)
-        bads.append(bad)
-    if len(set(hs)) < 3:
-        raise ValueError("need at least 3 distinct bandwidths")
-    slope = None
-    if all(m > 0 for m in ms):
-        slope = float(np.polyfit(np.log(hs), np.log(ms), 1)[0])
-    return LagrangeScalingReport(tuple(hs), tuple(ms), tuple(bads), slope)
+def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
+    """Least-squares slope of log y against log x; None unless every y is
+    positive."""
+    if not all(y > 0 for y in ys):
+        return None
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -366,7 +335,7 @@ class TightnessReport:
         return not (self.good_violations or self.tripling_violations)
 
 
-def tightness_monitor(trajectory: "Trajectory") -> TightnessReport:
+def tightness_monitor(stepper: "Stepper") -> TightnessReport:
     """Check how fast the support radius grows, step by step.
 
     On good iterations the radius may grow by at most the smaller of
@@ -374,16 +343,17 @@ def tightness_monitor(trajectory: "Trajectory") -> TightnessReport:
     - 1/2|`` (the half-space comparison yields both); any iteration may at
     worst triple it.  Grid quantization gets one cell diagonal of
     allowance.  This is a monitor: violations are reported, never raised.
+    ``stepper`` is a :class:`Stepper` that has run.
     """
-    cfg = trajectory.config
-    records = trajectory.records
+    cfg = stepper.config
+    records = stepper.records
     if any(r.lam is None or r.bounding_radius is None for r in records):
         raise ValueError("tightness monitor needs recorded lambda and radius")
     sqrt_h = math.sqrt(cfg.h)
     allowance = math.sqrt(cfg.grid.dim) * cfg.grid.dx
     good_bad: list[int] = []
     tripling_bad: list[int] = []
-    prev_radius = trajectory.initial_radius
+    prev_radius = stepper.initial_radius
     for rec in records:
         growth = rec.bounding_radius - prev_radius
         offset = abs(rec.lam - 0.5)
@@ -615,32 +585,3 @@ def euler_lagrange_residual_grain_growth(
         - first_variation_dissipation_multiphase(state1, state0, tensions, xi, h)
         - volume_term
     )
-
-
-# ---------------------------------------------------------------------------
-# bandwidth comparison
-
-
-@dataclass(frozen=True)
-class MonotonicityCheck:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def approx_monotonicity_check(
-    chi: PhaseField, h: float, h0: float
-) -> MonotonicityCheck:
-    """Check E_h >= (sqrt h0 / (sqrt h + sqrt h0))^(d+1) E_h0 for h <= h0.
-
-    The energy is almost monotone under bandwidth refinement; the prefactor
-    approaches 1/2^(d+1) at h = h0 and 1 as h -> 0.  Passing tolerance is
-    a relative 1e-6 on the right-hand side.
-    """
-    if not 0 < h <= h0:
-        raise ValueError(f"need 0 < h <= h0, got h={h}, h0={h0}")
-    d = chi.grid.dim
-    lhs = energy_two_phase(chi, h)
-    factor = (math.sqrt(h0) / (math.sqrt(h) + math.sqrt(h0))) ** (d + 1)
-    rhs = factor * energy_two_phase(chi, h0)
-    return MonotonicityCheck(lhs, rhs, lhs >= rhs * (1.0 - 1e-6))

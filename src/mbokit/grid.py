@@ -136,9 +136,6 @@ class PhaseField:
     def cell_count(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def complement(self) -> "PhaseField":
-        return PhaseField(self.grid, ~self.mask)
-
     def as_float(self) -> np.ndarray:
         return self.mask.astype(np.float64)
 
@@ -228,26 +225,6 @@ def rasterize_ball(grid: Grid, center: Sequence[float], radius: float) -> PhaseF
         )
     d2 = grid.periodic_distance_sq(center)
     return PhaseField(grid, d2 < radius * radius)
-
-
-def rasterize_half_space(
-    grid: Grid, axis: int, offset: float, sign: int = 1
-) -> PhaseField:
-    """Axis-aligned slab cut from the torus at the given offset.
-
-    With ``sign=+1`` the occupied cells are those with center coordinate
-    below ``offset`` along ``axis``; with ``sign=-1`` those at or above.
-    On the torus this is a slab with one interface at the offset and the
-    other at the periodic seam (coordinate 0, identified with the side).
-    ``offset = side`` (sign +1) fills the torus, ``offset = 0`` empties it.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not 0 <= offset <= grid.side:
-        raise ValueError(f"offset {offset} outside [0, {grid.side}]")
-    x = grid.coordinate(axis)
-    mask = x < offset if sign == 1 else x >= offset
-    return PhaseField(grid, np.broadcast_to(mask, grid.shape))
 
 
 def rasterize_slab(grid: Grid, axis: int, lo: float, hi: float) -> PhaseField:
@@ -402,11 +379,6 @@ def _select_cells(
 
 # ---------------------------------------------------------------------------
 # measurements
-
-
-def volume(field: PhaseField) -> float:
-    """Occupied volume, exact cell count times cell volume."""
-    return field.cell_count * field.grid.cell_volume
 
 
 def bounding_radius(field: PhaseField, center: Sequence[float]) -> float:

@@ -20,7 +20,8 @@ fields, which ``diagnostics.LedgerWalk`` computes once per state:
 ``Stepper`` iterates a step map one state at a time, recording the energy
 ledger (walked by ``diagnostics.LedgerWalk``), thresholds, and support
 radii per step, and stops early when the state freezes or a phase
-disappears; ``run`` collects its states into a ``Trajectory``.
+disappears.  It is the only driver: a caller that wants every state
+collects them, ``states = [initial, *stepper]``.
 """
 
 from __future__ import annotations
@@ -42,14 +43,7 @@ from .grid import (
     centroid,
 )
 from .threshold import select_bottom_cells, select_top_cells
-from .diagnostics import (
-    GOOD_ITERATION_BAND,
-    LedgerReport,
-    LedgerWalk,
-    StepRecord,
-    ledger_report,
-    tension_rows,
-)
+from .diagnostics import GOOD_ITERATION_BAND, LedgerWalk, StepRecord, tension_rows
 
 SCHEMES = ("mbo", "volume_preserving", "forced", "grain_growth")
 
@@ -158,34 +152,6 @@ class SchemeConfig:
             raise ValueError("grain growth needs a surface tension matrix")
         if self.scheme != "grain_growth" and self.tensions is not None:
             raise ValueError(f"scheme {self.scheme!r} does not take tensions")
-
-
-@dataclass
-class Trajectory:
-    """States and per-step records of one run.
-
-    ``states`` holds the initial state plus one state per executed step;
-    ``status`` is "completed", "pinned" (state repeated exactly), or
-    "extinct" (the phase emptied).
-    """
-
-    config: SchemeConfig
-    states: list
-    records: list[StepRecord]
-    status: str
-    initial_radius: float
-
-    @property
-    def ledger(self) -> LedgerReport:
-        """Pass/fail verdict on the run's own ledger rows, the records."""
-        return ledger_report(self.records)
-
-    @property
-    def lambdas(self) -> list[float]:
-        return [r.lam for r in self.records if r.lam is not None]
-
-    def final(self):
-        return self.states[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +275,7 @@ class Stepper:
             warnings.warn(
                 f"initial support radius {self.initial_radius:.3g} exceeds "
                 f"{WRAP_RADIUS_FRACTION:.0%} of the side; periodic images interact",
-                stacklevel=3,
+                stacklevel=2,
             )
         walk = LedgerWalk(config, initial)
         self.initial_energy = walk.energy
@@ -323,13 +289,11 @@ class Stepper:
         # old fields die inside walk.advance before the new ones are made
         config = self.config
         grid, h = config.grid, config.h
-        sqrt_h = math.sqrt(h)
         wrap_warned = self.initial_radius > WRAP_RADIUS_FRACTION * grid.side
         for n in range(1, config.steps + 1):
             t = n * h
             lam: float | None = None
             good: bool | None = None
-            proxy: float | None = None
             force_now: RealField | None = None
 
             if config.scheme == "grain_growth":
@@ -345,7 +309,6 @@ class Stepper:
             else:
                 new_state, lam = step_volume_preserving(walk.state, walk.smoothed)
                 good = abs(lam - 0.5) < GOOD_ITERATION_BAND
-                proxy = -math.sqrt(math.pi) * (2.0 * lam - 1.0) / sqrt_h
             row = walk.advance(n, new_state, force_now)
 
             new_solid = _solid_of(new_state)
@@ -367,7 +330,6 @@ class Stepper:
                     lam=lam,
                     bounding_radius=radius,
                     good_iteration=good,
-                    curvature_proxy=proxy,
                 )
             )
             if new_solid.cell_count == 0:
@@ -380,18 +342,34 @@ class Stepper:
         self.status = "completed"
 
 
-def run(config: SchemeConfig, initial) -> Trajectory:
-    """Iterate the configured scheme, recording a ledger row per step.
 
-    Collects every state of a :class:`Stepper` (which see for the early
-    stops and the support-radius warning) into a :class:`Trajectory`.
+# ---------------------------------------------------------------------------
+# bandwidth comparison
+
+
+@dataclass(frozen=True)
+class MonotonicityCheck:
+    lhs: float
+    rhs: float
+    passed: bool
+
+
+def approx_monotonicity_check(
+    chi: PhaseField, h: float, h0: float
+) -> MonotonicityCheck:
+    """Check E_h >= (sqrt h0 / (sqrt h + sqrt h0))^(d+1) E_h0 for h <= h0.
+
+    The energy is almost monotone under bandwidth refinement; the prefactor
+    approaches 1/2^(d+1) at h = h0 and 1 as h -> 0.  Passing tolerance is
+    a relative 1e-6 on the right-hand side.  Both energies are the ones a
+    plain run's :class:`LedgerWalk` takes of ``chi``.
     """
-    stepper = Stepper(config, initial)
-    states = [initial, *stepper]
-    return Trajectory(
-        config,
-        states,
-        stepper.records,
-        stepper.status,
-        stepper.initial_radius,
+    if not 0 < h <= h0:
+        raise ValueError(f"need 0 < h <= h0, got h={h}, h0={h0}")
+    d = chi.grid.dim
+    lhs, energy_h0 = (
+        LedgerWalk(SchemeConfig("mbo", chi.grid, b, 0), chi).energy for b in (h, h0)
     )
+    factor = (math.sqrt(h0) / (math.sqrt(h) + math.sqrt(h0))) ** (d + 1)
+    rhs = factor * energy_h0
+    return MonotonicityCheck(lhs, rhs, lhs >= rhs * (1.0 - 1e-6))

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from mbokit.diagnostics import (
-    approx_monotonicity_check,
     constant_vector_field,
     energy_two_phase,
     euler_lagrange_residual,
-    lagrange_scaling,
     ledger_check,
+    loglog_slope,
+    multiplier_integral,
     radial_bump_field,
 )
 from mbokit.grid import (
@@ -42,8 +42,9 @@ from mbokit.kernel import HeatKernelPlan, convolve, convolve_labels
 from mbokit.oracles import circle_mcf, junction_angles, solve_two_ball_vp
 from mbokit.schemes import (
     SchemeConfig,
+    Stepper,
+    approx_monotonicity_check,
     equal_tensions,
-    run,
     step_grain_growth,
     step_volume_preserving,
 )
@@ -133,7 +134,7 @@ def matrix():
                     steps=MATRIX_STEPS,
                     force=f2 if scheme == "forced" else None,
                 )
-                runs.append((f"{scheme}:{name}:h={h}", scheme, run(cfg, chi)))
+                runs.append((f"{scheme}:{name}:h={h}", scheme, cfg, chi))
         for name, state in states.items():
             cfg = SchemeConfig(
                 scheme="grain_growth",
@@ -142,17 +143,17 @@ def matrix():
                 steps=MATRIX_STEPS,
                 tensions=equal_tensions(state.num_grains),
             )
-            runs.append((f"grain_growth:{name}:h={h}", "grain_growth", run(cfg, state)))
-    reports = [
-        (name, scheme, traj, ledger_check(traj.config, traj.states))
-        for name, scheme, traj in runs
-    ]
+            runs.append((f"grain_growth:{name}:h={h}", "grain_growth", cfg, state))
+    reports = []
+    for name, scheme, cfg, initial in runs:
+        states = [initial, *Stepper(cfg, initial)]
+        reports.append((name, scheme, states, ledger_check(cfg, states)))
     return reports
 
 
 def test_c01_per_step_energy_ledger(matrix):
     worst = math.inf
-    for name, _scheme, _traj, report in matrix:
+    for name, _scheme, _states, report in matrix:
         e0 = report.rows[0].energy_before
         bound = -1e-9 * e0
         min_slack = min(row.slack for row in report.rows)
@@ -168,11 +169,11 @@ def test_c01_per_step_energy_ledger(matrix):
 
 def test_c02_volume_bit_constant(matrix):
     checked = 0
-    for name, scheme, traj, _report in matrix:
+    for name, scheme, states, _report in matrix:
         if scheme == "volume_preserving":
-            counts = {s.cell_count for s in traj.states}
+            counts = {s.cell_count for s in states}
         elif scheme == "grain_growth":
-            counts = {int((s.labels > 0).sum()) for s in traj.states}
+            counts = {int((s.labels > 0).sum()) for s in states}
         else:
             continue
         assert len(counts) == 1, f"C2 FAIL: {name} counts vary: {sorted(counts)}"
@@ -187,13 +188,11 @@ def test_c03_plain_circle_law():
     # satisfies the rule, with identical checkpoint times and radii targets.
     g = Grid(dim=2, n=512)
     h, steps = 2.5e-4, 40
-    traj = run(
-        SchemeConfig(scheme="mbo", grid=g, h=h, steps=steps),
-        rasterize_ball(g, (0.5, 0.5), 0.3),
-    )
+    ball = rasterize_ball(g, (0.5, 0.5), 0.3)
+    states = [ball, *Stepper(SchemeConfig(scheme="mbo", grid=g, h=h, steps=steps), ball)]
     worst = 0.0
     for k in range(4, steps + 1, 4):
-        r = area_radius(traj.states[k])
+        r = area_radius(states[k])
         target = circle_mcf(0.3, k * h, 2)
         worst = max(worst, abs(r - target) / target)
     assert worst <= 0.03, f"C3 FAIL: checkpoint error {worst:.3%}"
@@ -204,11 +203,9 @@ def test_c03_plain_circle_law():
     hs = (4e-3, 2e-3, 1e-3)
     t_end = 0.032
     for h in hs:
-        traj = run(
-            SchemeConfig(scheme="mbo", grid=g, h=h, steps=round(t_end / h)),
-            rasterize_ball(g, (0.5, 0.5), 0.3),
-        )
-        errs.append(abs(area_radius(traj.final()) - circle_mcf(0.3, t_end, 2)))
+        cfg = SchemeConfig(scheme="mbo", grid=g, h=h, steps=round(t_end / h))
+        final = [ball, *Stepper(cfg, ball)][-1]
+        errs.append(abs(area_radius(final) - circle_mcf(0.3, t_end, 2)))
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     assert slope >= 0.8, f"C3 FAIL: observed order {slope:.3f} < 0.8"
     print(
@@ -220,13 +217,14 @@ def test_c03_plain_circle_law():
 def test_c04_volume_preserving_stationary_ball():
     g = Grid(dim=2, n=512)
     ball = rasterize_ball(g, (0.5, 0.5), 0.25)
-    traj = run(
+    stepper = Stepper(
         SchemeConfig(scheme="volume_preserving", grid=g, h=1e-4, steps=100), ball
     )
+    states = [ball, *stepper]
     # a pinned state is a fixed point of the step map, so an early stop
     # covers the remaining step budget exactly
-    assert traj.status in ("completed", "pinned")
-    first, last = traj.states[0], traj.states[-1]
+    assert stepper.status in ("completed", "pinned")
+    first, last = states[0], states[-1]
     radius_drift = abs(area_radius(last) - area_radius(first))
     shape_drift = abs(
         bounding_radius(last, (0.5, 0.5)) - bounding_radius(first, (0.5, 0.5))
@@ -238,7 +236,7 @@ def test_c04_volume_preserving_stationary_ball():
             for a, b in zip(c0, c1)
         )
     )
-    lams = traj.lambdas
+    lams = [r.lam for r in stepper.records]
     assert radius_drift <= 2 * g.dx, f"C4 FAIL: radius drift {radius_drift:.2e}"
     assert shape_drift <= 2 * g.dx, f"C4 FAIL: shape drift {shape_drift:.2e}"
     assert centroid_drift <= g.dx, f"C4 FAIL: centroid drift {centroid_drift:.2e}"
@@ -255,22 +253,21 @@ def test_c04_volume_preserving_stationary_ball():
 def test_c05_two_ball_ripening():
     n, h, steps = 160, 6.4e-4, 39
     g = Grid(dim=2, n=n)
-    traj = run(
-        SchemeConfig(scheme="volume_preserving", grid=g, h=h, steps=steps),
-        two_ball_field(g),
-    )
+    initial = two_ball_field(g)
+    cfg = SchemeConfig(scheme="volume_preserving", grid=g, h=h, steps=steps)
+    states = [initial, *Stepper(cfg, initial)]
     oracle = solve_two_ball_vp(0.20, 0.12, [k * h for k in range(steps + 1)])
     right = np.broadcast_to(g.coordinate(0) >= 0.56, g.shape)
     cutoff = 6.0 * g.dx
     worst, checked = 0.0, 0
-    for k in range(1, len(traj.states)):
+    for k in range(1, len(states)):
         # track until the oracle's small radius reaches the cutoff; the one
         # step that straddles the cutoff time has no full step inside the
         # window and is excluded (see the decisions ledger)
         if oracle.r2[k] <= cutoff or oracle.r2[min(k + 1, steps)] <= cutoff:
             continue
-        small_count = int(traj.states[k].mask[right].sum())
-        big_count = traj.states[k].cell_count - small_count
+        small_count = int(states[k].mask[right].sum())
+        big_count = states[k].cell_count - small_count
         r_big = math.sqrt(big_count * g.cell_volume / math.pi)
         r_small = math.sqrt(small_count * g.cell_volume / math.pi)
         rel = max(
@@ -281,9 +278,9 @@ def test_c05_two_ball_ripening():
         checked += 1
     assert checked >= 20, f"C5 FAIL: tracking window too short ({checked} steps)"
     assert worst <= 0.05, f"C5 FAIL: oracle deviation {worst:.3%}"
-    totals = {s.cell_count for s in traj.states}
+    totals = {s.cell_count for s in states}
     assert len(totals) == 1, f"C5 FAIL: total count varies: {sorted(totals)}"
-    final_small = int(traj.states[-1].mask[right].sum())
+    final_small = int(states[-1].mask[right].sum())
     assert final_small == 0, f"C5 FAIL: small ball survives ({final_small} cells)"
     print(
         f"C5 PASS: within {worst:.2%} of the two-ball oracle over {checked} "
@@ -299,26 +296,25 @@ def test_c06_forced_scheme():
         rasterize_ball(g, (0.5, 0.5), 0.3),
         random_blob(g, seed=3, fill=0.3, smoothing=0.04),
     ):
-        plain = run(SchemeConfig(scheme="mbo", grid=g, h=1e-3, steps=10), chi)
-        forced = run(
-            SchemeConfig(scheme="forced", grid=g, h=1e-3, steps=10, force=zero), chi
+        plain_cfg = SchemeConfig(scheme="mbo", grid=g, h=1e-3, steps=10)
+        plain = [chi, *Stepper(plain_cfg, chi)]
+        forced_cfg = SchemeConfig(
+            scheme="forced", grid=g, h=1e-3, steps=10, force=zero
         )
-        assert len(plain.states) == len(forced.states) and all(
-            np.array_equal(a.mask, b.mask)
-            for a, b in zip(plain.states, forced.states)
+        forced = [chi, *Stepper(forced_cfg, chi)]
+        assert len(plain) == len(forced) and all(
+            np.array_equal(a.mask, b.mask) for a, b in zip(plain, forced)
         ), "C6 FAIL: zero-force run differs from plain run"
 
     # (b) flat interface moves at speed f; f*h is exactly one cell here
     g128 = Grid(dim=2, n=128)
     h, f, steps = 1.0 / 512.0, 4.0, 20
     slab = rasterize_slab(g128, 0, 0.25, 0.75)
-    traj = run(
-        SchemeConfig(
-            scheme="forced", grid=g128, h=h, steps=steps, force=constant_force(f)
-        ),
-        slab,
+    cfg = SchemeConfig(
+        scheme="forced", grid=g128, h=h, steps=steps, force=constant_force(f)
     )
-    grown = (traj.final().cell_count - slab.cell_count) * g128.cell_volume
+    final = [slab, *Stepper(cfg, slab)][-1]
+    grown = (final.cell_count - slab.cell_count) * g128.cell_volume
     speed = grown / (2.0 * steps * h)  # two faces advance
     assert abs(speed - f) <= 0.1 * f, f"C6 FAIL: face speed {speed:.3f} vs {f}"
 
@@ -326,13 +322,11 @@ def test_c06_forced_scheme():
     drifts = {}
     for r0 in (0.275, 0.225):
         chi = rasterize_ball(g, (0.5, 0.5), r0)
-        traj = run(
-            SchemeConfig(
-                scheme="forced", grid=g, h=1e-3, steps=20, force=constant_force(4.0)
-            ),
-            chi,
+        cfg = SchemeConfig(
+            scheme="forced", grid=g, h=1e-3, steps=20, force=constant_force(4.0)
         )
-        drifts[r0] = traj.final().cell_count - chi.cell_count
+        final = [chi, *Stepper(cfg, chi)][-1]
+        drifts[r0] = final.cell_count - chi.cell_count
     assert drifts[0.275] > 0, f"C6 FAIL: ball above R* shrank ({drifts[0.275]})"
     assert drifts[0.225] < 0, f"C6 FAIL: ball below R* grew ({drifts[0.225]})"
     print(
@@ -345,29 +339,31 @@ def test_c07_multiplier_scaling():
     g = Grid(dim=2, n=512)
     ball = rasterize_ball(g, (0.5, 0.5), 0.3)
     t_end = 0.01
-    series = []
-    for h in (4e-4, 1e-4, 2.5e-5):
+    hs = (4e-4, 1e-4, 2.5e-5)
+    m_values, bad_counts = [], []
+    for h in hs:
         steps = round(t_end / h)
-        traj = run(
+        stepper = Stepper(
             SchemeConfig(scheme="volume_preserving", grid=g, h=h, steps=steps), ball
         )
-        lams = list(traj.lambdas)
-        if len(lams) < steps:
-            # a pinned run repeats its last state, and with it its multiplier
-            assert traj.status == "pinned"
-            lams.extend([lams[-1]] * (steps - len(lams)))
-        series.append((h, lams))
-    report = lagrange_scaling(series)
-    assert report.slope is not None and report.slope >= 0.8, (
-        f"C7 FAIL: multiplier scaling slope {report.slope}"
+        list(stepper)
+        if len(stepper.records) < steps:
+            # a pinned run repeats its last state, and with it its multiplier,
+            # which multiplier_integral pads up to the step budget
+            assert stepper.status == "pinned"
+        lams = [r.lam for r in stepper.records]
+        m, bad = multiplier_integral(h, lams, steps)
+        m_values.append(m)
+        bad_counts.append(bad)
+    slope = loglog_slope(hs, m_values)
+    assert slope is not None and slope >= 0.8, (
+        f"C7 FAIL: multiplier scaling slope {slope}"
     )
-    assert all(b == 0 for b in report.bad_counts), (
-        f"C7 FAIL: bad iterations {report.bad_counts}"
-    )
-    ms = ", ".join(f"{m:.2e}" for m in report.m_values)
+    assert all(b == 0 for b in bad_counts), f"C7 FAIL: bad iterations {bad_counts}"
+    ms = ", ".join(f"{m:.2e}" for m in m_values)
     print(
-        f"C7 PASS: M(h) = ({ms}) over h = {report.h_values}, "
-        f"slope {report.slope:.2f}, zero bad iterations"
+        f"C7 PASS: M(h) = ({ms}) over h = {hs}, "
+        f"slope {slope:.2f}, zero bad iterations"
     )
 
 
@@ -393,31 +389,30 @@ def test_c08_grain_growth(matrix):
 
     # (b) equal tensions relax a brick-wall junction to 120 degrees
     g = Grid(dim=2, n=256)
-    traj = run(
-        SchemeConfig(
-            scheme="grain_growth", grid=g, h=1e-3, steps=60, tensions=equal_tensions(3)
-        ),
-        brick_wall(g),
+    brick_cfg = SchemeConfig(
+        scheme="grain_growth", grid=g, h=1e-3, steps=60, tensions=equal_tensions(3)
     )
+    brick = brick_wall(g)
+    brick_states = [brick, *Stepper(brick_cfg, brick)]
     window = ((1.0 / 3.0 - 0.08, 0.42), (1.0 / 3.0 + 0.08, 0.58))
-    angles = junction_angles(traj.final(), window)
+    angles = junction_angles(brick_states[-1], window)
     worst_angle = max(abs(a - 120.0) for a in angles)
     assert worst_angle <= 5.0, f"C8 FAIL: junction angles {angles}"
 
     # (c) recomputed dissipation nonnegative, (d) solid count exact,
     # across every grain-growth run in the shared matrix plus this one
     gg_reports = [
-        (name, traj, rep)
-        for name, scheme, traj, rep in matrix
+        (name, states, rep)
+        for name, scheme, states, rep in matrix
         if scheme == "grain_growth"
     ]
-    brick_report = ledger_check(traj.config, traj.states)
-    gg_reports.append(("brick-relaxation", traj, brick_report))
-    for name, gtraj, rep in gg_reports:
+    brick_report = ledger_check(brick_cfg, brick_states)
+    gg_reports.append(("brick-relaxation", brick_states, brick_report))
+    for name, states, rep in gg_reports:
         assert all(row.dissipation >= 0.0 for row in rep.rows), (
             f"C8 FAIL: negative dissipation in {name}"
         )
-        counts = {int((s.labels > 0).sum()) for s in gtraj.states}
+        counts = {int((s.labels > 0).sum()) for s in states}
         assert len(counts) == 1, f"C8 FAIL: solid count varies in {name}"
     print(
         f"C8 PASS: single-grain reduction exact (multiplier gap "
@@ -434,7 +429,8 @@ def test_c09_energy_calibration():
     exact = 2.0 / math.sqrt(math.pi)  # two faces of unit length
     worst_flat = 0.0
     for h in (1e-4, 2.5e-4, 5e-4, 1e-3):
-        rel = abs(energy_two_phase(slab, h) - exact) / exact
+        energy = energy_two_phase(slab, convolve(HeatKernelPlan(g, h), slab), h)
+        rel = abs(energy - exact) / exact
         worst_flat = max(worst_flat, rel)
     assert worst_flat <= 1e-3, f"C9 FAIL: flat energy off by {worst_flat:.2e}"
 
@@ -444,7 +440,10 @@ def test_c09_energy_calibration():
     g = Grid(dim=2, n=512)
     ball = rasterize_ball(g, (0.5, 0.5), 0.25)
     limit = 2.0 * math.pi * 0.25 / math.sqrt(math.pi)
-    gaps = [limit - energy_two_phase(ball, h) for h in (1.6e-3, 4e-4, 1e-4)]
+    gaps = [
+        limit - energy_two_phase(ball, convolve(HeatKernelPlan(g, h), ball), h)
+        for h in (1.6e-3, 4e-4, 1e-4)
+    ]
     assert gaps[0] > gaps[1] > gaps[2] > 0, (
         f"C9 FAIL: ball energy gaps {gaps} not shrinking toward {limit:.4f}"
     )
@@ -474,10 +473,11 @@ def test_c10_first_variation_consistency():
     for n in (128, 256, 512):
         g = Grid(dim=2, n=n)
         ball = rasterize_ball(g, (0.5, 0.5), 0.25)
-        traj = run(
+        stepper = Stepper(
             SchemeConfig(scheme="volume_preserving", grid=g, h=h, steps=1), ball
         )
-        chi1, lam = traj.states[1], traj.records[0].lam
+        [chi1] = stepper
+        lam = stepper.records[0].lam
         r_const = euler_lagrange_residual(
             chi1, ball, lam, constant_vector_field(g, (1.0, 0.5)), h
         )

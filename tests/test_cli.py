@@ -1,3 +1,5 @@
+import csv
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mbokit
-
+from mbokit import cli
 from mbokit.cli import (
     ConfigError,
     build_initial,
@@ -23,6 +25,7 @@ from mbokit.cli import (
     read_header,
     write_dump,
 )
+from mbokit.diagnostics import energy_two_phase
 from mbokit.grid import (
     Grid,
     MultiPhaseState,
@@ -30,6 +33,9 @@ from mbokit.grid import (
     rasterize_ball,
     voronoi_labels,
 )
+from mbokit.kernel import HeatKernelPlan, convolve
+from mbokit.oracles import circle_mcf
+from mbokit.schemes import SchemeConfig, Stepper
 
 BASE = """\
 scheme = mbo
@@ -604,6 +610,32 @@ class TestCommands:
         assert err.startswith("config error:") and "force_value" in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_ledger_value_fails_run_and_check(self, tmp_path, capsys):
+        # step 1's forcing transfer overflows to inf, and so does its slack
+        out = tmp_path / "out"
+        text = BASE.replace("scheme = mbo", "scheme = forced")
+        text += f"force = const\nforce_value = 1e308\ndump_every = 1\nout_dir = {out}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert quiet_main(["run", cfg]) == 2
+        assert "ledger: FAIL" in capsys.readouterr().out
+        assert "inf" in (out / "ledger.csv").read_text().splitlines()[2].split(",")
+        dumps = sorted(str(p) for p in out.glob("state_*.mbof"))
+        assert quiet_main(["check", *dumps, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "ledger: FAIL" in captured.out
+        assert "first violated step: 1" in captured.err
+
+    def test_initial_radius_warning_names_the_command(self, tmp_path):
+        text = BASE.replace("ball_radius = 0.3", "ball_radius = 0.45")
+        cfg = write_cfg(tmp_path, text + f"out_dir = {tmp_path}/out\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg]) == 0
+        [w] = [w for w in caught if "initial support radius" in str(w.message)]
+        lines, first = inspect.getsourcelines(cli.cmd_run)
+        assert w.filename == cli.__file__
+        assert first <= w.lineno < first + len(lines)
+
     def test_check_numbers_rows_by_dump_step(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -722,9 +754,8 @@ class TestCommands:
         write_dump(p, ball, 4e-3, 0)
         assert main(["energy", str(p)]) == 0
         printed = float(capsys.readouterr().out.strip())
-        from mbokit.diagnostics import energy_two_phase
-
-        assert printed == energy_two_phase(ball, 4e-3)
+        smoothed = convolve(HeatKernelPlan(g, 4e-3), ball)
+        assert printed == energy_two_phase(ball, smoothed, 4e-3)
 
     def test_energy_with_override_bandwidth(self, tmp_path, capsys):
         g = Grid(dim=2, n=64)
@@ -733,22 +764,56 @@ class TestCommands:
         write_dump(p, ball, 4e-3, 0)
         assert main(["energy", str(p), "--h", "8e-3"]) == 0
         printed = float(capsys.readouterr().out.strip())
-        from mbokit.diagnostics import energy_two_phase
+        smoothed = convolve(HeatKernelPlan(g, 8e-3), ball)
+        assert printed == energy_two_phase(ball, smoothed, 8e-3)
 
-        assert printed == energy_two_phase(ball, 8e-3)
+    @pytest.mark.parametrize("scheme", ["mbo", "volume_preserving"])
+    def test_sweep_scores_pinned_runs_at_the_horizon(self, tmp_path, scheme):
+        # at n = 64 the finest mbo run and every volume-preserving run pin
+        # after one step; a pinned state repeats, and so does its multiplier
+        h_list, horizon = (4e-3, 1e-3, 2.5e-4), 0.02
+        text = BASE.replace("scheme = mbo", f"scheme = {scheme}")
+        text += f"h_list = 4e-3, 1e-3, 2.5e-4\nT = {horizon}\nout_dir = {tmp_path}/sw\n"
+        assert quiet_main(["sweep", write_cfg(tmp_path, text)]) == 0
+        with open(tmp_path / "sw" / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        g = Grid(dim=2, n=64)
+        ball = rasterize_ball(g, (0.5, 0.5), 0.3)
+        for h, row in zip(h_list, rows):
+            steps = round(horizon / h)
+            if scheme == "mbo":
+                assert float(row["oracle"]) == circle_mcf(0.3, steps * h, 2)
+                error = abs(float(row["radius"]) - float(row["oracle"]))
+                assert float(row["error"]) == error
+                continue
+            stepper = Stepper(SchemeConfig(scheme=scheme, grid=g, h=h, steps=1), ball)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                list(stepper)
+            [record] = stepper.records
+            assert row["steps"] == "1"
+            expected = h * steps * (record.lam - 0.5) ** 2
+            assert float(row["M"]) == pytest.approx(expected, rel=1e-12)
+        if scheme == "mbo":
+            assert rows[2]["steps"] == "1"
+            assert float(rows[2]["error"]) > 0.07
 
     def test_sweep_identical_bandwidths_identical_rows(self, tmp_path):
+        # a row depends on its own bandwidth and the horizon only, so two
+        # sweeps that share a bandwidth write the same row for it
         text = BASE.replace("scheme = mbo", "scheme = volume_preserving")
-        cfg = write_cfg(
-            tmp_path,
-            text
-            + "h_list = 4e-3, 4e-3, 4e-3\nT = 1.2e-2\n"
-            + f"out_dir = {tmp_path}/sw\n",
-        )
-        assert main(["sweep", cfg]) == 0
-        rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 4
-        assert rows[1] == rows[2] == rows[3]
+        text += "T = 1.2e-2\n"
+        rows = []
+        for name, h_list in (("a", "6e-3, 4e-3, 2e-3"), ("b", "4e-3, 2e-3, 1e-3")):
+            sub = tmp_path / name
+            sub.mkdir()
+            cfg = write_cfg(
+                sub, text + f"h_list = {h_list}\nout_dir = {sub}/sw\n"
+            )
+            assert quiet_main(["sweep", cfg]) == 0
+            rows.append((sub / "sw" / "sweep.csv").read_text().splitlines())
+        assert len(rows[0]) == len(rows[1]) == 4
+        assert rows[0][2:] == rows[1][1:3]
 
     def test_sweep_requires_three_points(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "h_list = 4e-3, 2e-3\nT = 1e-2\n")
@@ -775,6 +840,7 @@ class TestCommands:
             ("T = 8e-3", "T = nan", "nan"),
             ("T = 8e-3", "T = 0", "0.0"),
             ("T = 8e-3", "T = -8e-3", "-0.008"),
+            ("h_list = 4e-3, 2e-3, 1e-3", "h_list = 4e-3, 2e-3, 4e-3", "0.004"),
         ],
         ids=[
             "ball_without_center",
@@ -784,6 +850,7 @@ class TestCommands:
             "nan_T",
             "zero_T",
             "negative_T",
+            "repeated_h",
         ],
     )
     def test_sweep_bad_config_is_config_error(

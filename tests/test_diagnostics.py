@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 from scipy.special import erfinv
 
+from mbokit.cli import main
 from mbokit.diagnostics import (
     GOOD_ITERATION_BAND,
+    LEDGER_RTOL,
     TIGHTNESS_REACH,
     TIGHTNESS_SLOPE,
+    LedgerRow,
     LedgerWalk,
-    approx_monotonicity_check,
     constant_vector_field,
     energy_multiphase,
     energy_two_phase,
@@ -30,8 +32,10 @@ from mbokit.diagnostics import (
     first_variation_dissipation_multiphase,
     first_variation_energy,
     first_variation_energy_multiphase,
-    lagrange_scaling,
     ledger_check,
+    ledger_report,
+    loglog_slope,
+    multiplier_integral,
     radial_bump_field,
     state_difference,
     tightness_monitor,
@@ -54,9 +58,10 @@ from mbokit.kernel import (
 )
 from mbokit.schemes import (
     SchemeConfig,
+    Stepper,
     SurfaceTensionMatrix,
+    approx_monotonicity_check,
     equal_tensions,
-    run,
     step_grain_growth,
     step_volume_preserving,
 )
@@ -132,20 +137,24 @@ class TestTwoPhaseEnergy:
     def test_empty_and_full_have_zero_energy(self, grid64):
         empty = PhaseField(grid64, np.zeros(grid64.shape, dtype=bool))
         full = PhaseField(grid64, np.ones(grid64.shape, dtype=bool))
-        assert energy_two_phase(empty, 1e-3) == 0.0
-        assert energy_two_phase(full, 1e-3) == pytest.approx(0.0, abs=1e-12)
+        plan = HeatKernelPlan(grid64, 1e-3)
+        assert energy_two_phase(empty, convolve(plan, empty), 1e-3) == 0.0
+        e_full = energy_two_phase(full, convolve(plan, full), 1e-3)
+        assert e_full == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_interface_value(self):
         # two unit-length interfaces: E = 2/sqrt(pi)
         g = Grid(dim=2, n=512)
         slab = rasterize_slab(g, 0, 0.25, 0.75)
         target = 2.0 / math.sqrt(math.pi)
-        assert energy_two_phase(slab, 1e-3) == pytest.approx(target, rel=2e-4)
+        e = energy_two_phase(slab, convolve(HeatKernelPlan(g, 1e-3), slab), 1e-3)
+        assert e == pytest.approx(target, rel=2e-4)
 
     def test_energy_nonnegative_on_random_shapes(self, grid64, rng):
+        plan = HeatKernelPlan(grid64, 1e-3)
         for _ in range(5):
             f = PhaseField(grid64, rng.random(grid64.shape) < 0.4)
-            assert energy_two_phase(f, 1e-3) >= 0.0
+            assert energy_two_phase(f, convolve(plan, f), 1e-3) >= 0.0
 
 
 class TestDissipation:
@@ -214,8 +223,10 @@ class TestMultiphase:
     def test_single_grain_doubles_two_phase_energy(self, grid64):
         blob = random_blob(grid64, seed=4)
         state = MultiPhaseState(grid64, blob.mask.astype(np.int32), 1)
-        e2 = energy_two_phase(blob, 1e-3)
-        emp = energy_multiphase(state, equal_tensions(1), 1e-3)
+        plan = HeatKernelPlan(grid64, 1e-3)
+        e2 = energy_two_phase(blob, convolve(plan, blob), 1e-3)
+        smoothed = convolve_labels(plan, state)
+        emp = energy_multiphase(state, smoothed, 1e-3, equal_tensions(1))
         assert emp == pytest.approx(2.0 * e2, rel=1e-12)
 
     def test_dissipation_against_double_sum(self, tiny_setup, rng):
@@ -255,18 +266,20 @@ class TestLedger:
         cfg = SchemeConfig(
             scheme="volume_preserving", grid=grid128, h=1e-3, steps=6
         )
-        traj = run(cfg, ball128)
-        report = ledger_check(cfg, traj.states)
+        stepper = Stepper(cfg, ball128)
+        report = ledger_check(cfg, [ball128, *stepper])
         assert report.passed
         assert report.first_violation is None
-        assert len(report.rows) == len(traj.records)
+        assert len(report.rows) == len(stepper.records)
 
     def test_run_rows_equal_audit_rows_bitwise(self, scheme_case):
-        traj = run(*scheme_case)
-        report = ledger_check(traj.config, traj.states)
-        assert (report.passed, report.tolerance) == (True, traj.ledger.tolerance)
-        assert len(report.rows) == len(traj.records) > 0
-        for rec, row in zip(traj.records, report.rows):
+        cfg, initial = scheme_case
+        stepper = Stepper(cfg, initial)
+        report = ledger_check(cfg, [initial, *stepper])
+        run_tolerance = ledger_report(stepper.records).tolerance
+        assert (report.passed, report.tolerance) == (True, run_tolerance)
+        assert len(report.rows) == len(stepper.records) > 0
+        for rec, row in zip(stepper.records, report.rows):
             assert rec.step == row.step
             assert rec.energy_before == row.energy_before
             assert rec.energy_after == row.energy_after
@@ -276,9 +289,10 @@ class TestLedger:
 
     def test_merged_dissipation_matches_reference_forms(self, scheme_case):
         cfg, initial = scheme_case
-        traj = run(cfg, initial)
+        stepper = Stepper(cfg, initial)
+        states = [initial, *stepper]
         plan = HeatKernelPlan(cfg.grid, cfg.h)
-        for rec, prev, cur in zip(traj.records, traj.states, traj.states[1:]):
+        for rec, prev, cur in zip(stepper.records, states, states[1:]):
             if cfg.tensions is None:
                 omega = phase_difference(cur, prev)
                 ref = dissipation_two_phase(omega, cfg.h, plan=plan)
@@ -305,7 +319,7 @@ class TestLedger:
         cfg = SchemeConfig(
             scheme="grain_growth", grid=grid128, h=1e-3, steps=3, tensions=tensions
         )
-        states = run(cfg, initial).states
+        states = [initial, *Stepper(cfg, initial)]
         states.append(states[-1])  # a step that flips no cell
         plan = HeatKernelPlan(grid128, cfg.h)
         smoothed = [convolve_labels(plan, s) for s in states]
@@ -336,7 +350,7 @@ class TestLedger:
         cfg = SchemeConfig(
             scheme=scheme, grid=grid128, h=1e-3, steps=4, force=force
         )
-        states = run(cfg, ball128).states
+        states = [ball128, *Stepper(cfg, ball128)]
         states.append(states[-1])  # a step that flips no cell
         plan = HeatKernelPlan(grid128, cfg.h)
         smoothed = [convolve(plan, s) for s in states]
@@ -369,11 +383,12 @@ class TestLedger:
         cfg = SchemeConfig(
             scheme="forced", grid=grid128, h=1e-3, steps=6, force=ramp
         )
-        traj = run(cfg, ball128)
-        assert traj.status == "completed"
-        report = ledger_check(cfg, traj.states[3:], first_step=3)
+        stepper = Stepper(cfg, ball128)
+        states = [ball128, *stepper]
+        assert stepper.status == "completed"
+        report = ledger_check(cfg, states[3:], first_step=3)
         assert [row.step for row in report.rows] == [4, 5, 6]
-        for rec, row in zip(traj.records[3:], report.rows):
+        for rec, row in zip(stepper.records[3:], report.rows):
             assert (rec.step, rec.energy_before, rec.energy_after) == (
                 row.step, row.energy_before, row.energy_after
             )
@@ -384,26 +399,58 @@ class TestLedger:
     def test_fails_on_corrupted_state(self, grid128, ball128):
         # negative control: tamper with one state, the audit must notice
         cfg = SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=6)
-        traj = run(cfg, ball128)
-        tampered = traj.states[3].mask.copy()
+        states = [ball128, *Stepper(cfg, ball128)]
+        tampered = states[3].mask.copy()
         tampered[:20, :20] = ~tampered[:20, :20]
-        traj.states[3] = PhaseField(grid128, tampered)
-        report = ledger_check(cfg, traj.states)
+        states[3] = PhaseField(grid128, tampered)
+        report = ledger_check(cfg, states)
         assert not report.passed
         assert report.first_violation is not None
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("energy_before", math.inf),
+            ("energy_after", math.nan),
+            ("dissipation", -math.inf),
+            ("transfer", math.inf),
+            ("slack", math.nan),
+        ],
+    )
+    def test_non_finite_value_is_a_violation(self, field, value):
+        good = dict(energy_before=2.0, energy_after=1.0, dissipation=0.5,
+                    transfer=0.0, slack=0.5)
+        rows = [LedgerRow(step=1, **good), LedgerRow(step=2, **{**good, field: value})]
+        report = ledger_report(rows)
+        assert (report.passed, report.first_violation) == (False, 2)
+        # a non-finite initial energy fails row 1, under a finite tolerance
+        report = ledger_report(rows[::-1])
+        assert (report.passed, report.first_violation) == (False, 2)
+        assert report.tolerance == (
+            LEDGER_RTOL if field == "energy_before" else 2.0 * LEDGER_RTOL
+        )
+
 
 class TestLagrangeScaling:
-    def test_needs_three_distinct_bandwidths(self):
-        with pytest.raises(ValueError):
-            lagrange_scaling([(1e-3, [0.5]), (1e-3, [0.5]), (1e-3, [0.5])])
+    def test_needs_three_distinct_bandwidths(self, tmp_path, capsys):
+        # the M(h) fit is the sweep's: a repeated bandwidth is a config error
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "scheme = volume_preserving\nn = 64\nh = 1e-3\nsteps = 1\n"
+            "init = ball\nball_center = 0.5 0.5\nball_radius = 0.3\n"
+            f"h_list = 1e-3, 1e-3, 1e-3\nT = 1e-2\nout_dir = {tmp_path}/sw\n"
+        )
+        assert main(["sweep", str(cfg)]) == 3
+        assert capsys.readouterr().err == "config error: h_list repeats 0.001\n"
+        assert not (tmp_path / "sw").exists()
 
     def test_slope_on_synthetic_linear_data(self):
         # constant offset 0.1: M(h) = 0.01*h, slope exactly 1
-        series = [(h, [0.6]) for h in (1e-3, 1e-4, 1e-5)]
-        report = lagrange_scaling(series)
-        assert report.slope == pytest.approx(1.0, rel=1e-9)
-        assert report.bad_counts == (0, 0, 0)
+        hs = (1e-3, 1e-4, 1e-5)
+        results = [multiplier_integral(h, [0.6], 1) for h in hs]
+        slope = loglog_slope(hs, [m for m, _ in results])
+        assert slope == pytest.approx(1.0, rel=1e-9)
+        assert [bad for _, bad in results] == [0, 0, 0]
 
     def test_bad_iteration_count(self):
         series = [
@@ -411,8 +458,18 @@ class TestLagrangeScaling:
             (1e-4, [0.5, 0.5]),
             (1e-5, [0.45, 0.5]),
         ]
-        report = lagrange_scaling(series)
-        assert report.bad_counts == (1, 0, 0)
+        bads = [multiplier_integral(h, lams, 2)[1] for h, lams in series]
+        assert bads == [1, 0, 0]
+
+    def test_pinned_run_repeats_its_last_multiplier(self):
+        m, bad = multiplier_integral(1e-3, [0.6, 0.8], 5)
+        assert m == 1e-3 * np.sum((np.array([0.6, 0.8, 0.8, 0.8, 0.8]) - 0.5) ** 2)
+        assert bad == 4
+        m, bad = multiplier_integral(1e-3, [0.6, 0.8], 2)
+        assert (m, bad) == (1e-3 * np.sum((np.array([0.6, 0.8]) - 0.5) ** 2), 1)
+
+    def test_slope_needs_positive_values(self):
+        assert loglog_slope((1e-3, 1e-4, 1e-5), (1.0, 0.0, 2.0)) is None
 
 
 class TestTightness:
@@ -428,16 +485,18 @@ class TestTightness:
         cfg = SchemeConfig(
             scheme="volume_preserving", grid=grid128, h=1e-3, steps=5
         )
-        traj = run(cfg, ball128)
-        report = tightness_monitor(traj)
+        stepper = Stepper(cfg, ball128)
+        list(stepper)
+        report = tightness_monitor(stepper)
         assert report.clean
-        assert report.checked_steps == len(traj.records)
+        assert report.checked_steps == len(stepper.records)
 
     def test_requires_recorded_lambdas(self, grid128, ball128):
         cfg = SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=2)
-        traj = run(cfg, ball128)
+        stepper = Stepper(cfg, ball128)
+        list(stepper)
         with pytest.raises(ValueError):
-            tightness_monitor(traj)
+            tightness_monitor(stepper)
 
 
 class TestFirstVariations:

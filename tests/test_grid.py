@@ -15,9 +15,7 @@ from mbokit.grid import (
     centroid,
     random_blob,
     rasterize_ball,
-    rasterize_half_space,
     rasterize_slab,
-    volume,
     voronoi_labels,
 )
 
@@ -96,7 +94,7 @@ class TestPhaseField:
         mask[:4, :] = True
         f = PhaseField(grid64, mask)
         assert f.cell_count == 4 * 64
-        assert f.complement().cell_count == grid64.total_cells - 4 * 64
+        assert PhaseField(grid64, ~mask).cell_count == grid64.total_cells - 4 * 64
 
     def test_shape_mismatch_rejected(self, grid64):
         with pytest.raises(ValueError):
@@ -118,7 +116,7 @@ class TestRasterizeBall:
         f = rasterize_ball(g, (0.5, 0.5), 0.25)
         target = math.pi * 0.25**2
         band = 2.0 * g.dx * (2.0 * math.pi * 0.25)
-        assert abs(volume(f) - target) <= band
+        assert abs(f.cell_count * g.cell_volume - target) <= band
 
     def test_wraps_across_seam(self, grid64):
         f = rasterize_ball(grid64, (0.02, 0.5), 0.1)
@@ -130,32 +128,32 @@ class TestRasterizeBall:
         f = rasterize_ball(g, (0.5, 0.5, 0.5), 0.3)
         target = 4.0 / 3.0 * math.pi * 0.3**3
         band = 2.0 * g.dx * (4.0 * math.pi * 0.3**2)
-        assert abs(volume(f) - target) <= band
+        assert abs(f.cell_count * g.cell_volume - target) <= band
 
 
 class TestHalfSpaceAndSlab:
     def test_full_thickness_all_ones(self, grid64):
-        f = rasterize_half_space(grid64, 0, grid64.side)
+        f = rasterize_slab(grid64, 0, 0.0, grid64.side)
         assert f.cell_count == grid64.total_cells
 
     def test_zero_thickness_empty(self, grid64):
-        f = rasterize_half_space(grid64, 0, 0.0)
+        f = rasterize_slab(grid64, 0, 0.0, 0.0)
         assert f.cell_count == 0
 
     def test_half_thickness_exact_count(self):
         g = Grid(dim=2, n=128)
-        f = rasterize_half_space(g, 0, 0.5)
+        f = rasterize_slab(g, 0, 0.0, 0.5)
         assert f.cell_count == 64 * 128
 
     def test_sign_flips_selection(self, grid64):
-        lo = rasterize_half_space(grid64, 1, 0.25, sign=1)
-        hi = rasterize_half_space(grid64, 1, 0.25, sign=-1)
+        lo = rasterize_slab(grid64, 1, 0.0, 0.25)
+        hi = rasterize_slab(grid64, 1, 0.25, grid64.side)
         assert lo.cell_count + hi.cell_count == grid64.total_cells
         assert not (lo.mask & hi.mask).any()
 
     def test_invalid_axis(self, grid64):
         with pytest.raises(ValueError):
-            rasterize_half_space(grid64, 2, 0.5)
+            rasterize_slab(grid64, 2, 0.0, 0.5)
 
     def test_slab_half_open(self):
         g = Grid(dim=2, n=64)
@@ -280,8 +278,8 @@ class TestSmallestCells:
 
 class TestMeasurements:
     def test_volume_scales_with_cells(self, grid64):
-        f = rasterize_half_space(grid64, 0, 0.5)
-        assert volume(f) == pytest.approx(0.5)
+        f = rasterize_slab(grid64, 0, 0.0, 0.5)
+        assert f.cell_count * grid64.cell_volume == pytest.approx(0.5)
 
     def test_centroid_of_centered_ball(self, grid128):
         f = rasterize_ball(grid128, (0.5, 0.5), 0.2)

@@ -13,7 +13,7 @@ import pytest
 from mbokit.cli import main
 from mbokit.diagnostics import ledger_check
 from mbokit.grid import Grid, RealField, random_blob, rasterize_ball, voronoi_labels
-from mbokit.schemes import SchemeConfig, equal_tensions, run
+from mbokit.schemes import SchemeConfig, Stepper, equal_tensions
 from mbokit.threshold import select_bottom_cells, select_top_cells
 
 
@@ -106,15 +106,21 @@ def many_grains():
 
 def test_grain_run_holds_one_stack_of_smoothed_fields(many_grains):
     cfg, initial, stack = many_grains
-    traj, peak = traced_peak(run, cfg, initial)
-    assert len(traj.records) == 2
+
+    def run_to_end():
+        stepper = Stepper(cfg, initial)
+        list(stepper)
+        return stepper
+
+    stepper, peak = traced_peak(run_to_end)
+    assert len(stepper.records) == 2
     assert stack < peak < 1.5 * stack
 
 
 def test_grain_audit_holds_one_stack_of_smoothed_fields(many_grains):
     cfg, initial, stack = many_grains
-    traj = run(cfg, initial)
-    report, peak = traced_peak(ledger_check, cfg, traj.states)
+    states = [initial, *Stepper(cfg, initial)]
+    report, peak = traced_peak(ledger_check, cfg, states)
     assert report.passed and len(report.rows) == 2
     assert stack < peak < 1.5 * stack
 

@@ -17,9 +17,9 @@ from mbokit.grid import (
 from mbokit.kernel import HeatKernelPlan, ResolutionWarning, convolve, convolve_labels
 from mbokit.schemes import (
     SchemeConfig,
+    Stepper,
     SurfaceTensionMatrix,
     equal_tensions,
-    run,
     step_grain_growth,
     step_mbo,
     step_forced,
@@ -349,34 +349,38 @@ class TestRun:
         cfg = SchemeConfig(scheme="mbo", grid=grid64, h=1e-3, steps=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            traj = run(cfg, ball)
-        assert len(traj.states) == 1
-        assert traj.records == []
-        assert traj.status == "completed"
+            stepper = Stepper(cfg, ball)
+            states = [ball, *stepper]
+        assert len(states) == 1
+        assert stepper.records == []
+        assert stepper.status == "completed"
 
     def test_trajectory_length_and_energy_descent(self, grid128, ball128):
         cfg = SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=8)
-        traj = run(cfg, ball128)
-        assert len(traj.states) == len(traj.records) + 1
-        for rec in traj.records:
+        stepper = Stepper(cfg, ball128)
+        states = [ball128, *stepper]
+        assert len(states) == len(stepper.records) + 1
+        for rec in stepper.records:
             assert rec.energy_after <= rec.energy_before
             assert rec.dissipation >= 0.0
 
     def test_small_ball_goes_extinct(self, grid128):
         ball = rasterize_ball(grid128, (0.5, 0.5), 0.05)
         cfg = SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=50)
-        traj = run(cfg, ball)
-        assert traj.status == "extinct"
-        assert traj.final().cell_count == 0
+        stepper = Stepper(cfg, ball)
+        states = [ball, *stepper]
+        assert stepper.status == "extinct"
+        assert states[-1].cell_count == 0
 
     def test_underresolved_ball_pins(self, grid64):
         ball = rasterize_ball(grid64, (0.5, 0.5), 0.2)
         cfg = SchemeConfig(scheme="mbo", grid=grid64, h=1e-6, steps=10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            traj = run(cfg, ball)
-        assert traj.status == "pinned"
-        assert len(traj.records) < 10
+            stepper = Stepper(cfg, ball)
+            list(stepper)
+        assert stepper.status == "pinned"
+        assert len(stepper.records) < 10
 
     def test_volume_preserved_across_run(self, grid128):
         blob = random_blob(grid128, seed=31)
@@ -386,8 +390,8 @@ class TestRun:
         with warnings.catch_warnings():
             # blobs legitimately span more than 40% of the torus
             warnings.simplefilter("ignore", UserWarning)
-            traj = run(cfg, blob)
-        assert all(s.cell_count == blob.cell_count for s in traj.states)
+            states = [blob, *Stepper(cfg, blob)]
+        assert all(s.cell_count == blob.cell_count for s in states)
 
     def test_grain_growth_solid_preserved(self, grid128):
         state = voronoi_labels(
@@ -402,25 +406,26 @@ class TestRun:
             steps=5,
             tensions=equal_tensions(3),
         )
-        traj = run(cfg, state)
+        states = [state, *Stepper(cfg, state)]
         assert all(
-            s.solid_cell_count == state.solid_cell_count for s in traj.states
+            s.solid_cell_count == state.solid_cell_count for s in states
         )
 
     def test_bitwise_independent_of_thread_count(self, scheme_case, monkeypatch):
+        cfg, initial = scheme_case
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("MBO_THREADS", threads)
-            traj = run(*scheme_case)
-            final = traj.final()
+            stepper = Stepper(cfg, initial)
+            final = [initial, *stepper][-1]
             raw = final.labels if isinstance(final, MultiPhaseState) else final.mask
-            results.append((raw.tobytes(), traj.status, traj.records))
+            results.append((raw.tobytes(), stepper.status, stepper.records))
         assert results[0] == results[1]
 
     def test_rejects_state_grid_mismatch(self, grid64, ball128):
         cfg = SchemeConfig(scheme="mbo", grid=grid64, h=1e-3, steps=1)
         with pytest.raises(ValueError):
-            run(cfg, ball128)
+            Stepper(cfg, ball128)
 
     def test_rejects_wrong_state_type(self, grid128, ball128):
         cfg = SchemeConfig(
@@ -431,7 +436,7 @@ class TestRun:
             tensions=equal_tensions(2),
         )
         with pytest.raises(TypeError):
-            run(cfg, ball128)
+            Stepper(cfg, ball128)
 
     def test_forced_records_transfer(self, grid128, ball128):
         from mbokit.grid import RealField
@@ -442,14 +447,6 @@ class TestRun:
         cfg = SchemeConfig(
             scheme="forced", grid=grid128, h=1e-3, steps=3, force=f
         )
-        traj = run(cfg, ball128)
-        assert all(r.transfer != 0.0 for r in traj.records)
-
-    def test_volume_preserving_records_curvature_proxy(self, grid128, ball128):
-        cfg = SchemeConfig(
-            scheme="volume_preserving", grid=grid128, h=1e-3, steps=2
-        )
-        traj = run(cfg, ball128)
-        # stationary ball: proxy approximates 1/R
-        proxy = traj.records[0].curvature_proxy
-        assert proxy == pytest.approx(1.0 / 0.3, rel=0.25)
+        stepper = Stepper(cfg, ball128)
+        list(stepper)
+        assert all(r.transfer != 0.0 for r in stepper.records)
