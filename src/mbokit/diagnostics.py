@@ -50,6 +50,54 @@ def _cellsum(grid: Grid, values: np.ndarray) -> float:
     return float(values.sum()) * grid.cell_volume
 
 
+# numpy sums a contiguous float64 array along a fixed binary tree: a node
+# of more than 128 values splits after half of them, rounded down to a
+# multiple of 8, and a node's split depends on its size alone.  So numpy's
+# sum of a node's values gives that node's bits, and ``_pairwise_sum``
+# hands it nodes of at most this many values.
+_SUM_CHUNK = 1 << 15
+
+
+def _pairwise_sum(
+    n: int, chunk, cells: np.ndarray | None = None, lo: int = 0
+) -> float:
+    """``float(v.sum())`` for a float64 vector ``v`` of ``n`` values, bit for
+    bit, where ``chunk(lo, hi)`` returns ``v[lo:hi]``.
+
+    Only the tree's nodes of at most ``_SUM_CHUNK`` values are built.  When
+    ``v`` is zero off the sorted flat indices ``cells``, nodes without one
+    are skipped: each would add +0.0, which changes a sum at most in the
+    sign of a zero, and numpy's sum, which starts from +0.0, never returns
+    -0.0.  ``lo`` offsets the node within ``v``.
+    """
+    if cells is not None:
+        first, end = np.searchsorted(cells, (lo, lo + n))
+        if first == end:
+            return 0.0
+    if n <= _SUM_CHUNK:
+        return float(chunk(lo, lo + n).sum())
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, chunk, cells, lo) + _pairwise_sum(
+        n - half, chunk, cells, lo + half
+    )
+
+
+def _scattered_sum(n: int, cells: np.ndarray, values: np.ndarray) -> float:
+    """``float(v.sum())`` for ``v = np.zeros(n)`` with ``v[cells] = values``,
+    bit for bit, for sorted flat indices ``cells``; builds only the chunks
+    of ``v`` that hold a cell, one at a time in one scratch chunk."""
+    scratch = np.empty(min(n, _SUM_CHUNK))
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        first, end = np.searchsorted(cells, (lo, hi))
+        v = scratch[: hi - lo]
+        v.fill(0.0)
+        v[cells[first:end] - lo] = values[first:end]
+        return v
+
+    return _pairwise_sum(n, chunk, cells)
+
+
 @dataclass(frozen=True)
 class LedgerRow:
     """Energy ledger of one step.
@@ -90,9 +138,13 @@ def energy_two_phase(chi: PhaseField, smoothed: RealField, h: float) -> float:
 
     ``smoothed`` is G_h chi, as :func:`convolve` returns it.  Scales like
     perimeter / sqrt(pi) once the interface is resolved; a flat interface
-    contributes exactly 1/sqrt(pi) per unit length in the limit.
+    contributes exactly 1/sqrt(pi) per unit length in the limit.  The
+    integrand is built and summed one chunk at a time, with the bits of
+    numpy's sum over the whole grid.
     """
-    return _cellsum(chi.grid, ~chi.mask * smoothed.values) / math.sqrt(h)
+    mask, values = chi.mask.ravel(), smoothed.values.ravel()
+    total = _pairwise_sum(mask.size, lambda lo, hi: ~mask[lo:hi] * values[lo:hi])
+    return total * chi.grid.cell_volume / math.sqrt(h)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +258,9 @@ class LedgerWalk:
         G prev, and omega is zero off the changed cells.  So the old
         smoothed fields are cut down to those cells before ``cur`` is
         smoothed, and the dissipation (tension rows for a partition) and
-        the forcing transfer are scattered into a zero field and summed
-        there, bit for bit the full-grid sums.  Forced steps pass the force
-        at the target time.
+        the forcing transfer are summed over the changed cells with the
+        bits of numpy's sum of the full-grid integrand, which is zero off
+        them.  Forced steps pass the force at the target time.
         """
         cfg, prev = self.config, self.state
         grid, h = cfg.grid, cfg.h
@@ -222,7 +274,7 @@ class LedgerWalk:
         self.smoothed = None  # drop the old fields before smoothing cur
         self.smoothed = smoothed = self._smooth(self.plan, cur)
         energy = self._energy(cur, smoothed, h)
-        products = np.zeros(grid.total_cells)
+        n = grid.total_cells
         transfer = 0.0
         if multiphase:
             new_labels = cur.labels.ravel()[cells]
@@ -233,17 +285,17 @@ class LedgerWalk:
             quad = 0.0
             for i, row in enumerate(tension_rows(cfg.tensions.extended, diffs)):
                 omega = (new_labels == i) * 1.0 - (old_labels == i)
-                products[cells] = omega * row
-                quad += float(products.sum())
+                quad += _scattered_sum(n, cells, omega * row)
             dissipation = -quad * grid.cell_volume / math.sqrt(h)
         else:
             omega = cur.mask.ravel()[cells] * 1.0 - prev.mask.ravel()[cells]
             diff = smoothed.values.ravel()[cells] - before
-            products[cells] = omega * diff
-            dissipation = _cellsum(grid, products) / math.sqrt(h)
+            quad = _scattered_sum(n, cells, omega * diff)
+            dissipation = quad * grid.cell_volume / math.sqrt(h)
             if force_now is not None:
-                products[cells] = force_now.values.ravel()[cells] * omega
-                transfer = _cellsum(grid, products) / math.sqrt(math.pi)
+                force = force_now.values.ravel()[cells]
+                work = _scattered_sum(n, cells, force * omega)
+                transfer = work * grid.cell_volume / math.sqrt(math.pi)
         slack = self.energy - energy - dissipation + transfer
         row = LedgerRow(step, self.energy, energy, dissipation, transfer, slack)
         self.state, self.energy, self.changed = cur, energy, cells

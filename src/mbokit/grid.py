@@ -216,6 +216,10 @@ def rasterize_ball(grid: Grid, center: Sequence[float], radius: float) -> PhaseF
     distances measured periodically.  The radius must stay below half
     the side so the ball cannot touch itself through the torus.
     """
+    if not (math.isfinite(radius) and np.isfinite(center).all()):
+        raise ValueError(
+            f"ball center and radius must be finite, got {tuple(center)}, {radius}"
+        )
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if radius >= 0.5 * grid.side:
@@ -253,8 +257,12 @@ def voronoi_labels(
         raise ValueError("need at least one seed")
     if any(len(p) != grid.dim for p in pts):
         raise ValueError("seed dimension does not match grid")
+    if not np.isfinite(pts).all():
+        raise ValueError("seed coordinates must be finite")
     if len(set(pts)) != len(pts):
         raise ValueError("seeds must be pairwise distinct")
+    if not math.isfinite(vapor_margin):
+        raise ValueError(f"vapor_margin must be finite, got {vapor_margin}")
     best_d2 = grid.periodic_distance_sq(pts[0])
     best = np.zeros(grid.shape, dtype=np.int32)
     for i, p in enumerate(pts[1:], start=1):
@@ -275,6 +283,12 @@ def voronoi_labels(
     return MultiPhaseState(grid, labels, num_grains=len(pts))
 
 
+# The blob filter may reach this many times n cells: a Gaussian width of
+# about the side, past which the wrapped kernel is nearly flat while the
+# filter's cost and its offset tables keep growing with the width.
+MAX_FILTER_REACH = 4
+
+
 def random_blob(
     grid: Grid, seed: int, fill: float = 0.3, smoothing: float = 0.05
 ) -> PhaseField:
@@ -282,15 +296,24 @@ def random_blob(
 
     White noise is smoothed periodically at length ``smoothing`` (0 keeps
     the raw noise) and thresholded at the exact quantile, so the cell count
-    is reproducible bit for bit for a given seed.
+    is reproducible bit for bit for a given seed.  The filter reaches
+    ``int(4 sigma + 0.5)`` cells for ``sigma = smoothing / dx``; a reach
+    beyond ``MAX_FILTER_REACH`` times n (a smoothing of about the side) is
+    refused before anything is allocated.
     """
     if not 0 < fill < 1:
         raise ValueError(f"fill must be in (0, 1), got {fill}")
     if not 0 <= smoothing < np.inf:
         raise ValueError(f"smoothing must be finite and nonnegative, got {smoothing}")
+    sigma = smoothing / grid.dx
+    if not 4.0 * sigma + 0.5 < MAX_FILTER_REACH * grid.n + 1:
+        raise ValueError(
+            f"smoothing {smoothing} makes the blob filter reach more than "
+            f"{MAX_FILTER_REACH} n = {MAX_FILTER_REACH * grid.n} cells"
+        )
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
-    smooth = _periodic_gaussian(noise, smoothing / grid.dx)
+    smooth = _periodic_gaussian(noise, sigma)
     target = max(1, min(grid.total_cells - 1, round(fill * grid.total_cells)))
     # the filter leaves the noise dead; it is the selection's scratch key
     mask, _ = _select_cells(smooth.ravel(), target, top=True, key=noise.ravel())
@@ -299,6 +322,7 @@ def random_blob(
 
 # A filter pass works on blocks of whole lines: about 2^15 output cells,
 # and at most 2^18 cells once wrap-padded, however far the kernel reaches.
+# ``bounding_radius`` takes its distances in blocks of about 2^15 cells too.
 _BLOCK_CELLS = 1 << 15
 _BLOCK_PADDED = 1 << 18
 
@@ -382,11 +406,33 @@ def _select_cells(
 
 
 def bounding_radius(field: PhaseField, center: Sequence[float]) -> float:
-    """Largest periodic distance from ``center`` to an occupied cell center."""
+    """Largest periodic distance from ``center`` to an occupied cell center.
+
+    Takes the squared distances of :meth:`Grid.periodic_distance_sq`, added
+    in the same order, in blocks of slabs along array axis 0 (spatial axis
+    d-1), and skips blocks that hold no occupied cell; the maximum does not
+    depend on the order, so the result is that of the full-grid field.
+    """
     if field.cell_count == 0:
         raise EmptyPhaseError("bounding_radius of an empty phase")
-    d2 = field.grid.periodic_distance_sq(center)
-    return float(np.sqrt(np.max(d2, where=field.mask, initial=0.0)))
+    g = field.grid
+    if len(center) != g.dim:
+        raise ValueError(f"point has {len(center)} coords, grid is {g.dim}-d")
+    sq = [g.wrap_delta(g.coordinate(k) - center[k]) ** 2 for k in range(g.dim)]
+    inner = sq[0]  # spatial axes 0 .. d-2 share every slab
+    for k in range(1, g.dim - 1):
+        inner = inner + sq[k]
+    slabs = max(1, _BLOCK_CELLS * g.n // g.total_cells)
+    d2 = np.empty((slabs,) + g.shape[1:])
+    occupied = field.mask.reshape(g.n, -1).any(axis=1)
+    best = 0.0
+    for lo in range(0, g.n, slabs):
+        if occupied[lo : lo + slabs].any():
+            outer = sq[-1][lo : lo + slabs]
+            block = np.add(inner, outer, out=d2[: len(outer)])
+            mask = field.mask[lo : lo + slabs]
+            best = max(best, float(np.max(block, where=mask, initial=0.0)))
+    return math.sqrt(best)
 
 
 def centroid(field: PhaseField) -> tuple[float, ...]:

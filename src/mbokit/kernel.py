@@ -14,6 +14,7 @@ so their bits equal scipy's while no process has to import it.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -58,6 +59,16 @@ def _thread_pool(workers: int):
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mbokit-fft")
 
 
+def _each(fn, count: int, workers: int) -> None:
+    """``fn(0)`` .. ``fn(count - 1)``, on up to ``workers`` threads."""
+    if workers == 1 or count == 1:
+        for i in range(count):
+            fn(i)
+        return
+    for done in [_thread_pool(workers).submit(fn, i) for i in range(count)]:
+        done.result()
+
+
 def _transform_lines(transform, src, out, axis: int, workers: int, **kwargs) -> None:
     """Apply a 1-D numpy transform to every line of ``src`` along ``axis``.
 
@@ -68,44 +79,82 @@ def _transform_lines(transform, src, out, axis: int, workers: int, **kwargs) -> 
     split = 1 if axis == 0 else 0
     m = src.shape[split]
     blocks = min(workers, m)
-    if blocks == 1:
-        transform(src, axis=axis, out=out, **kwargs)
-        return
 
     def run(i: int) -> None:
         idx = (slice(None),) * split + (slice(m * i // blocks, m * (i + 1) // blocks),)
         transform(src[idx], axis=axis, out=out[idx], **kwargs)
 
-    for done in [_thread_pool(workers).submit(run, i) for i in range(blocks)]:
-        done.result()
+    _each(run, blocks, workers)
+
+
+# The real transforms along the last axis work on blocks of whole rows,
+# about this many cells per round of ``workers`` blocks (and at least one
+# row per block), so their scratch does not grow with the thread count.
+_BLOCK_CELLS = 1 << 15
+
+
+def _row_blocks(rows: int, n: int, workers: int) -> list[slice]:
+    count = min(rows, max(workers, -(-rows * n * workers // _BLOCK_CELLS)))
+    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
 def _rfftn(values: np.ndarray, workers: int) -> np.ndarray:
-    """``scipy.fft.rfftn`` bit for bit: r2c on the last axis, then c2c on 0 .. d-2."""
-    shape = values.shape
-    spectrum = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
-    _transform_lines(np.fft.rfft, values, spectrum, len(shape) - 1, workers)
+    """``scipy.fft.rfftn`` bit for bit: r2c on the last axis, then c2c on 0 .. d-2.
+
+    ``values`` may be of any real or boolean dtype: each block of rows is
+    cast to float64 on its own, so no float copy of the whole array is made.
+    """
+    values = np.asarray(values)
+    shape, n = values.shape, values.shape[-1]
+    spectrum = np.empty(shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    lines, spec_lines = values.reshape(-1, n), spectrum.reshape(-1, n // 2 + 1)
+    blocks = _row_blocks(lines.shape[0], n, workers)
+
+    def r2c(i: int) -> None:
+        rows = blocks[i]
+        src = np.asarray(lines[rows], dtype=np.float64)
+        np.fft.rfft(src, axis=1, out=spec_lines[rows])
+
+    _each(r2c, len(blocks), workers)
     for axis in range(len(shape) - 1):
         _transform_lines(np.fft.fft, spectrum, spectrum, axis, workers)
     return spectrum
 
 
 def _irfftn(spectrum: np.ndarray, shape: tuple[int, ...], workers: int) -> np.ndarray:
-    """``scipy.fft.irfftn`` bit for bit; overwrites ``spectrum``.
+    """``scipy.fft.irfftn`` bit for bit, written over ``spectrum``'s memory.
 
-    The passes run unscaled and the result is scaled once by ``1.0 / N``,
-    which equals scipy's scale (``1/N`` in long double, rounded to double)
-    for every n from 8 to 2048 in 2-D and 3-D.
+    The c2c passes run unscaled and in place.  The c2r pass then takes
+    blocks of rows into a scratch block, scales them by ``1.0 / N`` (which
+    equals scipy's scale, ``1/N`` in long double rounded to double, for
+    every n from 8 to 2048 in 2-D and 3-D), and copies row r to floats
+    ``r*n .. (r+1)*n`` of ``spectrum``'s buffer.  Complex row r starts at
+    float ``r*(n+1)`` or later, so a block's rows land only on rows already
+    read.  Returns a C-contiguous view of the first N floats of that buffer.
     """
+    spectrum = np.ascontiguousarray(spectrum)
+    n, total = shape[-1], math.prod(shape)
     for axis in range(len(shape) - 1):
         _transform_lines(np.fft.ifft, spectrum, spectrum, axis, workers, norm="forward")
-    out = np.empty(shape)
-    last = len(shape) - 1
-    _transform_lines(
-        np.fft.irfft, spectrum, out, last, workers, n=shape[-1], norm="forward"
-    )
-    out *= 1.0 / out.size
-    return out
+    lines = spectrum.reshape(-1, n // 2 + 1)
+    flat = spectrum.reshape(-1).view(np.float64)
+    blocks = _row_blocks(lines.shape[0], n, workers)
+    size = max(b.stop - b.start for b in blocks)
+    scratch = [np.empty((size, n)) for _ in range(min(workers, len(blocks)))]
+    for first in range(0, len(blocks), len(scratch)):
+        batch = blocks[first : first + len(scratch)]
+
+        def c2r(i: int) -> None:
+            rows = batch[i]
+            out = scratch[i][: rows.stop - rows.start]
+            np.fft.irfft(lines[rows], n=n, axis=1, norm="forward", out=out)
+            out *= 1.0 / total
+
+        _each(c2r, len(batch), workers)
+        # every row of the batch is read before any of it is overwritten
+        for rows, out in zip(batch, scratch):
+            flat[rows.start * n : rows.stop * n] = out[: rows.stop - rows.start].ravel()
+    return flat[:total].reshape(shape)
 
 
 @lru_cache(maxsize=16)
@@ -179,21 +228,33 @@ class HeatKernelPlan:
         return (self.grid.n,) * (self.grid.dim - 1) + (self.grid.n // 2 + 1,)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Real-to-complex transform of a float64 grid array."""
+        """Real-to-complex transform of a grid array of floats or booleans,
+        read in blocks of rows, so a mask is never copied to floats whole.
+        Returns a new spectrum."""
         return _rfftn(values, self.workers)
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """Complex-to-real transform back to the grid; overwrites ``spectrum``."""
+        """Complex-to-real transform back to the grid, written over ``spectrum``.
+
+        Returns a C-contiguous view into the memory of ``spectrum`` (of a
+        contiguous copy, if it is not contiguous), which is then no longer
+        a spectrum.  The view keeps that whole buffer alive: 2/n more than a
+        field of the grid.
+        """
         return _irfftn(spectrum, self.grid.shape, self.workers)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Smooth a raw array (no clamping, no wrapping in field types)."""
-        return self.inverse(self.forward(values) * self.multipliers)
+        spectrum = self.forward(values)
+        spectrum *= self.multipliers
+        return self.inverse(spectrum)
 
     def apply_grad_component(self, values: np.ndarray, axis: int) -> np.ndarray:
         """One component of the gradient of the smoothed raw array."""
-        factor = _derivative_factors(self.grid)[axis]
-        return self.inverse(self.forward(values) * self.multipliers * factor)
+        spectrum = self.forward(values)
+        spectrum *= self.multipliers
+        spectrum *= _derivative_factors(self.grid)[axis]
+        return self.inverse(spectrum)
 
 
 def convolve(plan: HeatKernelPlan, field_in: PhaseField | RealField) -> RealField:
@@ -203,11 +264,16 @@ def convolve(plan: HeatKernelPlan, field_in: PhaseField | RealField) -> RealFiel
     spectral ringing removed this way is tiny (order 1e-15) and a warning
     fires if it ever exceeds the recorded tolerance.  ``plan.apply`` gives
     the raw values.  The cell average is preserved to rounding.
+
+    One transform pair does the work: the forward transform reads the mask
+    (or the values) into one new spectrum, and the smoothed values are
+    written over it, so the result's values are a view into that buffer,
+    2/n larger than a field.
     """
     if field_in.grid != plan.grid:
         raise ValueError("field grid does not match plan grid")
     indicator = isinstance(field_in, PhaseField)
-    spectrum = plan.forward(field_in.as_float() if indicator else field_in.values)
+    spectrum = plan.forward(field_in.mask if indicator else field_in.values)
     spectrum *= plan.multipliers
     out = plan.inverse(spectrum)
     if indicator:
@@ -238,7 +304,7 @@ def spectral_divergence(grid: Grid, components: tuple[np.ndarray, ...]) -> np.nd
     factors = _derivative_factors(grid)
     out = np.zeros(grid.shape)
     for k in range(grid.dim):
-        spec = _rfftn(np.asarray(components[k], dtype=np.float64), w)
+        spec = _rfftn(components[k], w)
         spec *= factors[k]
         out += _irfftn(spec, grid.shape, w)
     return out

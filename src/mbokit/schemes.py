@@ -58,12 +58,13 @@ WRAP_RADIUS_FRACTION = 0.4
 class SurfaceTensionMatrix:
     """Validated grain-to-grain surface tensions, vapor normalized to 1.
 
-    Requirements checked at construction: symmetry, zero diagonal, strictly
-    positive off-diagonal entries below 2 (the vapor route between any two
-    grains costs 2, so larger entries would be relaxed instantly), a strict
-    triangle inequality, and negative definiteness as a bilinear form on
-    mean-zero vectors.  The extended matrix bordered by a vapor row and
-    column of ones is built here once and reused everywhere.
+    Requirements checked at construction: finite entries, symmetry, zero
+    diagonal, strictly positive off-diagonal entries below 2 (the vapor
+    route between any two grains costs 2, so larger entries would be
+    relaxed instantly), a strict triangle inequality, and negative
+    definiteness as a bilinear form on mean-zero vectors.  The extended
+    matrix bordered by a vapor row and column of ones is built here once
+    and reused everywhere.
     """
 
     sigma: np.ndarray
@@ -75,6 +76,8 @@ class SurfaceTensionMatrix:
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
             raise ValueError(f"tension matrix must be square, got shape {s.shape}")
         p = s.shape[0]
+        if not np.isfinite(s).all():
+            raise ValueError("tension matrix entries must be finite")
         if not np.array_equal(s, s.T):
             raise ValueError("tension matrix must be symmetric")
         if np.diagonal(s).any():

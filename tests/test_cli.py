@@ -48,6 +48,19 @@ ball_radius = 0.3
 """
 
 
+# Valid configs at n = 32; the non-finite geometry tests override one key.
+NON_FINITE_BASES = {
+    "ball": "scheme = mbo\nn = 32\nh = 1.6e-2\nsteps = 2\ninit = ball\n"
+    "ball_center = 0.5 0.5\nball_radius = 0.3\n",
+    "two_balls": "scheme = mbo\nn = 32\nh = 1.6e-2\nsteps = 2\ninit = two_balls\n"
+    "ball_center = 0.3 0.5\nball_radius = 0.15\n"
+    "ball2_center = 0.7 0.5\nball2_radius = 0.15\n",
+    "voronoi": "scheme = grain_growth\nn = 32\nh = 1.6e-2\nsteps = 2\n"
+    "init = voronoi\nseeds = 0.3 0.3; 0.6 0.7\nvapor_margin = 0.05\n"
+    "solid_center = 0.5 0.5\nsolid_radius = 0.3\nsigma_default = 0.9\n",
+}
+
+
 class TestParseConfig:
     def test_minimal_config(self):
         cfg = parse_config(BASE)
@@ -573,6 +586,58 @@ class TestCommands:
         assert main(["run", cfg]) == 3
         assert "smoothing" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("smoothing", ["1e308", "1e300", "5.0"])
+    def test_run_oversized_blob_smoothing_is_config_error(
+        self, tmp_path, capsys, smoothing
+    ):
+        # at n = 16 the filter radius int(4 sigma + 0.5) is inf, 6.4e301 and
+        # 320 cells, all above the 4 n = 64 cells a blob filter may reach
+        text = BASE.replace("scheme = mbo", "scheme = volume_preserving")
+        text = text.replace("n = 64", "n = 16").replace("h = 4e-3", "h = 0.07")
+        text = text.replace("init = ball", "init = blob\nblob_seed = 3")
+        text += f"blob_smoothing = {smoothing}\nout_dir = {tmp_path}/out\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "smoothing" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "init, line",
+        [
+            ("ball", "ball_radius = nan"),
+            ("ball", "ball_center = nan 0.5"),
+            ("ball", "ball_center = inf 0.5"),
+            ("two_balls", "ball2_radius = nan"),
+            ("two_balls", "ball2_center = 0.7 -inf"),
+            ("voronoi", "solid_radius = nan"),
+            ("voronoi", "solid_center = 0.5 inf"),
+            ("voronoi", "vapor_margin = nan"),
+            ("voronoi", "seeds = 0.3 0.3; nan 0.7"),
+            ("voronoi", "sigma_default = nan"),
+        ],
+    )
+    def test_non_finite_geometry_is_config_error(self, tmp_path, capsys, init, line):
+        key = line.split(" =")[0]
+        text = "".join(
+            f"{row}\n" for row in NON_FINITE_BASES[init].splitlines()
+            if not row.startswith(f"{key} =")
+        )
+        cfg = write_cfg(tmp_path, text + f"{line}\nout_dir = {tmp_path}/out\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("init", ["ball", "two_balls", "voronoi"])
+    def test_non_finite_geometry_bases_run(self, tmp_path, init):
+        text = NON_FINITE_BASES[init] + f"out_dir = {tmp_path}/out\n"
+        assert quiet_main(["run", write_cfg(tmp_path, text)]) == 0
 
     @pytest.mark.parametrize("command", ["run", "energy"])
     def test_infinite_bandwidth_is_config_error(self, tmp_path, capsys, command):

@@ -15,6 +15,7 @@ import pytest
 from scipy.special import erfinv
 
 from mbokit.cli import main
+from mbokit import diagnostics
 from mbokit.diagnostics import (
     GOOD_ITERATION_BAND,
     LEDGER_RTOL,
@@ -155,6 +156,81 @@ class TestTwoPhaseEnergy:
         for _ in range(5):
             f = PhaseField(grid64, rng.random(grid64.shape) < 0.4)
             assert energy_two_phase(f, convolve(plan, f), 1e-3) >= 0.0
+
+
+    @pytest.mark.parametrize("dim, n", [(2, 1024), (2, 257), (3, 96), (3, 33)])
+    def test_chunked_energy_equals_full_grid_sum(self, dim, n):
+        g = Grid(dim=dim, n=n)
+        blob = random_blob(g, seed=n, fill=0.3, smoothing=0.05)
+        h = 16.0 * g.dx**2
+        smoothed = convolve(HeatKernelPlan(g, h), blob)
+        integrand = ~blob.mask * smoothed.values
+        full = float(integrand.sum()) * g.cell_volume / math.sqrt(h)
+        assert energy_two_phase(blob, smoothed, h) == full
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestPairwiseSum:
+    """The chunked sums give the bits of ``ndarray.sum()`` over all cells."""
+
+    @pytest.fixture(
+        params=[128, 200, 1 << 15], ids=["chunk128", "chunk200", "chunk2^15"]
+    )
+    def chunk(self, request, monkeypatch):
+        # a chunk of at least 128 values (numpy's unsplit leaf) is exact
+        monkeypatch.setattr(diagnostics, "_SUM_CHUNK", request.param)
+
+    @staticmethod
+    def dense(values: np.ndarray) -> float:
+        flat = values.ravel()
+        return diagnostics._pairwise_sum(flat.size, lambda lo, hi: flat[lo:hi])
+
+    @staticmethod
+    def spread(rng, shape) -> np.ndarray:
+        # magnitudes over 16 decades, so any change of summation order shows
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+    def test_every_length_up_to_200(self, chunk, rng):
+        for n in range(1, 201):
+            v = self.spread(rng, n)
+            assert _bits(self.dense(v)) == _bits(v.sum()), n
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(8, 8), (9, 9), (33, 33), (100, 100), (257, 257), (512, 512),
+         (9, 9, 9), (33, 33, 33), (64, 64, 64), (96, 96, 96)],
+    )
+    def test_grids(self, chunk, rng, shape):
+        v = self.spread(rng, shape)
+        assert _bits(self.dense(v)) == _bits(v.sum())
+
+    def test_signed_zeros(self, chunk):
+        for n in (1, 7, 8, 129, 300, 4099):
+            for v in (np.full(n, -0.0), np.zeros(n), np.resize([-0.0, 0.0], n)):
+                assert _bits(self.dense(v)) == _bits(v.sum()), n
+            v = np.resize([1.5, -1.5, -0.0], n)  # exact cancellations
+            assert _bits(self.dense(v)) == _bits(v.sum()), n
+
+    @pytest.mark.parametrize("n", [1, 100, 4099, 33**3, 96**3])
+    def test_sparse_equals_scatter_into_zeros(self, chunk, rng, n):
+        picks = {
+            "none": np.empty(0, dtype=np.intp),
+            "one": np.array([n - 1]),
+            "few": rng.choice(n, min(n, 150), replace=False),
+            "many": rng.choice(n, n // 3, replace=False),
+            "all": np.arange(n),
+        }
+        for name, cells in picks.items():
+            cells = np.sort(cells)
+            values = self.spread(rng, cells.size)
+            values[::5] = -0.0
+            zeros = np.zeros(n)
+            zeros[cells] = values
+            got = diagnostics._scattered_sum(n, cells, values)
+            assert _bits(got) == _bits(zeros.sum()), name
 
 
 class TestDissipation:

@@ -231,6 +231,14 @@ class TestRandomBlob:
             blob = random_blob(g, seed=seed, fill=0.3, smoothing=smoothing)
             assert np.array_equal(blob.mask.ravel(), expected)
 
+    def test_filter_reach_up_to_four_sides(self):
+        g = Grid(dim=2, n=16)
+        # int(4 sigma + 0.5) = 64 = 4 n cells is the longest reach allowed
+        blob = random_blob(g, seed=1, smoothing=15.9 * g.dx)
+        assert blob.cell_count == round(0.3 * g.total_cells)
+        with pytest.raises(ValueError, match="smoothing"):
+            random_blob(g, seed=1, smoothing=16.2 * g.dx)  # reach 65 cells
+
     @pytest.mark.parametrize("smoothing", [-0.05, -1e-300, float("nan"), float("inf")])
     def test_rejects_negative_or_non_finite_smoothing(self, grid64, smoothing):
         with pytest.raises(ValueError, match="smoothing"):
@@ -301,6 +309,23 @@ class TestMeasurements:
         center = (0.3, 0.6, 0.45)
         d2 = g.periodic_distance_sq(center)
         assert bounding_radius(f, center) == float(np.sqrt(d2[f.mask].max()))
+
+    @pytest.mark.parametrize("dim, n", [(3, 33), (3, 96), (2, 300), (2, 1024)])
+    def test_bounding_radius_by_slabs_equals_full_grid(self, dim, n):
+        # blocks of slabs that do not divide n, empty slabs skipped, a ball
+        # across the seam and a single cell
+        g = Grid(dim=dim, n=n)
+        single = np.zeros(g.shape, dtype=bool)
+        single[(n - 1,) + (n // 2,) * (dim - 1)] = True
+        fields = [
+            random_blob(g, seed=3, fill=0.2),
+            rasterize_ball(g, (0.4,) * (dim - 1) + (0.02,), 0.1),
+            PhaseField(g, single),
+        ]
+        center = (0.3, 0.6, 0.45)[:dim]
+        d2 = g.periodic_distance_sq(center)
+        for f in fields:
+            assert bounding_radius(f, center) == float(np.sqrt(d2[f.mask].max()))
 
     def test_bounding_radius_empty_raises(self, grid64):
         f = PhaseField(grid64, np.zeros(grid64.shape, dtype=bool))

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from mbokit.kernel import (
     HeatKernelPlan,
     ResolutionWarning,
     _derivative_factors,
+    _row_blocks,
     convolve,
     default_workers,
     spectral_divergence,
@@ -203,6 +205,28 @@ class TestTransformsMatchScipy:
             )
         for one, three in zip(*results):
             assert np.array_equal(one, three)
+
+    @pytest.mark.parametrize("dim, n", [(2, 300), (3, 40)])
+    def test_threads_over_several_rounds_equal_one(self, dim, n, monkeypatch):
+        # more threads than cores and several rounds of row blocks, so the
+        # inverse writes each round's rows over a spectrum whose later
+        # rounds are still unread
+        grid = Grid(dim=dim, n=n)
+        ball = rasterize_ball(grid, (0.45,) * dim, 0.3)
+        u = np.random.default_rng(3).standard_normal(grid.shape)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in ("1", "5"):
+                monkeypatch.setenv("MBO_THREADS", threads)
+                plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
+                assert len(_row_blocks(n ** (dim - 1), n, plan.workers)) > plan.workers
+                results.append((plan.apply(u), convolve(plan, ball).values))
+        finally:
+            sys.setswitchinterval(interval)
+        for one, five in zip(*results):
+            assert np.array_equal(one, five)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unit_scale_equals_long_double_scale(self, dim):

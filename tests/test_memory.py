@@ -11,9 +11,18 @@ import numpy as np
 import pytest
 
 from mbokit.cli import main
-from mbokit.diagnostics import ledger_check
-from mbokit.grid import Grid, RealField, random_blob, rasterize_ball, voronoi_labels
-from mbokit.schemes import SchemeConfig, Stepper, equal_tensions
+from mbokit.diagnostics import LedgerWalk, energy_two_phase, ledger_check
+from mbokit.grid import (
+    Grid,
+    RealField,
+    bounding_radius,
+    centroid,
+    random_blob,
+    rasterize_ball,
+    voronoi_labels,
+)
+from mbokit.kernel import HeatKernelPlan, convolve
+from mbokit.schemes import SchemeConfig, Stepper, equal_tensions, step_mbo
 from mbokit.threshold import select_bottom_cells, select_top_cells
 
 
@@ -143,3 +152,68 @@ def test_selection_holds_one_scratch_field(select):
     sel, peak = traced_peak(select, scores, target)
     assert sel.mask.cell_count == target
     assert peak < 1.5 * FIELD64
+
+
+@pytest.mark.parametrize("smoothing", [1e308, 1e300, 5.0])
+def test_oversized_blob_smoothing_is_refused_before_allocating(smoothing):
+    grid = Grid(dim=2, n=16)  # filter radius inf, 6.4e301 and 320 cells
+
+    def attempt():
+        try:
+            random_blob(grid, seed=1, smoothing=smoothing)
+        except ValueError as exc:
+            return str(exc)
+
+    message, peak = traced_peak(attempt)
+    assert "smoothing" in message
+    assert peak < grid.total_cells * 8  # not even the noise field
+
+
+# One state smoothed, its energy and its support radius, at 512^2 and 64^3
+# (2^18 cells each).  The figures count traced bytes on top of the live
+# arrays: one spectrum-sized buffer for a smoothing, chunks for the rest.
+GRID512 = Grid(dim=2, n=512)
+
+
+@pytest.fixture(params=[GRID512, GRID64], ids=["512^2", "64^3"])
+def ball_and_plan(request):
+    grid = request.param
+    ball = rasterize_ball(grid, (0.45,) * grid.dim, 0.3)
+    plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
+    convolve(plan, ball)  # warm the transform caches
+    return ball, plan, grid.total_cells * 8
+
+
+def test_convolve_holds_one_spectrum(ball_and_plan):
+    ball, plan, field = ball_and_plan
+    smoothed, peak = traced_peak(convolve, plan, ball)
+    n = ball.grid.n
+    # the values are a view into the spectrum they were written over
+    assert smoothed.values.base.nbytes == field // n * (n + 2)
+    assert peak < 1.3 * field
+
+
+def test_energy_builds_no_full_grid_integrand(ball_and_plan):
+    ball, plan, field = ball_and_plan
+    smoothed = convolve(plan, ball)
+    _, peak = traced_peak(energy_two_phase, ball, smoothed, plan.h)
+    assert peak < 0.25 * field
+
+
+def test_bounding_radius_builds_no_distance_field(ball_and_plan):
+    ball, _, field = ball_and_plan
+    center = centroid(ball)
+    _, peak = traced_peak(bounding_radius, ball, center)
+    assert peak < 0.25 * field
+
+
+def test_two_phase_advance_holds_one_spectrum():
+    # a step that changes about a hundred cells: the ledger's sums add
+    # chunks, not a zero field
+    ball = rasterize_ball(GRID512, (0.45, 0.45), 0.3)
+    cfg = SchemeConfig("mbo", GRID512, 16.0 * GRID512.dx**2, 1)
+    walk = LedgerWalk(cfg, ball)
+    after = step_mbo(ball, walk.smoothed)
+    _, peak = traced_peak(walk.advance, 1, after)
+    assert 50 < walk.changed.size < 500
+    assert peak < 1.3 * GRID512.total_cells * 8
