@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .grid import Grid, MultiPhaseState, PhaseField, RealField
-from .kernel import HeatKernelPlan, convolve, convolve_labels, spectral_divergence
+from .kernel import HeatKernelPlan, convolve, spectral_divergence
 
 if TYPE_CHECKING:  # only for annotations; no runtime dependency on schemes
     from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
@@ -184,7 +184,7 @@ def energy_multiphase(
     if tensions.num_grains != state.num_grains:
         raise ValueError("tension matrix size does not match state")
     p = state.num_grains
-    labels = state.labels.ravel()
+    labels = state.labels.ravel().astype(np.intp)  # cast once, not per bincount
     # overlap[i, j] = sum over cells of label i of smoothed label j
     overlap = np.empty((p + 1, p + 1))
     for j, psi in enumerate(smoothed):
@@ -227,6 +227,11 @@ class LedgerWalk:
     Runs and audits both walk their states through here, so an audit of
     untouched states reproduces the run's rows bit for bit, and at most two
     states and one set of smoothed fields are alive.
+
+    The walk allocates its spectrum buffers once, one per smoothed field,
+    and smooths every state into them, so ``smoothed`` is valid only until
+    the next :meth:`advance` writes the next state's fields over it.  Read
+    it before advancing, and copy what must outlive the step.
     """
 
     def __init__(
@@ -235,20 +240,31 @@ class LedgerWalk:
         self.config = config
         self.plan = HeatKernelPlan(config.grid, config.h)
         if config.scheme == "grain_growth":
-            self._smooth = convolve_labels
             self._energy = partial(energy_multiphase, tensions=config.tensions)
+            fields = state.num_grains + 1
         else:
-            self._smooth, self._energy = convolve, energy_two_phase
+            self._energy, fields = energy_two_phase, 1
+        self._spectra = [self.plan.empty_spectrum() for _ in range(fields)]
         self.state = state
-        self.smoothed = self._smooth(self.plan, state)
+        self.smoothed = self._smooth(state)
         self.energy = self._energy(state, self.smoothed, config.h)
         self.changed = np.empty(0, dtype=np.intp)
+
+    def _smooth(self, state: PhaseField | MultiPhaseState):
+        """``state`` smoothed into the walk's spectra, over the fields there."""
+        plan, spectra = self.plan, self._spectra
+        if isinstance(state, MultiPhaseState):
+            return [
+                convolve(plan, state.indicator(j), spectrum).values
+                for j, spectrum in enumerate(spectra)
+            ]
+        return convolve(plan, state, spectra[0])
 
     def advance(
         self,
         step: int,
         cur: PhaseField | MultiPhaseState,
-        force_now: RealField | None = None,
+        force_now: RealField | None,
     ) -> LedgerRow:
         """Ledger row of the step from ``state`` to ``cur``, then move to ``cur``.
 
@@ -257,10 +273,11 @@ class LedgerWalk:
         convolution of its own: it pairs omega = cur - prev with G cur -
         G prev, and omega is zero off the changed cells.  So the old
         smoothed fields are cut down to those cells before ``cur`` is
-        smoothed, and the dissipation (tension rows for a partition) and
-        the forcing transfer are summed over the changed cells with the
-        bits of numpy's sum of the full-grid integrand, which is zero off
-        them.  Forced steps pass the force at the target time.
+        smoothed into the same buffers, and the dissipation (tension rows
+        for a partition) and the forcing transfer are summed over the
+        changed cells with the bits of numpy's sum of the full-grid
+        integrand, which is zero off them.  Forced steps pass the force at
+        the target time, the other schemes None.
         """
         cfg, prev = self.config, self.state
         grid, h = cfg.grid, cfg.h
@@ -271,8 +288,7 @@ class LedgerWalk:
         else:
             cells = np.flatnonzero(cur.mask != prev.mask)
             before = self.smoothed.values.ravel()[cells]
-        self.smoothed = None  # drop the old fields before smoothing cur
-        self.smoothed = smoothed = self._smooth(self.plan, cur)
+        self.smoothed = smoothed = self._smooth(cur)  # over the old fields
         energy = self._energy(cur, smoothed, h)
         n = grid.total_cells
         transfer = 0.0

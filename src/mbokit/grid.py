@@ -311,12 +311,11 @@ def random_blob(
             f"smoothing {smoothing} makes the blob filter reach more than "
             f"{MAX_FILTER_REACH} n = {MAX_FILTER_REACH * grid.n} cells"
         )
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(grid.shape)
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
     smooth = _periodic_gaussian(noise, sigma)
+    del noise  # dead once filtered
     target = max(1, min(grid.total_cells - 1, round(fill * grid.total_cells)))
-    # the filter leaves the noise dead; it is the selection's scratch key
-    mask, _ = _select_cells(smooth.ravel(), target, top=True, key=noise.ravel())
+    mask, _ = _select_cells(smooth.ravel(), target, top=True)
     return PhaseField(grid, mask.reshape(grid.shape))
 
 
@@ -371,8 +370,15 @@ def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+# The exact selection reads inputs of this many cells or more in blocks of
+# this many, and brackets its cut from a strided sample of about
+# ``_SAMPLE_KEYS`` keys first; a smaller input is partitioned whole.
+_SELECT_BLOCK = 1 << 13
+_SAMPLE_KEYS = 1 << 12
+
+
 def _select_cells(
-    values: np.ndarray, count: int, top: bool, key: np.ndarray
+    values: np.ndarray, count: int, top: bool
 ) -> tuple[np.ndarray, np.float64]:
     """Flat mask of the ``count`` largest (``top``) or smallest of the flat
     ``values``, and the value at the cut.
@@ -380,25 +386,78 @@ def _select_cells(
     Every value beyond the cut is taken; the rest come from values equal to
     it in ascending index order, so the mask marks the same cells as
     ``np.argsort(k, kind="stable")[:count]`` for ``k = -(values + 0.0)``
-    (top) or ``values + 0.0``.  The cut is found by partitioning ``key``, a
-    scratch array of ``values.size`` floats that is overwritten; a zero cut
-    is returned as +0.0.  Needs ``1 <= count <= values.size`` and no NaN.
-    Shared with :mod:`mbokit.threshold`; private, so a traced run charges
-    its time to the caller.
+    (top) or ``values + 0.0``.  The cut is the order statistic of rank
+    ``values.size - count`` (top) or ``count - 1`` (bottom), counted from 0,
+    found by :func:`_kth_smallest` without a full-size copy of ``values``; a
+    zero cut is returned as +0.0.  Needs ``1 <= count <= values.size`` and
+    no NaN.  Shared with :mod:`mbokit.threshold`; private, so a traced run
+    charges its time to the caller.
     """
-    # 0.0 - x is -x and x + 0.0 is x, each with every zero made +0.0
-    if top:
-        np.subtract(0.0, values, out=key)
-    else:
-        np.add(values, 0.0, out=key)
-    key.partition(count - 1)
-    cut = 0.0 - key[count - 1] if top else key[count - 1]
+    cut = _kth_smallest(values, values.size - count if top else count - 1) + 0.0
     mask = values > cut if top else values < cut
     missing = count - int(np.count_nonzero(mask))
-    if missing:
-        ties = np.flatnonzero(values == cut)
-        mask[ties[:missing]] = True
+    for lo in range(0, values.size, _SELECT_BLOCK):  # ties, lowest index first
+        if not missing:
+            break
+        ties = np.flatnonzero(values[lo : lo + _SELECT_BLOCK] == cut)[:missing]
+        mask[lo + ties] = True
+        missing -= ties.size
     return mask, cut
+
+
+def _kth_smallest(values: np.ndarray, k: int) -> np.float64:
+    """The ``k``-th smallest (from 0) of the flat ``values``, exactly.
+
+    An input of fewer than ``_SELECT_BLOCK`` values is partitioned whole.  A
+    larger one is bracketed first: the sorted values of every ``values.size
+    // _SAMPLE_KEYS``-th cell give the two ends, ``width`` places either
+    side of where rank ``k`` falls among them.  One :func:`_bracket_pass`
+    counts the values below and up to each end and gathers the few strictly
+    inside, and rank ``k`` picks an end or its place among those.  A sample
+    can miss a cluster of values, so the rank may fall outside the bracket;
+    then the bracket moves to that side, four times as wide, its near end
+    at the old far end and its far end at most an infinity, and the pass
+    runs again.
+    """
+    n = values.size
+    if n < _SELECT_BLOCK:
+        return np.partition(values, k)[k]
+    sample = np.sort(values[:: n // _SAMPLE_KEYS])
+    s = sample.size
+    width = 2 * math.isqrt(s)  # about four standard deviations of the rank
+    lo_at, hi_at = k * s // n - width, k * s // n + width
+    while True:
+        lo = sample[lo_at] if lo_at >= 0 else np.float64(-np.inf)
+        hi = sample[hi_at] if hi_at < s else np.float64(np.inf)
+        below, upto_lo, upto_hi, inside = _bracket_pass(values, lo, hi)
+        width *= 4
+        if k < below:
+            lo_at, hi_at = lo_at - width, lo_at
+        elif k >= upto_hi:
+            lo_at, hi_at = hi_at, hi_at + width
+        elif k < upto_lo:
+            return lo
+        elif k - upto_lo >= inside.size:
+            return hi
+        else:
+            inside.partition(k - upto_lo)
+            return inside[k - upto_lo]
+
+
+def _bracket_pass(values: np.ndarray, lo: np.float64, hi: np.float64):
+    """Read ``values`` a block at a time and return how many are below
+    ``lo``, at most ``lo`` and at most ``hi``, and those strictly between
+    ``lo`` and ``hi``."""
+    below = upto_lo = upto_hi = 0
+    parts = []
+    for start in range(0, values.size, _SELECT_BLOCK):
+        block = values[start : start + _SELECT_BLOCK]
+        past_lo = block > lo
+        below += int(np.count_nonzero(block < lo))
+        upto_lo += block.size - int(np.count_nonzero(past_lo))
+        upto_hi += int(np.count_nonzero(block <= hi))
+        parts.append(block[past_lo & (block < hi)])
+    return below, upto_lo, upto_hi, np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +495,20 @@ def bounding_radius(field: PhaseField, center: Sequence[float]) -> float:
 
 
 def centroid(field: PhaseField) -> tuple[float, ...]:
-    """Periodic centroid of the occupied cells (circular mean per axis)."""
+    """Periodic centroid of the occupied cells (circular mean per axis).
+
+    Takes sin and cos of each axis's n cell angles once and gathers them
+    per occupied cell: the same values, bit for bit, as sin and cos of the
+    gathered angles.
+    """
     if field.cell_count == 0:
         raise EmptyPhaseError("centroid of an empty phase")
     g = field.grid
     out = []
     for k in range(g.dim):
         theta = 2.0 * np.pi * g.coordinate(k) / g.side
-        theta = np.broadcast_to(theta, g.shape)[field.mask]
-        ang = np.arctan2(np.sin(theta).mean(), np.cos(theta).mean())
+        sin = np.broadcast_to(np.sin(theta), g.shape)[field.mask]
+        cos = np.broadcast_to(np.cos(theta), g.shape)[field.mask]
+        ang = np.arctan2(sin.mean(), cos.mean())
         out.append(float((ang * g.side / (2.0 * np.pi)) % g.side))
     return tuple(out)

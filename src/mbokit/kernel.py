@@ -98,15 +98,22 @@ def _row_blocks(rows: int, n: int, workers: int) -> list[slice]:
     return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def _rfftn(values: np.ndarray, workers: int) -> np.ndarray:
+def _spectral_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of the real-to-complex spectrum of an array of ``shape``."""
+    return shape[:-1] + (shape[-1] // 2 + 1,)
+
+
+def _rfftn(values: np.ndarray, workers: int, spectrum: np.ndarray) -> np.ndarray:
     """``scipy.fft.rfftn`` bit for bit: r2c on the last axis, then c2c on 0 .. d-2.
 
     ``values`` may be of any real or boolean dtype: each block of rows is
     cast to float64 on its own, so no float copy of the whole array is made.
+    The transform is written into ``spectrum``, a C-contiguous complex128
+    array of the spectral shape that shares no memory with ``values``, and
+    returned.
     """
     values = np.asarray(values)
     shape, n = values.shape, values.shape[-1]
-    spectrum = np.empty(shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
     lines, spec_lines = values.reshape(-1, n), spectrum.reshape(-1, n // 2 + 1)
     blocks = _row_blocks(lines.shape[0], n, workers)
 
@@ -219,19 +226,24 @@ class HeatKernelPlan:
                 ResolutionWarning,
                 stacklevel=2,
             )
-        k2 = np.zeros(self._spectral_shape())
+        k2 = np.zeros(_spectral_shape(self.grid.shape))
         for k in range(self.grid.dim):
             k2 = k2 + _frequencies(self.grid)[k] ** 2
         object.__setattr__(self, "multipliers", np.exp(-self.h * k2))
 
-    def _spectral_shape(self) -> tuple[int, ...]:
-        return (self.grid.n,) * (self.grid.dim - 1) + (self.grid.n // 2 + 1,)
+    def empty_spectrum(self) -> np.ndarray:
+        """A new, uninitialised buffer for one spectrum of the plan's grid."""
+        return np.empty(_spectral_shape(self.grid.shape), dtype=np.complex128)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
+    def forward(self, values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """Real-to-complex transform of a grid array of floats or booleans,
         read in blocks of rows, so a mask is never copied to floats whole.
-        Returns a new spectrum."""
-        return _rfftn(values, self.workers)
+
+        The transform is written into ``spectrum``, a buffer as
+        :meth:`empty_spectrum` returns it that shares no memory with
+        ``values``, and ``spectrum`` is returned.
+        """
+        return _rfftn(values, self.workers, spectrum)
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Complex-to-real transform back to the grid, written over ``spectrum``.
@@ -245,19 +257,23 @@ class HeatKernelPlan:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Smooth a raw array (no clamping, no wrapping in field types)."""
-        spectrum = self.forward(values)
+        spectrum = self.forward(values, self.empty_spectrum())
         spectrum *= self.multipliers
         return self.inverse(spectrum)
 
     def apply_grad_component(self, values: np.ndarray, axis: int) -> np.ndarray:
         """One component of the gradient of the smoothed raw array."""
-        spectrum = self.forward(values)
+        spectrum = self.forward(values, self.empty_spectrum())
         spectrum *= self.multipliers
         spectrum *= _derivative_factors(self.grid)[axis]
         return self.inverse(spectrum)
 
 
-def convolve(plan: HeatKernelPlan, field_in: PhaseField | RealField) -> RealField:
+def convolve(
+    plan: HeatKernelPlan,
+    field_in: PhaseField | RealField,
+    spectrum: np.ndarray | None = None,
+) -> RealField:
     """Smooth a field with the heat kernel of the plan's bandwidth.
 
     Indicator inputs are clamped back to [0, 1] after the transform; the
@@ -266,14 +282,18 @@ def convolve(plan: HeatKernelPlan, field_in: PhaseField | RealField) -> RealFiel
     the raw values.  The cell average is preserved to rounding.
 
     One transform pair does the work: the forward transform reads the mask
-    (or the values) into one new spectrum, and the smoothed values are
-    written over it, so the result's values are a view into that buffer,
-    2/n larger than a field.
+    (or the values) into ``spectrum``, a buffer from
+    :meth:`HeatKernelPlan.empty_spectrum` that shares no memory with the
+    input (a new one when None), and the smoothed values are written over
+    it, so the result's values are a view into that buffer, 2/n larger than
+    a field.
     """
     if field_in.grid != plan.grid:
         raise ValueError("field grid does not match plan grid")
     indicator = isinstance(field_in, PhaseField)
-    spectrum = plan.forward(field_in.mask if indicator else field_in.values)
+    if spectrum is None:
+        spectrum = plan.empty_spectrum()
+    spectrum = plan.forward(field_in.mask if indicator else field_in.values, spectrum)
     spectrum *= plan.multipliers
     out = plan.inverse(spectrum)
     if indicator:
@@ -304,7 +324,7 @@ def spectral_divergence(grid: Grid, components: tuple[np.ndarray, ...]) -> np.nd
     factors = _derivative_factors(grid)
     out = np.zeros(grid.shape)
     for k in range(grid.dim):
-        spec = _rfftn(components[k], w)
+        spec = _rfftn(components[k], w, np.empty(_spectral_shape(grid.shape), complex))
         spec *= factors[k]
         out += _irfftn(spec, grid.shape, w)
     return out

@@ -288,8 +288,8 @@ class Stepper:
         return self._steps
 
     def _iterate(self, walk: LedgerWalk):
-        # walk.smoothed is read inline, never bound to a name here, so the
-        # old fields die inside walk.advance before the new ones are made
+        # walk.smoothed is read inline, never bound to a name here: it is
+        # valid only until walk.advance smooths the next state over it
         config = self.config
         grid, h = config.grid, config.h
         wrap_warned = self.initial_radius > WRAP_RADIUS_FRACTION * grid.side

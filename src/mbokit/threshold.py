@@ -5,6 +5,13 @@ volume matches a prescribed target: take the ``target`` best cells, with
 the cut value reported as the threshold.  Ties at the cut are resolved by
 ascending row-major cell index, which makes the result deterministic and
 the cell count exact no matter how degenerate the scores are.
+
+The cut is an exact order statistic found without a copy of the scores: a
+strided sample of about 2^12 of them brackets it, and one pass over blocks
+of 2^13 cells counts the scores up to each end of the bracket and gathers
+the few inside it (another pass runs only if the sample missed a cluster).
+A selection holds the mask it returns and a small fraction of a field of
+scratch.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ def _selection(scores: RealField, target_cells: int, top: bool) -> SelectionResu
     if target_cells == 0:
         empty = PhaseField(grid, np.zeros(grid.shape, dtype=bool))
         return SelectionResult(None, empty)
-    mask, cut = _select_cells(flat, target_cells, top=top, key=np.empty(flat.size))
+    mask, cut = _select_cells(flat, target_cells, top=top)
     return SelectionResult(float(cut), PhaseField(grid, mask.reshape(grid.shape)))
 
 

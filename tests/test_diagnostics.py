@@ -405,7 +405,7 @@ class TestLedger:
             expected = full_grid_dissipation(
                 cfg, prev, cur, smoothed[n - 1], smoothed[n]
             )
-            row = walk.advance(n, cur)
+            row = walk.advance(n, cur, None)
             assert row.dissipation == expected
             assert np.signbit(row.dissipation) == np.signbit(expected)
             if n == len(states) - 1:

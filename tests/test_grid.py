@@ -276,7 +276,7 @@ class TestSmallestCells:
         # values quantised to halves: about 20 distinct keys over 1024 cells
         key = np.round(2.0 * np.random.default_rng(4).standard_normal(1024)) / 2.0
         key[::5] *= -1.0  # -0.0 and +0.0 both occur and must compare equal
-        mask, cut = _select_cells(key, count, False, np.empty(key.size))
+        mask, cut = _select_cells(key, count, False)
         order = np.argsort(key, kind="stable")
         expected = np.zeros(key.size, dtype=bool)
         expected[order[:count]] = True
@@ -297,6 +297,44 @@ class TestMeasurements:
         f = rasterize_ball(grid128, (0.03, 0.5), 0.1)
         c = centroid(f)
         assert min(abs(c[0] - 0.03), abs(c[0] - 1.03)) < grid128.dx
+
+    @staticmethod
+    def centroid_of_gathered_angles(field):
+        """The circular mean with sin and cos taken of every occupied cell's
+        angle, the way ``centroid`` once computed it."""
+        g = field.grid
+        out = []
+        for k in range(g.dim):
+            theta = 2.0 * np.pi * g.coordinate(k) / g.side
+            theta = np.broadcast_to(theta, g.shape)[field.mask]
+            ang = np.arctan2(np.sin(theta).mean(), np.cos(theta).mean())
+            out.append(float((ang * g.side / (2.0 * np.pi)) % g.side))
+        return tuple(out)
+
+    @pytest.mark.parametrize("dim, n", [(2, 128), (3, 40)])
+    def test_centroid_equals_gathered_angles_bit_for_bit(self, dim, n):
+        # balls across the seam, and masks whose odd counts leave SIMD tails
+        g = Grid(dim=dim, n=n)
+        rng = np.random.default_rng(dim)
+        fields = [
+            rasterize_ball(g, (0.03,) + (0.5,) * (dim - 1), 0.1),
+            rasterize_ball(g, (0.97,) * dim, 0.23),
+        ]
+        for count in (1, 3, 7, 9, 15, 17, 31, 33, 65, 1001):
+            mask = np.zeros(g.total_cells, dtype=bool)
+            mask[rng.choice(g.total_cells, count, replace=False)] = True
+            fields.append(PhaseField(g, mask.reshape(g.shape)))
+        for f in fields:
+            expected = np.array(self.centroid_of_gathered_angles(f))
+            got = np.array(centroid(f))
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            for k in range(dim):
+                theta = 2.0 * np.pi * g.coordinate(k) / g.side
+                gathered = np.broadcast_to(theta, g.shape)[f.mask]
+                for trig in (np.sin, np.cos):
+                    each = trig(gathered)
+                    once = np.broadcast_to(trig(theta), g.shape)[f.mask]
+                    assert np.array_equal(once.view(np.uint64), each.view(np.uint64))
 
     def test_bounding_radius_ball(self, grid128):
         f = rasterize_ball(grid128, (0.5, 0.5), 0.2)

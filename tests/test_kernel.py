@@ -118,6 +118,16 @@ class TestConvolve:
         out = convolve(plan, f)
         assert out.values.max() > 1.0
 
+    def test_given_spectrum_is_written_over_with_the_same_bits(self, grid128):
+        plan = HeatKernelPlan(grid128, 1e-3)
+        spectrum = plan.empty_spectrum()
+        for center in ((0.5, 0.5), (0.02, 0.9)):  # the second reuses the buffer
+            ball = rasterize_ball(grid128, center, 0.3)
+            fresh = convolve(plan, ball).values
+            out = convolve(plan, ball, spectrum).values
+            assert out.base is spectrum
+            assert np.array_equal(out.view(np.uint64), fresh.view(np.uint64))
+
 
 class TestGradConvolve:
     def test_slab_gradient_peak(self, grid512):
@@ -171,7 +181,7 @@ class TestTransformsMatchScipy:
         rng = np.random.default_rng(n * 10 + dim)
         u = rng.standard_normal(grid.shape)
         plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
-        spectrum = plan.forward(u)
+        spectrum = plan.forward(u, plan.empty_spectrum())
         assert np.array_equal(spectrum, sfft.rfftn(u, workers=1))
         spectrum *= plan.multipliers
         expected = sfft.irfftn(spectrum, s=grid.shape, workers=1)
@@ -198,7 +208,7 @@ class TestTransformsMatchScipy:
             assert plan.workers == int(threads)
             results.append(
                 (
-                    plan.forward(comps[0]),
+                    plan.forward(comps[0], plan.empty_spectrum()),
                     convolve(plan, ball).values,
                     spectral_divergence(grid, comps),
                 )

@@ -22,7 +22,13 @@ from mbokit.grid import (
     voronoi_labels,
 )
 from mbokit.kernel import HeatKernelPlan, convolve
-from mbokit.schemes import SchemeConfig, Stepper, equal_tensions, step_mbo
+from mbokit.schemes import (
+    SchemeConfig,
+    Stepper,
+    equal_tensions,
+    step_grain_growth,
+    step_mbo,
+)
 from mbokit.threshold import select_bottom_cells, select_top_cells
 
 
@@ -126,6 +132,18 @@ def test_grain_run_holds_one_stack_of_smoothed_fields(many_grains):
     assert stack < peak < 1.5 * stack
 
 
+def test_grain_advance_allocates_no_second_stack(many_grains):
+    # the new state is smoothed into the walk's own spectra
+    cfg, initial, stack = many_grains
+    walk = LedgerWalk(cfg, initial)
+    after, _ = step_grain_growth(initial, walk.smoothed, cfg.tensions)
+    buffers = {id(f.base) for f in walk.smoothed}
+    _, peak = traced_peak(walk.advance, 1, after, None)
+    assert walk.changed.size > 0
+    assert {id(f.base) for f in walk.smoothed} == buffers
+    assert peak < 0.1 * stack
+
+
 def test_grain_audit_holds_one_stack_of_smoothed_fields(many_grains):
     cfg, initial, stack = many_grains
     states = [initial, *Stepper(cfg, initial)]
@@ -139,19 +157,32 @@ FIELD64 = GRID64.total_cells * 8  # bytes of one float64 field
 
 
 def test_blob_set_up_holds_two_grid_fields():
-    # the noise and one filtered field; the selection key reuses the noise
+    # the noise and one filtered field; the noise dies before the selection
     blob, peak = traced_peak(random_blob, GRID64, 3)
     assert blob.cell_count == round(0.3 * GRID64.total_cells)
     assert peak < 3 * FIELD64
 
 
-@pytest.mark.parametrize("select", [select_top_cells, select_bottom_cells])
-def test_selection_holds_one_scratch_field(select):
-    scores = RealField(GRID64, np.random.default_rng(5).standard_normal(GRID64.shape))
-    target = GRID64.total_cells // 3
+def selection_peak(select, grid):
+    """Traced peak of a selection of a third of the cells of ``grid``, in
+    float64 fields; the mask it returns is an eighth of one."""
+    scores = RealField(grid, np.random.default_rng(5).standard_normal(grid.shape))
+    target = grid.total_cells // 3
     sel, peak = traced_peak(select, scores, target)
     assert sel.mask.cell_count == target
-    assert peak < 1.5 * FIELD64
+    return peak / (grid.total_cells * 8)
+
+
+@pytest.mark.parametrize("select", [select_top_cells, select_bottom_cells])
+def test_selection_holds_one_scratch_field(select):
+    # no scratch key of a field's size: the mask, a sample and a few blocks
+    assert selection_peak(select, GRID64) < 0.5
+
+
+@pytest.mark.parametrize("select", [select_top_cells, select_bottom_cells])
+@pytest.mark.parametrize("grid", [Grid(3, 96), Grid(2, 256)], ids=["96^3", "256^2"])
+def test_selection_scratch_stays_below_half_a_field(grid, select):
+    assert selection_peak(select, grid) < 0.5
 
 
 @pytest.mark.parametrize("smoothing", [1e308, 1e300, 5.0])
@@ -214,6 +245,6 @@ def test_two_phase_advance_holds_one_spectrum():
     cfg = SchemeConfig("mbo", GRID512, 16.0 * GRID512.dx**2, 1)
     walk = LedgerWalk(cfg, ball)
     after = step_mbo(ball, walk.smoothed)
-    _, peak = traced_peak(walk.advance, 1, after)
+    _, peak = traced_peak(walk.advance, 1, after, None)
     assert 50 < walk.changed.size < 500
     assert peak < 1.3 * GRID512.total_cells * 8

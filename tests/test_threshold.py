@@ -199,3 +199,103 @@ class TestSelectionProperties:
         small = select_top_cells(_field(g, values), target)
         big = select_top_cells(_field(g, values), target + 1)
         assert (big.mask.mask | ~small.mask.mask).all()
+
+
+def stable_selection(values, target, side):
+    """Mask and cut of ``target`` cells by a stable argsort of the normalised
+    keys, the rule both selections promise."""
+    key = values + 0.0
+    order = np.argsort(-key if side == "top" else key, kind="stable")
+    expected = np.zeros(values.size, dtype=bool)
+    expected[order[:target]] = True
+    return expected, key[order[target - 1]]
+
+
+@pytest.fixture
+def bracket_passes(monkeypatch):
+    """Record the brackets of every pass the exact selection makes."""
+    import mbokit.grid as grid_module
+
+    calls = []
+    real = grid_module._bracket_pass
+
+    def spy(values, lo, hi):
+        calls.append((lo, hi))
+        return real(values, lo, hi)
+
+    monkeypatch.setattr(grid_module, "_bracket_pass", spy)
+    return calls
+
+
+class TestBracketedSelection:
+    """Inputs of 2^13 cells and more are bracketed from a sample and read in
+    blocks; the mask and the cut must still be those of a stable argsort."""
+
+    def check(self, grid, values, targets, side):
+        for target in targets:
+            sel = SELECT[side](_field(grid, values), target)
+            expected, cut = stable_selection(values, target, side)
+            assert np.array_equal(sel.mask.mask.ravel(), expected), target
+            assert sel.threshold == cut
+            assert math.copysign(1.0, sel.threshold) == math.copysign(1.0, cut)
+
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    @pytest.mark.parametrize("grid", [Grid(2, 96), Grid(3, 24)], ids=["96^2", "24^3"])
+    def test_clamped_plateaus_at_the_cut(self, grid, side):
+        # a third of the cells exactly 0.0 and a third exactly 1.0
+        noise = np.random.default_rng(21).standard_normal(grid.total_cells)
+        values = np.clip(0.5 + 1.2 * noise, 0.0, 1.0)
+        n = grid.total_cells
+        near, far = (1.0, 0.0) if side == "top" else (0.0, 1.0)
+        first, last = int((values == near).sum()), int((values == far).sum())
+        assert min(first, last) > n // 4
+        targets = [1, first // 2, first, first + 1, n - last, n - last // 2, n]
+        self.check(grid, values, targets, side)
+
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.75])
+    def test_all_values_equal(self, side, value, bracket_passes):
+        g = Grid(2, 128)
+        values = np.full(g.total_cells, value)
+        self.check(g, values, [1, 2, g.total_cells // 2, g.total_cells], side)
+        assert len(bracket_passes) == 4  # the rank sits on both ends at once
+
+    @pytest.mark.parametrize("zeros", ["mixed", "negative", "positive"])
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    def test_signed_zeros(self, side, zeros):
+        g = Grid(2, 128)
+        noise = np.random.default_rng(9).standard_normal(g.total_cells)
+        values = np.round(2.0 * noise) / 2.0
+        values[::3] *= -1.0
+        zero = values == 0.0
+        if zeros != "mixed":
+            values[zero] = -0.0 if zeros == "negative" else 0.0
+        below = int((values < 0).sum()) if side == "bottom" else int((values > 0).sum())
+        run = int(zero.sum())
+        targets = [1, below, below + 1, below + run // 2, below + run, g.total_cells]
+        self.check(g, values, targets, side)
+
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    def test_sampled_field_takes_one_pass(self, side, bracket_passes):
+        g = Grid(3, 32)
+        values = np.random.default_rng(2).standard_normal(g.total_cells)
+        self.check(g, values, [g.total_cells // 3], side)
+        assert len(bracket_passes) == 1
+
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    def test_cluster_the_sample_misses_takes_another_pass(self, side, bracket_passes):
+        # 5 % of the cells, none of them sampled, in a narrow band of values
+        # below (for top) or above the rest: the rank falls outside the
+        # bracket the sample gives
+        g = Grid(2, 128)
+        n = g.total_cells
+        rng = np.random.default_rng(13)
+        values = rng.random(n)
+        unsampled = np.flatnonzero(np.arange(n) % (n // 4096))
+        cluster = rng.choice(unsampled, n // 20, replace=False)
+        band = 1e-9 * rng.random(cluster.size)
+        values[cluster] = -0.5 - band if side == "top" else 1.5 + band
+        self.check(g, values, [n // 2, n - n // 20 - 3, n - n // 20 + 5], side)
+        assert len(bracket_passes) > 3
+        first_lo, first_hi = bracket_passes[0]
+        assert np.isfinite([first_lo, first_hi]).all()
