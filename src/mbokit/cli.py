@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -26,6 +27,7 @@ import numpy as np
 
 from .diagnostics import (
     LedgerWalk,
+    StepRecord,
     ledger_check,
     ledger_report,
     loglog_slope,
@@ -448,6 +450,11 @@ def read_dump(path: Path | str):
             )
         state = PhaseField(grid, labels.view(bool))
     else:
+        if payload.max(initial=0) > header.num_grains:
+            raise ValueError(
+                f"{path}: payload holds label {payload.max()}, "
+                f"above its {header.num_grains} grains"
+            )
         state = MultiPhaseState(grid, labels.astype(np.int32), header.num_grains)
     return state, header.h, header.step
 
@@ -456,32 +463,41 @@ def read_dump(path: Path | str):
 # commands
 
 
-def _write_ledger_csv(path: Path, stepper: Stepper) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "t", "lambda", "E_h", "D_h", "slack", "radius"])
-        e0, r0 = _fmt(stepper.initial_energy), _fmt(stepper.initial_radius)
-        writer.writerow(["0", _fmt(0.0), "", e0, "", "", r0])
-        for r in stepper.records:
-            writer.writerow(
-                [
-                    str(r.step),
-                    _fmt(r.time),
-                    "" if r.lam is None else _fmt(r.lam),
-                    _fmt(r.energy_after),
-                    _fmt(r.dissipation),
-                    _fmt(r.slack),
-                    "" if r.bounding_radius is None else _fmt(r.bounding_radius),
-                ]
-            )
+def _open_ledger_csv(files: ExitStack, path: Path, stepper: Stepper):
+    """Open ``ledger.csv`` at ``path`` into ``files`` with its header and the
+    initial row, and return a function that appends one step's row and
+    flushes it, so that the rows of finished steps outlive a crash."""
+    fh = files.enter_context(open(path, "w", newline=""))
+    writer = csv.writer(fh)
+    writer.writerow(["n", "t", "lambda", "E_h", "D_h", "slack", "radius"])
+    e0, r0 = _fmt(stepper.initial_energy), _fmt(stepper.initial_radius)
+    writer.writerow(["0", _fmt(0.0), "", e0, "", "", r0])
+
+    def append_row(r: StepRecord) -> None:
+        writer.writerow(
+            [
+                str(r.step),
+                _fmt(r.time),
+                "" if r.lam is None else _fmt(r.lam),
+                _fmt(r.energy_after),
+                _fmt(r.dissipation),
+                _fmt(r.slack),
+                "" if r.bounding_radius is None else _fmt(r.bounding_radius),
+            ]
+        )
+        fh.flush()
+
+    return append_row
 
 
 def cmd_run(config_path: str) -> int:
     """Run a configured trajectory, write dumps and the ledger CSV.
 
-    Dumps are written as their steps finish and only the newest state is
-    kept; the initial dump waits for the first step, so a run whose first
-    step fails creates no ``out_dir``.
+    Dumps and ledger rows are written as their steps finish, and only the
+    newest state is kept.  The initial dump and the ledger's first rows
+    wait for the first step, so a run whose first step fails creates no
+    ``out_dir``; a run that fails later leaves the rows of the steps that
+    finished.
     """
     try:
         cfg = read_config(config_path)
@@ -503,16 +519,23 @@ def cmd_run(config_path: str) -> int:
 
     try:
         stepper = Stepper(scheme_cfg, initial)
-        step, state = 0, initial
-        for step, state in enumerate(stepper, start=1):
-            if step == 1:
-                dump(initial, 0)
-                del initial
-            if due(step):
+        with ExitStack() as files:
+            step, state = 0, initial
+            for step, state in enumerate(stepper, start=1):
+                if step == 1:
+                    dump(initial, 0)
+                    del initial
+                    append_row = _open_ledger_csv(
+                        files, out_dir / "ledger.csv", stepper
+                    )
+                append_row(stepper.records[-1])
+                if due(step):
+                    dump(state, step)
+            if step == 0:
+                dump(state, 0)
+                _open_ledger_csv(files, out_dir / "ledger.csv", stepper)
+            elif not due(step):
                 dump(state, step)
-        if step == 0 or not due(step):
-            dump(state, step)
-        _write_ledger_csv(out_dir / "ledger.csv", stepper)
     except (DegeneratePhaseError, EmptyPhaseError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -736,7 +759,7 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     scheme_cfg = SchemeConfig(scheme, state.grid, bandwidth, 0, tensions=tensions)
-    print(_fmt(LedgerWalk(scheme_cfg, state).energy))
+    print(_fmt(LedgerWalk(scheme_cfg, state, state).energy))  # nothing follows
     return EXIT_OK
 
 

@@ -154,18 +154,37 @@ def energy_two_phase(chi: PhaseField, smoothed: RealField, h: float) -> float:
 def tension_rows(ext: np.ndarray, fields: Sequence[np.ndarray]):
     """Yield sum over j of ext[i, j] * fields[j] for each label i, in j order.
 
-    One buffer holds every row in turn; copy a row to keep it.  Weights of
-    exactly 1 add ``f`` itself, which is the same sum without the multiply.
+    Each row is folded from +0.0; weights of exactly 1 add ``f`` itself,
+    which is the same sum without the multiply, and weights of 0 nothing.
+    Row i starts from row i-1's partial sum over the leading weights the
+    two share, saved while row i-1 was folded (when more than one): every
+    cell sees the same operations in the same order, so the bits are those
+    of a fold from scratch.  With equal tensions row i shares i-1 weights,
+    so the rows cost about p²/2 field additions, not p².  A yielded row is
+    valid until the next is asked for; copy it to keep it.
     """
-    acc, term = np.empty_like(fields[0]), np.empty_like(fields[0])
-    for i in range(len(fields)):
-        acc.fill(0.0)
-        for j, f in enumerate(fields):
+    m = len(fields)
+    # shares[i]: the leading weights row i + 1 has in common with row i
+    # (0 for identical rows, which are folded from scratch)
+    shares = [*(ext[1:] == ext[:-1]).argmin(axis=1).tolist(), 0]
+    acc, saved, term = (np.empty_like(fields[0]) for _ in range(3))
+    start = 0
+    for i, share in enumerate(shares):
+        if start:
+            acc, saved = saved, acc
+        else:
+            acc.fill(0.0)
+        # no save when the prefix was passed already or is one weight long
+        keep = share if share >= max(start, 2) else None
+        for j in range(start, m):
+            if j == keep:
+                np.copyto(saved, acc)
             if ext[i, j] == 1.0:
-                acc += f
+                acc += fields[j]
             elif ext[i, j] != 0.0:
-                acc += np.multiply(ext[i, j], f, out=term)
+                acc += np.multiply(ext[i, j], fields[j], out=term)
         yield acc
+        start = keep or 0
 
 
 def energy_multiphase(
@@ -177,9 +196,11 @@ def energy_multiphase(
     """Weighted interfacial energy of a vapor/grain partition.
 
     ``smoothed`` holds the smoothed indicators, vapor first, as
-    :func:`convolve_labels` returns them.  Grain pairs are weighted by their
-    surface tension; the vapor boundary carries weight 1, entering twice
-    because the functional sums both orientations of that interface.
+    :func:`convolve_labels` returns them; it is read once, in order, so it
+    may be a stream whose fields are valid one at a time.  Grain pairs are
+    weighted by their surface tension; the vapor boundary carries weight 1,
+    entering twice because the functional sums both orientations of that
+    interface.
     """
     if tensions.num_grains != state.num_grains:
         raise ValueError("tension matrix size does not match state")
@@ -219,93 +240,140 @@ class LedgerReport:
 class LedgerWalk:
     """The energy ledger along consecutive states under ``config``.
 
-    Holds the newest ``state``, its clamped smoothed fields ``smoothed``
-    (as :func:`convolve` or :func:`convolve_labels` returns them, which a
-    step map reads) and its ``energy`` (:func:`energy_two_phase` or, for
-    grain growth, :func:`energy_multiphase` of those fields).
-    :meth:`advance` moves to the next state and returns the step's row.
-    Runs and audits both walk their states through here, so an audit of
-    untouched states reproduces the run's rows bit for bit, and at most two
-    states and one set of smoothed fields are alive.
+    Holds the newest ``state``, its ``energy`` (:func:`energy_two_phase` or,
+    for grain growth, :func:`energy_multiphase`) and its clamped smoothed
+    fields ``smoothed`` (as :func:`convolve` or :func:`convolve_labels`
+    returns them), which a step map reads.  :meth:`advance` moves to the
+    next state and returns the step's row.  Runs and audits both walk their
+    states through here, so an audit of untouched states reproduces the
+    run's rows bit for bit.
 
-    The walk allocates its spectrum buffers once, one per smoothed field,
-    and smooths every state into them, so ``smoothed`` is valid only until
-    the next :meth:`advance` writes the next state's fields over it.  Read
-    it before advancing, and copy what must outlive the step.
+    ``following``, passed with every state, is the state the walk moves to
+    next: None while a step map has yet to make it from ``smoothed`` (a
+    run), the state itself when nothing follows (``mbokit energy``, an
+    audit's last state).  A grain-growth walk keeps the p+1 fields of
+    ``smoothed`` only when built with ``following`` None.  Otherwise it
+    smooths one label at a time through one spectrum buffer, takes from
+    each field while it is valid its share of the energy and its values on
+    the cells that changed and on those that change toward ``following``,
+    and leaves ``smoothed`` None.  A two-phase walk holds one field either
+    way.
+
+    The walk allocates its spectrum buffers once and smooths every state
+    into them, so ``smoothed`` is valid only until the next :meth:`advance`
+    writes over it.  Read it before advancing; copy what must outlive the
+    step.
     """
 
     def __init__(
-        self, config: "SchemeConfig", state: PhaseField | MultiPhaseState
+        self,
+        config: "SchemeConfig",
+        state: PhaseField | MultiPhaseState,
+        following: PhaseField | MultiPhaseState | None,
     ) -> None:
         self.config = config
         self.plan = HeatKernelPlan(config.grid, config.h)
+        fields = 1
         if config.scheme == "grain_growth":
             self._energy = partial(energy_multiphase, tensions=config.tensions)
-            fields = state.num_grains + 1
+            if following is None:
+                fields = state.num_grains + 1
         else:
-            self._energy, fields = energy_two_phase, 1
+            self._energy = energy_two_phase
         self._spectra = [self.plan.empty_spectrum() for _ in range(fields)]
         self.state = state
-        self.smoothed = self._smooth(state)
-        self.energy = self._energy(state, self.smoothed, config.h)
         self.changed = np.empty(0, dtype=np.intp)
+        self.energy = self._smooth(state, following, self.changed, None)
 
-    def _smooth(self, state: PhaseField | MultiPhaseState):
-        """``state`` smoothed into the walk's spectra, over the fields there."""
-        plan, spectra = self.plan, self._spectra
-        if isinstance(state, MultiPhaseState):
-            return [
-                convolve(plan, state.indicator(j), spectrum).values
-                for j, spectrum in enumerate(spectra)
-            ]
-        return convolve(plan, state, spectra[0])
+    def _smooth(
+        self,
+        state: PhaseField | MultiPhaseState,
+        following: PhaseField | MultiPhaseState | None,
+        cells: np.ndarray,
+        before: list[np.ndarray] | None,
+    ) -> float:
+        """Smooth ``state`` into the walk's spectra and return its energy.
+
+        For a partition, ``before`` (None, or the old smoothed labels'
+        values on ``cells``) becomes the new values minus the old, label by
+        label, and a known ``following`` leaves in ``_ahead`` that state,
+        the cells that change toward it and each label's values on them.
+        """
+        plan, spectra, h = self.plan, self._spectra, self.config.h
+        if not isinstance(state, MultiPhaseState):
+            self.smoothed = convolve(plan, state, spectra[0])
+            return self._energy(state, self.smoothed, h)
+        if following is not None:
+            toward, ahead = np.flatnonzero(following.labels != state.labels), []
+            self._ahead = (following, toward, ahead)
+
+        def fields():
+            for j in range(state.num_grains + 1):
+                spectrum = spectra[j if following is None else 0]
+                psi = convolve(plan, state.indicator(j), spectrum).values
+                if before is not None:
+                    np.subtract(psi.ravel()[cells], before[j], out=before[j])
+                if following is not None:
+                    ahead.append(psi.ravel()[toward])
+                yield psi
+
+        if following is None:
+            self.smoothed = list(fields())
+            return self._energy(state, self.smoothed, h)
+        self.smoothed = None
+        return self._energy(state, fields(), h)
 
     def advance(
         self,
         step: int,
         cur: PhaseField | MultiPhaseState,
         force_now: RealField | None,
+        following: PhaseField | MultiPhaseState | None,
     ) -> LedgerRow:
         """Ledger row of the step from ``state`` to ``cur``, then move to ``cur``.
 
         ``changed`` becomes the flat row-major indices of the cells whose
         label changed.  By linearity of the kernel the dissipation needs no
         convolution of its own: it pairs omega = cur - prev with G cur -
-        G prev, and omega is zero off the changed cells.  So the old
-        smoothed fields are cut down to those cells before ``cur`` is
-        smoothed into the same buffers, and the dissipation (tension rows
-        for a partition) and the forcing transfer are summed over the
-        changed cells with the bits of numpy's sum of the full-grid
-        integrand, which is zero off them.  Forced steps pass the force at
-        the target time, the other schemes None.
+        G prev, and omega is zero off the changed cells.  So only the old
+        smoothed fields' values on those cells are kept (gathered before
+        ``cur`` is smoothed over them, or while the old state was smoothed
+        when ``cur`` was known to follow it), and the
+        dissipation (tension rows for a partition) and the forcing transfer
+        are summed over the changed cells with the bits of numpy's sum of
+        the full-grid integrand, which is zero off them.  Forced steps pass
+        the force at the target time, the other schemes None.
+        ``following`` is as for the constructor; a walk that was handed
+        ``cur`` as the following state must advance to that very object.
         """
         cfg, prev = self.config, self.state
         grid, h = cfg.grid, cfg.h
-        multiphase = isinstance(cur, MultiPhaseState)
-        if multiphase:
-            cells = np.flatnonzero(cur.labels != prev.labels)
-            before = [f.ravel()[cells] for f in self.smoothed]
-        else:
-            cells = np.flatnonzero(cur.mask != prev.mask)
-            before = self.smoothed.values.ravel()[cells]
-        self.smoothed = smoothed = self._smooth(cur)  # over the old fields
-        energy = self._energy(cur, smoothed, h)
         n = grid.total_cells
         transfer = 0.0
-        if multiphase:
+        if isinstance(cur, MultiPhaseState):
+            if self.smoothed is None:
+                announced, cells, before = self._ahead
+                if cur is not announced:
+                    raise ValueError(
+                        "a streamed walk advances to the state that follows"
+                    )
+            else:
+                cells = np.flatnonzero(cur.labels != prev.labels)
+                before = [f.ravel()[cells] for f in self.smoothed]
+            energy = self._smooth(cur, following, cells, before)  # now differences
             new_labels = cur.labels.ravel()[cells]
             old_labels = prev.labels.ravel()[cells]
-            # the differences overwrite ``before``, which is dead after this
-            pairs = zip(smoothed, before)
-            diffs = [np.subtract(a.ravel()[cells], b, out=b) for a, b in pairs]
             quad = 0.0
-            for i, row in enumerate(tension_rows(cfg.tensions.extended, diffs)):
+            for i, row in enumerate(tension_rows(cfg.tensions.extended, before)):
                 omega = (new_labels == i) * 1.0 - (old_labels == i)
                 quad += _scattered_sum(n, cells, omega * row)
             dissipation = -quad * grid.cell_volume / math.sqrt(h)
         else:
+            cells = np.flatnonzero(cur.mask != prev.mask)
+            before = self.smoothed.values.ravel()[cells]
+            energy = self._smooth(cur, following, cells, None)
             omega = cur.mask.ravel()[cells] * 1.0 - prev.mask.ravel()[cells]
-            diff = smoothed.values.ravel()[cells] - before
+            diff = self.smoothed.values.ravel()[cells] - before
             quad = _scattered_sum(n, cells, omega * diff)
             dissipation = quad * grid.cell_volume / math.sqrt(h)
             if force_now is not None:
@@ -351,16 +419,33 @@ def ledger_check(
     is the step number of the first state: rows are numbered, and a force
     is evaluated, at the steps the states were produced at.
 
-    ``states`` may be any iterable; it is read once, in order, and at most
-    two states and one set of smoothed fields are held.
+    ``states`` may be any iterable; it is read once, in order.  Partitions
+    are read one state ahead of the walk, so a grain-growth audit holds at
+    most three states and smooths one label at a time through one spectrum
+    buffer; two-phase states, whose walk holds one field either way, are
+    read as they are walked, two at a time.
     """
-    states = iter(states)
-    walk = LedgerWalk(config, next(states))
+    pairs = _with_following(states, config.scheme == "grain_growth")
+    walk = LedgerWalk(config, *next(pairs))
     rows: list[LedgerRow] = []
-    for step, state in enumerate(states, start=first_step + 1):
+    for step, (state, following) in enumerate(pairs, start=first_step + 1):
         force_now = config.force(config.grid, step * config.h) if config.force else None
-        rows.append(walk.advance(step, state, force_now))
+        rows.append(walk.advance(step, state, force_now, following))
     return ledger_report(rows)
+
+
+def _with_following(states: Iterable, read_ahead: bool):
+    """Each state with the one that follows it (itself at the end) when
+    ``read_ahead``, else with None."""
+    cur = None
+    for state in states:
+        if not read_ahead:
+            yield state, None
+        elif cur is not None:
+            yield cur, state
+        cur = state
+    if read_ahead and cur is not None:
+        yield cur, cur
 
 
 def multiplier_integral(

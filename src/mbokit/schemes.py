@@ -280,7 +280,7 @@ class Stepper:
                 f"{WRAP_RADIUS_FRACTION:.0%} of the side; periodic images interact",
                 stacklevel=2,
             )
-        walk = LedgerWalk(config, initial)
+        walk = LedgerWalk(config, initial, None)  # a step map makes each next state
         self.initial_energy = walk.energy
         self._steps = self._iterate(walk)
 
@@ -312,7 +312,7 @@ class Stepper:
             else:
                 new_state, lam = step_volume_preserving(walk.state, walk.smoothed)
                 good = abs(lam - 0.5) < GOOD_ITERATION_BAND
-            row = walk.advance(n, new_state, force_now)
+            row = walk.advance(n, new_state, force_now, None)
 
             new_solid = _solid_of(new_state)
             radius = None
@@ -371,7 +371,8 @@ def approx_monotonicity_check(
         raise ValueError(f"need 0 < h <= h0, got h={h}, h0={h0}")
     d = chi.grid.dim
     lhs, energy_h0 = (
-        LedgerWalk(SchemeConfig("mbo", chi.grid, b, 0), chi).energy for b in (h, h0)
+        LedgerWalk(SchemeConfig("mbo", chi.grid, b, 0), chi, chi).energy
+        for b in (h, h0)
     )
     factor = (math.sqrt(h0) / (math.sqrt(h) + math.sqrt(h0))) ** (d + 1)
     rhs = factor * energy_h0

@@ -18,6 +18,22 @@ from mbokit.kernel import HeatKernelPlan
 from mbokit.schemes import SurfaceTensionMatrix
 
 
+def plain_tension_rows(ext: np.ndarray, fields) -> list[np.ndarray]:
+    """Every row sum over j of ext[i, j] * fields[j], each folded from +0.0
+    in j order (weights of 1 add the field itself, weights of 0 nothing):
+    the fold ``tension_rows`` must reproduce bit for bit."""
+    rows = []
+    for i in range(len(fields)):
+        acc = np.zeros_like(fields[0])
+        for j, f in enumerate(fields):
+            if ext[i, j] == 1.0:
+                acc += f
+            elif ext[i, j] != 0.0:
+                acc += np.multiply(ext[i, j], f)
+        rows.append(acc)
+    return rows
+
+
 def phase_difference(a: PhaseField, b: PhaseField) -> RealField:
     """Signed difference a - b as a real field with values in {-1, 0, 1}."""
     if a.grid != b.grid:

@@ -759,6 +759,28 @@ class TestCommands:
         assert "state_000004" in captured.err
         assert "step" not in captured.out
 
+    def test_check_bad_last_grain_dump_prints_no_row(self, tmp_path, capsys):
+        # the audit reads one dump ahead, so the last one is read while the
+        # first row is being worked out
+        cfg = write_cfg(
+            tmp_path,
+            "scheme = grain_growth\nn = 64\nh = 4e-3\nsteps = 3\n"
+            "init = voronoi\nseeds = 0.3 0.5; 0.7 0.5\nvapor_margin = 0.1\n"
+            f"out_dir = {tmp_path}/out\ndump_every = 1\n",
+        )
+        assert main(["run", cfg]) == 0
+        dumps = [str(tmp_path / "out" / f"state_{k:06d}.mbof") for k in range(4)]
+        last = Path(dumps[-1])
+        blob = bytearray(last.read_bytes())
+        blob[-1] = 3  # one past the two grains
+        last.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["check", *dumps, "--config", cfg]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot load dumps:")
+        assert "state_000003" in captured.err
+        assert captured.out == ""
+
     def test_check_refuses_dumps_with_different_labels(self, tmp_path, capsys):
         g = Grid(dim=2, n=64)
         ball = rasterize_ball(g, (0.5, 0.5), 0.3)
@@ -787,9 +809,10 @@ class TestCommands:
         from mbokit.grid import DegeneratePhaseError
 
         real_step, calls = schemes.step_mbo, []
+        ledger = tmp_path / "out" / "ledger.csv"
 
         def failing_third_step(*args, **kwargs):
-            calls.append(1)
+            calls.append(ledger.read_bytes() if ledger.exists() else None)
             if len(calls) == 3:
                 raise DegeneratePhaseError("injected failure")
             return real_step(*args, **kwargs)
@@ -803,7 +826,25 @@ class TestCommands:
         assert main(["run", cfg]) == 4
         assert "injected failure" in capsys.readouterr().err
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert names == [f"state_{k:06d}.mbof" for k in range(3)]
+        assert names == ["ledger.csv"] + [f"state_{k:06d}.mbof" for k in range(3)]
+        # the header, row 0 and the rows of steps 1 and 2, with the bytes a
+        # run of two steps writes
+        rows = ledger.read_bytes()
+        assert [line.split(b",")[0] for line in rows.splitlines()] == [
+            b"n", b"0", b"1", b"2"
+        ]
+        assert calls[0] is None  # no out_dir before step 1 finishes
+        # each row is on disk as its step finishes
+        assert rows.startswith(calls[1]) and calls[1].count(b"\n") == 3
+        assert calls[2] == rows
+        monkeypatch.setattr(schemes, "step_mbo", real_step)
+        two = write_cfg(
+            tmp_path,
+            BASE.replace("steps = 3", "steps = 2") + f"out_dir = {tmp_path}/two\n",
+            "two.cfg",
+        )
+        assert main(["run", two]) == 0
+        assert rows == (tmp_path / "two" / "ledger.csv").read_bytes()
 
     def test_check_multiphase_needs_config(self, tmp_path):
         g = Grid(dim=2, n=64)

@@ -39,6 +39,7 @@ from mbokit.diagnostics import (
     multiplier_integral,
     radial_bump_field,
     state_difference,
+    tension_rows,
     tightness_monitor,
 )
 from mbokit.grid import (
@@ -74,6 +75,7 @@ from reference_forms import (
     dissipation_two_phase,
     linearized_energy,
     phase_difference,
+    plain_tension_rows,
 )
 
 
@@ -233,6 +235,42 @@ class TestPairwiseSum:
             assert _bits(got) == _bits(zeros.sum()), name
 
 
+class TestTensionRows:
+    """Rows that start from the previous row's saved partial sum have the
+    bits of rows folded from scratch."""
+
+    @staticmethod
+    def tensions(case: str, p: int) -> SurfaceTensionMatrix:
+        if case == "perturbed":
+            return SurfaceTensionMatrix(symmetric_tensions(p, p, 0.97, 1.03))
+        sigma = np.ones((p, p)) - np.eye(p)
+        if case == "overrides":  # sigma.1.2 = 1.2 and sigma.2.5 = 0.9, where
+            # rows 4 and 5 part at a nonzero weight inside row 4's own prefix
+            for i, j, value in [(0, 1, 1.2), (1, 4, 0.9)]:
+                if j < p:
+                    sigma[i, j] = sigma[j, i] = value
+        return SurfaceTensionMatrix(sigma)
+
+    @pytest.mark.parametrize("p", [1, 2, 57])
+    @pytest.mark.parametrize("case", ["equal", "perturbed", "overrides", "signed"])
+    def test_rows_equal_the_plain_fold_bit_for_bit(self, rng, case, p):
+        ext = self.tensions("equal" if case == "signed" else case, p).extended
+        if case == "signed":  # the ledger folds signed differences
+            fields = [rng.standard_normal(301) for _ in range(p + 1)]
+            for k, f in enumerate(fields):
+                f[k::7] = -0.0
+                f[k + 1 :: 11] = 0.0
+        else:  # smoothed indicators, with exact 0 and 1 where they clamp
+            fields = [
+                np.clip(rng.random(301) * 1.2 - 0.1, 0.0, 1.0) for _ in range(p + 1)
+            ]
+        expected = plain_tension_rows(ext, fields)
+        got = [row.copy() for row in tension_rows(ext, fields)]
+        assert len(got) == p + 1
+        for row, ref in zip(got, expected):
+            assert row.tobytes() == ref.tobytes()
+
+
 class TestDissipation:
     def test_single_cell_closed_form(self, grid64):
         # D(one cell) = dx^(2d)/(sqrt(h) side^d) * sum exp(-h|k|^2)
@@ -337,6 +375,70 @@ class TestMultiphase:
             dissipation_multiphase(omega, grid64, equal_tensions(2), 1e-3, plan=plan)
 
 
+def _row_bits(row: LedgerRow) -> tuple:
+    values = (row.energy_before, row.energy_after, row.dissipation, row.transfer)
+    return (row.step, *map(_bits, values), _bits(row.slack))
+
+
+class TestStreamedAudit:
+    """An audit reads one state ahead and streams each grain state's labels
+    through one spectrum buffer; its rows keep the bits of the run's, whose
+    walk keeps the whole smoothed stack."""
+
+    @pytest.fixture(scope="class", params=["pinned", "unequal"])
+    def grain_run(self, request):
+        seeds = [(0.3, 0.3), (0.7, 0.35), (0.5, 0.7)]
+        if request.param == "pinned":  # sqrt h = 4 dx: freezes after 5 steps
+            grid, h, steps = Grid(dim=2, n=32), 1.0 / 64, 20
+            tensions = equal_tensions(3)
+        else:
+            grid, h, steps = Grid(dim=2, n=128), 1e-3, 4
+            seeds.append((0.45, 0.5))
+            tensions = SurfaceTensionMatrix(symmetric_tensions(4, 8, 0.7, 1.3))
+        initial = voronoi_labels(
+            grid, seeds, solid=rasterize_ball(grid, (0.5, 0.5), 0.3)
+        )
+        cfg = SchemeConfig("grain_growth", grid, h, steps, tensions=tensions)
+        stepper = Stepper(cfg, initial)
+        states = [initial, *stepper]
+        if request.param == "pinned":
+            assert stepper.status == "pinned" and len(states) == 6
+            assert stepper.records[-1].dissipation == 0.0
+        else:
+            assert stepper.status == "completed" and len(states) == 5
+        return cfg, stepper, states
+
+    def test_rows_equal_run_records(self, grain_run):
+        cfg, stepper, states = grain_run
+        report = ledger_check(cfg, iter(states))
+        assert list(map(_row_bits, report.rows)) == list(
+            map(_row_bits, stepper.records)
+        )
+
+    def test_audit_from_a_later_step(self, grain_run):
+        cfg, stepper, states = grain_run
+        report = ledger_check(cfg, states[2:], first_step=2)
+        assert [row.step for row in report.rows] == list(range(3, len(states)))
+        assert list(map(_row_bits, report.rows)) == list(
+            map(_row_bits, stepper.records[2:])
+        )
+
+    def test_lone_state(self, grain_run):
+        cfg, stepper, states = grain_run
+        last = states[-1]
+        report = ledger_check(cfg, [last], first_step=len(states) - 1)
+        assert report.rows == () and report.passed
+        walk = LedgerWalk(cfg, last, last)
+        assert walk.smoothed is None
+        assert _bits(walk.energy) == _bits(stepper.records[-1].energy_after)
+
+    def test_a_streamed_walk_advances_only_to_the_announced_state(self, grain_run):
+        cfg, _, states = grain_run
+        walk = LedgerWalk(cfg, states[0], states[1])
+        with pytest.raises(ValueError, match="follows"):
+            walk.advance(1, states[2], None, states[2])
+
+
 class TestLedger:
     def test_passes_on_honest_run(self, grid128, ball128):
         cfg = SchemeConfig(
@@ -399,13 +501,19 @@ class TestLedger:
         states.append(states[-1])  # a step that flips no cell
         plan = HeatKernelPlan(grid128, cfg.h)
         smoothed = [convolve_labels(plan, s) for s in states]
-        walk = LedgerWalk(cfg, states[0])
+        # a run's walk keeps the smoothed stack; an audit's streams each
+        # state's labels, knowing the state that follows
+        kept = LedgerWalk(cfg, states[0], None)
+        streamed = LedgerWalk(cfg, states[0], states[1])
         for n in range(1, len(states)):
             prev, cur = states[n - 1], states[n]
             expected = full_grid_dissipation(
                 cfg, prev, cur, smoothed[n - 1], smoothed[n]
             )
-            row = walk.advance(n, cur, None)
+            row = kept.advance(n, cur, None, None)
+            following = states[min(n + 1, len(states) - 1)]
+            assert streamed.advance(n, cur, None, following) == row
+            assert streamed.smoothed is None
             assert row.dissipation == expected
             assert np.signbit(row.dissipation) == np.signbit(expected)
             if n == len(states) - 1:
@@ -430,14 +538,14 @@ class TestLedger:
         states.append(states[-1])  # a step that flips no cell
         plan = HeatKernelPlan(grid128, cfg.h)
         smoothed = [convolve(plan, s) for s in states]
-        walk = LedgerWalk(cfg, states[0])
+        walk = LedgerWalk(cfg, states[0], None)
         for n in range(1, len(states)):
             prev, cur = states[n - 1], states[n]
             force_now = force(grid128, n * cfg.h) if force else None
             expected = full_grid_two_phase(
                 cfg, prev, cur, smoothed[n - 1], smoothed[n], force_now
             )
-            row = walk.advance(n, cur, force_now)
+            row = walk.advance(n, cur, force_now, None)
             got = (row.dissipation, row.transfer)
             assert got == expected
             assert list(np.signbit(got)) == list(np.signbit(expected))
