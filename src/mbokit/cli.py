@@ -572,6 +572,8 @@ def cmd_sweep(config_path: str) -> int:
         for k, h in enumerate(h_list):
             if not 0 < h < math.inf:
                 raise ConfigError(f"h_list entry {h} is not positive and finite")
+            if not math.isfinite(horizon / h):
+                raise ConfigError(f"h_list entry {h} gives T / h = {horizon / h}")
             if h in h_list[:k]:
                 raise ConfigError(f"h_list repeats {h}")
         if scheme not in ("mbo", "volume_preserving"):
@@ -580,15 +582,21 @@ def cmd_sweep(config_path: str) -> int:
             raise ConfigError("mbo sweep compares against a shrinking ball")
         initial = build_initial(cfg, grid)
         _check_initial_kind(scheme, initial)
+        try:
+            configs = [
+                SchemeConfig(scheme, grid, h, max(1, round(horizon / h)))
+                for h in h_list
+            ]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     rows: list[dict[str, float | int | None]] = []
     try:
-        for h in h_list:
-            steps = max(1, round(horizon / h))
-            scheme_cfg = SchemeConfig(scheme=scheme, grid=grid, h=h, steps=steps)
+        for scheme_cfg in configs:
+            h, steps = scheme_cfg.h, scheme_cfg.steps
             stepper, final = Stepper(scheme_cfg, initial), initial
             for final in stepper:  # keep only the newest state
                 pass
@@ -748,9 +756,6 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
         print(f"cannot load dump: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     bandwidth = dump_h if h is None else h
-    if not 0 < bandwidth < math.inf:
-        print("config error: h must be positive and finite", file=sys.stderr)
-        return EXIT_CONFIG
     scheme, tensions = "mbo", None
     if isinstance(state, MultiPhaseState):
         try:
@@ -758,7 +763,11 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    scheme_cfg = SchemeConfig(scheme, state.grid, bandwidth, 0, tensions=tensions)
+    try:
+        scheme_cfg = SchemeConfig(scheme, state.grid, bandwidth, 0, tensions=tensions)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(_fmt(LedgerWalk(scheme_cfg, state, state).energy))  # nothing follows
     return EXIT_OK
 

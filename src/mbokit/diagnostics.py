@@ -23,7 +23,14 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .grid import Grid, MultiPhaseState, PhaseField, RealField
+from .grid import (
+    _SUM_CHUNK,
+    Grid,
+    MultiPhaseState,
+    PhaseField,
+    RealField,
+    _pairwise_sum,
+)
 from .kernel import HeatKernelPlan, convolve, spectral_divergence
 
 if TYPE_CHECKING:  # only for annotations; no runtime dependency on schemes
@@ -50,52 +57,32 @@ def _cellsum(grid: Grid, values: np.ndarray) -> float:
     return float(values.sum()) * grid.cell_volume
 
 
-# numpy sums a contiguous float64 array along a fixed binary tree: a node
-# of more than 128 values splits after half of them, rounded down to a
-# multiple of 8, and a node's split depends on its size alone.  So numpy's
-# sum of a node's values gives that node's bits, and ``_pairwise_sum``
-# hands it nodes of at most this many values.
-_SUM_CHUNK = 1 << 15
-
-
-def _pairwise_sum(
-    n: int, chunk, cells: np.ndarray | None = None, lo: int = 0
-) -> float:
-    """``float(v.sum())`` for a float64 vector ``v`` of ``n`` values, bit for
-    bit, where ``chunk(lo, hi)`` returns ``v[lo:hi]``.
-
-    Only the tree's nodes of at most ``_SUM_CHUNK`` values are built.  When
-    ``v`` is zero off the sorted flat indices ``cells``, nodes without one
-    are skipped: each would add +0.0, which changes a sum at most in the
-    sign of a zero, and numpy's sum, which starts from +0.0, never returns
-    -0.0.  ``lo`` offsets the node within ``v``.
-    """
-    if cells is not None:
-        first, end = np.searchsorted(cells, (lo, lo + n))
-        if first == end:
-            return 0.0
-    if n <= _SUM_CHUNK:
-        return float(chunk(lo, lo + n).sum())
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(half, chunk, cells, lo) + _pairwise_sum(
-        n - half, chunk, cells, lo + half
-    )
-
-
 def _scattered_sum(n: int, cells: np.ndarray, values: np.ndarray) -> float:
     """``float(v.sum())`` for ``v = np.zeros(n)`` with ``v[cells] = values``,
     bit for bit, for sorted flat indices ``cells``; builds only the chunks
     of ``v`` that hold a cell, one at a time in one scratch chunk."""
     scratch = np.empty(min(n, _SUM_CHUNK))
 
-    def chunk(lo: int, hi: int) -> np.ndarray:
+    def node_sum(lo: int, hi: int) -> np.float64:
         first, end = np.searchsorted(cells, (lo, hi))
         v = scratch[: hi - lo]
         v.fill(0.0)
         v[cells[first:end] - lo] = values[first:end]
-        return v
+        return v.sum()
 
-    return _pairwise_sum(n, chunk, cells)
+    return float(_pairwise_sum(n, node_sum, cells))
+
+
+def _changed_cells(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(new != old)``, compared ``_SUM_CHUNK`` cells at a
+    time, so no full-grid mask is made."""
+    new, old = new.ravel(), old.ravel()
+    return np.concatenate(
+        [
+            np.flatnonzero(new[lo : lo + _SUM_CHUNK] != old[lo : lo + _SUM_CHUNK]) + lo
+            for lo in range(0, new.size, _SUM_CHUNK)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -143,8 +130,10 @@ def energy_two_phase(chi: PhaseField, smoothed: RealField, h: float) -> float:
     numpy's sum over the whole grid.
     """
     mask, values = chi.mask.ravel(), smoothed.values.ravel()
-    total = _pairwise_sum(mask.size, lambda lo, hi: ~mask[lo:hi] * values[lo:hi])
-    return total * chi.grid.cell_volume / math.sqrt(h)
+    total = _pairwise_sum(
+        mask.size, lambda lo, hi: (~mask[lo:hi] * values[lo:hi]).sum()
+    )
+    return float(total) * chi.grid.cell_volume / math.sqrt(h)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +293,7 @@ class LedgerWalk:
             self.smoothed = convolve(plan, state, spectra[0])
             return self._energy(state, self.smoothed, h)
         if following is not None:
-            toward, ahead = np.flatnonzero(following.labels != state.labels), []
+            toward, ahead = _changed_cells(following.labels, state.labels), []
             self._ahead = (following, toward, ahead)
 
         def fields():
@@ -350,6 +339,7 @@ class LedgerWalk:
         grid, h = cfg.grid, cfg.h
         n = grid.total_cells
         transfer = 0.0
+        self.changed = None  # the last step's cells, not held through this one
         if isinstance(cur, MultiPhaseState):
             if self.smoothed is None:
                 announced, cells, before = self._ahead
@@ -358,7 +348,7 @@ class LedgerWalk:
                         "a streamed walk advances to the state that follows"
                     )
             else:
-                cells = np.flatnonzero(cur.labels != prev.labels)
+                cells = _changed_cells(cur.labels, prev.labels)
                 before = [f.ravel()[cells] for f in self.smoothed]
             energy = self._smooth(cur, following, cells, before)  # now differences
             new_labels = cur.labels.ravel()[cells]
@@ -369,16 +359,24 @@ class LedgerWalk:
                 quad += _scattered_sum(n, cells, omega * row)
             dissipation = -quad * grid.cell_volume / math.sqrt(h)
         else:
-            cells = np.flatnonzero(cur.mask != prev.mask)
+            cells = _changed_cells(cur.mask, prev.mask)
             before = self.smoothed.values.ravel()[cells]
             energy = self._smooth(cur, following, cells, None)
-            omega = cur.mask.ravel()[cells] * 1.0 - prev.mask.ravel()[cells]
-            diff = self.smoothed.values.ravel()[cells] - before
-            quad = _scattered_sum(n, cells, omega * diff)
+            # G cur - G prev on the changed cells, written over ``before`` a
+            # block at a time, so no second array of their size is made
+            diff, after = before, self.smoothed.values.ravel()
+            for lo in range(0, cells.size, _SUM_CHUNK):
+                part = slice(lo, lo + _SUM_CHUNK)
+                np.subtract(after[cells[part]], diff[part], out=diff[part])
+            # on a changed cell omega is exactly +1 (rising) or -1, so a
+            # product with omega is the value or its negation, bit for bit
+            falling = np.logical_not(cur.mask.ravel()[cells])
+            quad = _scattered_sum(n, cells, np.negative(diff, out=diff, where=falling))
             dissipation = quad * grid.cell_volume / math.sqrt(h)
             if force_now is not None:
                 force = force_now.values.ravel()[cells]
-                work = _scattered_sum(n, cells, force * omega)
+                np.negative(force, out=force, where=falling)
+                work = _scattered_sum(n, cells, force)
                 transfer = work * grid.cell_volume / math.sqrt(math.pi)
         slack = self.energy - energy - dissipation + transfer
         row = LedgerRow(step, self.energy, energy, dissipation, transfer, slack)

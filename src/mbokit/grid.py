@@ -153,8 +153,10 @@ class RealField:
             raise ValueError(
                 f"values shape {arr.shape} does not match grid {self.grid.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise ValueError("field values must be finite")
+        flat = arr.reshape(-1)  # checked in blocks: no full-grid mask
+        for lo in range(0, flat.size, _BLOCK_CELLS):
+            if not np.isfinite(flat[lo : lo + _BLOCK_CELLS]).all():
+                raise ValueError("field values must be finite")
         object.__setattr__(self, "values", arr)
 
 
@@ -311,9 +313,8 @@ def random_blob(
             f"smoothing {smoothing} makes the blob filter reach more than "
             f"{MAX_FILTER_REACH} n = {MAX_FILTER_REACH * grid.n} cells"
         )
-    noise = np.random.default_rng(seed).standard_normal(grid.shape)
-    smooth = _periodic_gaussian(noise, sigma)
-    del noise  # dead once filtered
+    smooth = np.random.default_rng(seed).standard_normal(grid.shape)
+    _periodic_gaussian(smooth, sigma)  # the noise, filtered in place
     target = max(1, min(grid.total_cells - 1, round(fill * grid.total_cells)))
     mask, _ = _select_cells(smooth.ravel(), target, top=True)
     return PhaseField(grid, mask.reshape(grid.shape))
@@ -327,30 +328,30 @@ _BLOCK_PADDED = 1 << 18
 
 
 def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
-    """``scipy.ndimage.gaussian_filter(values, sigma, mode="wrap")``, bit for bit.
+    """``scipy.ndimage.gaussian_filter(values, sigma, mode="wrap")``, bit for
+    bit, written over ``values`` (a C-contiguous float64 array), which is
+    returned.
 
     scipy's arithmetic in numpy: weights ``exp(-0.5 / sigma**2 * x**2)`` for
     ``|x| <= r = int(4 * sigma + 0.5)``, divided by their sum; one pass per
     array axis in order 0 ... d-1, each reading the last pass's output; and
     per cell ``w[0] * x[k]``, then ``(x[k-j] + x[k+j]) * w[j]`` added for
     j = r down to 1, indices taken modulo n (r may exceed n).  A ``sigma``
-    of at most 1e-15 (or negative) filters nothing, as in scipy.  Returns a
-    new C-contiguous array and leaves ``values`` as it was.
+    of at most 1e-15 (or negative) filters nothing, as in scipy.
     """
     if not sigma > 1e-15:
-        return np.array(values, dtype=np.float64)
-    src = np.ascontiguousarray(values, dtype=np.float64)
-    out = np.empty(src.shape)
+        return values
     r = int(4.0 * sigma + 0.5)
     x = np.arange(-r, r + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     w = (phi / phi.sum())[r:]  # weight of offsets +j and -j (exactly symmetric)
-    for axis, n in enumerate(src.shape):
+    for axis, n in enumerate(values.shape):
         # the lines along the axis as (outer, n, inner); a block of lines is
-        # gathered before its result is written back, so every pass after
-        # the first filters ``out`` in place
-        shape = (math.prod(src.shape[:axis]), n, math.prod(src.shape[axis + 1 :]))
-        lines, dest = src.reshape(shape), out.reshape(shape)
+        # gathered whole before its result is written back over them, so
+        # every pass, the first included, filters ``values`` in place
+        outer, inner = values.shape[:axis], values.shape[axis + 1 :]
+        shape = (math.prod(outer), n, math.prod(inner))
+        lines = values.reshape(shape)
         wrap = np.arange(-r, n + r) % n
         block = max(1, min(_BLOCK_CELLS // n, _BLOCK_PADDED // (n + 2 * r)))
         bi = min(shape[2], block)
@@ -365,9 +366,8 @@ def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
                     np.add(pad[r - j : r - j + n], pad[r + j : r + j + n], t)
                     t *= w[j]
                     acc += t
-                dest[o : o + bo, :, i : i + bi] = acc.transpose(1, 0, 2)
-        src = out
-    return out
+                lines[o : o + bo, :, i : i + bi] = acc.transpose(1, 0, 2)
+    return values
 
 
 # The exact selection reads inputs of this many cells or more in blocks of
@@ -412,12 +412,13 @@ def _kth_smallest(values: np.ndarray, k: int) -> np.float64:
     larger one is bracketed first: the sorted values of every ``values.size
     // _SAMPLE_KEYS``-th cell give the two ends, ``width`` places either
     side of where rank ``k`` falls among them.  One :func:`_bracket_pass`
-    counts the values below and up to each end and gathers the few strictly
-    inside, and rank ``k`` picks an end or its place among those.  A sample
-    can miss a cluster of values, so the rank may fall outside the bracket;
-    then the bracket moves to that side, four times as wide, its near end
-    at the old far end and its far end at most an infinity, and the pass
-    runs again.
+    counts the values up to the low end and gathers the few strictly
+    inside, and rank ``k`` picks its place among those.  Only a rank that
+    falls on an end or outside the bracket needs that end's ties, counted
+    in one more pass.  A sample can miss a cluster of values, so the rank
+    may fall outside the bracket; then the bracket moves to that side, four
+    times as wide, its near end at the old far end and its far end at most
+    an infinity, and the pass runs again.
     """
     n = values.size
     if n < _SELECT_BLOCK:
@@ -429,39 +430,79 @@ def _kth_smallest(values: np.ndarray, k: int) -> np.float64:
     while True:
         lo = sample[lo_at] if lo_at >= 0 else np.float64(-np.inf)
         hi = sample[hi_at] if hi_at < s else np.float64(np.inf)
-        below, upto_lo, upto_hi, inside = _bracket_pass(values, lo, hi)
-        width *= 4
-        if k < below:
-            lo_at, hi_at = lo_at - width, lo_at
-        elif k >= upto_hi:
-            lo_at, hi_at = hi_at, hi_at + width
-        elif k < upto_lo:
-            return lo
-        elif k - upto_lo >= inside.size:
-            return hi
-        else:
+        upto_lo, inside = _bracket_pass(values, lo, hi)
+        if 0 <= k - upto_lo < inside.size:
             inside.partition(k - upto_lo)
             return inside[k - upto_lo]
+        upto_inside = upto_lo + inside.size
+        del inside  # not held through the next pass
+        if k < upto_lo:
+            if k >= upto_lo - _count_equal(values, lo):
+                return lo
+        elif hi > lo and k < upto_inside + _count_equal(values, hi):
+            return hi
+        width *= 4
+        if k < upto_lo:
+            lo_at, hi_at = lo_at - width, lo_at
+        else:
+            lo_at, hi_at = hi_at, hi_at + width
 
 
 def _bracket_pass(values: np.ndarray, lo: np.float64, hi: np.float64):
-    """Read ``values`` a block at a time and return how many are below
-    ``lo``, at most ``lo`` and at most ``hi``, and those strictly between
-    ``lo`` and ``hi``."""
-    below = upto_lo = upto_hi = 0
+    """Read ``values`` a block at a time and return how many are at most
+    ``lo`` and, in index order, those strictly between ``lo`` and ``hi``."""
+    upto_lo = 0
     parts = []
     for start in range(0, values.size, _SELECT_BLOCK):
         block = values[start : start + _SELECT_BLOCK]
-        past_lo = block > lo
-        below += int(np.count_nonzero(block < lo))
-        upto_lo += block.size - int(np.count_nonzero(past_lo))
-        upto_hi += int(np.count_nonzero(block <= hi))
-        parts.append(block[past_lo & (block < hi)])
-    return below, upto_lo, upto_hi, np.concatenate(parts)
+        keep = block > lo
+        upto_lo += block.size - int(np.count_nonzero(keep))
+        parts.append(block[np.logical_and(keep, block < hi, out=keep)])
+    return upto_lo, np.concatenate(parts)
+
+
+def _count_equal(values: np.ndarray, value: np.float64) -> int:
+    """How many of ``values`` equal ``value``, read a block at a time."""
+    return sum(
+        int(np.count_nonzero(values[start : start + _SELECT_BLOCK] == value))
+        for start in range(0, values.size, _SELECT_BLOCK)
+    )
 
 
 # ---------------------------------------------------------------------------
 # measurements
+
+
+# numpy sums a float64 vector along a fixed binary tree: a node of more
+# than 128 values splits after half of them, rounded down to a multiple of
+# 8, and a node's split depends on its size alone (not on the stride).  So
+# numpy's sum of a node's values gives that node's bits, and
+# ``_pairwise_sum`` asks for the sums of nodes of at most this many values.
+_SUM_CHUNK = 1 << 15
+
+
+def _pairwise_sum(n: int, node_sum, cells: np.ndarray | None = None, lo: int = 0):
+    """``v.sum()`` for a float64 vector ``v`` of ``n`` values, bit for bit,
+    where ``node_sum(lo, hi)`` returns ``v[lo:hi].sum()``.
+
+    Only the sums of the tree's nodes of at most ``_SUM_CHUNK`` values are
+    asked for, in order.  ``node_sum`` may also return a complex number that
+    holds the sums of two vectors' nodes, which add componentwise.  When
+    ``v`` is zero off the sorted flat indices ``cells``, nodes without one
+    are skipped: each would add +0.0, which changes a sum at most in the
+    sign of a zero, and numpy's sum, which starts from +0.0, never returns
+    -0.0.  ``lo`` offsets the node within ``v``.
+    """
+    if cells is not None:
+        first, end = np.searchsorted(cells, (lo, lo + n))
+        if first == end:
+            return 0.0
+    if n <= _SUM_CHUNK:
+        return node_sum(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, node_sum, cells, lo) + _pairwise_sum(
+        n - half, node_sum, cells, lo + half
+    )
 
 
 def bounding_radius(field: PhaseField, center: Sequence[float]) -> float:
@@ -497,18 +538,32 @@ def bounding_radius(field: PhaseField, center: Sequence[float]) -> float:
 def centroid(field: PhaseField) -> tuple[float, ...]:
     """Periodic centroid of the occupied cells (circular mean per axis).
 
-    Takes sin and cos of each axis's n cell angles once and gathers them
-    per occupied cell: the same values, bit for bit, as sin and cos of the
-    gathered angles.
+    Takes cos and sin of each axis's n cell angles once, as one complex
+    table, and sums each over the occupied cells in row-major order with
+    the bits of numpy's sum of the gathered values (so the means are those
+    of cos and sin of the gathered angles).  The two sums walk one
+    :func:`_pairwise_sum` tree together; each node gathers the slabs along
+    array axis 0 that hold its cells, so no gather covers all of them.
     """
-    if field.cell_count == 0:
+    count = field.cell_count
+    if count == 0:
         raise EmptyPhaseError("centroid of an empty phase")
-    g = field.grid
+    g, mask = field.grid, field.mask
+    ends = np.cumsum(np.count_nonzero(mask.reshape(g.n, -1), axis=1))
     out = []
     for k in range(g.dim):
         theta = 2.0 * np.pi * g.coordinate(k) / g.side
-        sin = np.broadcast_to(np.sin(theta), g.shape)[field.mask]
-        cos = np.broadcast_to(np.cos(theta), g.shape)[field.mask]
-        ang = np.arctan2(sin.mean(), cos.mean())
+        table = np.empty(theta.shape, dtype=np.complex128)
+        table.real, table.imag = np.cos(theta), np.sin(theta)
+        values = np.broadcast_to(table, g.shape)
+
+        def node_sum(lo: int, hi: int) -> complex:
+            first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+            skip = lo - (int(ends[first - 1]) if first else 0)
+            z = values[first : last + 1][mask[first : last + 1]][skip : skip + hi - lo]
+            return complex(z.real.sum(), z.imag.sum())
+
+        total = _pairwise_sum(count, node_sum)
+        ang = np.arctan2(total.imag / count, total.real / count)
         out.append(float((ang * g.side / (2.0 * np.pi)) % g.side))
     return tuple(out)

@@ -5,6 +5,9 @@ the exact spectral multiplier ``exp(-h |k|^2)`` with ``k = 2 pi m / side``.
 This keeps the zero mode untouched (mass is conserved to rounding), makes
 the semigroup property exact up to rounding, and never truncates tails.
 Gradients of the smoothed field use the multipliers ``i k_j exp(-h |k|^2)``.
+Frequencies ``m`` and ``n - m`` along array axis 0 have equal squares, so a
+plan stores the multipliers of rows 0 .. n//2 along that axis only, and
+applies them to the other rows through a mirrored view, with the same bits.
 
 The transforms run on numpy's pocketfft one axis at a time, in the axis
 order and with the single ``1/N`` scale of ``scipy.fft.rfftn``/``irfftn``,
@@ -200,12 +203,28 @@ def _derivative_factors(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(factors)
 
 
+def multiplier_exponent(grid: Grid, h: float) -> float:
+    """The largest ``h |k|^2`` over the grid's frequencies, as a plan forms
+    it: ``inf`` when the multipliers of bandwidth ``h`` would overflow."""
+    top = 0.0
+    for f in _frequencies(grid):
+        top += float((f**2).max())
+    return h * top
+
+
 @dataclass(frozen=True)
 class HeatKernelPlan:
     """Cached multiplier ``exp(-h |k|^2)`` for one grid and bandwidth.
 
+    ``multipliers`` holds the multipliers of the spectrum's rows 0 .. n//2
+    along array axis 0 (frequencies 0 .. n//2 there) and of every place
+    along the other axes: :meth:`multiply` gives row ``n - m`` of the
+    spectrum row ``m``, the same values bit for bit.  That is about half a
+    spectrum's multipliers, a quarter of a float field.
+
     Building a plan is cheap but not free; reuse one across the steps of a
-    run.  The zero-frequency multiplier is exactly 1, all others in (0, 1).
+    run.  The zero-frequency multiplier is exactly 1, all others in [0, 1).
+    A bandwidth whose :func:`multiplier_exponent` is not finite is refused.
     The transforms run on ``workers`` threads, read from
     :func:`default_workers` when the plan is built.
     """
@@ -218,6 +237,8 @@ class HeatKernelPlan:
     def __post_init__(self) -> None:
         if not self.h > 0:
             raise ValueError(f"bandwidth h must be positive, got {self.h}")
+        if not math.isfinite(multiplier_exponent(self.grid, self.h)):
+            raise ValueError(f"bandwidth h = {self.h} overflows h |k|^2")
         if np.sqrt(self.h) < RESOLUTION_FACTOR * self.grid.dx:
             warnings.warn(
                 f"sqrt(h) = {np.sqrt(self.h):.3g} is below "
@@ -226,10 +247,17 @@ class HeatKernelPlan:
                 ResolutionWarning,
                 stacklevel=2,
             )
-        k2 = np.zeros(_spectral_shape(self.grid.shape))
-        for k in range(self.grid.dim):
-            k2 = k2 + _frequencies(self.grid)[k] ** 2
-        object.__setattr__(self, "multipliers", np.exp(-self.h * k2))
+        # |k|^2 summed in spatial axis order, then times -h, then exp, all
+        # in one buffer; each row along array axis 0 adds its square to the
+        # sum over the other axes (a broadcast sum would allocate buffers)
+        rows = self.grid.n // 2 + 1
+        squares = [f[:rows] ** 2 for f in _frequencies(self.grid)]
+        others = sum(squares[1:-1], squares[0])[0]
+        m = np.empty((rows,) + others.shape)
+        for r in range(rows):
+            np.add(others, float(squares[-1].flat[r]), out=m[r])
+        m *= -self.h
+        object.__setattr__(self, "multipliers", np.exp(m, out=m))
 
     def empty_spectrum(self) -> np.ndarray:
         """A new, uninitialised buffer for one spectrum of the plan's grid."""
@@ -255,16 +283,25 @@ class HeatKernelPlan:
         """
         return _irfftn(spectrum, self.grid.shape, self.workers)
 
+    def multiply(self, spectrum: np.ndarray) -> np.ndarray:
+        """Multiply a spectrum of the plan's grid by ``exp(-h |k|^2)`` in
+        place and return it: rows 0 .. n//2 along array axis 0 by the stored
+        rows, the rows after them by the stored rows n-1-n//2 .. 1, a
+        reversed view."""
+        head = self.multipliers.shape[0]
+        np.multiply(spectrum[:head], self.multipliers, out=spectrum[:head])
+        tail = self.multipliers[self.grid.n - head : 0 : -1]
+        np.multiply(spectrum[head:], tail, out=spectrum[head:])
+        return spectrum
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Smooth a raw array (no clamping, no wrapping in field types)."""
         spectrum = self.forward(values, self.empty_spectrum())
-        spectrum *= self.multipliers
-        return self.inverse(spectrum)
+        return self.inverse(self.multiply(spectrum))
 
     def apply_grad_component(self, values: np.ndarray, axis: int) -> np.ndarray:
         """One component of the gradient of the smoothed raw array."""
-        spectrum = self.forward(values, self.empty_spectrum())
-        spectrum *= self.multipliers
+        spectrum = self.multiply(self.forward(values, self.empty_spectrum()))
         spectrum *= _derivative_factors(self.grid)[axis]
         return self.inverse(spectrum)
 
@@ -294,8 +331,7 @@ def convolve(
     if spectrum is None:
         spectrum = plan.empty_spectrum()
     spectrum = plan.forward(field_in.mask if indicator else field_in.values, spectrum)
-    spectrum *= plan.multipliers
-    out = plan.inverse(spectrum)
+    out = plan.inverse(plan.multiply(spectrum))
     if indicator:
         overshoot = max(0.0, float(out.max()) - 1.0, -float(out.min()))
         if overshoot > CLAMP_TOLERANCE:

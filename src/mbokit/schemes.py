@@ -42,6 +42,7 @@ from .grid import (
     bounding_radius,
     centroid,
 )
+from .kernel import multiplier_exponent
 from .threshold import select_bottom_cells, select_top_cells
 from .diagnostics import GOOD_ITERATION_BAND, LedgerWalk, StepRecord, tension_rows
 
@@ -131,7 +132,11 @@ def equal_tensions(num_grains: int) -> SurfaceTensionMatrix:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Which scheme to run, on which grid, at which bandwidth, how long."""
+    """Which scheme to run, on which grid, at which bandwidth, how long.
+
+    A bandwidth whose kernel multipliers or whose horizon ``steps * h``
+    would overflow is refused here, so no plan or step time meets it.
+    """
 
     scheme: str
     grid: Grid
@@ -147,6 +152,10 @@ class SchemeConfig:
             raise ValueError(f"bandwidth h must be positive and finite, got {self.h}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
+        if not math.isfinite(multiplier_exponent(self.grid, self.h)):
+            raise ValueError(f"bandwidth h = {self.h} overflows h |k|^2 on this grid")
+        if not math.isfinite(self.steps * self.h):
+            raise ValueError(f"horizon steps * h = {self.steps} * {self.h} overflows")
         if self.scheme == "forced" and self.force is None:
             raise ValueError("forced scheme needs a force function")
         if self.scheme != "forced" and self.force is not None:

@@ -34,6 +34,19 @@ def plain_tension_rows(ext: np.ndarray, fields) -> list[np.ndarray]:
     return rows
 
 
+def full_multipliers(grid: Grid, h: float) -> np.ndarray:
+    """``exp(-h |k|^2)`` over every row of the real-to-complex spectrum,
+    ``|k|^2`` summed from zero in spatial axis order: the array a plan's
+    mirrored multiply must reproduce bit for bit."""
+    k2 = np.zeros(grid.shape[:-1] + (grid.n // 2 + 1,))
+    for k in range(grid.dim):
+        f = np.fft.rfftfreq if k == 0 else np.fft.fftfreq
+        shape = [1] * grid.dim
+        shape[grid.dim - 1 - k] = -1
+        k2 = k2 + (2.0 * np.pi * f(grid.n, d=grid.dx)).reshape(shape) ** 2
+    return np.exp(-h * k2)
+
+
 def phase_difference(a: PhaseField, b: PhaseField) -> RealField:
     """Signed difference a - b as a real field with values in {-1, 0, 1}."""
     if a.grid != b.grid:

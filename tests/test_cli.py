@@ -654,6 +654,50 @@ class TestCommands:
         assert err.startswith("config error:") and "finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, lines",
+        [
+            ("run", "h = 1e308\n"),  # h |k|^2 and steps * h overflow
+            ("run", "h = 1e303\nsteps = 1000000\n"),  # only steps * h does
+            ("energy", "h = 1e308\n"),
+            ("check", "h = 1e308\n"),
+            ("sweep", "h_list = 4e-3, 2e-3, 1e308\nT = 8e-3\n"),
+            ("sweep", "h_list = 4e-3, 2e-3, 1e-320\nT = 8e-3\n"),  # T / h does
+        ],
+        ids=["run", "run-horizon", "energy", "check", "sweep", "sweep-steps"],
+    )
+    def test_overflowing_bandwidth_is_config_error(
+        self, tmp_path, capsys, command, lines
+    ):
+        h = float(lines.split()[2].rstrip(","))
+        if command == "energy":
+            dump = tmp_path / "e.mbof"
+            ball = rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.3)
+            write_dump(dump, ball, h, 0)
+            args = ["energy", str(dump), "--h", "1e308"]
+        elif command == "check":
+            ball = rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.3)
+            args = ["check"]
+            for k in range(2):
+                args.append(str(tmp_path / f"s{k}.mbof"))
+                write_dump(args[-1], ball, h, k)
+        else:
+            keys = [row.split(" =")[0] for row in lines.splitlines()]
+            text = "".join(
+                f"{row}\n"
+                for row in BASE.splitlines()
+                if row.split(" =")[0] not in keys
+            )
+            text += f"{lines}out_dir = {tmp_path}/out\n"
+            args = [command, write_cfg(tmp_path, text)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_force_value_is_config_error(

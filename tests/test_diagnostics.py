@@ -16,6 +16,7 @@ from scipy.special import erfinv
 
 from mbokit.cli import main
 from mbokit import diagnostics
+from mbokit import grid as grid_module
 from mbokit.diagnostics import (
     GOOD_ITERATION_BAND,
     LEDGER_RTOL,
@@ -183,12 +184,12 @@ class TestPairwiseSum:
     )
     def chunk(self, request, monkeypatch):
         # a chunk of at least 128 values (numpy's unsplit leaf) is exact
-        monkeypatch.setattr(diagnostics, "_SUM_CHUNK", request.param)
+        monkeypatch.setattr(grid_module, "_SUM_CHUNK", request.param)
 
     @staticmethod
     def dense(values: np.ndarray) -> float:
         flat = values.ravel()
-        return diagnostics._pairwise_sum(flat.size, lambda lo, hi: flat[lo:hi])
+        return grid_module._pairwise_sum(flat.size, lambda lo, hi: flat[lo:hi].sum())
 
     @staticmethod
     def spread(rng, shape) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from mbokit import grid as grid_module
 from mbokit.grid import (
     EmptyPhaseError,
     Grid,
@@ -256,15 +257,20 @@ class TestPeriodicGaussian:
         for seed, sigma in enumerate(sigmas):
             x = np.random.default_rng(seed).standard_normal((n,) * dim)
             expected = ndimage.gaussian_filter(x, sigma, mode="wrap")
-            got = _periodic_gaussian(x, sigma)
+            got = _periodic_gaussian(x.copy(), sigma)  # filtered in place
             assert got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_filters_the_array_it_is_handed(self):
+        x = np.random.default_rng(2).standard_normal((16, 12, 9))
+        expected = ndimage.gaussian_filter(x, 1.3, mode="wrap")
+        assert _periodic_gaussian(x, 1.3) is x
+        assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-15, -2.0])
     def test_zero_or_negative_width_is_identity(self, sigma):
         x = np.random.default_rng(1).standard_normal((9, 12))
-        got = _periodic_gaussian(x, sigma)
-        assert got is not x
+        got = _periodic_gaussian(x.copy(), sigma)
         assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
         expected = ndimage.gaussian_filter(x, sigma, mode="wrap")
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -335,6 +341,25 @@ class TestMeasurements:
                     each = trig(gathered)
                     once = np.broadcast_to(trig(theta), g.shape)[f.mask]
                     assert np.array_equal(once.view(np.uint64), each.view(np.uint64))
+
+    @pytest.mark.parametrize("chunk", [128, 200, 1 << 15])
+    @pytest.mark.parametrize("dim, n", [(2, 512), (3, 64)])
+    def test_centroid_in_chunks_equals_gathered_angles(
+        self, dim, n, chunk, monkeypatch
+    ):
+        # sums over many chunks, most of which start and end inside a slab
+        monkeypatch.setattr(grid_module, "_SUM_CHUNK", chunk)
+        g = Grid(dim=dim, n=n)
+        rng = np.random.default_rng(n)
+        fields = [
+            rasterize_ball(g, (0.97,) * dim, 0.3),
+            PhaseField(g, rng.random(g.shape) < 0.4),
+            PhaseField(g, np.ones(g.shape, dtype=bool)),
+        ]
+        for f in fields:
+            expected = np.array(self.centroid_of_gathered_angles(f))
+            got = np.array(centroid(f))
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_bounding_radius_ball(self, grid128):
         f = rasterize_ball(grid128, (0.5, 0.5), 0.2)

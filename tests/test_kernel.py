@@ -7,6 +7,7 @@ import pytest
 import scipy.fft as sfft
 
 from mbokit.grid import Grid, PhaseField, RealField, rasterize_ball, rasterize_slab
+from reference_forms import full_multipliers
 from mbokit.kernel import (
     HeatKernelPlan,
     ResolutionWarning,
@@ -33,9 +34,32 @@ class TestPlan:
         assert plan.multipliers.max() == 1.0
         assert plan.multipliers.min() > 0.0
 
+    @pytest.mark.parametrize("n", [9, 15, 24, 33, 96, 97, 128])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mirrored_multiply_equals_full_multipliers(self, dim, n):
+        # the plan stores rows 0 .. n/2 along array axis 0 and reads the
+        # rest through a reversed view; the product must keep every bit
+        grid = Grid(dim=dim, n=n)
+        rng = np.random.default_rng(n * 10 + dim)
+        shape = grid.shape[:-1] + (n // 2 + 1,)
+        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spectrum[(0,) * dim] = complex(1.0, -0.0)  # a signed zero too
+        for h in (16.0 * grid.dx**2, 0.5):  # the second underflows to zeros
+            plan = HeatKernelPlan(grid, h)
+            assert plan.multipliers.shape == (n // 2 + 1,) + shape[1:]
+            expected = spectrum * full_multipliers(grid, h)
+            assert plan.multiply(spectrum.copy()).tobytes() == expected.tobytes()
+
     def test_rejects_nonpositive_bandwidth(self, grid128):
         with pytest.raises(ValueError):
             HeatKernelPlan(grid128, 0.0)
+
+    def test_rejects_overflowing_bandwidth(self, grid128):
+        # h |k|^2 would overflow to inf before the exponential
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                HeatKernelPlan(grid128, 1e308)
 
     def test_warns_when_underresolved(self, grid128):
         # sqrt(h) below 4 cells: diffuse layer too thin for the grid
@@ -183,7 +207,7 @@ class TestTransformsMatchScipy:
         plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
         spectrum = plan.forward(u, plan.empty_spectrum())
         assert np.array_equal(spectrum, sfft.rfftn(u, workers=1))
-        spectrum *= plan.multipliers
+        plan.multiply(spectrum)
         expected = sfft.irfftn(spectrum, s=grid.shape, workers=1)
         assert np.array_equal(plan.inverse(spectrum), expected)
 

@@ -14,6 +14,7 @@ from mbokit.cli import main
 from mbokit.diagnostics import LedgerWalk, energy_two_phase, ledger_check
 from mbokit.grid import (
     Grid,
+    PhaseField,
     RealField,
     bounding_radius,
     centroid,
@@ -167,11 +168,11 @@ GRID64 = Grid(dim=3, n=64)
 FIELD64 = GRID64.total_cells * 8  # bytes of one float64 field
 
 
-def test_blob_set_up_holds_two_grid_fields():
-    # the noise and one filtered field; the noise dies before the selection
+def test_blob_set_up_holds_one_grid_field():
+    # the noise, filtered in place, and blocks: no second field
     blob, peak = traced_peak(random_blob, GRID64, 3)
     assert blob.cell_count == round(0.3 * GRID64.total_cells)
-    assert peak < 3 * FIELD64
+    assert peak < 2 * FIELD64
 
 
 def selection_peak(select, grid):
@@ -194,6 +195,20 @@ def test_selection_holds_one_scratch_field(select):
 @pytest.mark.parametrize("grid", [Grid(3, 96), Grid(2, 256)], ids=["96^3", "256^2"])
 def test_selection_scratch_stays_below_half_a_field(grid, select):
     assert selection_peak(select, grid) < 0.5
+
+
+@pytest.mark.parametrize("select", [select_top_cells, select_bottom_cells])
+def test_selection_gathers_no_plateau_at_the_cut(select):
+    # half the scores are exactly zero and the cut falls among them: the
+    # ties at an end of the bracket are counted, never gathered
+    grid = Grid(3, 96)
+    values = np.maximum(np.random.default_rng(5).standard_normal(grid.shape), 0.0)
+    if select is select_bottom_cells:
+        values = -values
+    target = int(0.6 * grid.total_cells)
+    sel, peak = traced_peak(select, RealField(grid, values), target)
+    assert sel.mask.cell_count == target and sel.threshold == 0.0
+    assert peak < 0.5 * grid.total_cells * 8
 
 
 @pytest.mark.parametrize("smoothing", [1e308, 1e300, 5.0])
@@ -235,6 +250,21 @@ def test_convolve_holds_one_spectrum(ball_and_plan):
     assert peak < 1.3 * field
 
 
+def test_plan_builds_its_multipliers_in_place(ball_and_plan):
+    # rows 0 .. n/2 of the multipliers along array axis 0, about a quarter
+    # of a field, built in one buffer
+    ball, plan, field = ball_and_plan
+    built, peak = traced_peak(HeatKernelPlan, ball.grid, plan.h)
+    assert built.multipliers.nbytes < 0.27 * field
+    assert peak < (0.3 if ball.grid.dim == 3 else 0.55) * field
+
+
+def test_centroid_gathers_no_occupied_cells_whole(ball_and_plan):
+    ball, _, field = ball_and_plan
+    _, peak = traced_peak(centroid, ball)
+    assert peak < 0.25 * field
+
+
 def test_energy_builds_no_full_grid_integrand(ball_and_plan):
     ball, plan, field = ball_and_plan
     smoothed = convolve(plan, ball)
@@ -259,3 +289,18 @@ def test_two_phase_advance_holds_one_spectrum():
     _, peak = traced_peak(walk.advance, 1, after, None, None)
     assert 50 < walk.changed.size < 500
     assert peak < 1.3 * GRID512.total_cells * 8
+
+
+@pytest.mark.parametrize("grid", [GRID512, GRID64], ids=["512^2", "64^3"])
+def test_two_phase_advance_holds_no_full_grid_temporaries(grid):
+    # a tenth of the cells change: the changed cells and one value on each
+    # are held, but no full-grid mask and no second array of their size
+    ball = rasterize_ball(grid, (0.45,) * grid.dim, 0.3)
+    flipped = np.random.default_rng(1).random(grid.shape) < 0.1
+    after = PhaseField(grid, ball.mask ^ flipped)
+    cfg = SchemeConfig("mbo", grid, 16.0 * grid.dx**2, 1)
+    walk = LedgerWalk(cfg, ball, None)
+    walk.advance(1, after, None, None)  # warm the caches and hold a step's cells
+    _, peak = traced_peak(walk.advance, 2, ball, None, None)
+    assert walk.changed.size == np.count_nonzero(flipped)
+    assert peak < 0.5 * grid.total_cells * 8
