@@ -176,17 +176,64 @@ def tension_rows(ext: np.ndarray, fields: Sequence[np.ndarray]):
         start = keep or 0
 
 
+class GrainSummary:
+    """What a grain-growth step reads of a partition's smoothed labels psi
+    instead of the p+1 fields, per cell: ``leader``, the grain of the
+    largest grain value psi_max (the lowest label on ties); ``gap``, psi_max
+    minus the second largest (inf with one grain); ``rest``, S - psi_max;
+    and ``base``, psi_0 - S.  S is the grain values summed from +0.0 in
+    label order, bit for bit the vapor comparison field of
+    :func:`tension_rows`, and rest and base are one rounding each from the
+    folded values.  ``scale`` bounds 1 + psi_0 + 2 S on every cell.  The
+    second largest value and ``gap`` are kept in float32, rounded to
+    nearest, so ``gap`` lies within 2^-22 ``scale`` of its exact value; a
+    step needs no more of it than a lower bound.
+
+    The labels are folded one at a time, the grains in order and the vapor
+    last, so 2.6 fields are held whatever the number of grains; the vapor's
+    values are read, never copied.
+    """
+
+    def __init__(self, shape: tuple[int, ...], num_grains: int) -> None:
+        self._top, self._total = np.empty(shape), np.empty(shape)
+        self._second = np.empty(shape, dtype=np.float32)
+        self.leader = np.empty(shape, dtype=np.min_scalar_type(num_grains))
+
+    def fold(self, label: int, psi: np.ndarray) -> None:
+        """Take in the smoothed values ``psi`` of ``label``, which are only
+        read: the grains in order from 1, then the vapor, label 0, which
+        completes the summary."""
+        top, second, total = self._top, self._second, self._total
+        if label == 1:
+            top.fill(-np.inf)
+            second.fill(-np.inf)
+            total.fill(0.0)
+        if label:
+            total += psi
+            above = psi > top
+            np.maximum(second, psi, out=second)
+            np.copyto(second, top, where=above)
+            np.copyto(top, psi, where=above)
+            np.copyto(self.leader, label, where=above)
+            return
+        self.scale = 1.0 + float(psi.max()) + 2.0 * float(total.max())
+        self.gap = np.subtract(top, second, out=second)
+        self.rest = np.subtract(total, top, out=top)
+        self.base = np.subtract(psi, total, out=total)
+
+
 def energy_multiphase(
     state: MultiPhaseState,
-    smoothed: Sequence[np.ndarray],
+    smoothed: Iterable[tuple[int, np.ndarray]],
     h: float,
     tensions: "SurfaceTensionMatrix",
 ) -> float:
     """Weighted interfacial energy of a vapor/grain partition.
 
-    ``smoothed`` holds the smoothed indicators, vapor first, as
-    :func:`convolve_labels` returns them; it is read once, in order, so it
-    may be a stream whose fields are valid one at a time.  Grain pairs are
+    ``smoothed`` yields (label, smoothed indicator) pairs, every label once
+    in any order (``enumerate`` of :func:`convolve_labels`, or a stream
+    whose fields are valid one at a time); each label's overlaps are summed
+    on their own, so the order leaves the bits alone.  Grain pairs are
     weighted by their surface tension; the vapor boundary carries weight 1,
     entering twice because the functional sums both orientations of that
     interface.
@@ -194,10 +241,12 @@ def energy_multiphase(
     if tensions.num_grains != state.num_grains:
         raise ValueError("tension matrix size does not match state")
     p = state.num_grains
-    labels = state.labels.ravel().astype(np.intp)  # cast once, not per bincount
+    # cast to intp inside each bincount, so no full-grid copy is held while
+    # a stream smooths the next label
+    labels = state.labels.ravel()
     # overlap[i, j] = sum over cells of label i of smoothed label j
     overlap = np.empty((p + 1, p + 1))
-    for j, psi in enumerate(smoothed):
+    for j, psi in smoothed:
         overlap[:, j] = np.bincount(labels, weights=psi.ravel(), minlength=p + 1)
     grain_part = float(np.sum(tensions.sigma * overlap[1:, 1:]))
     vapor_part = 2.0 * float(np.sum(overlap[1:, 0]))
@@ -229,29 +278,28 @@ class LedgerReport:
 class LedgerWalk:
     """The energy ledger along consecutive states under ``config``.
 
-    Holds the newest ``state``, its ``energy`` (:func:`energy_two_phase` or,
-    for grain growth, :func:`energy_multiphase`) and its clamped smoothed
-    fields ``smoothed`` (as :func:`convolve` or :func:`convolve_labels`
-    returns them), which a step map reads.  :meth:`advance` moves to the
-    next state and returns the step's row.  Runs and audits both walk their
-    states through here, so an audit of untouched states reproduces the
-    run's rows bit for bit.
+    Holds the newest ``state`` and its ``energy`` (:func:`energy_two_phase`
+    or, for grain growth, :func:`energy_multiphase`), and smooths every
+    state through one spectrum buffer, allocated once.  :meth:`advance`
+    moves to the next state and returns the step's row.  Runs and audits
+    both walk their states through here, so an audit of untouched states
+    reproduces the run's rows bit for bit.
 
-    ``following``, passed with every state, is the state the walk moves to
-    next: None while a step map has yet to make it from ``smoothed`` (a
-    run), the state itself when nothing follows (``mbokit energy``, an
-    audit's last state).  A grain-growth walk keeps the p+1 fields of
-    ``smoothed`` only when built with ``following`` None.  Otherwise it
-    smooths one label at a time through one spectrum buffer, takes from
-    each field while it is valid its share of the energy and its values on
-    the cells that changed and on those that change toward ``following``,
-    and leaves ``smoothed`` None.  A two-phase walk holds one field either
-    way.
+    A two-phase walk keeps its state's clamped smoothed field ``smoothed``
+    (as :func:`convolve` returns it), which a step map reads.  A
+    grain-growth walk smooths one label at a time and keeps of each field,
+    while it is valid, its share of the energy and a few values; its
+    ``smoothed`` is None.  ``following``, passed with every state, is the
+    state the walk moves to next: None while a step map has yet to make it
+    (a run), the state itself when nothing follows (``mbokit energy``, an
+    audit's last state).  With ``following`` None a grain-growth walk folds
+    the labels into ``summary`` (a :class:`GrainSummary`, which the step map
+    reads with :meth:`gather`); otherwise it keeps each label's values on
+    the cells that change toward ``following`` and ``summary`` is None.
 
-    The walk allocates its spectrum buffers once and smooths every state
-    into them, so ``smoothed`` is valid only until the next :meth:`advance`
-    writes over it.  Read it before advancing; copy what must outlive the
-    step.
+    ``smoothed`` and ``summary`` are valid only until the next
+    :meth:`advance` writes the next state's over them.  Read them before
+    advancing; copy what must outlive the step.
     """
 
     def __init__(
@@ -262,55 +310,92 @@ class LedgerWalk:
     ) -> None:
         self.config = config
         self.plan = HeatKernelPlan(config.grid, config.h)
-        fields = 1
         if config.scheme == "grain_growth":
             self._energy = partial(energy_multiphase, tensions=config.tensions)
-            if following is None:
-                fields = state.num_grains + 1
         else:
             self._energy = energy_two_phase
-        self._spectra = [self.plan.empty_spectrum() for _ in range(fields)]
+        self._spectrum = self.plan.empty_spectrum()
+        self.summary: GrainSummary | None = None
+        self._gathered: tuple[np.ndarray, np.ndarray] | None = None
         self.state = state
         self.changed = np.empty(0, dtype=np.intp)
         self.energy = self._smooth(state, following, self.changed, None)
+
+    def _stream(self, state: MultiPhaseState):
+        """Each label with its clamped smoothed field, valid until the next
+        is asked for: the grains in order, then the vapor."""
+        for j in [*range(1, state.num_grains + 1), 0]:
+            yield j, convolve(self.plan, state.indicator(j), self._spectrum).values
 
     def _smooth(
         self,
         state: PhaseField | MultiPhaseState,
         following: PhaseField | MultiPhaseState | None,
         cells: np.ndarray,
-        before: list[np.ndarray] | None,
+        before: np.ndarray | None,
     ) -> float:
-        """Smooth ``state`` into the walk's spectra and return its energy.
+        """Smooth ``state`` into the walk's spectrum and return its energy.
 
         For a partition, ``before`` (None, or the old smoothed labels'
-        values on ``cells``) becomes the new values minus the old, label by
-        label, and a known ``following`` leaves in ``_ahead`` that state,
-        the cells that change toward it and each label's values on them.
+        values on ``cells``, one row per label) becomes the new values minus
+        the old, label by label.  A known ``following`` leaves in ``_ahead``
+        that state, the cells that change toward it and each label's values
+        on them; an unknown one leaves the labels' ``summary``.
         """
-        plan, spectra, h = self.plan, self._spectra, self.config.h
+        h = self.config.h
+        self._gathered = None
         if not isinstance(state, MultiPhaseState):
-            self.smoothed = convolve(plan, state, spectra[0])
+            self.smoothed = convolve(self.plan, state, self._spectrum)
             return self._energy(state, self.smoothed, h)
+        self.smoothed = None
         if following is not None:
-            toward, ahead = _changed_cells(following.labels, state.labels), []
+            self.summary = None
+            toward = _changed_cells(following.labels, state.labels)
+            ahead = np.empty((state.num_grains + 1, toward.size))
             self._ahead = (following, toward, ahead)
+        elif self.summary is None:
+            self.summary = GrainSummary(state.grid.shape, state.num_grains)
 
         def fields():
-            for j in range(state.num_grains + 1):
-                spectrum = spectra[j if following is None else 0]
-                psi = convolve(plan, state.indicator(j), spectrum).values
+            for j, psi in self._stream(state):
                 if before is not None:
                     np.subtract(psi.ravel()[cells], before[j], out=before[j])
                 if following is not None:
-                    ahead.append(psi.ravel()[toward])
-                yield psi
+                    np.take(psi.ravel(), toward, out=ahead[j])
+                else:
+                    self.summary.fold(j, psi)
+                yield j, psi
 
-        if following is None:
-            self.smoothed = list(fields())
-            return self._energy(state, self.smoothed, h)
-        self.smoothed = None
         return self._energy(state, fields(), h)
+
+    def gather(self, cells: np.ndarray) -> np.ndarray:
+        """The smoothed labels of ``state`` on the sorted flat ``cells``,
+        one row per label, vapor first.
+
+        Smooths the state once more, one label at a time; the values are
+        also kept until the next :meth:`advance`, which takes the ledger's
+        old values from them when the changed cells are among ``cells``.
+        """
+        values = np.empty((self.state.num_grains + 1, cells.size))
+        for j, psi in self._stream(self.state):
+            np.take(psi.ravel(), cells, out=values[j])
+        self._gathered = (cells, values)
+        return values
+
+    def _values_on(self, cells: np.ndarray) -> np.ndarray:
+        """Every smoothed label of ``state`` on ``cells``: taken from the
+        last :meth:`gather` when it covered them, else gathered anew."""
+        if self._gathered is not None:
+            gathered, values = self._gathered
+            at = np.searchsorted(gathered, cells)
+            if not at.size or (
+                at[-1] < gathered.size and np.array_equal(gathered[at], cells)
+            ):
+                # at[i] >= i, so each row is packed in place, front first
+                for row in values:
+                    row[: at.size] = row[at]
+                return values[:, : at.size]
+        return self.gather(cells)
 
     def advance(
         self,
@@ -326,8 +411,9 @@ class LedgerWalk:
         convolution of its own: it pairs omega = cur - prev with G cur -
         G prev, and omega is zero off the changed cells.  So only the old
         smoothed fields' values on those cells are kept (gathered before
-        ``cur`` is smoothed over them, or while the old state was smoothed
-        when ``cur`` was known to follow it), and the
+        ``cur`` is smoothed over them: for a partition, taken from the step
+        map's :meth:`gather`, or while the old state was smoothed when
+        ``cur`` was known to follow it), and the
         dissipation (tension rows for a partition) and the forcing transfer
         are summed over the changed cells with the bits of numpy's sum of
         the full-grid integrand, which is zero off them.  Forced steps pass
@@ -341,7 +427,7 @@ class LedgerWalk:
         transfer = 0.0
         self.changed = None  # the last step's cells, not held through this one
         if isinstance(cur, MultiPhaseState):
-            if self.smoothed is None:
+            if self.summary is None:
                 announced, cells, before = self._ahead
                 if cur is not announced:
                     raise ValueError(
@@ -349,7 +435,7 @@ class LedgerWalk:
                     )
             else:
                 cells = _changed_cells(cur.labels, prev.labels)
-                before = [f.ravel()[cells] for f in self.smoothed]
+                before = self._values_on(cells)
             energy = self._smooth(cur, following, cells, before)  # now differences
             new_labels = cur.labels.ravel()[cells]
             old_labels = prev.labels.ravel()[cells]

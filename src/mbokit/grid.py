@@ -102,13 +102,21 @@ class Grid:
 
     def periodic_distance_sq(self, point: Sequence[float]) -> np.ndarray:
         """Squared periodic distance from every cell center to ``point``."""
-        if len(point) != self.dim:
-            raise ValueError(f"point has {len(point)} coords, grid is {self.dim}-d")
-        # per-axis 1-D squared deltas, summed by broadcasting in axis order
-        d2 = self.wrap_delta(self.coordinate(0) - point[0]) ** 2
-        for k in range(1, self.dim):
-            d2 = d2 + self.wrap_delta(self.coordinate(k) - point[k]) ** 2
-        return d2
+        return _distance_sq_into(self, point, np.empty(self.shape))
+
+
+def _distance_sq_into(grid: Grid, point: Sequence[float], out: np.ndarray):
+    """:meth:`Grid.periodic_distance_sq` written into ``out`` and returned:
+    the per-axis squared deltas summed by broadcasting in axis order, all
+    but the last axis's on their slab-sized partial sum, so only the last
+    addition is grid-sized."""
+    if len(point) != grid.dim:
+        raise ValueError(f"point has {len(point)} coords, grid is {grid.dim}-d")
+    terms = [grid.wrap_delta(grid.coordinate(k) - point[k]) ** 2 for k in range(grid.dim)]
+    partial = terms[0]
+    for term in terms[1:-1]:
+        partial = partial + term
+    return np.add(partial, terms[-1], out=out)
 
 
 def _as_bool_mask(grid: Grid, mask: np.ndarray) -> np.ndarray:
@@ -265,23 +273,26 @@ def voronoi_labels(
         raise ValueError("seeds must be pairwise distinct")
     if not math.isfinite(vapor_margin):
         raise ValueError(f"vapor_margin must be finite, got {vapor_margin}")
-    best_d2 = grid.periodic_distance_sq(pts[0])
-    best = np.zeros(grid.shape, dtype=np.int32)
-    for i, p in enumerate(pts[1:], start=1):
-        d2 = grid.periodic_distance_sq(p)
-        closer = d2 < best_d2  # strict: ties keep the earlier seed
-        best = np.where(closer, np.int32(i), best)
-        best_d2 = np.where(closer, d2, best_d2)
-    labels = best + 1
+    if solid is not None and solid.grid != grid:
+        raise ValueError("solid mask lives on a different grid")
+    # every seed's distances go into one buffer and are compared in place
+    best_d2 = _distance_sq_into(grid, pts[0], np.empty(grid.shape))
+    d2 = np.empty(grid.shape)
+    closer = np.empty(grid.shape, dtype=bool)
+    labels = np.ones(grid.shape, dtype=np.int32)
+    for i, p in enumerate(pts[1:], start=2):
+        _distance_sq_into(grid, p, d2)
+        np.less(d2, best_d2, out=closer)  # strict: ties keep the earlier seed
+        np.copyto(labels, i, where=closer)
+        np.copyto(best_d2, d2, where=closer)
+    del best_d2, d2, closer
     if vapor_margin > 0:
         for k in range(grid.dim):
             x = grid.coordinate(k)
             seam = np.minimum(x, grid.side - x) < vapor_margin
-            labels = np.where(np.broadcast_to(seam, grid.shape), 0, labels)
+            np.copyto(labels, 0, where=np.broadcast_to(seam, grid.shape))
     if solid is not None:
-        if solid.grid != grid:
-            raise ValueError("solid mask lives on a different grid")
-        labels = np.where(solid.mask, labels, 0)
+        labels[~solid.mask] = 0
     return MultiPhaseState(grid, labels, num_grains=len(pts))
 
 

@@ -3,7 +3,8 @@
 One step smooths the current phase configuration with the heat kernel of
 bandwidth sqrt(h) and rebuilds sharp phases from the smoothed values.  The
 step maps are the thresholding rules alone; they are handed the smoothed
-fields, which ``diagnostics.LedgerWalk`` computes once per state:
+fields, which ``diagnostics.LedgerWalk`` computes (for grain growth, a
+per-cell summary of them and a gather of their values on chosen cells):
 
 * ``step_mbo``: threshold at 1/2; interfaces move by mean curvature.
 * ``step_volume_preserving``: keep exactly the current cell count by
@@ -15,7 +16,8 @@ fields, which ``diagnostics.LedgerWalk`` computes once per state:
 * ``step_grain_growth``: multiphase vapor/grain version with a surface
   tension matrix; each cell goes to its best grain, and the total solid
   cell count is preserved exactly through a bottom selection of the
-  grain-versus-vapor score.
+  grain-versus-vapor score.  It certifies most cells from the summary and
+  folds the comparison fields only on the rest.
 
 ``Stepper`` iterates a step map one state at a time, recording the energy
 ledger (walked by ``diagnostics.LedgerWalk``), thresholds, and support
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,12 +41,19 @@ from .grid import (
     MultiPhaseState,
     PhaseField,
     RealField,
+    _kth_smallest,
     bounding_radius,
     centroid,
 )
 from .kernel import multiplier_exponent
 from .threshold import select_bottom_cells, select_top_cells
-from .diagnostics import GOOD_ITERATION_BAND, LedgerWalk, StepRecord, tension_rows
+from .diagnostics import (
+    GOOD_ITERATION_BAND,
+    GrainSummary,
+    LedgerWalk,
+    StepRecord,
+    tension_rows,
+)
 
 SCHEMES = ("mbo", "volume_preserving", "forced", "grain_growth")
 
@@ -53,6 +62,9 @@ ForceFunction = Callable[[Grid, float], RealField]
 # A solid reaching beyond this fraction of the side starts feeling its own
 # periodic images; runs past it are flagged, not stopped.
 WRAP_RADIUS_FRACTION = 0.4
+
+# A grain-growth step certifies cells from the summary this many at a time.
+_CERTIFY_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -65,12 +77,18 @@ class SurfaceTensionMatrix:
     relaxed instantly), a strict triangle inequality, and negative
     definiteness as a bilinear form on mean-zero vectors.  The extended
     matrix bordered by a vapor row and column of ones is built here once
-    and reused everywhere.
+    and reused everywhere.  ``sigma_min`` and ``sigma_max`` are the
+    smallest and largest off-diagonal tensions (both 1.0, the vapor
+    tension, for a single grain, which has no pair).  When the largest is
+    below twice the smallest every triangle holds, and the O(p³) loop that
+    names the first violation runs only for other matrices.
     """
 
     sigma: np.ndarray
     extended: np.ndarray = field(init=False, repr=False)
     extended_neg_bound: float = field(init=False)
+    sigma_min: float = field(init=False)
+    sigma_max: float = field(init=False)
 
     def __post_init__(self) -> None:
         s = np.ascontiguousarray(np.asarray(self.sigma, dtype=np.float64))
@@ -91,7 +109,10 @@ class SurfaceTensionMatrix:
                 "off-diagonal tensions must stay below 2, the cost of the "
                 "vapor route between two grains"
             )
-        for k in range(p):  # one p x p slice per k, first (i, j) in row order
+        lo, hi = (float(s[off].min()), float(s[off].max())) if p > 1 else (1.0, 1.0)
+        # below twice the smallest tension every triangle holds: sigma_ij <
+        # 2 sigma_min <= sigma_ik + sigma_kj, so only other matrices are looped
+        for k in range(p if hi >= 2.0 * lo else 0):  # first (i, j) in row order
             bad = off & ~(s < s[:, k, None] + s[k])
             bad[k] = bad[:, k] = False
             if bad.any():
@@ -104,6 +125,8 @@ class SurfaceTensionMatrix:
         ext[0, 0] = 0.0
         ext[1:, 1:] = s
         object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "sigma_min", lo)
+        object.__setattr__(self, "sigma_max", hi)
         object.__setattr__(self, "extended", ext)
         object.__setattr__(self, "extended_neg_bound", _mean_zero_neg_bound(ext))
         if not self.extended_neg_bound > 0:
@@ -211,36 +234,106 @@ def step_volume_preserving(
 
 def step_grain_growth(
     state: MultiPhaseState,
-    smoothed: Sequence[np.ndarray],
+    summary: GrainSummary,
+    gather: Callable[[np.ndarray], np.ndarray],
     tensions: SurfaceTensionMatrix,
 ) -> tuple[MultiPhaseState, float]:
     """One multiphase step preserving the total solid cell count.
 
-    Builds the comparison fields phi_i one at a time as tension-weighted
-    sums of the smoothed indicators ``smoothed`` (vapor first; vapor enters
-    each grain's field with weight one).  Each cell's candidate grain
-    minimizes phi over grains, lowest label on ties, through a running
-    minimum; the solid set keeps exactly its cell count by a bottom
-    selection of phi_best - phi_vapor.  Returns the new state and the score
-    cut.
+    The comparison fields phi_i are tension-weighted sums of the smoothed
+    indicators (vapor first; vapor enters each grain's field with weight
+    one).  Each cell's candidate grain minimizes phi over grains, lowest
+    label on ties; the solid set keeps exactly its cell count by a bottom
+    selection of the score phi_best - phi_vapor.  Returns the new state and
+    the score cut.
+
+    The fields are not held: ``summary`` is the :class:`GrainSummary` of
+    the state's smoothed labels, and ``gather(cells)`` returns their values
+    on sorted flat cells, one row per label, vapor first.  From the summary
+    alone :func:`_uncertain_cells` certifies most cells as unchanged; only
+    the rest are gathered, their rows folded by :func:`tension_rows` with a
+    running minimum, and selected among.  Labels and cut are those of the
+    fold over every cell, bit for bit.
     """
     p = tensions.num_grains
     if state.num_grains != p:
         raise ValueError("state and tension matrix disagree on grain count")
-    grid = state.grid
-    solid_count = state.solid_cell_count
-    if solid_count == 0:
+    if state.solid_cell_count == 0:
         raise DegeneratePhaseError("grain growth needs at least one solid cell")
-    rows = tension_rows(tensions.extended, smoothed)
+    cells, solid_outside = _uncertain_cells(state, summary, tensions)
+    rows = tension_rows(tensions.extended, gather(cells))
     phi_vapor, phi_best = next(rows).copy(), next(rows).copy()
-    best = np.ones(grid.shape, dtype=np.int32)
+    best = np.ones(cells.size, dtype=np.int32)
     for i, row in enumerate(rows, start=2):
         lower = row < phi_best  # strict, so the lowest grain wins ties
         np.copyto(phi_best, row, where=lower)
         np.copyto(best, i, where=lower)
-    sel = select_bottom_cells(RealField(grid, phi_best - phi_vapor), solid_count)
-    labels = np.where(sel.mask.mask, best, 0)
-    return MultiPhaseState(grid, labels, p), float(sel.threshold)
+    sel = select_bottom_cells(
+        phi_best - phi_vapor, state.solid_cell_count - solid_outside
+    )
+    labels = state.labels.copy()
+    labels.ravel()[cells] = np.where(sel.mask, best, 0)
+    return MultiPhaseState(state.grid, labels, p), sel.threshold
+
+
+def _uncertain_cells(
+    state: MultiPhaseState, summary: GrainSummary, tensions: SurfaceTensionMatrix
+) -> tuple[np.ndarray, int]:
+    """The sorted flat cells whose new label a step cannot certify as their
+    old one from ``summary``, and how many cells outside them stay solid.
+
+    In exact arithmetic, with S the grain sum, m the leader and [lo, hi]
+    the off-diagonal tensions, the vapor terms cancel and any other grain's
+    row exceeds the leader's by at least lo (psi_max - psi_2nd) - (hi -
+    lo)(S - psi_max); every grain's score phi_i - phi_vapor lies above
+    base + lo rest, and the leader's below base + hi rest.  A fold of at
+    most p+1 terms, S and these bounds round by less than ``err`` = (p + 8)
+    2^-50 ``scale``, at least twice the worst case, and the float32 gap
+    lies within ``gap_err`` of exact.  So where the gap bound exceeds 2 err
+    the leader is the fold's unique argmin, and every score lies within
+    its bounds widened by err.  The cut, the solid count's smallest score,
+    lies between that order statistic of the lower and of the upper
+    bounds: a cell whose upper bound is below the bracket is solid, one
+    whose lower bound is above it is vapor, both strictly.  Such a cell is
+    left out when its certain label is its old one; the rest (ties and
+    near-ties, cells near the cut, certain changes) hold every cell whose
+    score equals the cut.
+    """
+    k = state.solid_cell_count
+    lo, hi = tensions.sigma_min, tensions.sigma_max
+    err = (tensions.num_grains + 8) * 2.0**-50 * summary.scale
+    gap_err = 2.0**-22 * summary.scale  # the float32 gap's distance from exact
+    base, rest, gap, leader, old = (
+        a.reshape(-1)
+        for a in (summary.base, summary.rest, summary.gap, summary.leader, state.labels)
+    )
+    bounds = np.empty(old.size)
+
+    def cut_of_bounds(sigma: float, widen: float) -> np.float64:
+        # base + sigma rest + widen into ``bounds``, and its k-th smallest
+        np.multiply(rest, sigma, out=bounds)
+        np.add(bounds, base, out=bounds)
+        np.add(bounds, widen, out=bounds)
+        return _kth_smallest(bounds, k - 1)
+
+    cut_high = cut_of_bounds(hi, err)
+    cut_low = cut_of_bounds(lo, -err)  # ``bounds`` keeps the lower bounds
+    cells, solid_outside = [], 0
+    for start in range(0, old.size, _CERTIFY_BLOCK):
+        part = slice(start, start + _CERTIFY_BLOCK)
+        high = hi * rest[part]
+        high += base[part]
+        high += err
+        margin = np.subtract(gap[part], gap_err, dtype=np.float64)
+        margin *= lo
+        margin -= (hi - lo) * rest[part]
+        stays = leader[part] == old[part]
+        stays &= high < cut_low
+        stays &= margin > 2.0 * err
+        solid_outside += int(np.count_nonzero(stays))
+        stays |= (bounds[part] > cut_high) & (old[part] == 0)
+        cells.append(np.flatnonzero(~stays) + start)
+    return np.concatenate(cells), solid_outside
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +355,10 @@ class Stepper:
     as its step finishes, appending the step's ledger row to ``records``.
     It stops early with ``status`` "pinned" when a step changes no cell and
     "extinct" when the evolving phase empties; ``status`` is "completed"
-    once every step ran.  The step maps read the smoothed fields of a
-    :class:`LedgerWalk`, so only the current and the previous state and one
-    set of smoothed fields are held.  A warning fires if the support radius
+    once every step ran.  The step maps read the smoothed field, or the
+    grain summary and gather, of a :class:`LedgerWalk`, so only the current
+    and the previous state, one spectrum and the summary are held.  A
+    warning fires if the support radius
     ever exceeds 40 percent of the side, where the periodic images start to
     interact.
     """
@@ -297,8 +391,9 @@ class Stepper:
         return self._steps
 
     def _iterate(self, walk: LedgerWalk):
-        # walk.smoothed is read inline, never bound to a name here: it is
-        # valid only until walk.advance smooths the next state over it
+        # walk.smoothed and walk.summary are read inline, never bound to a
+        # name here: they are valid only until walk.advance smooths the next
+        # state over them
         config = self.config
         grid, h = config.grid, config.h
         wrap_warned = self.initial_radius > WRAP_RADIUS_FRACTION * grid.side
@@ -310,7 +405,7 @@ class Stepper:
 
             if config.scheme == "grain_growth":
                 new_state, lam = step_grain_growth(
-                    walk.state, walk.smoothed, config.tensions
+                    walk.state, walk.summary, walk.gather, config.tensions
                 )
                 good = abs(lam) < GOOD_ITERATION_BAND
             elif config.scheme == "mbo":
@@ -327,13 +422,15 @@ class Stepper:
             radius = None
             if new_solid.cell_count:
                 radius = bounding_radius(new_solid, self.center)
-                if radius > WRAP_RADIUS_FRACTION * grid.side and not wrap_warned:
-                    warnings.warn(
-                        f"support radius {radius:.3g} at step {n} exceeds "
-                        f"{WRAP_RADIUS_FRACTION:.0%} of the side",
-                        stacklevel=2,
-                    )
-                    wrap_warned = True
+            del new_solid  # a partition's solid mask is not held across the yield
+            wrapping = radius is not None and radius > WRAP_RADIUS_FRACTION * grid.side
+            if wrapping and not wrap_warned:
+                warnings.warn(
+                    f"support radius {radius:.3g} at step {n} exceeds "
+                    f"{WRAP_RADIUS_FRACTION:.0%} of the side",
+                    stacklevel=2,
+                )
+                wrap_warned = True
 
             self.records.append(
                 StepRecord(
@@ -344,7 +441,7 @@ class Stepper:
                     good_iteration=good,
                 )
             )
-            if new_solid.cell_count == 0:
+            if radius is None:
                 self.status = "extinct"
             elif walk.changed.size == 0:
                 self.status = "pinned"

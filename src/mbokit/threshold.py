@@ -30,23 +30,29 @@ class SelectionResult:
     ``threshold`` is None when zero cells were requested (empty selection,
     infinite cut).  Otherwise it equals the score of the last cell in:
     the target-th largest score for top selection, target-th smallest for
-    bottom selection.
+    bottom selection.  ``mask`` is a phase field for a field of scores and
+    a boolean array over the scores of a 1-D array.
     """
 
     threshold: float | None
-    mask: PhaseField
+    mask: PhaseField | np.ndarray
 
 
-def _selection(scores: RealField, target_cells: int, top: bool) -> SelectionResult:
-    grid = scores.grid
-    flat = scores.values.ravel()
+def _selection(
+    scores: RealField | np.ndarray, target_cells: int, top: bool
+) -> SelectionResult:
+    field = isinstance(scores, RealField)
+    flat = scores.values.ravel() if field else scores
     if not 0 <= target_cells <= flat.size:
         raise ValueError(f"target_cells {target_cells} outside [0, {flat.size}]")
     if target_cells == 0:
-        empty = PhaseField(grid, np.zeros(grid.shape, dtype=bool))
-        return SelectionResult(None, empty)
-    mask, cut = _select_cells(flat, target_cells, top=top)
-    return SelectionResult(float(cut), PhaseField(grid, mask.reshape(grid.shape)))
+        mask, cut = np.zeros(flat.size, dtype=bool), None
+    else:
+        mask, cut = _select_cells(flat, target_cells, top=top)
+        cut = float(cut)
+    if field:
+        mask = PhaseField(scores.grid, mask.reshape(scores.grid.shape))
+    return SelectionResult(cut, mask)
 
 
 def select_top_cells(scores: RealField, target_cells: int) -> SelectionResult:
@@ -59,10 +65,15 @@ def select_top_cells(scores: RealField, target_cells: int) -> SelectionResult:
     return _selection(scores, target_cells, top=True)
 
 
-def select_bottom_cells(scores: RealField, target_cells: int) -> SelectionResult:
+def select_bottom_cells(
+    scores: RealField | np.ndarray, target_cells: int
+) -> SelectionResult:
     """Select exactly ``target_cells`` cells with the smallest scores.
 
     Mirror image of :func:`select_top_cells`; for tie-free scores it picks
-    the same cells as top selection on the negated field.
+    the same cells as top selection on the negated field.  ``scores`` may
+    also be a 1-D float64 array, the scores of some cells in ascending
+    index order (as a grain-growth step passes the cells it could not
+    certify); ties then go to the earlier entries.
     """
     return _selection(scores, target_cells, top=False)

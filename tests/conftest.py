@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,45 @@ def scheme_case(request, grid128, ball128):
     if name == "volume_preserving":
         return cfg, random_blob(grid128, seed=31)
     return cfg, ball128
+
+
+GRAIN_BALL = ((0.5, 0.5), 0.36)  # the solid of the lattice grain cases
+
+
+def grain_lattice(spacing, bound):
+    """Seeds at the points (i, j) of a lattice of the given spacing with
+    i^2 + j^2 < ``bound`` around the centre, slightly sheared."""
+    span = range(-math.isqrt(bound), math.isqrt(bound) + 1)
+    lattice = [(i, j) for i in span for j in span if i * i + j * j < bound]
+    return [(0.5 + spacing * i + 0.003 * j, 0.5 + spacing * j) for i, j in lattice]
+
+
+def grain_case(spacing, bound):
+    """Grains seeded by :func:`grain_lattice` in a ball at 128^2; a two-step
+    run's config, the initial state and the bytes of one stack of its p+1
+    smoothed fields."""
+    grid = Grid(dim=2, n=128)
+    seeds = grain_lattice(spacing, bound)
+    initial = voronoi_labels(grid, seeds, solid=rasterize_ball(grid, *GRAIN_BALL))
+    p = len(seeds)
+    cfg = SchemeConfig(
+        scheme="grain_growth", grid=grid, h=1e-3, steps=2, tensions=equal_tensions(p)
+    )
+    return cfg, initial, (p + 1) * grid.total_cells * 8
+
+
+@pytest.fixture(scope="module")
+def many_grains():
+    """57 grains in a ball at 128^2; 3 % and 4 % of the cells change in
+    its two steps."""
+    cfg, initial, stack = grain_case(0.07, 18)
+    assert initial.num_grains == 57
+    return cfg, initial, stack
+
+
+@pytest.fixture(scope="module")
+def twice_the_grains():
+    """109 grains in the same ball; 6 % and 12 % of the cells change."""
+    cfg, initial, stack = grain_case(0.05, 36)
+    assert initial.num_grains == 109
+    return cfg, initial, stack

@@ -1,9 +1,10 @@
 """Full-grid reference forms that the package's own paths are tested against.
 
 No scheme step and no audit calls these: ``diagnostics.LedgerWalk`` computes
-the dissipation of runs and audits on the changed cells only.  They keep the
-textbook definitions as independent oracles, built from public ``mbokit``
-names alone.
+the dissipation of runs and audits on the changed cells only, and
+``schemes.step_grain_growth`` folds the comparison fields only on the cells
+it cannot certify.  They keep the textbook definitions as independent
+oracles, built from public ``mbokit`` names alone.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import math
 
 import numpy as np
 
-from mbokit.diagnostics import tension_rows
-from mbokit.grid import Grid, PhaseField, RealField
+from mbokit.diagnostics import GrainSummary, tension_rows
+from mbokit.grid import Grid, MultiPhaseState, PhaseField, RealField
 from mbokit.kernel import HeatKernelPlan
 from mbokit.schemes import SurfaceTensionMatrix
+from mbokit.threshold import select_bottom_cells
 
 
 def plain_tension_rows(ext: np.ndarray, fields) -> list[np.ndarray]:
@@ -120,3 +122,48 @@ def dissipation_multiphase(
     rows = tension_rows(tensions.extended, [plan.apply(w[j]) for j in range(p + 1)])
     total = sum(float((w[i] * row).sum()) for i, row in enumerate(rows))
     return -total * grid.cell_volume / math.sqrt(h)
+
+
+def full_stack_grain_step(
+    state: MultiPhaseState, smoothed, tensions: SurfaceTensionMatrix
+) -> tuple[MultiPhaseState, float]:
+    """The grain-growth step over every cell from all p+1 smoothed labels
+    ``smoothed`` (vapor first): every comparison row folded by
+    ``tension_rows``, a running minimum over the grains (lowest label on
+    ties) and a bottom selection of phi_best - phi_vapor keeping the solid
+    cell count.  ``step_grain_growth`` must give its labels and cut bit for
+    bit."""
+    rows = tension_rows(tensions.extended, smoothed)
+    phi_vapor, phi_best = next(rows).copy(), next(rows).copy()
+    best = np.ones(state.grid.shape, dtype=np.int32)
+    for i, row in enumerate(rows, start=2):
+        lower = row < phi_best
+        np.copyto(phi_best, row, where=lower)
+        np.copyto(best, i, where=lower)
+    scores = RealField(state.grid, phi_best - phi_vapor)
+    sel = select_bottom_cells(scores, state.solid_cell_count)
+    labels = np.where(sel.mask.mask, best, 0)
+    return MultiPhaseState(state.grid, labels, state.num_grains), float(sel.threshold)
+
+
+def stack_source(smoothed):
+    """The summary and the gather a run's ledger walk hands
+    ``step_grain_growth``, made from a list of smoothed labels held whole."""
+
+    def gather(cells: np.ndarray) -> np.ndarray:
+        return np.stack([f.ravel()[cells] for f in smoothed])
+
+    summary = GrainSummary(smoothed[0].shape, len(smoothed) - 1)
+    for j in [*range(1, len(smoothed)), 0]:  # the grains, then the vapor
+        summary.fold(j, smoothed[j])
+    return summary, gather
+
+
+def full_stack_step(state: MultiPhaseState, summary, gather, tensions):
+    """:func:`full_stack_grain_step` in the call form of
+    ``step_grain_growth``: every smoothed label is gathered on every cell,
+    so a run's walk holds the whole stack and takes its ledger's old values
+    from it."""
+    values = gather(np.arange(state.grid.total_cells))
+    smoothed = [v.reshape(state.grid.shape) for v in values]
+    return full_stack_grain_step(state, smoothed, tensions)

@@ -49,6 +49,8 @@ from mbokit.schemes import (
     step_volume_preserving,
 )
 
+from reference_forms import stack_source
+
 MATRIX_N = 256
 MATRIX_H = (1.6e-3, 6.4e-4, 2.5e-4)
 MATRIX_STEPS = 10
@@ -379,7 +381,7 @@ def test_c08_grain_growth(matrix):
     for _ in range(5):
         chi, lam_vp = step_volume_preserving(chi, convolve(plan, chi))
         state, lam_gg = step_grain_growth(
-            state, convolve_labels(plan, state), tensions
+            state, *stack_source(convolve_labels(plan, state)), tensions
         )
         assert np.array_equal(chi.mask, state.labels == 1), (
             "C8 FAIL: single-grain masks diverge"

@@ -35,7 +35,11 @@ from mbokit.grid import (
 )
 from mbokit.kernel import HeatKernelPlan, convolve
 from mbokit.oracles import circle_mcf
+from mbokit import schemes
 from mbokit.schemes import SchemeConfig, Stepper
+
+from conftest import GRAIN_BALL, grain_lattice
+from reference_forms import full_stack_step
 
 BASE = """\
 scheme = mbo
@@ -1047,6 +1051,37 @@ def scipy_modules_after(code: str) -> str:
     )
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()
+
+
+class TestGrainRunAgainstFullStackStep:
+    def test_many_grains_run_writes_the_same_bytes(
+        self, tmp_path, monkeypatch, many_grains
+    ):
+        # the run of the many_grains fixture through the CLI, with the
+        # package's step and with the step that folds every cell's rows
+        seeds = "; ".join(f"{x!r} {y!r}" for x, y in grain_lattice(0.07, 18))
+        (cx, cy), radius = GRAIN_BALL
+        text = (
+            "scheme = grain_growth\nn = 128\nh = 1e-3\nsteps = 2\n"
+            f"init = voronoi\nseeds = {seeds}\nsolid_center = {cx} {cy}\n"
+            f"solid_radius = {radius}\nsigma_default = 1\ndump_every = 1\n"
+        )
+        outputs = []
+        for name in ("streamed", "full_stack"):
+            out = tmp_path / name
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text + f"out_dir = {out}\n")
+            with monkeypatch.context() as patch:
+                if name == "full_stack":
+                    patch.setattr(schemes, "step_grain_growth", full_stack_step)
+                assert main(["run", str(cfg)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == [
+            "ledger.csv", "state_000000.mbof", "state_000001.mbof", "state_000002.mbof"
+        ]
+        assert outputs[0] == outputs[1]
+        initial = read_dump(tmp_path / "streamed" / "state_000000.mbof")[0]
+        assert np.array_equal(initial.labels, many_grains[1].labels)
 
 
 class TestImports:

@@ -77,6 +77,7 @@ from reference_forms import (
     linearized_energy,
     phase_difference,
     plain_tension_rows,
+    stack_source,
 )
 
 
@@ -341,7 +342,7 @@ class TestMultiphase:
         plan = HeatKernelPlan(grid64, 1e-3)
         e2 = energy_two_phase(blob, convolve(plan, blob), 1e-3)
         smoothed = convolve_labels(plan, state)
-        emp = energy_multiphase(state, smoothed, 1e-3, equal_tensions(1))
+        emp = energy_multiphase(state, enumerate(smoothed), 1e-3, equal_tensions(1))
         assert emp == pytest.approx(2.0 * e2, rel=1e-12)
 
     def test_dissipation_against_double_sum(self, tiny_setup, rng):
@@ -735,7 +736,7 @@ def single_grain_step():
     chi1, lam = step_volume_preserving(chi0, convolve(plan, chi0))
     state0 = MultiPhaseState(g, chi0.mask.astype(np.int32), 1)
     state1, cut = step_grain_growth(
-        state0, convolve_labels(plan, state0), equal_tensions(1)
+        state0, *stack_source(convolve_labels(plan, state0)), equal_tensions(1)
     )
     assert np.count_nonzero(chi1.mask != chi0.mask) == 552
     assert (state1.labels == chi1.mask).all()

@@ -104,24 +104,17 @@ def test_sweep_command_peak_does_not_grow_with_horizon(tmp_path):
     assert peak2 - peak1 < 256 * 256  # one boolean mask
 
 
-@pytest.fixture(scope="module")
-def many_grains():
-    """57 grains in a ball at 128^2, and the bytes of one stack of its p+1
-    smoothed fields; few cells change per step, so gathered values are small."""
-    grid = Grid(dim=2, n=128)
-    lattice = [(i, j) for i in range(-4, 5) for j in range(-4, 5) if i * i + j * j < 18]
-    seeds = [(0.5 + 0.07 * i + 0.003 * j, 0.5 + 0.07 * j) for i, j in lattice]
-    solid = rasterize_ball(grid, (0.5, 0.5), 0.36)
-    initial = voronoi_labels(grid, seeds, solid=solid)
-    p = len(seeds)
-    cfg = SchemeConfig(
-        scheme="grain_growth", grid=grid, h=1e-3, steps=2, tensions=equal_tensions(p)
-    )
-    return cfg, initial, (p + 1) * grid.total_cells * 8
+def run_peak(cfg, initial, monkeypatch):
+    """Traced peak of a run to its end, and the most cells a step gathered
+    the smoothed labels on."""
+    gathered = [0]
+    gather = LedgerWalk.gather
 
+    def recording(walk, cells):
+        gathered[0] = max(gathered[0], cells.size)
+        return gather(walk, cells)
 
-def test_grain_run_holds_one_stack_of_smoothed_fields(many_grains):
-    cfg, initial, stack = many_grains
+    monkeypatch.setattr(LedgerWalk, "gather", recording)
 
     def run_to_end():
         stepper = Stepper(cfg, initial)
@@ -130,18 +123,44 @@ def test_grain_run_holds_one_stack_of_smoothed_fields(many_grains):
 
     stepper, peak = traced_peak(run_to_end)
     assert len(stepper.records) == 2
-    assert stack < peak < 1.5 * stack
+    return peak, gathered[0]
+
+
+def test_grain_run_holds_no_stack_of_smoothed_fields(many_grains, monkeypatch):
+    # one spectrum, the labels' summary (2.6 fields), the states, and the
+    # smoothed labels on the cells a step cannot certify, 4 % here
+    cfg, initial, stack = many_grains
+    peak, _ = run_peak(cfg, initial, monkeypatch)
+    assert peak < 0.15 * stack
+
+
+def test_grain_run_peak_grows_with_grains_only_by_gathered_values(
+    many_grains, twice_the_grains, monkeypatch
+):
+    # the summary, the spectrum and the states do not depend on the number
+    # of grains; beyond the p+1 values gathered on each uncertain cell,
+    # about twice the grains add under one field (the energy's (p+1)^2
+    # overlaps among it) to a peak, against 52 more fields of stack
+    field = many_grains[0].grid.total_cells * 8
+    rests = []
+    for cfg, initial, stack in (many_grains, twice_the_grains):
+        peak, cells = run_peak(cfg, initial, monkeypatch)
+        rests.append(peak - (initial.num_grains + 1) * cells * 8)
+    assert rests[1] - rests[0] < field
 
 
 def test_grain_advance_allocates_no_second_stack(many_grains):
-    # the new state is smoothed into the walk's own spectra
+    # the new state is smoothed through the walk's one spectrum, and its
+    # summary is folded into the old summary's arrays
     cfg, initial, stack = many_grains
     walk = LedgerWalk(cfg, initial, None)
-    after, _ = step_grain_growth(initial, walk.smoothed, cfg.tensions)
-    buffers = {id(f.base) for f in walk.smoothed}
+    after, _ = step_grain_growth(initial, walk.summary, walk.gather, cfg.tensions)
+    summary = walk.summary
+    arrays = [id(a) for a in (summary.gap, summary.rest, summary.base, summary.leader)]
     _, peak = traced_peak(walk.advance, 1, after, None, None)
     assert walk.changed.size > 0
-    assert {id(f.base) for f in walk.smoothed} == buffers
+    assert walk.summary is summary
+    assert [id(a) for a in (summary.gap, summary.rest, summary.base, summary.leader)] == arrays
     assert peak < 0.1 * stack
 
 
@@ -162,6 +181,23 @@ def test_grain_energy_holds_no_stack_of_smoothed_fields(many_grains):
     energy, peak = traced_peak(lambda: LedgerWalk(cfg, initial, initial).energy)
     assert energy == LedgerWalk(cfg, initial, None).energy
     assert peak < 0.1 * stack
+
+
+def test_voronoi_set_up_peak_does_not_grow_with_seeds():
+    # each seed's distances go into one reused buffer and are compared in
+    # place: no allocation per seed (3.9 fields with a new one per seed)
+    grid = Grid(dim=2, n=256)
+    field = grid.total_cells * 8
+    rng = np.random.default_rng(7)
+    peaks = []
+    for count in (8, 64):
+        seeds = [tuple(x) for x in rng.uniform(0.07, 0.93, (count, 2))]
+        solid = rasterize_ball(grid, (0.5, 0.5), 0.4)
+        state, peak = traced_peak(voronoi_labels, grid, seeds, 0.05, solid)
+        assert state.num_grains == count
+        peaks.append(peak)
+    assert peaks[1] < 3 * field
+    assert peaks[1] - peaks[0] < 0.05 * field
 
 
 GRID64 = Grid(dim=3, n=64)

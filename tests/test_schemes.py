@@ -1,8 +1,12 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mbokit import diagnostics
 from mbokit.grid import (
     DegeneratePhaseError,
     Grid,
@@ -28,6 +32,7 @@ from mbokit.schemes import (
 from mbokit.threshold import select_bottom_cells
 
 from conftest import symmetric_tensions
+from reference_forms import full_stack_grain_step, plain_tension_rows, stack_source
 
 
 def triangle_message_reference(s):
@@ -133,6 +138,49 @@ class TestSurfaceTensionMatrix:
         with pytest.raises(ValueError) as err:
             SurfaceTensionMatrix(sigma)
         assert str(err.value) == expected
+
+    def test_equal_tensions_validate_in_quadratic_time(self):
+        # below twice the smallest tension no triangle can fail, so the
+        # O(p^3) loop is skipped (3.4 s at p = 1000 when it ran)
+        equal_tensions(50)  # load the linear algebra outside the timing
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            m = equal_tensions(1000)
+            elapsed.append(time.perf_counter() - start)
+        assert (m.sigma_min, m.sigma_max) == (1.0, 1.0)
+        assert min(elapsed) < 0.5
+
+    def test_off_diagonal_range(self):
+        sigma = symmetric_tensions(5, 3, 0.7, 1.3)
+        m = SurfaceTensionMatrix(sigma)
+        off = ~np.eye(5, dtype=bool)
+        assert (m.sigma_min, m.sigma_max) == (sigma[off].min(), sigma[off].max())
+        # a single grain has no pair; its range is the vapor tension
+        assert (equal_tensions(1).sigma_min, equal_tensions(1).sigma_max) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("ratio", [1.5, 1.99, 2.0, 2.01, 3.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_triangle_verdict_matches_triple_loop_near_ratio_two(self, ratio, seed):
+        # the loop is skipped only below a ratio of 2; either way a matrix
+        # is refused for its triangles exactly when the triple loop fails,
+        # here from a ratio of 2 on: sigma[0,1] >= sigma[0,2] + sigma[2,1]
+        p = 7
+        low = 0.6
+        sigma = symmetric_tensions(p, seed, low, low * ratio)
+        sigma[0, 1] = sigma[1, 0] = low * ratio
+        sigma[0, 2] = sigma[2, 0] = sigma[1, 2] = sigma[2, 1] = low
+        expected = triangle_message_reference(sigma)
+        assert (expected is None) == (ratio < 2)
+        try:
+            SurfaceTensionMatrix(sigma)
+            message = None
+        except ValueError as err:
+            message = str(err)
+        if expected is None:
+            assert message is None or "triangle" not in message
+        else:
+            assert message == expected
 
     def test_unequal_tensions_accepted(self):
         sigma = np.array(
@@ -268,7 +316,7 @@ class TestStepGrainGrowth:
             solid=rasterize_ball(grid128, (0.5, 0.5), 0.35),
         )
         out, lam = step_grain_growth(
-            state, convolve_labels(plan, state), equal_tensions(3)
+            state, *stack_source(convolve_labels(plan, state)), equal_tensions(3)
         )
         assert out.solid_cell_count == state.solid_cell_count
 
@@ -280,7 +328,7 @@ class TestStepGrainGrowth:
             grid128, blob.mask.astype(np.int32), num_grains=1
         )
         gg_state, lam_gg = step_grain_growth(
-            state, convolve_labels(plan, state), equal_tensions(1)
+            state, *stack_source(convolve_labels(plan, state)), equal_tensions(1)
         )
         vp_mask, lam_vp = step_volume_preserving(blob, convolve(plan, blob))
         assert (gg_state.labels.astype(bool) == vp_mask.mask).all()
@@ -298,7 +346,7 @@ class TestStepGrainGrowth:
             solid=rasterize_ball(grid128, (0.5, 0.5), 0.3),
         )
         smoothed = convolve_labels(plan, state)
-        out, lam = step_grain_growth(state, smoothed, tensions)
+        out, lam = step_grain_growth(state, *stack_source(smoothed), tensions)
         labels, lam_ref = grain_step_reference(state, tensions, smoothed)
         assert np.array_equal(out.labels, labels)
         assert lam == lam_ref
@@ -316,7 +364,7 @@ class TestStepGrainGrowth:
         tensions = SurfaceTensionMatrix(sigma)
         smoothed = [r.integers(0, 5, grid64.shape) / 4.0 for _ in range(p + 1)]
         state = MultiPhaseState(grid64, r.integers(0, p + 1, grid64.shape), p)
-        out, lam = step_grain_growth(state, smoothed, tensions)
+        out, lam = step_grain_growth(state, *stack_source(smoothed), tensions)
         labels, lam_ref = grain_step_reference(state, tensions, smoothed)
         assert np.array_equal(out.labels, labels)
         assert lam == lam_ref
@@ -338,9 +386,155 @@ class TestStepGrainGrowth:
             grid128, np.roll(state.labels, (7, 2), axis=(0, 1)), state.num_grains
         )
         tensions = equal_tensions(3)
-        base, _ = step_grain_growth(state, convolve_labels(plan, state), tensions)
-        shifted, _ = step_grain_growth(rolled, convolve_labels(plan, rolled), tensions)
+        base, _ = step_grain_growth(
+            state, *stack_source(convolve_labels(plan, state)), tensions
+        )
+        shifted, _ = step_grain_growth(
+            rolled, *stack_source(convolve_labels(plan, rolled)), tensions
+        )
         assert (np.roll(base.labels, (7, 2), axis=(0, 1)) == shifted.labels).all()
+
+
+def grain_step_case(dim, p, unequal, layout, seed):
+    """A partition, its p+1 smoothed labels and tensions for one step.
+
+    ``voronoi``: seeds drawn in a ball.  ``mirrored``: seeds in pairs
+    mirrored about the grid plane through the centres of the cells n/2 (and
+    0), so two grains' fields tie, or nearly tie, cell for cell.
+    ``quarters``: random labels with random quarter-valued fields and
+    tensions in sixteenths, so comparison fields and scores tie exactly
+    (the cut falls on tied scores).  ``ulps``: every cell holds the same
+    random values in its own label order, the two largest a few ulps apart,
+    and most cells are labelled by the largest: the scores are equal in
+    exact arithmetic, so rounding orders them and decides the least row.  None for a draw that makes no valid
+    case (tensions that are not negative definite, or repeated seeds).
+    """
+    grid = Grid(dim=dim, n=32 if dim == 2 else 12)
+    r = np.random.default_rng(seed)
+    if p == 1:
+        tensions = equal_tensions(1)
+    elif not unequal:
+        tensions = equal_tensions(p)
+    else:
+        if layout == "quarters":
+            sigma = r.choice((0.9375, 1.0, 1.0625), (p, p))
+            sigma = np.triu(sigma, 1) + np.triu(sigma, 1).T
+        else:
+            sigma = symmetric_tensions(p, seed, 0.9, 1.1)
+        try:
+            tensions = SurfaceTensionMatrix(sigma)
+        except ValueError:
+            return None  # not negative definite
+    if layout == "quarters":
+        labels = r.integers(0, p + 1, grid.shape)
+        labels.flat[0] = 1  # at least one solid cell
+        state = MultiPhaseState(grid, labels, p)
+        smoothed = [r.integers(0, 5, grid.shape) / 4.0 for _ in range(p + 1)]
+        return state, smoothed, tensions
+    if layout == "ulps":
+        # every cell holds its own order of one set of values, the two
+        # largest a few ulps apart: equal scores in exact arithmetic
+        values = np.sort(r.random(p))
+        if p > 1:
+            values[-2] = values[-1] * (1.0 - r.integers(1, 64) * 2.0**-53)
+        order = np.argsort(r.random((p,) + grid.shape), axis=0)
+        fields = np.concatenate([np.full((1,) + grid.shape, r.random()), values[order]])
+        leader = np.argmax(order, axis=0) + 1
+        labels = np.where(r.random(grid.shape) < 0.9, leader, 0)
+        labels.flat[0] = 1
+        return MultiPhaseState(grid, labels, p), list(fields), tensions
+    centre = (0.5 + grid.dx / 2,) + (0.5,) * (dim - 1)
+    points = r.uniform(0.15, 0.85, (p, dim))
+    if layout == "mirrored":
+        points[1::2] = points[0 : p - p % 2 : 2]
+        points[1::2, 0] = 2.0 * centre[0] - points[1::2, 0]
+    seeds = [tuple(x) for x in points]
+    if len(set(seeds)) < p:
+        return None
+    state = voronoi_labels(grid, seeds, solid=rasterize_ball(grid, centre, 0.4))
+    plan = quiet_plan(grid, (2.5 * grid.dx) ** 2)
+    return state, convolve_labels(plan, state), tensions
+
+
+def streamed_and_reference_step(state, smoothed, tensions):
+    """The package's step, the cells it gathered, and the reference step."""
+    summary, gather = stack_source(smoothed)
+    asked = []
+
+    def recording(cells):
+        asked.append(cells)
+        return gather(cells)
+
+    out, lam = step_grain_growth(state, summary, recording, tensions)
+    assert len(asked) == 1
+    return out, lam, asked[0], full_stack_grain_step(state, smoothed, tensions)
+
+
+class TestStreamedGrainStep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.sampled_from((2, 3)),
+        p=st.sampled_from((1, 2, 3, 8, 30)),
+        unequal=st.booleans(),
+        layout=st.sampled_from(("voronoi", "mirrored", "quarters", "ulps")),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_full_stack_step(self, dim, p, unequal, layout, seed):
+        case = grain_step_case(dim, p, unequal, layout, seed)
+        assume(case is not None)
+        state, smoothed, tensions = case
+        out, lam, cells, (ref, lam_ref) = streamed_and_reference_step(
+            state, smoothed, tensions
+        )
+        assert np.array_equal(out.labels, ref.labels)
+        assert lam == lam_ref and np.signbit(lam) == np.signbit(lam_ref)
+        changed = np.flatnonzero(out.labels != state.labels)
+        assert np.isin(changed, cells).all()
+        assert np.array_equal(cells, np.unique(cells))
+
+    def test_mirrored_grains_tie_exactly(self):
+        # on the mirror plane the two largest grain values are equal in some
+        # cells (their labels tie for the leader), and nearly equal in more
+        state, smoothed, tensions = grain_step_case(2, 8, False, "mirrored", 2)
+        grains = np.sort(np.stack(smoothed[1:]), axis=0)
+        tied = (grains[-1] == grains[-2]) & (grains[-1] > 0.05)
+        assert np.count_nonzero(tied) > 0
+        out, lam, _, (ref, lam_ref) = streamed_and_reference_step(
+            state, smoothed, tensions
+        )
+        assert np.array_equal(out.labels, ref.labels) and lam == lam_ref
+
+    @pytest.mark.parametrize("unequal", [False, True])
+    def test_cut_on_tied_scores(self, unequal):
+        state, smoothed, tensions = grain_step_case(2, 3, unequal, "quarters", 11)
+        rows = plain_tension_rows(tensions.extended, smoothed)
+        scores = np.minimum.reduce(rows[1:]) - rows[0]
+        out, lam, _, (ref, lam_ref) = streamed_and_reference_step(
+            state, smoothed, tensions
+        )
+        assert np.array_equal(out.labels, ref.labels) and lam == lam_ref
+        at_cut = scores == lam
+        # the selection takes some, not all, of the cells tied at the cut
+        assert 0 < np.count_nonzero(at_cut & (out.labels > 0)) < np.count_nonzero(at_cut)
+
+    def test_run_smooths_every_state_twice_but_the_first(
+        self, many_grains, monkeypatch
+    ):
+        # the walk smooths each state for its energy and summary, and the
+        # step streams it once more to gather its uncertain cells
+        cfg, initial, _ = many_grains
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "convolve", counting)
+        stepper = Stepper(cfg, initial)
+        list(stepper)
+        steps = len(stepper.records)
+        assert steps == cfg.steps
+        assert len(calls) == (2 * steps + 1) * (initial.num_grains + 1)
 
 
 class TestRun:

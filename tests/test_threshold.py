@@ -182,6 +182,18 @@ class TestSelectionProperties:
 
     @given(scores_and_target())
     @settings(max_examples=100, deadline=None)
+    def test_flat_scores_select_as_the_field_does(self, case):
+        # a 1-D array of scores (the cells a grain step could not certify)
+        # picks the same entries, ties in order, and the same cut
+        values, target = case
+        g = Grid(dim=2, n=8)
+        on_field = select_bottom_cells(_field(g, values), target)
+        on_array = select_bottom_cells(np.asarray(values, dtype=np.float64), target)
+        assert np.array_equal(on_array.mask, on_field.mask.mask.ravel())
+        assert on_array.threshold == on_field.threshold
+
+    @given(scores_and_target())
+    @settings(max_examples=100, deadline=None)
     def test_deterministic(self, case):
         values, target = case
         g = Grid(dim=2, n=8)
