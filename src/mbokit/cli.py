@@ -7,7 +7,8 @@ experiment.  States are stored in a small self-describing dump format
 
 Exit codes: 0 success (and ledger PASS), 2 ledger FAIL, 3 configuration
 error, 4 runtime error (degenerate states, unreadable dumps, output that
-cannot be written).
+cannot be written).  The commands raise; :func:`main` alone turns an error
+into its exit code and stderr line, through ``_EXITS``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
 
 MAGIC = "MBOF1"
 
+# A dump stores one byte per cell: the vapor and at most this many grains.
+MAX_GRAINS = 255
+
 EXIT_OK = 0
 EXIT_LEDGER_FAIL = 2
 EXIT_CONFIG = 3
@@ -58,6 +62,10 @@ EXIT_RUNTIME = 4
 
 class ConfigError(ValueError):
     """Bad experiment configuration; message carries line numbers."""
+
+
+class DumpError(ValueError):
+    """A dump that cannot be read, or dumps that do not form one run."""
 
 
 def _fmt(x: float) -> str:
@@ -266,6 +274,10 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
             )
         if kind == "voronoi":
             seeds = cfg.require("seeds")
+            if len(seeds) > MAX_GRAINS:
+                raise ConfigError(
+                    f"{len(seeds)} seeds, but a dump holds at most {MAX_GRAINS} grains"
+                )
             if cfg.has("grains") and int(cfg.get("grains")) != len(seeds):
                 raise ConfigError(
                     f"grains = {cfg.get('grains')} but {len(seeds)} seeds given"
@@ -316,23 +328,22 @@ def _check_initial_kind(scheme: str, initial) -> None:
         )
 
 
+def _scheme_config(*args, **kwargs) -> SchemeConfig:
+    """``SchemeConfig(*args, **kwargs)``, whose refusal is a config error."""
+    try:
+        return SchemeConfig(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_scheme_config(cfg: ExperimentConfig, grid: Grid, initial) -> SchemeConfig:
     scheme = cfg.require("scheme")
     _check_initial_kind(scheme, initial)
     tensions = None
     if scheme == "grain_growth":
         tensions = build_tensions(cfg, initial.num_grains)
-    try:
-        return SchemeConfig(
-            scheme=scheme,
-            grid=grid,
-            h=float(cfg.require("h")),
-            steps=int(cfg.require("steps")),
-            force=build_force(cfg),
-            tensions=tensions,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    h, steps = float(cfg.require("h")), int(cfg.require("steps"))
+    return _scheme_config(scheme, grid, h, steps, build_force(cfg), tensions)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +377,8 @@ def write_dump(path: Path | str, state, h: float, step: int) -> None:
         labels, phases = state.labels, state.num_grains + 1
     else:
         labels, phases = state.mask.view(np.uint8), 2
-    if phases > 256:
-        raise ValueError("dump format carries at most 256 labels")
+    if phases > MAX_GRAINS + 1:
+        raise ValueError(f"dump format carries at most {MAX_GRAINS + 1} labels")
     with open(path, "wb") as fh:
         fh.write(_header(state.grid, h, step, phases, partition))
         fh.write(np.ascontiguousarray(labels, dtype=np.uint8).data)
@@ -398,64 +409,73 @@ def read_header(path: Path | str) -> DumpHeader:
 
     Only the exact header that :func:`write_dump` writes for the values it
     holds is accepted, so every dump that reads rewrites to the same bytes.
+    A file that cannot be read or accepted is a :class:`DumpError`.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER_LIMIT)
-        size = os.fstat(fh.fileno()).st_size
-    sep = head.find(b"\n\n")
-    if sep < 0:
-        raise ValueError(f"{path}: missing header terminator")
-    head_lines = head[:sep].decode("ascii").splitlines()
-    if not head_lines or head_lines[0] != MAGIC:
-        raise ValueError(f"{path}: not a {MAGIC} dump")
-    fields: dict[str, str] = {}
-    for line in head_lines[1:]:
-        key, _, value = line.partition("=")
-        fields[key] = value
-    for key in ("dim", "n", "side", "h", "step", "phases"):
-        if key not in fields:
-            raise ValueError(f"{path}: header lacks '{key}'")
-    n = int(fields["n"].partition(",")[0])
-    grid = Grid(dim=int(fields["dim"]), n=n, side=float(fields["side"]))
-    h = float(fields["h"])
-    if not 0 < h < math.inf:
-        raise ValueError(f"{path}: h={h} must be positive and finite")
-    phases = int(fields["phases"])
-    if not 2 <= phases <= 256:
-        raise ValueError(f"{path}: phases={phases}, need 2 to 256")
-    kind = fields.get("kind")
-    if kind not in (None, "labels"):
-        raise ValueError(f"{path}: unknown kind '{kind}'")
-    step = int(fields["step"])
-    offset = sep + 2
-    if head[:offset] != _header(grid, h, step, phases, kind == "labels"):
-        raise ValueError(f"{path}: header does not rewrite to the same bytes")
-    cells = size - offset
-    if cells != grid.total_cells:
-        raise ValueError(f"{path}: expected {grid.total_cells} cells, got {cells}")
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER_LIMIT)
+            size = os.fstat(fh.fileno()).st_size
+        sep = head.find(b"\n\n")
+        if sep < 0:
+            raise ValueError(f"{path}: missing header terminator")
+        head_lines = head[:sep].decode("ascii").splitlines()
+        if not head_lines or head_lines[0] != MAGIC:
+            raise ValueError(f"{path}: not a {MAGIC} dump")
+        fields: dict[str, str] = {}
+        for line in head_lines[1:]:
+            key, _, value = line.partition("=")
+            fields[key] = value
+        for key in ("dim", "n", "side", "h", "step", "phases"):
+            if key not in fields:
+                raise ValueError(f"{path}: header lacks '{key}'")
+        n = int(fields["n"].partition(",")[0])
+        grid = Grid(dim=int(fields["dim"]), n=n, side=float(fields["side"]))
+        h = float(fields["h"])
+        if not 0 < h < math.inf:
+            raise ValueError(f"{path}: h={h} must be positive and finite")
+        phases = int(fields["phases"])
+        if not 2 <= phases <= MAX_GRAINS + 1:
+            raise ValueError(f"{path}: phases={phases}, need 2 to {MAX_GRAINS + 1}")
+        kind = fields.get("kind")
+        if kind not in (None, "labels"):
+            raise ValueError(f"{path}: unknown kind '{kind}'")
+        step = int(fields["step"])
+        offset = sep + 2
+        if head[:offset] != _header(grid, h, step, phases, kind == "labels"):
+            raise ValueError(f"{path}: header does not rewrite to the same bytes")
+        cells = size - offset
+        if cells != grid.total_cells:
+            raise ValueError(f"{path}: expected {grid.total_cells} cells, got {cells}")
+    except (ValueError, OSError) as exc:
+        raise DumpError(str(exc)) from exc
     num_grains = phases - 1 if kind == "labels" or phases > 2 else None
     return DumpHeader(str(path), grid, h, step, num_grains, offset)
 
 
 def read_dump(path: Path | str):
-    """Load a stored state; returns (state, h, step)."""
+    """Load a stored state; returns (state, h, step).  A file that cannot be
+    read or accepted is a :class:`DumpError`."""
     header = read_header(path)
-    payload = np.fromfile(path, dtype=np.uint8, offset=header.offset)
     grid = header.grid
-    labels = payload.reshape(grid.shape)
-    if header.num_grains is None:
-        if payload.max(initial=0) > 1:
-            raise ValueError(
-                f"{path}: two-phase payload holds label {payload.max()}, not 0 or 1"
-            )
-        state = PhaseField(grid, labels.view(bool))
-    else:
-        if payload.max(initial=0) > header.num_grains:
-            raise ValueError(
-                f"{path}: payload holds label {payload.max()}, "
-                f"above its {header.num_grains} grains"
-            )
-        state = MultiPhaseState(grid, labels.astype(np.int32), header.num_grains)
+    try:
+        payload = np.fromfile(path, dtype=np.uint8, offset=header.offset)
+        labels = payload.reshape(grid.shape)
+        if header.num_grains is None:
+            if payload.max(initial=0) > 1:
+                raise ValueError(
+                    f"{path}: two-phase payload holds label {payload.max()}, "
+                    "not 0 or 1"
+                )
+            state = PhaseField(grid, labels.view(bool))
+        else:
+            if payload.max(initial=0) > header.num_grains:
+                raise ValueError(
+                    f"{path}: payload holds label {payload.max()}, "
+                    f"above its {header.num_grains} grains"
+                )
+            state = MultiPhaseState(grid, labels.astype(np.int32), header.num_grains)
+    except (ValueError, OSError) as exc:
+        raise DumpError(str(exc)) from exc
     return state, header.h, header.step
 
 
@@ -499,14 +519,10 @@ def cmd_run(config_path: str) -> int:
     ``out_dir``; a run that fails later leaves the rows of the steps that
     finished.
     """
-    try:
-        cfg = read_config(config_path)
-        grid = build_grid(cfg)
-        initial = build_initial(cfg, grid)
-        scheme_cfg = build_scheme_config(cfg, grid, initial)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = read_config(config_path)
+    grid = build_grid(cfg)
+    initial = build_initial(cfg, grid)
+    scheme_cfg = build_scheme_config(cfg, grid, initial)
     out_dir = Path(str(cfg.get("out_dir", "out")))
     dump_every = int(cfg.get("dump_every", 0))
 
@@ -517,28 +533,22 @@ def cmd_run(config_path: str) -> int:
     def due(step: int) -> bool:
         return dump_every > 0 and step % dump_every == 0
 
-    try:
-        stepper = Stepper(scheme_cfg, initial)
-        with ExitStack() as files:
-            step, state = 0, initial
-            for step, state in enumerate(stepper, start=1):
-                if step == 1:
-                    dump(initial, 0)
-                    del initial
-                    append_row = _open_ledger_csv(
-                        files, out_dir / "ledger.csv", stepper
-                    )
-                append_row(stepper.records[-1])
-                if due(step):
-                    dump(state, step)
-            if step == 0:
-                dump(state, 0)
-                _open_ledger_csv(files, out_dir / "ledger.csv", stepper)
-            elif not due(step):
+    stepper = Stepper(scheme_cfg, initial)
+    with ExitStack() as files:
+        step, state = 0, initial
+        for step, state in enumerate(stepper, start=1):
+            if step == 1:
+                dump(initial, 0)
+                del initial
+                append_row = _open_ledger_csv(files, out_dir / "ledger.csv", stepper)
+            append_row(stepper.records[-1])
+            if due(step):
                 dump(state, step)
-    except (DegeneratePhaseError, EmptyPhaseError, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        if step == 0:
+            dump(state, 0)
+            _open_ledger_csv(files, out_dir / "ledger.csv", stepper)
+        elif not due(step):
+            dump(state, step)
     report = ledger_report(stepper.records)
     print(f"status: {stepper.status} after {len(stepper.records)} steps")
     print(f"ledger: {'PASS' if report.passed else 'FAIL'} "
@@ -559,69 +569,57 @@ def _measured_radius(state: PhaseField) -> float:
 
 def cmd_sweep(config_path: str) -> int:
     """Bandwidth sweep: convergence order for mbo, multiplier scaling for vp."""
-    try:
-        cfg = read_config(config_path)
-        grid = build_grid(cfg)
-        scheme = cfg.require("scheme")
-        h_list = cfg.require("h_list")
-        horizon = float(cfg.require("T"))
-        if not 0 < horizon < math.inf:
-            raise ConfigError(f"T must be positive and finite, got {horizon}")
-        if len(h_list) < 3:
-            raise ConfigError("h_list needs at least 3 entries")
-        for k, h in enumerate(h_list):
-            if not 0 < h < math.inf:
-                raise ConfigError(f"h_list entry {h} is not positive and finite")
-            if not math.isfinite(horizon / h):
-                raise ConfigError(f"h_list entry {h} gives T / h = {horizon / h}")
-            if h in h_list[:k]:
-                raise ConfigError(f"h_list repeats {h}")
-        if scheme not in ("mbo", "volume_preserving"):
-            raise ConfigError(f"sweep supports mbo and volume_preserving, not {scheme}")
-        if scheme == "mbo" and cfg.require("init") != "ball":
-            raise ConfigError("mbo sweep compares against a shrinking ball")
-        initial = build_initial(cfg, grid)
-        _check_initial_kind(scheme, initial)
-        try:
-            configs = [
-                SchemeConfig(scheme, grid, h, max(1, round(horizon / h)))
-                for h in h_list
-            ]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = read_config(config_path)
+    grid = build_grid(cfg)
+    scheme = cfg.require("scheme")
+    h_list = cfg.require("h_list")
+    horizon = float(cfg.require("T"))
+    if not 0 < horizon < math.inf:
+        raise ConfigError(f"T must be positive and finite, got {horizon}")
+    if len(h_list) < 3:
+        raise ConfigError("h_list needs at least 3 entries")
+    for k, h in enumerate(h_list):
+        if not 0 < h < math.inf:
+            raise ConfigError(f"h_list entry {h} is not positive and finite")
+        if not math.isfinite(horizon / h):
+            raise ConfigError(f"h_list entry {h} gives T / h = {horizon / h}")
+        if h in h_list[:k]:
+            raise ConfigError(f"h_list repeats {h}")
+    if scheme not in ("mbo", "volume_preserving"):
+        raise ConfigError(f"sweep supports mbo and volume_preserving, not {scheme}")
+    if scheme == "mbo" and cfg.require("init") != "ball":
+        raise ConfigError("mbo sweep compares against a shrinking ball")
+    initial = build_initial(cfg, grid)
+    _check_initial_kind(scheme, initial)
+    configs = [
+        _scheme_config(scheme, grid, h, max(1, round(horizon / h))) for h in h_list
+    ]
 
     rows: list[dict[str, float | int | None]] = []
-    try:
-        for scheme_cfg in configs:
-            h, steps = scheme_cfg.h, scheme_cfg.steps
-            stepper, final = Stepper(scheme_cfg, initial), initial
-            for final in stepper:  # keep only the newest state
-                pass
-            # a run that stopped early is scored at the horizon steps * h: a
-            # pinned state repeats itself, and an emptied phase stays empty
-            records = stepper.records
-            row: dict[str, float | int | None] = {"h": h, "steps": len(records)}
-            if scheme == "mbo":
-                measured = _measured_radius(final)
-                try:
-                    target = circle_mcf(
-                        float(cfg.require("ball_radius")), steps * h, grid.dim
-                    )
-                except ExtinctionError:
-                    target = 0.0
-                row["radius"] = measured
-                row["oracle"] = target
-                row["error"] = abs(measured - target)
-            else:
-                lams = [r.lam for r in records]
-                row["M"], row["bad"] = multiplier_integral(h, lams, steps)
-            rows.append(row)
-    except (DegeneratePhaseError, EmptyPhaseError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    for scheme_cfg in configs:
+        h, steps = scheme_cfg.h, scheme_cfg.steps
+        stepper, final = Stepper(scheme_cfg, initial), initial
+        for final in stepper:  # keep only the newest state
+            pass
+        # a run that stopped early is scored at the horizon steps * h: a
+        # pinned state repeats itself, and an emptied phase stays empty
+        records = stepper.records
+        row: dict[str, float | int | None] = {"h": h, "steps": len(records)}
+        if scheme == "mbo":
+            measured = _measured_radius(final)
+            try:
+                target = circle_mcf(
+                    float(cfg.require("ball_radius")), steps * h, grid.dim
+                )
+            except ExtinctionError:
+                target = 0.0
+            row["radius"] = measured
+            row["oracle"] = target
+            row["error"] = abs(measured - target)
+        else:
+            lams = [r.lam for r in records]
+            row["M"], row["bad"] = multiplier_integral(h, lams, steps)
+        rows.append(row)
 
     fitted = "error" if scheme == "mbo" else "M"
     slope = loglog_slope(h_list, [row[fitted] for row in rows])
@@ -638,21 +636,17 @@ def cmd_sweep(config_path: str) -> int:
     print(f"fitted slope: {'n/a' if slope is None else f'{slope:.4f}'}")
 
     out_dir = Path(str(cfg.get("out_dir", "out")))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow(
-                    [
-                        str(row[c]) if isinstance(row[c], int) else _fmt(float(row[c]))
-                        for c in cols
-                    ]
-                )
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow(
+                [
+                    str(row[c]) if isinstance(row[c], int) else _fmt(float(row[c]))
+                    for c in cols
+                ]
+            )
     return EXIT_OK
 
 
@@ -662,30 +656,17 @@ def _dump_headers(paths: Sequence[str]) -> list[DumpHeader]:
     headers = sorted((read_header(p) for p in paths), key=lambda hd: hd.step)
     for a, b in zip(headers, headers[1:]):
         if b.step != a.step + 1:
-            raise ValueError(
+            raise DumpError(
                 f"step {b.step} follows step {a.step}; steps must be consecutive"
             )
     hs = {hd.h for hd in headers}
     if len(hs) != 1:
-        raise ValueError(f"dumps disagree on h: {sorted(hs)}")
+        raise DumpError(f"dumps disagree on h: {sorted(hs)}")
     if len({hd.grid for hd in headers}) != 1:
-        raise ValueError("dumps live on different grids")
+        raise DumpError("dumps live on different grids")
     if len({hd.num_grains for hd in headers}) != 1:
-        raise ValueError("dumps disagree on their labels")
+        raise DumpError("dumps disagree on their labels")
     return headers
-
-
-class _UnreadableDump(Exception):
-    """A dump whose header passed failed to load."""
-
-
-def _dump_states(headers: Sequence[DumpHeader]):
-    """The dumps' states in order, each read when it is asked for."""
-    for hd in headers:
-        try:
-            yield read_dump(hd.path)[0]
-        except (ValueError, OSError) as exc:
-            raise _UnreadableDump(str(exc)) from exc
 
 
 def _audit_setup(num_grains: int | None, config_path: str | None):
@@ -708,33 +689,16 @@ def _audit_setup(num_grains: int | None, config_path: str | None):
 def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
     """Re-audit stored states: recompute the per-step energy ledger.
 
-    Every header is checked first; the states are then read and audited
-    two at a time.
+    Every header is checked first; the states are then read, each when the
+    audit asks for it, and audited two at a time.
     """
-    try:
-        headers = _dump_headers(paths)
-    except (ValueError, OSError) as exc:
-        print(f"cannot load dumps: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    headers = _dump_headers(paths)
     first = headers[0]
-    try:
-        scheme, force, tensions = _audit_setup(first.num_grains, config_path)
-        scheme_cfg = SchemeConfig(
-            scheme=scheme,
-            grid=first.grid,
-            h=first.h,
-            steps=len(headers) - 1,
-            force=force if scheme == "forced" else None,
-            tensions=tensions,
-        )
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = ledger_check(scheme_cfg, _dump_states(headers), first.step)
-    except _UnreadableDump as exc:
-        print(f"cannot load dumps: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    scheme, force, tensions = _audit_setup(first.num_grains, config_path)
+    steps, force = len(headers) - 1, force if scheme == "forced" else None
+    scheme_cfg = _scheme_config(scheme, first.grid, first.h, steps, force, tensions)
+    states = (read_dump(hd.path)[0] for hd in headers)
+    report = ledger_check(scheme_cfg, states, first.step)
     for row in report.rows:
         print(
             f"step {row.step}: E {row.energy_before:.9g} -> {row.energy_after:.9g}"
@@ -750,26 +714,24 @@ def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
 def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> int:
     """Print the interfacial energy of one stored state, as a run's
     :class:`LedgerWalk` takes it."""
-    try:
-        state, dump_h, _step = read_dump(path)
-    except (ValueError, OSError) as exc:
-        print(f"cannot load dump: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    bandwidth = dump_h if h is None else h
+    state, dump_h, _step = read_dump(path)
     scheme, tensions = "mbo", None
     if isinstance(state, MultiPhaseState):
-        try:
-            scheme, _, tensions = _audit_setup(state.num_grains, config_path)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    try:
-        scheme_cfg = SchemeConfig(scheme, state.grid, bandwidth, 0, tensions=tensions)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        scheme, _, tensions = _audit_setup(state.num_grains, config_path)
+    bandwidth = dump_h if h is None else h
+    scheme_cfg = _scheme_config(scheme, state.grid, bandwidth, 0, tensions=tensions)
     print(_fmt(LedgerWalk(scheme_cfg, state, state).energy))  # nothing follows
     return EXIT_OK
+
+
+# The errors a command raises on bad input, each with its exit code and the
+# start of its stderr line; ``check`` reads several dumps, so its dump errors
+# say "dumps".  Any other exception is a bug and propagates.
+_EXITS = (
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (DumpError, EXIT_RUNTIME, "cannot load dump"),
+    ((DegeneratePhaseError, EmptyPhaseError, OSError), EXIT_RUNTIME, "runtime error"),
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -795,13 +757,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_energy.add_argument("--config", default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "sweep":
-        return cmd_sweep(args.config)
-    if args.command == "check":
-        return cmd_check(args.dumps, args.config)
-    return cmd_energy(args.dump, args.h, args.config)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config)
+        if args.command == "sweep":
+            return cmd_sweep(args.config)
+        if args.command == "check":
+            return cmd_check(args.dumps, args.config)
+        return cmd_energy(args.dump, args.h, args.config)
+    except Exception as exc:
+        for kinds, code, prefix in _EXITS:
+            if isinstance(exc, kinds):
+                dumps = "s" if kinds is DumpError and args.command == "check" else ""
+                print(f"{prefix}{dumps}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -338,9 +338,10 @@ class LedgerWalk:
 
         For a partition, ``before`` (None, or the old smoothed labels'
         values on ``cells``, one row per label) becomes the new values minus
-        the old, label by label.  A known ``following`` leaves in ``_ahead``
-        that state, the cells that change toward it and each label's values
-        on them; an unknown one leaves the labels' ``summary``.
+        the old, label by label.  A known ``following`` leaves in
+        ``_gathered``, as :meth:`gather` does, the cells that change toward
+        it and each label's values on them; an unknown one leaves the
+        labels' ``summary``.
         """
         h = self.config.h
         self._gathered = None
@@ -352,7 +353,7 @@ class LedgerWalk:
             self.summary = None
             toward = _changed_cells(following.labels, state.labels)
             ahead = np.empty((state.num_grains + 1, toward.size))
-            self._ahead = (following, toward, ahead)
+            self._gathered = (toward, ahead)
         elif self.summary is None:
             self.summary = GrainSummary(state.grid.shape, state.num_grains)
 
@@ -384,7 +385,8 @@ class LedgerWalk:
 
     def _values_on(self, cells: np.ndarray) -> np.ndarray:
         """Every smoothed label of ``state`` on ``cells``: taken from the
-        last :meth:`gather` when it covered them, else gathered anew."""
+        last :meth:`gather`, or from the values a known ``following`` left,
+        when they cover ``cells``, else gathered anew."""
         if self._gathered is not None:
             gathered, values = self._gathered
             at = np.searchsorted(gathered, cells)
@@ -412,14 +414,14 @@ class LedgerWalk:
         G prev, and omega is zero off the changed cells.  So only the old
         smoothed fields' values on those cells are kept (gathered before
         ``cur`` is smoothed over them: for a partition, taken from the step
-        map's :meth:`gather`, or while the old state was smoothed when
-        ``cur`` was known to follow it), and the
+        map's :meth:`gather`, or from those kept while the old state was
+        smoothed when ``cur`` was known to follow it, else gathered anew),
+        and the
         dissipation (tension rows for a partition) and the forcing transfer
         are summed over the changed cells with the bits of numpy's sum of
         the full-grid integrand, which is zero off them.  Forced steps pass
         the force at the target time, the other schemes None.
-        ``following`` is as for the constructor; a walk that was handed
-        ``cur`` as the following state must advance to that very object.
+        ``following`` is as for the constructor.
         """
         cfg, prev = self.config, self.state
         grid, h = cfg.grid, cfg.h
@@ -427,15 +429,8 @@ class LedgerWalk:
         transfer = 0.0
         self.changed = None  # the last step's cells, not held through this one
         if isinstance(cur, MultiPhaseState):
-            if self.summary is None:
-                announced, cells, before = self._ahead
-                if cur is not announced:
-                    raise ValueError(
-                        "a streamed walk advances to the state that follows"
-                    )
-            else:
-                cells = _changed_cells(cur.labels, prev.labels)
-                before = self._values_on(cells)
+            cells = _changed_cells(cur.labels, prev.labels)
+            before = self._values_on(cells)
             energy = self._smooth(cur, following, cells, before)  # now differences
             new_labels = cur.labels.ravel()[cells]
             old_labels = prev.labels.ravel()[cells]
@@ -462,7 +457,8 @@ class LedgerWalk:
             if force_now is not None:
                 force = force_now.values.ravel()[cells]
                 np.negative(force, out=force, where=falling)
-                work = _scattered_sum(n, cells, force)
+                with np.errstate(over="ignore"):  # the verdict reports an inf
+                    work = _scattered_sum(n, cells, force)
                 transfer = work * grid.cell_volume / math.sqrt(math.pi)
         slack = self.energy - energy - dissipation + transfer
         row = LedgerRow(step, self.energy, energy, dissipation, transfer, slack)

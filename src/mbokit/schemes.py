@@ -86,7 +86,6 @@ class SurfaceTensionMatrix:
 
     sigma: np.ndarray
     extended: np.ndarray = field(init=False, repr=False)
-    extended_neg_bound: float = field(init=False)
     sigma_min: float = field(init=False)
     sigma_max: float = field(init=False)
 
@@ -128,23 +127,21 @@ class SurfaceTensionMatrix:
         object.__setattr__(self, "sigma_min", lo)
         object.__setattr__(self, "sigma_max", hi)
         object.__setattr__(self, "extended", ext)
-        object.__setattr__(self, "extended_neg_bound", _mean_zero_neg_bound(ext))
-        if not self.extended_neg_bound > 0:
+        # the form in the mean-zero basis e_i - e_last is B_ij = M_ij - M_i,last
+        # - M_last,j + M_last,last; by Sylvester's law of inertia M is negative
+        # definite on mean-zero vectors iff -B has a Cholesky factor
+        last = ext[-1]
+        neg_form = last[:-1, None] + last[:-1] - ext[:-1, :-1] - last[-1]
+        try:
+            np.linalg.cholesky(neg_form)
+        except np.linalg.LinAlgError:
             raise ValueError(
                 "tension matrix is not negative definite on mean-zero vectors"
-            )
+            ) from None
 
     @property
     def num_grains(self) -> int:
         return self.sigma.shape[0]
-
-
-def _mean_zero_neg_bound(matrix: np.ndarray) -> float:
-    """Largest admissible bound b with  x.M.x <= -b |x|^2  on mean-zero x."""
-    n = matrix.shape[0]
-    basis = np.linalg.svd(np.ones((1, n)))[2][1:].T  # orthonormal, mean zero
-    eigs = np.linalg.eigvalsh(basis.T @ matrix @ basis)
-    return float(-eigs.max())
 
 
 def equal_tensions(num_grains: int) -> SurfaceTensionMatrix:

@@ -1,21 +1,25 @@
 import csv
 import inspect
+import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mbokit
 from mbokit import cli
 from mbokit.cli import (
     ConfigError,
+    DumpError,
     build_initial,
     build_grid,
     build_tensions,
@@ -27,6 +31,8 @@ from mbokit.cli import (
 )
 from mbokit.diagnostics import energy_two_phase
 from mbokit.grid import (
+    DegeneratePhaseError,
+    EmptyPhaseError,
     Grid,
     MultiPhaseState,
     PhaseField,
@@ -1040,6 +1046,24 @@ class TestCommands:
         assert err.startswith("config error:") and "voronoi" in err
         assert not (tmp_path / "out").exists()
 
+    def test_more_grains_than_a_dump_holds_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_voronoi(*args, **kwargs):
+            raise AssertionError("refused before the Voronoi set-up")
+
+        monkeypatch.setattr(cli, "voronoi_labels", no_voronoi)
+        rng = np.random.default_rng(5)
+        seeds = "; ".join(f"{x:.17g} {y:.17g}" for x, y in rng.random((300, 2)))
+        text = (
+            "scheme = grain_growth\nn = 32\nh = 1.6e-2\nsteps = 1\n"
+            f"init = voronoi\nseeds = {seeds}\nout_dir = {tmp_path}/out\n"
+        )
+        assert main(["run", write_cfg(tmp_path, text)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "255" in err
+        assert not (tmp_path / "out").exists()
+
 
 def scipy_modules_after(code: str) -> str:
     """Sorted ``scipy*`` modules loaded by running ``code`` in a fresh process."""
@@ -1104,3 +1128,151 @@ class TestImports:
             "assert blob.cell_count == round(0.3 * 32**3)"
         )
         assert scipy_modules_after(code) == "[]"
+
+
+class TestExitMap:
+    """``main`` alone turns an error into its exit code and stderr line."""
+
+    ARGS = {
+        "run": ["run", "a.cfg"],
+        "sweep": ["sweep", "a.cfg"],
+        "check": ["check", "a.mbof", "b.mbof"],
+        "energy": ["energy", "a.mbof"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ConfigError("line 2: bad"), 3, "config error"),
+            (DumpError("a.mbof: not a dump"), 4, "cannot load dump"),
+            (DegeneratePhaseError("phase fills the grid"), 4, "runtime error"),
+            (EmptyPhaseError("phase is empty"), 4, "runtime error"),
+            (FileNotFoundError(2, "No such file or directory"), 4, "runtime error"),
+            (NotADirectoryError(20, "Not a directory"), 4, "runtime error"),
+        ],
+        ids=["config", "dump", "degenerate", "empty", "missing", "not_a_directory"],
+    )
+    def test_each_error_has_one_exit_code_and_prefix(
+        self, monkeypatch, capsys, command, error, code, prefix
+    ):
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(cli, f"cmd_{command}", failing)
+        assert main(self.ARGS[command]) == code
+        if isinstance(error, DumpError) and command == "check":
+            prefix = "cannot load dumps"
+        assert capsys.readouterr() == ("", f"{prefix}: {error}\n")
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")])
+    def test_an_unmapped_error_propagates(self, monkeypatch, command, error):
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(cli, f"cmd_{command}", failing)
+        with pytest.raises(type(error), match="a bug"):
+            main(self.ARGS[command])
+
+
+# The edges every fuzzed value may take, and garbage.
+EDGE_VALUES = (
+    "0", "-1", "-0.5", "inf", "-inf", "nan", "1e308", "-1e308", "1e-320",
+    "x", "0x10", "1_0", "1,2", "0.5 0.5", "0.5 0.5 0.5", ";", "; 0.5 0.5",
+)
+
+
+def plausible_values(key):
+    """Values a config might set ``key`` to; n stays at most 32 and steps at
+    most 3, and a seed list names at most 4 grains."""
+    parse = cli._KEYS.get(key, float)
+    unit = st.floats(-0.25, 1.25).map(repr)
+    if key == "scheme":
+        return st.sampled_from(schemes.SCHEMES)
+    if key == "init":
+        return st.sampled_from(["ball", "two_balls", "slab", "blob", "voronoi"])
+    if key == "force":
+        return st.just("const")
+    if key == "steps":
+        return st.integers(0, 3).map(str)
+    if parse is int:
+        return st.integers(-2, 32).map(str)
+    if key in ("h", "T", "blob_smoothing"):
+        return st.sampled_from(["1e-4", "1e-3", "4e-3", "1.6e-2", "0.1", "2"])
+    if parse is float:
+        return st.one_of(unit, st.floats(-3.0, 3.0).map(repr))
+    point = st.lists(st.one_of(unit, st.sampled_from(EDGE_VALUES)), min_size=1,
+                     max_size=4).map(" ".join)
+    if parse is cli._seed_list:
+        return st.lists(point, min_size=1, max_size=4).map("; ".join)
+    if parse is cli._float_list:
+        return st.lists(unit, min_size=1, max_size=4).map(", ".join)
+    return point
+
+
+# Configs that run; the fuzz sets, adds or drops keys of one of them.
+FUZZ_BASES = (
+    {"scheme": "mbo", "init": "ball", "ball_center": "0.5 0.5", "ball_radius": "0.3"},
+    {"scheme": "volume_preserving", "init": "blob", "blob_seed": "3"},
+    {"scheme": "forced", "init": "slab", "slab_lo": "0.3", "slab_hi": "0.6",
+     "force": "const", "force_value": "0.5"},
+    {"scheme": "mbo", "init": "two_balls", "ball_center": "0.3 0.5",
+     "ball_radius": "0.15", "ball2_center": "0.7 0.5", "ball2_radius": "0.15"},
+    {"scheme": "grain_growth", "init": "voronoi", "seeds": "0.3 0.3; 0.7 0.4; 0.5 0.8",
+     "solid_center": "0.5 0.5", "solid_radius": "0.4", "sigma.1.2": "0.8"},
+)
+FUZZ_KEYS = sorted(set(cli._KEYS) - {"out_dir", "dump_every"}) + [
+    f"sigma.{i}.{j}" for i in range(1, 5) for j in range(1, 5)
+]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    values = {"n": "32", "h": "4e-3", "steps": "2"} | draw(st.sampled_from(FUZZ_BASES))
+    for _ in range(draw(st.integers(1, 4))):
+        key = draw(st.sampled_from(FUZZ_KEYS))
+        if draw(st.integers(0, 9)) == 0:
+            values.pop(key, None)
+        else:
+            edge = st.sampled_from(EDGE_VALUES)
+            values[key] = draw(st.one_of(plausible_values(key), edge))
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+class TestFuzzedConfigs:
+    @given(fuzzed_configs())
+    @example(  # the forcing transfer overflows: exit 2, without a warning
+        "n = 32\nh = 4e-3\nsteps = 2\nscheme = forced\ninit = slab\nslab_lo = 0.3\n"
+        "slab_hi = 0.6\nforce = const\nforce_value = 1e308\n"
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_run_check_and_energy_meet_every_config(self, text):
+        """Every config ends ``run`` with a documented exit code, raises no
+        numpy RuntimeWarning, and a finished run is audited to its verdict."""
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = Path(tmp, "out")
+            cfg = Path(tmp, "fuzz.cfg")
+            cfg.write_text(text + f"out_dir = {out}\ndump_every = 1\n")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(["run", str(cfg)])
+            assert code in (0, 2, 3, 4)
+            if code == 3:
+                assert stderr.getvalue().startswith("config error:")
+                assert not out.exists()
+            if code not in (0, 2):
+                return
+            with open(out / "ledger.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            if code == 0:
+                assert all(math.isfinite(float(v)) for row in rows for v in row if v)
+            dumps = sorted(str(p) for p in out.glob("state_*.mbof"))
+            assert len(dumps) == len(rows)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(["check", *dumps, "--config", str(cfg)]) == code
+            printed = io.StringIO()
+            with redirect_stdout(printed):
+                assert main(["energy", dumps[-1], "--config", str(cfg)]) == 0
+            assert printed.getvalue() == rows[-1][3] + "\n"

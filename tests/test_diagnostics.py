@@ -385,7 +385,7 @@ def _row_bits(row: LedgerRow) -> tuple:
 class TestStreamedAudit:
     """An audit reads one state ahead and streams each grain state's labels
     through one spectrum buffer; its rows keep the bits of the run's, whose
-    walk keeps the whole smoothed stack."""
+    walk folds each state's labels into its summary."""
 
     @pytest.fixture(scope="class", params=["pinned", "unequal"])
     def grain_run(self, request):
@@ -434,11 +434,20 @@ class TestStreamedAudit:
         assert walk.smoothed is None
         assert _bits(walk.energy) == _bits(stepper.records[-1].energy_after)
 
-    def test_a_streamed_walk_advances_only_to_the_announced_state(self, grain_run):
+    def test_a_streamed_walk_advanced_elsewhere_gathers_again(self, grain_run):
+        # announced states[1], handed states[2]: the read-ahead values do not
+        # cover the cells that change, so the walk smooths states[0] again
         cfg, _, states = grain_run
-        walk = LedgerWalk(cfg, states[0], states[1])
-        with pytest.raises(ValueError, match="follows"):
-            walk.advance(1, states[2], None, states[2])
+        prev, cur = states[0], states[2]
+        walk = LedgerWalk(cfg, prev, states[1])
+        row = walk.advance(1, cur, None, cur)
+        plan = HeatKernelPlan(cfg.grid, cfg.h)
+        omega = state_difference(cur, prev)
+        ref = dissipation_multiphase(omega, cfg.grid, cfg.tensions, cfg.h, plan=plan)
+        assert ref > 0.0
+        assert row.dissipation == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert _bits(row.energy_before) == _bits(LedgerWalk(cfg, prev, prev).energy)
+        assert _bits(row.energy_after) == _bits(LedgerWalk(cfg, cur, cur).energy)
 
 
 class TestLedger:
@@ -503,8 +512,8 @@ class TestLedger:
         states.append(states[-1])  # a step that flips no cell
         plan = HeatKernelPlan(grid128, cfg.h)
         smoothed = [convolve_labels(plan, s) for s in states]
-        # a run's walk keeps the smoothed stack; an audit's streams each
-        # state's labels, knowing the state that follows
+        # a run's walk folds each state's labels into its summary; an
+        # audit's streams them, knowing the state that follows
         kept = LedgerWalk(cfg, states[0], None)
         streamed = LedgerWalk(cfg, states[0], states[1])
         for n in range(1, len(states)):

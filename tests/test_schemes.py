@@ -191,7 +191,33 @@ class TestSurfaceTensionMatrix:
             ]
         )
         m = SurfaceTensionMatrix(sigma)
-        assert m.extended_neg_bound > 0
+        assert np.array_equal(m.extended[1:, 1:], sigma)
+
+    def test_definiteness_verdict_matches_eigenvalues(self):
+        # the largest eigenvalue of the extended matrix on an orthonormal
+        # mean-zero basis decides what the Cholesky factor decides
+        r = np.random.default_rng(0)
+        verdicts = {"accepted": 0, "refused": 0}
+        for _ in range(3000):
+            p = int(r.integers(1, 9))
+            lo = r.uniform(0.3, 1.9)
+            hi = r.uniform(lo, 1.999)
+            sigma = symmetric_tensions(p, int(r.integers(2**32)), lo, hi)
+            ext = np.ones((p + 1, p + 1))
+            ext[0, 0], ext[1:, 1:] = 0.0, sigma
+            basis = np.linalg.svd(np.ones((1, p + 1)))[2][1:].T
+            definite = np.linalg.eigvalsh(basis.T @ ext @ basis).max() < 0
+            try:
+                SurfaceTensionMatrix(sigma)
+            except ValueError as err:
+                if "definite" not in str(err):
+                    continue  # refused for its triangles
+                assert not definite
+                verdicts["refused"] += 1
+            else:
+                assert definite
+                verdicts["accepted"] += 1
+        assert min(verdicts.values()) > 0
 
 
 class TestSchemeConfig:
