@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,7 @@ from .grid import (
     rasterize_slab,
     voronoi_labels,
 )
+from .kernel import ClampWarning
 from .oracles import ExtinctionError, circle_mcf
 from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
 
@@ -757,21 +759,37 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_energy.add_argument("--config", default=None)
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "run":
-            return cmd_run(args.config)
-        if args.command == "sweep":
-            return cmd_sweep(args.config)
-        if args.command == "check":
-            return cmd_check(args.dumps, args.config)
-        return cmd_energy(args.dump, args.h, args.config)
-    except Exception as exc:
-        for kinds, code, prefix in _EXITS:
-            if isinstance(exc, kinds):
-                dumps = "s" if kinds is DumpError and args.command == "check" else ""
-                print(f"{prefix}{dumps}: {exc}", file=sys.stderr)
-                return code
-        raise
+    # a command's clamp warnings show as one, naming the largest overshoot,
+    # when it ends; other warnings show as they fire
+    show, overshoots = warnings.showwarning, []
+
+    def collect(message, category, *where) -> None:
+        if category is ClampWarning:
+            overshoots.append(message.overshoot)
+        else:
+            show(message, category, *where)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = collect
+        try:
+            if args.command == "run":
+                return cmd_run(args.config)
+            if args.command == "sweep":
+                return cmd_sweep(args.config)
+            if args.command == "check":
+                return cmd_check(args.dumps, args.config)
+            return cmd_energy(args.dump, args.h, args.config)
+        except Exception as exc:
+            for kinds, code, prefix in _EXITS:
+                if isinstance(exc, kinds):
+                    plural = kinds is DumpError and args.command == "check"
+                    print(f"{prefix}{'s' * plural}: {exc}", file=sys.stderr)
+                    return code
+            raise
+        finally:
+            warnings.showwarning = show
+            if overshoots:
+                warnings.warn(ClampWarning(max(overshoots)))
 
 
 if __name__ == "__main__":

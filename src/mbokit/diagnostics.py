@@ -291,11 +291,11 @@ class LedgerWalk:
     while it is valid, its share of the energy and a few values; its
     ``smoothed`` is None.  ``following``, passed with every state, is the
     state the walk moves to next: None while a step map has yet to make it
-    (a run), the state itself when nothing follows (``mbokit energy``, an
-    audit's last state).  With ``following`` None a grain-growth walk folds
-    the labels into ``summary`` (a :class:`GrainSummary`, which the step map
-    reads with :meth:`gather`); otherwise it keeps each label's values on
-    the cells that change toward ``following`` and ``summary`` is None.
+    (a run), the state itself when nothing follows (``mbokit energy``, the
+    last state of a run or an audit).  With ``following`` None a grain walk
+    folds the labels into ``summary`` (a :class:`GrainSummary`, which the
+    step map reads with :meth:`gather`); otherwise it keeps each label's
+    values on the cells that change toward ``following``; ``summary`` is None.
 
     ``smoothed`` and ``summary`` are valid only until the next
     :meth:`advance` writes the next state's over them.  Read them before
@@ -317,9 +317,8 @@ class LedgerWalk:
         self._spectrum = self.plan.empty_spectrum()
         self.summary: GrainSummary | None = None
         self._gathered: tuple[np.ndarray, np.ndarray] | None = None
-        self.state = state
-        self.changed = np.empty(0, dtype=np.intp)
-        self.energy = self._smooth(state, following, self.changed, None)
+        self.state, self.changed = state, 0
+        self.energy = self._smooth(state, following, None, None)
 
     def _stream(self, state: MultiPhaseState):
         """Each label with its clamped smoothed field, valid until the next
@@ -331,7 +330,7 @@ class LedgerWalk:
         self,
         state: PhaseField | MultiPhaseState,
         following: PhaseField | MultiPhaseState | None,
-        cells: np.ndarray,
+        cells: np.ndarray | None,
         before: np.ndarray | None,
     ) -> float:
         """Smooth ``state`` into the walk's spectrum and return its energy.
@@ -408,26 +407,24 @@ class LedgerWalk:
     ) -> LedgerRow:
         """Ledger row of the step from ``state`` to ``cur``, then move to ``cur``.
 
-        ``changed`` becomes the flat row-major indices of the cells whose
-        label changed.  By linearity of the kernel the dissipation needs no
-        convolution of its own: it pairs omega = cur - prev with G cur -
-        G prev, and omega is zero off the changed cells.  So only the old
-        smoothed fields' values on those cells are kept (gathered before
-        ``cur`` is smoothed over them: for a partition, taken from the step
-        map's :meth:`gather`, or from those kept while the old state was
-        smoothed when ``cur`` was known to follow it, else gathered anew),
-        and the
-        dissipation (tension rows for a partition) and the forcing transfer
-        are summed over the changed cells with the bits of numpy's sum of
-        the full-grid integrand, which is zero off them.  Forced steps pass
-        the force at the target time, the other schemes None.
-        ``following`` is as for the constructor.
+        ``changed`` becomes the number of cells whose label changed.  By
+        linearity of the kernel the dissipation needs no convolution of its
+        own: it pairs omega = cur - prev with G cur - G prev, and omega is
+        zero off the changed cells.  So only the old smoothed fields' values
+        on those cells are kept (gathered before ``cur`` is smoothed over
+        them: for a partition, taken from the step map's :meth:`gather`, or
+        from those kept while the old state was smoothed when ``cur`` was
+        known to follow it, else gathered anew), and the dissipation
+        (tension rows for a partition) and the forcing transfer are summed
+        over the changed cells with the bits of numpy's sum of the
+        full-grid integrand, which is zero off them.  Forced steps pass the
+        force at the target time, the other schemes None.  ``following`` is
+        as for the constructor.
         """
         cfg, prev = self.config, self.state
         grid, h = cfg.grid, cfg.h
         n = grid.total_cells
         transfer = 0.0
-        self.changed = None  # the last step's cells, not held through this one
         if isinstance(cur, MultiPhaseState):
             cells = _changed_cells(cur.labels, prev.labels)
             before = self._values_on(cells)
@@ -439,30 +436,48 @@ class LedgerWalk:
                 omega = (new_labels == i) * 1.0 - (old_labels == i)
                 quad += _scattered_sum(n, cells, omega * row)
             dissipation = -quad * grid.cell_volume / math.sqrt(h)
+            changed = cells.size
         else:
-            cells = _changed_cells(cur.mask, prev.mask)
-            before = self.smoothed.values.ravel()[cells]
-            energy = self._smooth(cur, following, cells, None)
-            # G cur - G prev on the changed cells, written over ``before`` a
-            # block at a time, so no second array of their size is made
-            diff, after = before, self.smoothed.values.ravel()
-            for lo in range(0, cells.size, _SUM_CHUNK):
-                part = slice(lo, lo + _SUM_CHUNK)
-                np.subtract(after[cells[part]], diff[part], out=diff[part])
-            # on a changed cell omega is exactly +1 (rising) or -1, so a
-            # product with omega is the value or its negation, bit for bit
-            falling = np.logical_not(cur.mask.ravel()[cells])
-            quad = _scattered_sum(n, cells, np.negative(diff, out=diff, where=falling))
-            dissipation = quad * grid.cell_volume / math.sqrt(h)
-            if force_now is not None:
-                force = force_now.values.ravel()[cells]
-                np.negative(force, out=force, where=falling)
-                with np.errstate(over="ignore"):  # the verdict reports an inf
-                    work = _scattered_sum(n, cells, force)
-                transfer = work * grid.cell_volume / math.sqrt(math.pi)
+            # the old smoothed values on the changed cells, in cell order,
+            # counted and then kept a chunk at a time: no array of the cells
+            new, old = cur.mask.ravel(), prev.mask.ravel()
+            chunks = [slice(lo, lo + _SUM_CHUNK) for lo in range(0, n, _SUM_CHUNK)]
+            ends = np.cumsum([0] + [np.count_nonzero(new[c] != old[c]) for c in chunks])
+            before, values = np.empty(int(ends[-1])), self.smoothed.values.ravel()
+            for c, lo, hi in zip(chunks, ends, ends[1:]):
+                np.compress(new[c] != old[c], values[c], out=before[lo:hi])
+            changed = before.size
+            energy = self._smooth(cur, following, None, None)
+            after = self.smoothed.values.ravel()
+            force = None if force_now is None else force_now.values.ravel()
+            scratch, taken = np.empty(min(n, _SUM_CHUNK)), 0
+
+            def node_sum(lo: int, hi: int):
+                # nodes come in cell order and take the values of ``before`` in
+                # turn; omega is exactly +1 (rising) or -1 on a changed cell, so
+                # a product with it is a value or its negation, bit for bit
+                nonlocal taken
+                flipped = np.flatnonzero(new[lo:hi] != old[lo:hi])
+                if not flipped.size:
+                    return 0.0
+                diff = before[taken : taken + flipped.size]
+                taken += flipped.size
+                np.subtract(after[lo:hi][flipped], diff, out=diff)  # G cur - G prev
+                falling, v, sums = old[lo:hi][flipped], scratch[: hi - lo], []
+                for term in [diff] if force is None else [diff, force[lo:hi][flipped]]:
+                    np.negative(term, out=term, where=falling)
+                    v.fill(0.0)
+                    v[flipped] = term
+                    sums.append(v.sum())
+                return complex(*sums)
+
+            with np.errstate(over="ignore"):  # the verdict reports an inf
+                total = complex(_pairwise_sum(n, node_sum))
+            dissipation = total.real * grid.cell_volume / math.sqrt(h)
+            transfer = total.imag * grid.cell_volume / math.sqrt(math.pi)
         slack = self.energy - energy - dissipation + transfer
         row = LedgerRow(step, self.energy, energy, dissipation, transfer, slack)
-        self.state, self.energy, self.changed = cur, energy, cells
+        self.state, self.energy, self.changed = cur, energy, changed
         return row
 
 

@@ -167,6 +167,13 @@ class RealField:
                 raise ValueError("field values must be finite")
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def unchecked(cls, grid: Grid, values: np.ndarray) -> "RealField":
+        """A field of C-contiguous float64 ``values`` its maker found finite."""
+        out = object.__new__(cls)
+        vars(out).update(grid=grid, values=values)
+        return out
+
 
 @dataclass(frozen=True)
 class MultiPhaseState:

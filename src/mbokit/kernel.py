@@ -5,9 +5,9 @@ the exact spectral multiplier ``exp(-h |k|^2)`` with ``k = 2 pi m / side``.
 This keeps the zero mode untouched (mass is conserved to rounding), makes
 the semigroup property exact up to rounding, and never truncates tails.
 Gradients of the smoothed field use the multipliers ``i k_j exp(-h |k|^2)``.
-Frequencies ``m`` and ``n - m`` along array axis 0 have equal squares, so a
-plan stores the multipliers of rows 0 .. n//2 along that axis only, and
-applies them to the other rows through a mirrored view, with the same bits.
+A plan stores only tables of ``|k|^2`` and builds the multipliers a block
+of rows along array axis 0 at a time; frequencies ``m`` and ``n - m`` there
+have equal squares, so a block of rows 0 .. n//2 also serves their mirrors.
 
 The transforms run on numpy's pocketfft one axis at a time, in the axis
 order and with the single ``1/N`` scale of ``scipy.fft.rfftn``/``irfftn``,
@@ -16,7 +16,6 @@ so their bits equal scipy's while no process has to import it.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import warnings
@@ -27,8 +26,6 @@ import numpy as np
 
 from .grid import Grid, MultiPhaseState, PhaseField, RealField
 
-logger = logging.getLogger(__name__)
-
 # Below sqrt(h) ~ 4 dx the smoothed profile is too steep for the grid and
 # thresholding dynamics tend to freeze in place.
 RESOLUTION_FACTOR = 4.0
@@ -38,6 +35,15 @@ CLAMP_TOLERANCE = 1e-9
 
 class ResolutionWarning(UserWarning):
     """The kernel width is marginal for the grid spacing."""
+
+
+class ClampWarning(UserWarning):
+    """A clamp of smoothed indicators removed ``overshoot`` > CLAMP_TOLERANCE."""
+
+    def __init__(self, overshoot: float) -> None:
+        super().__init__(f"clamp removed overshoot {overshoot:.3e} "
+                         f"above tolerance {CLAMP_TOLERANCE:.1e}")
+        self.overshoot = overshoot
 
 
 def default_workers() -> int:
@@ -111,19 +117,26 @@ def _rfftn(values: np.ndarray, workers: int, spectrum: np.ndarray) -> np.ndarray
 
     ``values`` may be of any real or boolean dtype: each block of rows is
     cast to float64 on its own, so no float copy of the whole array is made.
-    The transform is written into ``spectrum``, a C-contiguous complex128
-    array of the spectral shape that shares no memory with ``values``, and
-    returned.
+    A boolean block with an empty end row transforms only its occupied rows'
+    run; the rest get a zero row's transform.  The transform is written
+    into ``spectrum``, a C-contiguous complex128 array of the spectral shape
+    that shares no memory with ``values``, and returned.
     """
     values = np.asarray(values)
     shape, n = values.shape, values.shape[-1]
     lines, spec_lines = values.reshape(-1, n), spectrum.reshape(-1, n // 2 + 1)
     blocks = _row_blocks(lines.shape[0], n, workers)
+    zero_row = np.fft.rfft(np.zeros(n))
 
     def r2c(i: int) -> None:
-        rows = blocks[i]
-        src = np.asarray(lines[rows], dtype=np.float64)
-        np.fft.rfft(src, axis=1, out=spec_lines[rows])
+        lo, hi = blocks[i].start, blocks[i].stop
+        if values.dtype == bool and not (lines[lo].any() and lines[hi - 1].any()):
+            rows = np.flatnonzero(lines[lo:hi].any(axis=1))
+            first, last = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+            spec_lines[lo : lo + first] = spec_lines[lo + last : hi] = zero_row
+            lo, hi = lo + first, lo + last
+        src = np.asarray(lines[lo:hi], dtype=np.float64)
+        np.fft.rfft(src, axis=1, out=spec_lines[lo:hi])
 
     _each(r2c, len(blocks), workers)
     for axis in range(len(shape) - 1):
@@ -131,7 +144,7 @@ def _rfftn(values: np.ndarray, workers: int, spectrum: np.ndarray) -> np.ndarray
     return spectrum
 
 
-def _irfftn(spectrum: np.ndarray, shape: tuple[int, ...], workers: int) -> np.ndarray:
+def _irfftn(spectrum: np.ndarray, shape, workers: int, clamp: bool) -> np.ndarray:
     """``scipy.fft.irfftn`` bit for bit, written over ``spectrum``'s memory.
 
     The c2c passes run unscaled and in place.  The c2r pass then takes
@@ -141,6 +154,8 @@ def _irfftn(spectrum: np.ndarray, shape: tuple[int, ...], workers: int) -> np.nd
     ``r*n .. (r+1)*n`` of ``spectrum``'s buffer.  Complex row r starts at
     float ``r*(n+1)`` or later, so a block's rows land only on rows already
     read.  Returns a C-contiguous view of the first N floats of that buffer.
+    ``clamp`` clips each block to [0, 1] and adds ``+0.0`` in the scratch:
+    a NaN is refused, and the extremes before it give a ClampWarning's size.
     """
     spectrum = np.ascontiguousarray(spectrum)
     n, total = shape[-1], math.prod(shape)
@@ -151,6 +166,7 @@ def _irfftn(spectrum: np.ndarray, shape: tuple[int, ...], workers: int) -> np.nd
     blocks = _row_blocks(lines.shape[0], n, workers)
     size = max(b.stop - b.start for b in blocks)
     scratch = [np.empty((size, n)) for _ in range(min(workers, len(blocks)))]
+    extremes = np.zeros((len(blocks), 2))  # each block's max and -min
     for first in range(0, len(blocks), len(scratch)):
         batch = blocks[first : first + len(scratch)]
 
@@ -159,11 +175,20 @@ def _irfftn(spectrum: np.ndarray, shape: tuple[int, ...], workers: int) -> np.nd
             out = scratch[i][: rows.stop - rows.start]
             np.fft.irfft(lines[rows], n=n, axis=1, norm="forward", out=out)
             out *= 1.0 / total
+            if clamp:
+                extremes[first + i] = out.max(), -out.min()
+                np.clip(out, 0.0, 1.0, out=out)
+                out += 0.0
 
         _each(c2r, len(batch), workers)
         # every row of the batch is read before any of it is overwritten
         for rows, out in zip(batch, scratch):
             flat[rows.start * n : rows.stop * n] = out[: rows.stop - rows.start].ravel()
+    top, bottom = extremes.max(axis=0).tolist()
+    if math.isnan(top):
+        raise ValueError("field values must be finite")
+    if (overshoot := max(0.0, top - 1.0, bottom)) > CLAMP_TOLERANCE:
+        warnings.warn(ClampWarning(overshoot), stacklevel=3)
     return flat[:total].reshape(shape)
 
 
@@ -214,24 +239,22 @@ def multiplier_exponent(grid: Grid, h: float) -> float:
 
 @dataclass(frozen=True)
 class HeatKernelPlan:
-    """Cached multiplier ``exp(-h |k|^2)`` for one grid and bandwidth.
+    """The multiplier ``exp(-h |k|^2)`` of one grid and bandwidth.
 
-    ``multipliers`` holds the multipliers of the spectrum's rows 0 .. n//2
-    along array axis 0 (frequencies 0 .. n//2 there) and of every place
-    along the other axes: :meth:`multiply` gives row ``n - m`` of the
-    spectrum row ``m``, the same values bit for bit.  That is about half a
-    spectrum's multipliers, a quarter of a float field.
-
-    Building a plan is cheap but not free; reuse one across the steps of a
-    run.  The zero-frequency multiplier is exactly 1, all others in [0, 1).
-    A bandwidth whose :func:`multiplier_exponent` is not finite is refused.
+    A plan holds ``others``, ``|k|^2`` summed over the spatial axes but the
+    last on a slab along array axis 0, and ``squares``, that of frequencies
+    0 .. n//2 along that axis; no multipliers.  Reuse a plan across the
+    steps of a run.  The zero-frequency multiplier is exactly 1, all others
+    in [0, 1).  A bandwidth whose :func:`multiplier_exponent` is not finite
+    is refused.
     The transforms run on ``workers`` threads, read from
     :func:`default_workers` when the plan is built.
     """
 
     grid: Grid
     h: float
-    multipliers: np.ndarray = field(init=False, repr=False)
+    others: np.ndarray = field(init=False, repr=False)
+    squares: np.ndarray = field(init=False, repr=False)
     workers: int = field(init=False, default_factory=default_workers)
 
     def __post_init__(self) -> None:
@@ -247,17 +270,10 @@ class HeatKernelPlan:
                 ResolutionWarning,
                 stacklevel=2,
             )
-        # |k|^2 summed in spatial axis order, then times -h, then exp, all
-        # in one buffer; each row along array axis 0 adds its square to the
-        # sum over the other axes (a broadcast sum would allocate buffers)
-        rows = self.grid.n // 2 + 1
-        squares = [f[:rows] ** 2 for f in _frequencies(self.grid)]
-        others = sum(squares[1:-1], squares[0])[0]
-        m = np.empty((rows,) + others.shape)
-        for r in range(rows):
-            np.add(others, float(squares[-1].flat[r]), out=m[r])
-        m *= -self.h
-        object.__setattr__(self, "multipliers", np.exp(m, out=m))
+        # |k|^2 in spatial axis order: array axis 0 (spatial d-1) comes last
+        squares = [f[: self.grid.n // 2 + 1] ** 2 for f in _frequencies(self.grid)]
+        object.__setattr__(self, "others", sum(squares[1:-1], squares[0])[0])
+        object.__setattr__(self, "squares", squares[-1])
 
     def empty_spectrum(self) -> np.ndarray:
         """A new, uninitialised buffer for one spectrum of the plan's grid."""
@@ -273,37 +289,46 @@ class HeatKernelPlan:
         """
         return _rfftn(values, self.workers, spectrum)
 
-    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+    def inverse(self, spectrum: np.ndarray, clamp: bool) -> np.ndarray:
         """Complex-to-real transform back to the grid, written over ``spectrum``.
 
         Returns a C-contiguous view into the memory of ``spectrum`` (of a
         contiguous copy, if it is not contiguous), which is then no longer
         a spectrum.  The view keeps that whole buffer alive: 2/n more than a
-        field of the grid.
+        field of the grid.  ``clamp`` clips to [0, 1], as for an indicator.
         """
-        return _irfftn(spectrum, self.grid.shape, self.workers)
+        return _irfftn(spectrum, self.grid.shape, self.workers, clamp)
 
     def multiply(self, spectrum: np.ndarray) -> np.ndarray:
         """Multiply a spectrum of the plan's grid by ``exp(-h |k|^2)`` in
-        place and return it: rows 0 .. n//2 along array axis 0 by the stored
-        rows, the rows after them by the stored rows n-1-n//2 .. 1, a
-        reversed view."""
-        head = self.multipliers.shape[0]
-        np.multiply(spectrum[:head], self.multipliers, out=spectrum[:head])
-        tail = self.multipliers[self.grid.n - head : 0 : -1]
-        np.multiply(spectrum[head:], tail, out=spectrum[head:])
+        place and return it.  Rows 0 .. n//2 along array axis 0 build theirs
+        in one scratch block of about ``_BLOCK_CELLS`` (``others`` plus the
+        row's square, times -h, then exp) and lend them to rows n - m."""
+        n, head = self.grid.n, self.squares.shape[0]
+        step = max(1, _BLOCK_CELLS // self.others.size)
+        scratch = np.empty((min(step, head),) + self.others.shape)
+        for lo in range(0, head, step):
+            hi = min(lo + step, head)
+            m = np.add(self.others, self.squares[lo:hi], out=scratch[: hi - lo])
+            m *= -self.h
+            np.exp(m, out=m)
+            np.multiply(spectrum[lo:hi], m, out=spectrum[lo:hi])
+            # rows r in [first, last) of this block are mirrored by n - r
+            first, last = max(lo, 1), min(hi, n - head + 1)
+            rows = spectrum[n - last + 1 : n - first + 1]
+            np.multiply(rows, m[first - lo : last - lo][::-1], out=rows)
         return spectrum
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Smooth a raw array (no clamping, no wrapping in field types)."""
         spectrum = self.forward(values, self.empty_spectrum())
-        return self.inverse(self.multiply(spectrum))
+        return self.inverse(self.multiply(spectrum), clamp=False)
 
     def apply_grad_component(self, values: np.ndarray, axis: int) -> np.ndarray:
         """One component of the gradient of the smoothed raw array."""
         spectrum = self.multiply(self.forward(values, self.empty_spectrum()))
         spectrum *= _derivative_factors(self.grid)[axis]
-        return self.inverse(spectrum)
+        return self.inverse(spectrum, clamp=False)
 
 
 def convolve(
@@ -313,10 +338,10 @@ def convolve(
 ) -> RealField:
     """Smooth a field with the heat kernel of the plan's bandwidth.
 
-    Indicator inputs are clamped back to [0, 1] after the transform; the
-    spectral ringing removed this way is tiny (order 1e-15) and a warning
-    fires if it ever exceeds the recorded tolerance.  ``plan.apply`` gives
-    the raw values.  The cell average is preserved to rounding.
+    Indicator inputs are clamped back to [0, 1] as the inverse writes them;
+    the spectral ringing removed this way is tiny (order 1e-15) and a
+    :class:`ClampWarning` fires if it exceeds the tolerance.  ``plan.apply``
+    gives the raw values.  The cell average is preserved to rounding.
 
     One transform pair does the work: the forward transform reads the mask
     (or the values) into ``spectrum``, a buffer from
@@ -331,17 +356,9 @@ def convolve(
     if spectrum is None:
         spectrum = plan.empty_spectrum()
     spectrum = plan.forward(field_in.mask if indicator else field_in.values, spectrum)
-    out = plan.inverse(plan.multiply(spectrum))
-    if indicator:
-        overshoot = max(0.0, float(out.max()) - 1.0, -float(out.min()))
-        if overshoot > CLAMP_TOLERANCE:
-            logger.warning(
-                "clamp removed overshoot %.3e above tolerance %.1e",
-                overshoot,
-                CLAMP_TOLERANCE,
-            )
-        np.clip(out, 0.0, 1.0, out=out)
-        out += 0.0  # normalize -0.0 so downstream orderings are exact
+    out = plan.inverse(plan.multiply(spectrum), clamp=indicator)
+    if indicator:  # the clamp found the values finite
+        return RealField.unchecked(plan.grid, out)
     return RealField(plan.grid, out)
 
 
@@ -362,5 +379,5 @@ def spectral_divergence(grid: Grid, components: tuple[np.ndarray, ...]) -> np.nd
     for k in range(grid.dim):
         spec = _rfftn(components[k], w, np.empty(_spectral_shape(grid.shape), complex))
         spec *= factors[k]
-        out += _irfftn(spec, grid.shape, w)
+        out += _irfftn(spec, grid.shape, w, False)
     return out

@@ -60,7 +60,8 @@ SCHEMES = ("mbo", "volume_preserving", "forced", "grain_growth")
 ForceFunction = Callable[[Grid, float], RealField]
 
 # A solid reaching beyond this fraction of the side starts feeling its own
-# periodic images; runs past it are flagged, not stopped.
+# periodic images; runs past it are flagged, not stopped, unless the solid
+# starts at half the side or beyond: it fills the torus by design.
 WRAP_RADIUS_FRACTION = 0.4
 
 # A grain-growth step certifies cells from the summary this many at a time.
@@ -355,9 +356,9 @@ class Stepper:
     once every step ran.  The step maps read the smoothed field, or the
     grain summary and gather, of a :class:`LedgerWalk`, so only the current
     and the previous state, one spectrum and the summary are held.  A
-    warning fires if the support radius
-    ever exceeds 40 percent of the side, where the periodic images start to
-    interact.
+    warning fires if the support radius of a compact solid, one that starts
+    below half the side, ever exceeds 40 percent of the side, where its
+    periodic images start to interact.
     """
 
     def __init__(self, config: SchemeConfig, initial) -> None:
@@ -374,7 +375,7 @@ class Stepper:
         self.initial_radius = bounding_radius(solid0, self.center)
         self.records: list[StepRecord] = []
         self.status = "running"
-        if self.initial_radius > WRAP_RADIUS_FRACTION * grid.side:
+        if WRAP_RADIUS_FRACTION * grid.side < self.initial_radius < grid.side / 2:
             warnings.warn(
                 f"initial support radius {self.initial_radius:.3g} exceeds "
                 f"{WRAP_RADIUS_FRACTION:.0%} of the side; periodic images interact",
@@ -413,7 +414,8 @@ class Stepper:
             else:
                 new_state, lam = step_volume_preserving(walk.state, walk.smoothed)
                 good = abs(lam - 0.5) < GOOD_ITERATION_BAND
-            row = walk.advance(n, new_state, force_now, None)
+            last = new_state if n == config.steps else None  # nothing follows it
+            row = walk.advance(n, new_state, force_now, last)
 
             new_solid = _solid_of(new_state)
             radius = None
@@ -440,7 +442,7 @@ class Stepper:
             )
             if radius is None:
                 self.status = "extinct"
-            elif walk.changed.size == 0:
+            elif walk.changed == 0:
                 self.status = "pinned"
             yield new_state
             if self.status != "running":

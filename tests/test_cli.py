@@ -39,7 +39,7 @@ from mbokit.grid import (
     rasterize_ball,
     voronoi_labels,
 )
-from mbokit.kernel import HeatKernelPlan, convolve
+from mbokit.kernel import ClampWarning, HeatKernelPlan, convolve
 from mbokit.oracles import circle_mcf
 from mbokit import schemes
 from mbokit.schemes import SchemeConfig, Stepper
@@ -1063,6 +1063,75 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "255" in err
         assert not (tmp_path / "out").exists()
+
+
+# The benchmark's smoke configs (perfbench/workloads.py, seed 0), at the
+# tiny sizes its own tests run.
+SMOKE_CONFIGS = {
+    "plain_ball": "scheme = mbo\ndim = 2\nn = 48\nh = 0.0075\nsteps = 3\n"
+    "init = ball\nball_center = 0.6369616873214543 0.2697867137638703\n"
+    "ball_radius = 0.3\n",
+    "vp_blob3d": "scheme = volume_preserving\ndim = 3\nn = 24\nh = 0.031\n"
+    "steps = 3\ninit = blob\nblob_seed = 1826701615\nblob_fill = 0.3\n"
+    "blob_smoothing = 0.06\n",
+    "grain": "scheme = grain_growth\ndim = 2\nn = 32\nh = 0.0175\nsteps = 2\n"
+    "init = voronoi\nseeds = 0.6177870510964507 0.3020165738369285; "
+    "0.10523723058512743 0.08421376655453502; "
+    "0.7694124057122342 0.8549697964588405; "
+    "0.5917067671597747 0.6973670424462386\n"
+    "vapor_margin = 0.05\nsigma_default = 1\n",
+}
+
+# Under-resolved grains: many smoothings clamp an overshoot.
+CLAMPED_GRAINS = (
+    "scheme = grain_growth\nn = 32\nh = 1e-4\nsteps = 1\ninit = voronoi\n"
+    "seeds = 0.3 0.3; 0.7 0.4; 0.5 0.7\nvapor_margin = 0.05\n"
+    "sigma_default = 1\ndump_every = 1\n"
+)
+
+
+def recorded_main(args):
+    """``main(args)`` and every warning it showed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    return code, caught
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+    def test_benchmark_configs_leave_stderr_empty(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, SMOKE_CONFIGS[name] + f"out_dir = {out}\ndump_every = 1\n")
+        code, caught = recorded_main(["run", cfg])
+        assert code == 0 and caught == []
+        dumps = sorted(str(p) for p in out.glob("state_*.mbof"))
+        code, caught = recorded_main(["check", *dumps, "--config", cfg])
+        assert code == 0 and caught == []
+        assert capsys.readouterr().err == ""
+
+    def test_clamp_warning_shows_once_per_command(self, tmp_path):
+        # the run's smoothings clamp many overshoots; each command shows one
+        # warning, which names the largest of them
+        text = CLAMPED_GRAINS + f"out_dir = {tmp_path}/out\n"
+        cfg = write_cfg(tmp_path, text)
+        parsed = parse_config(text)
+        grid = build_grid(parsed)
+        initial = build_initial(parsed, grid)
+        with warnings.catch_warnings(record=True) as each:
+            warnings.simplefilter("always")
+            list(Stepper(cli.build_scheme_config(parsed, grid, initial), initial))
+        overshoots = [w.message.overshoot for w in each if w.category is ClampWarning]
+        assert len(overshoots) > 4
+        code, caught = recorded_main(["run", cfg])
+        assert code == 0
+        [w] = [w for w in caught if w.category is ClampWarning]
+        assert w.message.overshoot == max(overshoots)
+        assert str(w.message).startswith(f"clamp removed overshoot {max(overshoots):.3e}")
+        dumps = sorted(str(p) for p in (tmp_path / "out").glob("state_*.mbof"))
+        code, caught = recorded_main(["check", *dumps, "--config", cfg])
+        assert code == 0
+        assert len([w for w in caught if w.category is ClampWarning]) == 1
 
 
 def scipy_modules_after(code: str) -> str:

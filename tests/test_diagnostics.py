@@ -561,7 +561,7 @@ class TestLedger:
             assert got == expected
             assert list(np.signbit(got)) == list(np.signbit(expected))
             flipped = np.count_nonzero(cur.mask != prev.mask)
-            assert walk.changed.size == flipped
+            assert walk.changed == flipped
             if n == len(states) - 1:
                 assert flipped == 0
                 assert not np.signbit(got).any() and got == (0.0, 0.0)

@@ -9,9 +9,12 @@ import scipy.fft as sfft
 from mbokit.grid import Grid, PhaseField, RealField, rasterize_ball, rasterize_slab
 from reference_forms import full_multipliers
 from mbokit.kernel import (
+    _BLOCK_CELLS,
+    ClampWarning,
     HeatKernelPlan,
     ResolutionWarning,
     _derivative_factors,
+    _rfftn,
     _row_blocks,
     convolve,
     default_workers,
@@ -24,21 +27,32 @@ def grid512():
     return Grid(dim=2, n=512)
 
 
+def multipliers(plan: HeatKernelPlan) -> np.ndarray:
+    """The multipliers ``plan.multiply`` applies: the real part of its
+    product with a spectrum of ones."""
+    grid = plan.grid
+    ones = np.ones(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128)
+    return plan.multiply(ones).real
+
+
 class TestPlan:
     def test_zero_mode_multiplier_is_one(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
-        assert plan.multipliers.flat[0] == 1.0
+        assert multipliers(plan).flat[0] == 1.0
 
     def test_multipliers_in_unit_interval(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
-        assert plan.multipliers.max() == 1.0
-        assert plan.multipliers.min() > 0.0
+        m = multipliers(plan)
+        assert m.tobytes() == full_multipliers(grid128, 1e-3).tobytes()
+        assert m.max() == 1.0
+        assert m.min() > 0.0
 
     @pytest.mark.parametrize("n", [9, 15, 24, 33, 96, 97, 128])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_mirrored_multiply_equals_full_multipliers(self, dim, n):
-        # the plan stores rows 0 .. n/2 along array axis 0 and reads the
-        # rest through a reversed view; the product must keep every bit
+        # the plan builds the multipliers of rows 0 .. n/2 along array axis
+        # 0 a block at a time and applies each block to the rows mirroring
+        # it through a reversed view; the product must keep every bit
         grid = Grid(dim=dim, n=n)
         rng = np.random.default_rng(n * 10 + dim)
         shape = grid.shape[:-1] + (n // 2 + 1,)
@@ -46,9 +60,20 @@ class TestPlan:
         spectrum[(0,) * dim] = complex(1.0, -0.0)  # a signed zero too
         for h in (16.0 * grid.dx**2, 0.5):  # the second underflows to zeros
             plan = HeatKernelPlan(grid, h)
-            assert plan.multipliers.shape == (n // 2 + 1,) + shape[1:]
+            assert not hasattr(plan, "multipliers")
             expected = spectrum * full_multipliers(grid, h)
             assert plan.multiply(spectrum.copy()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(2, 1024), (3, 96)])
+    def test_multiply_in_several_blocks_equals_full_multipliers(self, dim, n):
+        # the benchmark's grids, whose rows 0 .. n/2 span several blocks
+        grid = Grid(dim=dim, n=n)
+        shape = grid.shape[:-1] + (n // 2 + 1,)
+        spectrum = np.random.default_rng(n).standard_normal(shape) * (1 - 1j)
+        plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
+        assert plan.others.size * (n // 2 + 1) > 2 * _BLOCK_CELLS
+        expected = spectrum * full_multipliers(grid, plan.h)
+        assert plan.multiply(spectrum).tobytes() == expected.tobytes()
 
     def test_rejects_nonpositive_bandwidth(self, grid128):
         with pytest.raises(ValueError):
@@ -97,6 +122,30 @@ class TestConvolve:
         out = convolve(plan, ball)
         assert out.values.min() >= 0.0
         assert out.values.max() <= 1.0
+
+    def test_clamp_in_the_inverse_equals_a_clip_of_the_raw_values(self, grid128):
+        # the clamp runs on each block of the inverse; the overshoot it
+        # names is that of the raw values' extremes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            plan = HeatKernelPlan(grid128, 2e-6)
+        ball = rasterize_ball(grid128, (0.5, 0.5), 0.2)
+        raw = plan.apply(ball.as_float())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = convolve(plan, ball).values
+        expected = np.clip(raw, 0.0, 1.0) + 0.0
+        assert out.tobytes() == expected.tobytes()
+        [w] = caught
+        assert w.category is ClampWarning
+        assert w.message.overshoot == max(raw.max() - 1.0, -raw.min()) > 1e-9
+
+    def test_clamp_refuses_a_nan(self, grid128):
+        plan = HeatKernelPlan(grid128, 1e-3)
+        spectrum = plan.forward(np.ones(grid128.shape), plan.empty_spectrum())
+        spectrum[3, 4] = np.nan
+        with pytest.raises(ValueError, match="field values must be finite"):
+            plan.inverse(spectrum, clamp=True)
 
     def test_no_ringing_at_resolved_scale(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
@@ -209,7 +258,7 @@ class TestTransformsMatchScipy:
         assert np.array_equal(spectrum, sfft.rfftn(u, workers=1))
         plan.multiply(spectrum)
         expected = sfft.irfftn(spectrum, s=grid.shape, workers=1)
-        assert np.array_equal(plan.inverse(spectrum), expected)
+        assert np.array_equal(plan.inverse(spectrum, clamp=False), expected)
 
         comps = tuple(rng.standard_normal(grid.shape) for _ in range(dim))
         expected = np.zeros(grid.shape)
@@ -217,6 +266,30 @@ class TestTransformsMatchScipy:
             spec = sfft.rfftn(comps[k], workers=1) * _derivative_factors(grid)[k]
             expected += sfft.irfftn(spec, s=grid.shape, workers=1)
         assert np.array_equal(spectral_divergence(grid, comps), expected)
+
+    @pytest.mark.parametrize("dim, n", [(2, 33), (2, 257), (3, 15), (3, 65)])
+    def test_masks_skip_empty_rows_with_the_same_bits(self, dim, n):
+        # of a mask only each block's run of occupied rows is transformed,
+        # the rest get the zero row's transform: masks with empty rows,
+        # wholly empty blocks (several blocks at n = 257 and 65), no cell
+        # and every cell
+        grid = Grid(dim=dim, n=n)
+        shape = grid.shape[:-1] + (n // 2 + 1,)
+        scattered = np.random.default_rng(n).random(grid.shape) < 0.3
+        lines = scattered.reshape(-1, n)
+        lines[::3] = False
+        lines[: lines.shape[0] // 2] = False
+        masks = [
+            rasterize_ball(grid, (0.45,) * dim, 0.2).mask,
+            scattered,
+            np.zeros(grid.shape, dtype=bool),
+            np.ones(grid.shape, dtype=bool),
+        ]
+        for mask in masks:
+            expected = sfft.rfftn(mask.astype(np.float64), workers=1).tobytes()
+            for workers in (1, 3):
+                got = _rfftn(mask, workers, np.empty(shape, dtype=np.complex128))
+                assert got.tobytes() == expected
 
     @pytest.mark.parametrize("dim, n", [(2, 50), (3, 20)])
     def test_three_threads_equal_one(self, dim, n, monkeypatch):

@@ -631,6 +631,60 @@ class TestRun:
             s.solid_cell_count == state.solid_cell_count for s in states
         )
 
+    @pytest.mark.parametrize("kind", ["ball", "blob", "partition"])
+    def test_support_radius_warns_only_for_a_compact_solid(self, grid128, kind):
+        # a ball of radius 0.45 feels its periodic images; a blob and a
+        # partition's solid reach past half the side by design
+        if kind == "ball":
+            cfg = SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=2)
+            initial = rasterize_ball(grid128, (0.5, 0.5), 0.45)
+        elif kind == "blob":
+            cfg = SchemeConfig("volume_preserving", grid128, 1e-3, 2)
+            initial = random_blob(grid128, seed=31)
+        else:
+            seeds = [(0.35, 0.3), (0.65, 0.35), (0.5, 0.7)]
+            initial = voronoi_labels(grid128, seeds, vapor_margin=0.05)
+            cfg = SchemeConfig(
+                "grain_growth", grid128, 1e-3, 2, tensions=equal_tensions(3)
+            )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stepper = Stepper(cfg, initial)
+            list(stepper)
+        assert (stepper.initial_radius < 0.5) == (kind == "ball")
+        radius = [w for w in caught if "support radius" in str(w.message)]
+        assert len(radius) == (kind == "ball")
+
+    def test_last_step_tells_the_walk_that_nothing_follows(
+        self, many_grains, monkeypatch
+    ):
+        # the last state's labels are not folded into a summary no step
+        # reads, and the ledger is that of a walk never told what follows
+        cfg, initial, _ = many_grains
+        calls = []
+        advance = diagnostics.LedgerWalk.advance
+
+        def recording(walk, step, cur, force_now, following):
+            calls.append((walk, following))
+            return advance(walk, step, cur, force_now, following)
+
+        monkeypatch.setattr(diagnostics.LedgerWalk, "advance", recording)
+        stepper = Stepper(cfg, initial)
+        states = [initial, *stepper]
+        monkeypatch.undo()
+        walk, following = calls[-1]
+        assert len(calls) == cfg.steps and following is states[-1]
+        assert walk.summary is None
+        assert all(f is None for _, f in calls[:-1])
+        told_nothing = diagnostics.LedgerWalk(cfg, initial, None)
+        rows = [
+            told_nothing.advance(n, state, None, None)
+            for n, state in enumerate(states[1:], start=1)
+        ]
+        fields = ("energy_before", "energy_after", "dissipation", "transfer", "slack")
+        for row, record in zip(rows, stepper.records, strict=True):
+            assert [getattr(row, f) for f in fields] == [getattr(record, f) for f in fields]
+
     def test_bitwise_independent_of_thread_count(self, scheme_case, monkeypatch):
         cfg, initial = scheme_case
         results = []
