@@ -1,129 +1,3 @@
 """Thresholding dynamics for interface motion on periodic grids."""
 
-from .diagnostics import (
-    GOOD_ITERATION_BAND,
-    GrainSummary,
-    LedgerReport,
-    LedgerWalk,
-    StepRecord,
-    TestVectorField,
-    TightnessReport,
-    constant_vector_field,
-    energy_multiphase,
-    energy_two_phase,
-    euler_lagrange_residual,
-    euler_lagrange_residual_forced,
-    euler_lagrange_residual_grain_growth,
-    first_variation_dissipation,
-    first_variation_dissipation_multiphase,
-    first_variation_energy,
-    first_variation_energy_multiphase,
-    ledger_check,
-    radial_bump_field,
-    state_difference,
-    tightness_monitor,
-)
-from .grid import (
-    DegeneratePhaseError,
-    EmptyPhaseError,
-    Grid,
-    MultiPhaseState,
-    PhaseField,
-    RealField,
-    bounding_radius,
-    centroid,
-    random_blob,
-    rasterize_ball,
-    rasterize_slab,
-    voronoi_labels,
-)
-from .kernel import (
-    HeatKernelPlan,
-    ResolutionWarning,
-    convolve,
-    spectral_divergence,
-)
-from .oracles import (
-    ExtinctionError,
-    TwoBallSolution,
-    circle_mcf,
-    forced_ball,
-    junction_angles,
-    solve_two_ball_vp,
-)
-from .schemes import (
-    SCHEMES,
-    MonotonicityCheck,
-    SchemeConfig,
-    Stepper,
-    SurfaceTensionMatrix,
-    approx_monotonicity_check,
-    equal_tensions,
-    step_forced,
-    step_grain_growth,
-    step_mbo,
-    step_volume_preserving,
-)
-from .threshold import SelectionResult, select_bottom_cells, select_top_cells
-
-__all__ = [
-    "GOOD_ITERATION_BAND",
-    "GrainSummary",
-    "SCHEMES",
-    "DegeneratePhaseError",
-    "EmptyPhaseError",
-    "ExtinctionError",
-    "Grid",
-    "HeatKernelPlan",
-    "LedgerReport",
-    "LedgerWalk",
-    "MonotonicityCheck",
-    "MultiPhaseState",
-    "PhaseField",
-    "RealField",
-    "ResolutionWarning",
-    "SchemeConfig",
-    "SelectionResult",
-    "StepRecord",
-    "Stepper",
-    "SurfaceTensionMatrix",
-    "TestVectorField",
-    "TightnessReport",
-    "TwoBallSolution",
-    "approx_monotonicity_check",
-    "bounding_radius",
-    "centroid",
-    "circle_mcf",
-    "constant_vector_field",
-    "convolve",
-    "energy_multiphase",
-    "energy_two_phase",
-    "equal_tensions",
-    "euler_lagrange_residual",
-    "euler_lagrange_residual_forced",
-    "euler_lagrange_residual_grain_growth",
-    "first_variation_dissipation",
-    "first_variation_dissipation_multiphase",
-    "first_variation_energy",
-    "first_variation_energy_multiphase",
-    "forced_ball",
-    "junction_angles",
-    "ledger_check",
-    "radial_bump_field",
-    "random_blob",
-    "rasterize_ball",
-    "rasterize_slab",
-    "select_bottom_cells",
-    "select_top_cells",
-    "solve_two_ball_vp",
-    "spectral_divergence",
-    "state_difference",
-    "step_forced",
-    "step_grain_growth",
-    "step_mbo",
-    "step_volume_preserving",
-    "tightness_monitor",
-    "voronoi_labels",
-]
-
 __version__ = "0.1.0"

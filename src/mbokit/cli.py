@@ -48,7 +48,6 @@ from .grid import (
     voronoi_labels,
 )
 from .kernel import ClampWarning
-from .oracles import ExtinctionError, circle_mcf
 from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
 
 MAGIC = "MBOF1"
@@ -571,6 +570,8 @@ def _measured_radius(state: PhaseField) -> float:
 
 def cmd_sweep(config_path: str) -> int:
     """Bandwidth sweep: convergence order for mbo, multiplier scaling for vp."""
+    from .oracles import ExtinctionError, circle_mcf  # no other command reads them
+
     cfg = read_config(config_path)
     grid = build_grid(cfg)
     scheme = cfg.require("scheme")

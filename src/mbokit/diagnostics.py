@@ -231,7 +231,7 @@ def energy_multiphase(
     """Weighted interfacial energy of a vapor/grain partition.
 
     ``smoothed`` yields (label, smoothed indicator) pairs, every label once
-    in any order (``enumerate`` of :func:`convolve_labels`, or a stream
+    in any order (``enumerate`` of a list of smoothed labels, or a stream
     whose fields are valid one at a time); each label's overlaps are summed
     on their own, so the order leaves the bits alone.  Grain pairs are
     weighted by their surface tension; the vapor boundary carries weight 1,

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, MultiPhaseState, PhaseField, RealField
+from .grid import Grid, PhaseField, RealField
 
 # Below sqrt(h) ~ 4 dx the smoothed profile is too steep for the grid and
 # thresholding dynamics tend to freeze in place.
@@ -268,7 +268,7 @@ class HeatKernelPlan:
                 f"{RESOLUTION_FACTOR:g} dx = {RESOLUTION_FACTOR * self.grid.dx:.3g}; "
                 "interfaces may pin to the grid",
                 ResolutionWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to the plan's builder
             )
         # |k|^2 in spatial axis order: array axis 0 (spatial d-1) comes last
         squares = [f[: self.grid.n // 2 + 1] ** 2 for f in _frequencies(self.grid)]
@@ -360,13 +360,6 @@ def convolve(
     if indicator:  # the clamp found the values finite
         return RealField.unchecked(plan.grid, out)
     return RealField(plan.grid, out)
-
-
-def convolve_labels(plan: HeatKernelPlan, state: MultiPhaseState) -> list[np.ndarray]:
-    """Clamped smoothed indicator of every label of a partition, vapor first."""
-    return [
-        convolve(plan, state.indicator(j)).values for j in range(state.num_grains + 1)
-    ]
 
 
 def spectral_divergence(grid: Grid, components: tuple[np.ndarray, ...]) -> np.ndarray:

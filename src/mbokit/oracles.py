@@ -14,8 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import MultiPhaseState
-
 
 class ExtinctionError(ValueError):
     """The requested time lies beyond the shape's extinction."""
@@ -165,92 +163,3 @@ def forced_ball(
         if not np.isfinite(y[0]) or y[0] <= 1e-9:
             raise ExtinctionError(f"forced ball extinct near t = {now:.6g}")
     return float(y[0])
-
-
-# ---------------------------------------------------------------------------
-# junction geometry
-
-
-def junction_angles(
-    state: MultiPhaseState,
-    window: tuple[Sequence[float], Sequence[float]],
-    exclusion_cells: float = 3.0,
-) -> tuple[float, ...]:
-    """Opening angles at a triple junction between three grains, in degrees.
-
-    Within the given window (a coordinate box (lo, hi)) there must be
-    exactly one junction where three grain labels meet.  For each label
-    pair, the interface direction is fit by principal components through
-    the midpoints of cell faces separating the two grains, skipping a disk
-    of ``exclusion_cells * dx`` around the junction where the arms blur
-    into each other.  Returns the three angles between consecutive arms,
-    which sum to 360 by construction.
-    """
-    grid = state.grid
-    if grid.dim != 2:
-        raise ValueError("junction fitting is two-dimensional")
-    lo, hi = (tuple(map(float, p)) for p in window)
-    labels = state.labels
-
-    def in_window(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (x >= lo[0]) & (x < hi[0]) & (y >= lo[1]) & (y < hi[1])
-
-    # corner points where 2x2 cell blocks carry 3 or more distinct grains
-    blocks = np.stack(
-        [labels, np.roll(labels, -1, 1), np.roll(labels, -1, 0),
-         np.roll(np.roll(labels, -1, 0), -1, 1)]
-    )
-    distinct = np.zeros(grid.shape, dtype=np.int32)
-    solid_block = (blocks > 0).all(axis=0)
-    for lab in range(1, state.num_grains + 1):
-        distinct += (blocks == lab).any(axis=0)
-    corner_x = grid.coordinate(0) + 0.5 * grid.dx  # corner shared by the block
-    corner_y = grid.coordinate(1) + 0.5 * grid.dx
-    cx = np.broadcast_to(corner_x, grid.shape)
-    cy = np.broadcast_to(corner_y, grid.shape)
-    hits = (distinct >= 3) & solid_block & in_window(cx, cy)
-    if not hits.any():
-        raise ValueError("no triple junction inside the window")
-    jx, jy = float(cx[hits].mean()), float(cy[hits].mean())
-    spread = np.hypot(cx[hits] - jx, cy[hits] - jy)
-    if spread.max() > 4.0 * grid.dx:
-        raise ValueError("window contains more than one junction cluster")
-
-    present = sorted({int(v) for v in np.unique(blocks[:, hits]) if v > 0})
-    if len(present) != 3:
-        raise ValueError(f"expected 3 grains at the junction, found {present}")
-
-    directions: dict[tuple[int, int], float] = {}
-    for a_idx in range(3):
-        for b_idx in range(a_idx + 1, 3):
-            a, b = present[a_idx], present[b_idx]
-            pts = []
-            for axis in (0, 1):
-                nb = np.roll(labels, -1, axis=1 - axis)  # neighbor along spatial axis
-                pair = ((labels == a) & (nb == b)) | ((labels == b) & (nb == a))
-                px = np.broadcast_to(grid.coordinate(0), grid.shape)[pair].copy()
-                py = np.broadcast_to(grid.coordinate(1), grid.shape)[pair].copy()
-                if axis == 0:
-                    px += 0.5 * grid.dx
-                else:
-                    py += 0.5 * grid.dx
-                keep = in_window(px, py)
-                dist = np.hypot(px - jx, py - jy)
-                keep &= dist > exclusion_cells * grid.dx
-                pts.append(np.column_stack([px[keep], py[keep]]))
-            cloud = np.vstack(pts)
-            if cloud.shape[0] < 3:
-                raise ValueError(f"too few interface points for grains {a},{b}")
-            rel = cloud - [jx, jy]
-            u, _s, _v = np.linalg.svd(rel - rel.mean(axis=0), full_matrices=False)
-            direction = _v[0]
-            if direction @ rel.mean(axis=0) < 0:
-                direction = -direction
-            directions[(a, b)] = math.atan2(direction[1], direction[0])
-
-    arms = sorted(directions.values())
-    angles = [
-        math.degrees((arms[(i + 1) % 3] - arms[i]) % (2.0 * math.pi))
-        for i in range(3)
-    ]
-    return tuple(angles)

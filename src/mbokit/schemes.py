@@ -448,37 +448,3 @@ class Stepper:
             if self.status != "running":
                 return
         self.status = "completed"
-
-
-
-# ---------------------------------------------------------------------------
-# bandwidth comparison
-
-
-@dataclass(frozen=True)
-class MonotonicityCheck:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def approx_monotonicity_check(
-    chi: PhaseField, h: float, h0: float
-) -> MonotonicityCheck:
-    """Check E_h >= (sqrt h0 / (sqrt h + sqrt h0))^(d+1) E_h0 for h <= h0.
-
-    The energy is almost monotone under bandwidth refinement; the prefactor
-    approaches 1/2^(d+1) at h = h0 and 1 as h -> 0.  Passing tolerance is
-    a relative 1e-6 on the right-hand side.  Both energies are the ones a
-    plain run's :class:`LedgerWalk` takes of ``chi``.
-    """
-    if not 0 < h <= h0:
-        raise ValueError(f"need 0 < h <= h0, got h={h}, h0={h0}")
-    d = chi.grid.dim
-    lhs, energy_h0 = (
-        LedgerWalk(SchemeConfig("mbo", chi.grid, b, 0), chi, chi).energy
-        for b in (h, h0)
-    )
-    factor = (math.sqrt(h0) / (math.sqrt(h) + math.sqrt(h0))) ** (d + 1)
-    rhs = factor * energy_h0
-    return MonotonicityCheck(lhs, rhs, lhs >= rhs * (1.0 - 1e-6))

@@ -1,22 +1,27 @@
-"""Full-grid reference forms that the package's own paths are tested against.
+"""Full-grid reference forms and test-side probes that the package's own
+paths are tested against.
 
 No scheme step and no audit calls these: ``diagnostics.LedgerWalk`` computes
 the dissipation of runs and audits on the changed cells only, and
 ``schemes.step_grain_growth`` folds the comparison fields only on the cells
 it cannot certify.  They keep the textbook definitions as independent
-oracles, built from public ``mbokit`` names alone.
+oracles, built from public ``mbokit`` names alone.  Next to them sit the
+probes no command reads: every label smoothed whole, the bandwidth
+monotonicity check of the energy (C9) and the triple-junction angles (C8).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from mbokit.diagnostics import GrainSummary, tension_rows
+from mbokit.diagnostics import GrainSummary, LedgerWalk, tension_rows
 from mbokit.grid import Grid, MultiPhaseState, PhaseField, RealField
-from mbokit.kernel import HeatKernelPlan
-from mbokit.schemes import SurfaceTensionMatrix
+from mbokit.kernel import HeatKernelPlan, convolve
+from mbokit.schemes import SchemeConfig, SurfaceTensionMatrix
 from mbokit.threshold import select_bottom_cells
 
 
@@ -167,3 +172,124 @@ def full_stack_step(state: MultiPhaseState, summary, gather, tensions):
     values = gather(np.arange(state.grid.total_cells))
     smoothed = [v.reshape(state.grid.shape) for v in values]
     return full_stack_grain_step(state, smoothed, tensions)
+
+
+def convolve_labels(plan: HeatKernelPlan, state: MultiPhaseState) -> list[np.ndarray]:
+    """Clamped smoothed indicator of every label of a partition, vapor first."""
+    return [
+        convolve(plan, state.indicator(j)).values for j in range(state.num_grains + 1)
+    ]
+
+
+@dataclass(frozen=True)
+class MonotonicityCheck:
+    lhs: float
+    rhs: float
+    passed: bool
+
+
+def approx_monotonicity_check(
+    chi: PhaseField, h: float, h0: float
+) -> MonotonicityCheck:
+    """Check E_h >= (sqrt h0 / (sqrt h + sqrt h0))^(d+1) E_h0 for h <= h0.
+
+    The energy is almost monotone under bandwidth refinement; the prefactor
+    approaches 1/2^(d+1) at h = h0 and 1 as h -> 0.  Passing tolerance is
+    a relative 1e-6 on the right-hand side.  Both energies are the ones a
+    plain run's :class:`LedgerWalk` takes of ``chi``.
+    """
+    if not 0 < h <= h0:
+        raise ValueError(f"need 0 < h <= h0, got h={h}, h0={h0}")
+    d = chi.grid.dim
+    lhs, energy_h0 = (
+        LedgerWalk(SchemeConfig("mbo", chi.grid, b, 0), chi, chi).energy
+        for b in (h, h0)
+    )
+    factor = (math.sqrt(h0) / (math.sqrt(h) + math.sqrt(h0))) ** (d + 1)
+    rhs = factor * energy_h0
+    return MonotonicityCheck(lhs, rhs, lhs >= rhs * (1.0 - 1e-6))
+
+
+def junction_angles(
+    state: MultiPhaseState,
+    window: tuple[Sequence[float], Sequence[float]],
+    exclusion_cells: float = 3.0,
+) -> tuple[float, ...]:
+    """Opening angles at a triple junction between three grains, in degrees.
+
+    Within the given window (a coordinate box (lo, hi)) there must be
+    exactly one junction where three grain labels meet.  For each label
+    pair, the interface direction is fit by principal components through
+    the midpoints of cell faces separating the two grains, skipping a disk
+    of ``exclusion_cells * dx`` around the junction where the arms blur
+    into each other.  Returns the three angles between consecutive arms,
+    which sum to 360 by construction.
+    """
+    grid = state.grid
+    if grid.dim != 2:
+        raise ValueError("junction fitting is two-dimensional")
+    lo, hi = (tuple(map(float, p)) for p in window)
+    labels = state.labels
+
+    def in_window(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (x >= lo[0]) & (x < hi[0]) & (y >= lo[1]) & (y < hi[1])
+
+    # corner points where 2x2 cell blocks carry 3 or more distinct grains
+    blocks = np.stack(
+        [labels, np.roll(labels, -1, 1), np.roll(labels, -1, 0),
+         np.roll(np.roll(labels, -1, 0), -1, 1)]
+    )
+    distinct = np.zeros(grid.shape, dtype=np.int32)
+    solid_block = (blocks > 0).all(axis=0)
+    for lab in range(1, state.num_grains + 1):
+        distinct += (blocks == lab).any(axis=0)
+    corner_x = grid.coordinate(0) + 0.5 * grid.dx  # corner shared by the block
+    corner_y = grid.coordinate(1) + 0.5 * grid.dx
+    cx = np.broadcast_to(corner_x, grid.shape)
+    cy = np.broadcast_to(corner_y, grid.shape)
+    hits = (distinct >= 3) & solid_block & in_window(cx, cy)
+    if not hits.any():
+        raise ValueError("no triple junction inside the window")
+    jx, jy = float(cx[hits].mean()), float(cy[hits].mean())
+    spread = np.hypot(cx[hits] - jx, cy[hits] - jy)
+    if spread.max() > 4.0 * grid.dx:
+        raise ValueError("window contains more than one junction cluster")
+
+    present = sorted({int(v) for v in np.unique(blocks[:, hits]) if v > 0})
+    if len(present) != 3:
+        raise ValueError(f"expected 3 grains at the junction, found {present}")
+
+    directions: dict[tuple[int, int], float] = {}
+    for a_idx in range(3):
+        for b_idx in range(a_idx + 1, 3):
+            a, b = present[a_idx], present[b_idx]
+            pts = []
+            for axis in (0, 1):
+                nb = np.roll(labels, -1, axis=1 - axis)  # neighbor along spatial axis
+                pair = ((labels == a) & (nb == b)) | ((labels == b) & (nb == a))
+                px = np.broadcast_to(grid.coordinate(0), grid.shape)[pair].copy()
+                py = np.broadcast_to(grid.coordinate(1), grid.shape)[pair].copy()
+                if axis == 0:
+                    px += 0.5 * grid.dx
+                else:
+                    py += 0.5 * grid.dx
+                keep = in_window(px, py)
+                dist = np.hypot(px - jx, py - jy)
+                keep &= dist > exclusion_cells * grid.dx
+                pts.append(np.column_stack([px[keep], py[keep]]))
+            cloud = np.vstack(pts)
+            if cloud.shape[0] < 3:
+                raise ValueError(f"too few interface points for grains {a},{b}")
+            rel = cloud - [jx, jy]
+            u, _s, _v = np.linalg.svd(rel - rel.mean(axis=0), full_matrices=False)
+            direction = _v[0]
+            if direction @ rel.mean(axis=0) < 0:
+                direction = -direction
+            directions[(a, b)] = math.atan2(direction[1], direction[0])
+
+    arms = sorted(directions.values())
+    angles = [
+        math.degrees((arms[(i + 1) % 3] - arms[i]) % (2.0 * math.pi))
+        for i in range(3)
+    ]
+    return tuple(angles)

@@ -38,18 +38,22 @@ from mbokit.grid import (
     rasterize_slab,
     voronoi_labels,
 )
-from mbokit.kernel import HeatKernelPlan, convolve, convolve_labels
-from mbokit.oracles import circle_mcf, junction_angles, solve_two_ball_vp
+from mbokit.kernel import ClampWarning, HeatKernelPlan, convolve
+from mbokit.oracles import circle_mcf, solve_two_ball_vp
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
-    approx_monotonicity_check,
     equal_tensions,
     step_grain_growth,
     step_volume_preserving,
 )
 
-from reference_forms import stack_source
+from reference_forms import (
+    approx_monotonicity_check,
+    convolve_labels,
+    junction_angles,
+    stack_source,
+)
 
 MATRIX_N = 256
 MATRIX_H = (1.6e-3, 6.4e-4, 2.5e-4)
@@ -450,16 +454,19 @@ def test_c09_energy_calibration():
         f"C9 FAIL: ball energy gaps {gaps} not shrinking toward {limit:.4f}"
     )
 
-    # approximate monotonicity under bandwidth refinement on random shapes
+    # approximate monotonicity under bandwidth refinement on random shapes;
+    # at h = 2.5e-5 (sqrt h ~ 1.3 dx) the clamp removes ringing just above
+    # its tolerance, which warns
     g = Grid(dim=2, n=256)
     margin = math.inf
-    for seed in range(50):
-        chi = random_blob(
-            g, seed=seed, fill=0.2 + 0.005 * seed, smoothing=0.02 + 0.0006 * seed
-        )
-        check = approx_monotonicity_check(chi, 2.5e-5, 1e-4)
-        assert check.passed, f"C9 FAIL: monotonicity violated at seed {seed}"
-        margin = min(margin, check.lhs / check.rhs - 1.0)
+    with pytest.warns(ClampWarning):
+        for seed in range(50):
+            chi = random_blob(
+                g, seed=seed, fill=0.2 + 0.005 * seed, smoothing=0.02 + 0.0006 * seed
+            )
+            check = approx_monotonicity_check(chi, 2.5e-5, 1e-4)
+            assert check.passed, f"C9 FAIL: monotonicity violated at seed {seed}"
+            margin = min(margin, check.lhs / check.rhs - 1.0)
     print(
         f"C9 PASS: flat energy within {worst_flat:.1e} over a decade of h; "
         f"ball energy gap to {limit:.4f} shrinking "

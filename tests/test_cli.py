@@ -744,6 +744,29 @@ class TestCommands:
         assert "ledger: FAIL" in captured.out
         assert "first violated step: 1" in captured.err
 
+    @pytest.mark.parametrize("init", ["ball", "slab"])
+    @pytest.mark.parametrize("value, status", [(30, "pinned"), (-30, "extinct")])
+    def test_force_past_the_threshold_range_fills_or_empties_the_torus(
+        self, tmp_path, capsys, init, value, status
+    ):
+        # |f| sqrt(h) = 1.90 > sqrt(pi): the threshold 1/2 - f sqrt(h) /
+        # (2 sqrt(pi)) leaves [0, 1], so step 1 fills (f > 0) or empties
+        # (f < 0) the torus whatever the state; the run is accepted and
+        # its ledger holds
+        out = tmp_path / "out"
+        text = BASE.replace("scheme = mbo", "scheme = forced")
+        if init == "slab":
+            text = text.replace("init = ball", "init = slab\nslab_lo = 0.2\nslab_hi = 0.4")
+        text += f"force = const\nforce_value = {value}\ndump_every = 1\nout_dir = {out}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert quiet_main(["run", cfg]) == 0
+        assert capsys.readouterr().out.startswith(f"status: {status} after")
+        state, _h, _step = read_dump(out / "state_000001.mbof")
+        assert state.cell_count == (state.grid.total_cells if value > 0 else 0)
+        dumps = sorted(str(p) for p in out.glob("state_*.mbof"))
+        assert quiet_main(["check", *dumps, "--config", cfg]) == 0
+        assert "ledger: PASS" in capsys.readouterr().out
+
     def test_initial_radius_warning_names_the_command(self, tmp_path):
         text = BASE.replace("ball_radius = 0.3", "ball_radius = 0.45")
         cfg = write_cfg(tmp_path, text + f"out_dir = {tmp_path}/out\n")
@@ -1134,11 +1157,15 @@ class TestWarnings:
         assert len([w for w in caught if w.category is ClampWarning]) == 1
 
 
-def scipy_modules_after(code: str) -> str:
-    """Sorted ``scipy*`` modules loaded by running ``code`` in a fresh process."""
+def modules_after(code: str, package: str) -> str:
+    """Sorted modules of ``package`` (itself and its submodules) loaded by
+    running ``code`` in a fresh process."""
     src = str(Path(mbokit.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += (
+        f"\nprint(sorted(m for m in sys.modules"
+        f" if m == {package!r} or m.startswith({package + '.'!r})))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
@@ -1180,12 +1207,20 @@ class TestGrainRunAgainstFullStackStep:
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # importing scipy.fft alone costs about 0.3 s of start-up per process
-        assert scipy_modules_after("import sys, mbokit.cli") == "[]"
+        assert modules_after("import sys, mbokit.cli", "scipy") == "[]"
 
-    def test_all_names_resolve_once(self):
-        assert len(set(mbokit.__all__)) == len(mbokit.__all__)
-        for name in mbokit.__all__:
-            assert getattr(mbokit, name) is not None, name
+    def test_cli_import_leaves_the_oracles_unloaded(self):
+        # only sweep reads an oracle, and it imports them itself
+        assert modules_after("import sys, mbokit.cli", "mbokit.oracles") == "[]"
+
+    def test_package_root_loads_no_submodule_and_reexports_no_name(self):
+        # every public name is imported from the module that defines it
+        code = (
+            "import sys, mbokit\n"
+            "names = [n for n in vars(mbokit) if not n.startswith('_')]\n"
+            "assert names == [] and mbokit.__version__, names"
+        )
+        assert modules_after(code, "mbokit") == "['mbokit']"
 
     def test_blob_initial_state_leaves_scipy_unloaded(self):
         # the blob filter used to import scipy.ndimage, about 0.3 s per process
@@ -1196,7 +1231,7 @@ class TestImports:
             "blob = build_initial(cfg, build_grid(cfg))\n"
             "assert blob.cell_count == round(0.3 * 32**3)"
         )
-        assert scipy_modules_after(code) == "[]"
+        assert modules_after(code, "scipy") == "[]"
 
 
 class TestExitMap:

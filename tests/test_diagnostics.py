@@ -57,13 +57,11 @@ from mbokit.kernel import (
     HeatKernelPlan,
     ResolutionWarning,
     convolve,
-    convolve_labels,
 )
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
     SurfaceTensionMatrix,
-    approx_monotonicity_check,
     equal_tensions,
     step_grain_growth,
     step_volume_preserving,
@@ -72,6 +70,8 @@ from mbokit.threshold import select_top_cells
 
 from conftest import symmetric_tensions
 from reference_forms import (
+    approx_monotonicity_check,
+    convolve_labels,
     dissipation_multiphase,
     dissipation_two_phase,
     linearized_energy,

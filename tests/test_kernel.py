@@ -88,8 +88,10 @@ class TestPlan:
 
     def test_warns_when_underresolved(self, grid128):
         # sqrt(h) below 4 cells: diffuse layer too thin for the grid
-        with pytest.warns(ResolutionWarning):
+        with pytest.warns(ResolutionWarning) as caught:
             HeatKernelPlan(grid128, 1e-6)
+        # it names the code that built the plan, not the dataclass's __init__
+        assert [w.filename for w in caught] == [__file__]
 
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("MBO_THREADS", "3")

@@ -8,10 +8,11 @@ from mbokit.oracles import (
     ExtinctionError,
     circle_mcf,
     forced_ball,
-    junction_angles,
     solve_two_ball_vp,
 )
 from mbokit.oracles import _rk4
+
+from reference_forms import junction_angles
 
 
 class TestCircleMcf:

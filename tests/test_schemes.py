@@ -18,7 +18,7 @@ from mbokit.grid import (
     rasterize_slab,
     voronoi_labels,
 )
-from mbokit.kernel import HeatKernelPlan, ResolutionWarning, convolve, convolve_labels
+from mbokit.kernel import HeatKernelPlan, ResolutionWarning, convolve
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
@@ -32,7 +32,12 @@ from mbokit.schemes import (
 from mbokit.threshold import select_bottom_cells
 
 from conftest import symmetric_tensions
-from reference_forms import full_stack_grain_step, plain_tension_rows, stack_source
+from reference_forms import (
+    convolve_labels,
+    full_stack_grain_step,
+    plain_tension_rows,
+    stack_source,
+)
 
 
 def triangle_message_reference(s):
