@@ -4,7 +4,6 @@ The Gaussian kernel of bandwidth ``sqrt(h)`` acts on torus fields through
 the exact spectral multiplier ``exp(-h |k|^2)`` with ``k = 2 pi m / side``.
 This keeps the zero mode untouched (mass is conserved to rounding), makes
 the semigroup property exact up to rounding, and never truncates tails.
-Gradients of the smoothed field use the multipliers ``i k_j exp(-h |k|^2)``.
 A plan stores only tables of ``|k|^2`` and builds the multipliers a block
 of rows along array axis 0 at a time; frequencies ``m`` and ``n - m`` there
 have equal squares, so a block of rows 0 .. n//2 also serves their mirrors.
@@ -107,11 +106,6 @@ def _row_blocks(rows: int, n: int, workers: int) -> list[slice]:
     return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def _spectral_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Shape of the real-to-complex spectrum of an array of ``shape``."""
-    return shape[:-1] + (shape[-1] // 2 + 1,)
-
-
 def _rfftn(values: np.ndarray, workers: int, spectrum: np.ndarray) -> np.ndarray:
     """``scipy.fft.rfftn`` bit for bit: r2c on the last axis, then c2c on 0 .. d-2.
 
@@ -212,22 +206,6 @@ def _frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def _derivative_factors(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Pure-imaginary first-derivative multipliers, Nyquist modes zeroed.
-
-    Zeroing the Nyquist plane keeps the derivative kernel odd, so gradients
-    of real fields stay real and antisymmetry is exact.
-    """
-    nyquist = np.pi * grid.n / grid.side
-    factors = []
-    for k in range(grid.dim):
-        f = _frequencies(grid)[k].copy()
-        f[np.isclose(np.abs(f), nyquist)] = 0.0
-        factors.append(1j * f)
-    return tuple(factors)
-
-
 def multiplier_exponent(grid: Grid, h: float) -> float:
     """The largest ``h |k|^2`` over the grid's frequencies, as a plan forms
     it: ``inf`` when the multipliers of bandwidth ``h`` would overflow."""
@@ -277,7 +255,8 @@ class HeatKernelPlan:
 
     def empty_spectrum(self) -> np.ndarray:
         """A new, uninitialised buffer for one spectrum of the plan's grid."""
-        return np.empty(_spectral_shape(self.grid.shape), dtype=np.complex128)
+        shape = self.grid.shape[:-1] + (self.grid.n // 2 + 1,)
+        return np.empty(shape, dtype=np.complex128)
 
     def forward(self, values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """Real-to-complex transform of a grid array of floats or booleans,
@@ -324,53 +303,28 @@ class HeatKernelPlan:
         spectrum = self.forward(values, self.empty_spectrum())
         return self.inverse(self.multiply(spectrum), clamp=False)
 
-    def apply_grad_component(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """One component of the gradient of the smoothed raw array."""
-        spectrum = self.multiply(self.forward(values, self.empty_spectrum()))
-        spectrum *= _derivative_factors(self.grid)[axis]
-        return self.inverse(spectrum, clamp=False)
-
 
 def convolve(
-    plan: HeatKernelPlan,
-    field_in: PhaseField | RealField,
-    spectrum: np.ndarray | None = None,
+    plan: HeatKernelPlan, field_in: PhaseField, spectrum: np.ndarray | None = None
 ) -> RealField:
-    """Smooth a field with the heat kernel of the plan's bandwidth.
+    """Smooth an indicator with the heat kernel of the plan's bandwidth.
 
-    Indicator inputs are clamped back to [0, 1] as the inverse writes them;
-    the spectral ringing removed this way is tiny (order 1e-15) and a
+    The values are clamped back to [0, 1] as the inverse writes them; the
+    spectral ringing removed this way is tiny (order 1e-15) and a
     :class:`ClampWarning` fires if it exceeds the tolerance.  ``plan.apply``
-    gives the raw values.  The cell average is preserved to rounding.
+    smooths a raw array, unclamped.  The cell average is preserved to
+    rounding.
 
     One transform pair does the work: the forward transform reads the mask
-    (or the values) into ``spectrum``, a buffer from
-    :meth:`HeatKernelPlan.empty_spectrum` that shares no memory with the
-    input (a new one when None), and the smoothed values are written over
-    it, so the result's values are a view into that buffer, 2/n larger than
-    a field.
+    into ``spectrum``, a buffer from :meth:`HeatKernelPlan.empty_spectrum`
+    that shares no memory with the input (a new one when None), and the
+    smoothed values are written over it, so the result's values are a view
+    into that buffer, 2/n larger than a field.
     """
     if field_in.grid != plan.grid:
         raise ValueError("field grid does not match plan grid")
-    indicator = isinstance(field_in, PhaseField)
     if spectrum is None:
         spectrum = plan.empty_spectrum()
-    spectrum = plan.forward(field_in.mask if indicator else field_in.values, spectrum)
-    out = plan.inverse(plan.multiply(spectrum), clamp=indicator)
-    if indicator:  # the clamp found the values finite
-        return RealField.unchecked(plan.grid, out)
-    return RealField(plan.grid, out)
-
-
-def spectral_divergence(grid: Grid, components: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Divergence of a smooth vector field via spectral differentiation."""
-    if len(components) != grid.dim:
-        raise ValueError(f"need {grid.dim} components, got {len(components)}")
-    w = default_workers()
-    factors = _derivative_factors(grid)
-    out = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        spec = _rfftn(components[k], w, np.empty(_spectral_shape(grid.shape), complex))
-        spec *= factors[k]
-        out += _irfftn(spec, grid.shape, w, False)
-    return out
+    spectrum = plan.forward(field_in.mask, spectrum)
+    out = plan.inverse(plan.multiply(spectrum), clamp=True)
+    return RealField.unchecked(plan.grid, out)  # the clamp found the values finite

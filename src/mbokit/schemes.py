@@ -358,7 +358,7 @@ class Stepper:
     and the previous state, one spectrum and the summary are held.  A
     warning fires if the support radius of a compact solid, one that starts
     below half the side, ever exceeds 40 percent of the side, where its
-    periodic images start to interact.
+    periodic images start to interact, unless it fills the torus.
     """
 
     def __init__(self, config: SchemeConfig, initial) -> None:
@@ -418,11 +418,14 @@ class Stepper:
             row = walk.advance(n, new_state, force_now, last)
 
             new_solid = _solid_of(new_state)
-            radius = None
-            if new_solid.cell_count:
+            count, radius = new_solid.cell_count, None
+            if count:
                 radius = bounding_radius(new_solid, self.center)
             del new_solid  # a partition's solid mask is not held across the yield
-            wrapping = radius is not None and radius > WRAP_RADIUS_FRACTION * grid.side
+            # a solid filling the torus has no interface, so no periodic images
+            wrapping = 0 < count < grid.total_cells and (
+                radius > WRAP_RADIUS_FRACTION * grid.side
+            )
             if wrapping and not wrap_warned:
                 warnings.warn(
                     f"support radius {radius:.3g} at step {n} exceeds "

@@ -7,13 +7,19 @@ the dissipation of runs and audits on the changed cells only, and
 it cannot certify.  They keep the textbook definitions as independent
 oracles, built from public ``mbokit`` names alone.  Next to them sit the
 probes no command reads: every label smoothed whole, the bandwidth
-monotonicity check of the energy (C9) and the triple-junction angles (C8).
+monotonicity check of the energy (C9), the triple-junction angles (C8),
+and the stationarity probes (C10): inner variations of energy and
+dissipation along a test vector field, whose weighted sum is the discrete
+Euler-Lagrange residual of a step.  Their spectral derivatives run on a
+plan's public ``forward``/``multiply``/``inverse``, with derivative
+factors built from ``np.fft`` as :func:`full_multipliers` builds its table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -293,3 +299,274 @@ def junction_angles(
         for i in range(3)
     ]
     return tuple(angles)
+
+
+# ---------------------------------------------------------------------------
+# stationarity probes: inner variations of energy and dissipation
+
+
+def _cellsum(grid: Grid, values: np.ndarray) -> float:
+    return float(values.sum()) * grid.cell_volume
+
+
+def state_difference(a: MultiPhaseState, b: MultiPhaseState) -> np.ndarray:
+    """Per-label indicator difference a - b, shape (num_grains+1, *grid)."""
+    if a.grid != b.grid or a.num_grains != b.num_grains:
+        raise ValueError("states are not comparable")
+    out = np.empty((a.num_grains + 1,) + a.grid.shape, dtype=np.int8)
+    for i in range(a.num_grains + 1):
+        out[i] = (a.labels == i).astype(np.int8) - (b.labels == i).astype(np.int8)
+    return out
+
+
+def derivative_factors(grid: Grid) -> tuple[np.ndarray, ...]:
+    """The first-derivative multipliers ``i k_j`` over the real-to-complex
+    spectrum, in spatial axis order, built from ``np.fft`` as
+    :func:`full_multipliers` builds its table, with the Nyquist modes
+    zeroed: that keeps the derivative kernel odd, so gradients of real
+    fields stay real and antisymmetry is exact."""
+    nyquist = np.pi * grid.n / grid.side
+    factors = []
+    for k in range(grid.dim):
+        f = np.fft.rfftfreq if k == 0 else np.fft.fftfreq
+        shape = [1] * grid.dim
+        shape[grid.dim - 1 - k] = -1
+        freq = (2.0 * np.pi * f(grid.n, d=grid.dx)).reshape(shape)
+        freq[np.isclose(np.abs(freq), nyquist)] = 0.0
+        factors.append(1j * freq)
+    return tuple(factors)
+
+
+def gradient_component(
+    plan: HeatKernelPlan, values: np.ndarray, axis: int
+) -> np.ndarray:
+    """Component ``axis`` of the gradient of the smoothed raw array, on the
+    plan's public transform route."""
+    spectrum = plan.multiply(plan.forward(values, plan.empty_spectrum()))
+    spectrum *= derivative_factors(plan.grid)[axis]
+    return plan.inverse(spectrum, clamp=False)
+
+
+def spectral_divergence(grid: Grid, components: Sequence[np.ndarray]) -> np.ndarray:
+    """Divergence of a smooth vector field by spectral differentiation, on
+    the transforms of a plan of the grid whose bandwidth is never applied
+    (``side**2`` only keeps it from warning)."""
+    plan = HeatKernelPlan(grid, grid.side**2)
+    if len(components) != grid.dim:
+        raise ValueError(f"need {grid.dim} components, got {len(components)}")
+    factors = derivative_factors(grid)
+    out = np.zeros(grid.shape)
+    for k in range(grid.dim):
+        spec = plan.forward(components[k], plan.empty_spectrum())
+        spec *= factors[k]
+        out += plan.inverse(spec, clamp=False)
+    return out
+
+
+@dataclass(frozen=True)
+class TestVectorField:
+    """Smooth periodic vector field used to probe stationarity."""
+
+    grid: Grid
+    components: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.components) != self.grid.dim:
+            raise ValueError("one component per spatial axis required")
+        comps = tuple(
+            np.ascontiguousarray(np.asarray(c, dtype=np.float64))
+            for c in self.components
+        )
+        for c in comps:
+            if c.shape != self.grid.shape:
+                raise ValueError("component shape does not match grid")
+        object.__setattr__(self, "components", comps)
+
+    @cached_property
+    def divergence(self) -> np.ndarray:
+        return spectral_divergence(self.grid, self.components)
+
+
+def constant_vector_field(grid: Grid, direction: Sequence[float]) -> TestVectorField:
+    """Spatially constant field; its divergence vanishes identically."""
+    if len(direction) != grid.dim:
+        raise ValueError("direction dimension does not match grid")
+    comps = tuple(np.full(grid.shape, float(d)) for d in direction)
+    return TestVectorField(grid, comps)
+
+
+def radial_bump_field(
+    grid: Grid, center: Sequence[float], r0: float, width: float
+) -> TestVectorField:
+    """Radial field g(r) e_r with a Gaussian bump g at radius r0.
+
+    The bump must decay before the torus seam (keep r0 plus a few widths
+    below half the side) so the field is smooth as a periodic function.
+    """
+    d2 = grid.periodic_distance_sq(center)
+    r = np.sqrt(d2)
+    g = np.exp(-(((r - r0) / width) ** 2))
+    scale = g / np.maximum(r, 1e-12)
+    comps = []
+    for k in range(grid.dim):
+        delta = grid.wrap_delta(grid.coordinate(k) - center[k])
+        comps.append(scale * np.broadcast_to(delta, grid.shape))
+    return TestVectorField(grid, tuple(comps))
+
+
+def first_variation_energy(chi: PhaseField, xi: TestVectorField, h: float) -> float:
+    """Inner variation of the two-phase energy along the flow of ``xi``.
+
+    Uses the divergence form in which every term is a kernel convolution of
+    a bounded field, so no derivative of the indicator is ever needed:
+
+        (1/sqrt h) * integral of
+            xi . (1-chi) grad(G chi)  -  (1-chi) gradG . (xi chi)
+          + div(xi) (1-chi) (G chi)   +  (1-chi) G(div(xi) chi)
+    """
+    plan = HeatKernelPlan(chi.grid, h)
+    g = chi.grid
+    c = chi.as_float()
+    outside = 1.0 - c
+    div = xi.divergence
+    smooth = plan.apply(c)
+    t1 = np.zeros(g.shape)
+    t2 = np.zeros(g.shape)
+    for k in range(g.dim):
+        t1 += xi.components[k] * gradient_component(plan, c, k)
+        t2 += gradient_component(plan, xi.components[k] * c, k)
+    total = outside * (t1 - t2) + div * outside * smooth + outside * plan.apply(div * c)
+    return _cellsum(g, total) / math.sqrt(h)
+
+
+def first_variation_dissipation(
+    chi1: PhaseField, chi0: PhaseField, xi: TestVectorField, h: float
+) -> float:
+    """Inner variation of the dissipation term at the updated phase.
+
+    Equals (2/sqrt h) * integral of chi1 xi . grad(G (chi1-chi0)) +
+    div(xi) chi1 G (chi1-chi0).  Flowing the update further away from its
+    predecessor increases the dissipation, so for a pure translation flow
+    past a just-translated state this comes out positive.
+    """
+    plan = HeatKernelPlan(chi1.grid, h)
+    g = chi1.grid
+    omega = chi1.as_float() - chi0.as_float()
+    c1 = chi1.as_float()
+    adv = np.zeros(g.shape)
+    for k in range(g.dim):
+        adv += xi.components[k] * gradient_component(plan, omega, k)
+    total = c1 * adv + xi.divergence * c1 * plan.apply(omega)
+    return 2.0 * _cellsum(g, total) / math.sqrt(h)
+
+
+def _weighted_variation_terms(
+    labels: np.ndarray,
+    fields: Sequence[np.ndarray],
+    tensions: SurfaceTensionMatrix,
+    xi: TestVectorField,
+    h: float,
+) -> float:
+    """Sum over labels j of  w_j xi . grad(G f_j) + div(xi) w_j (G f_j)
+    with weights w_j(x) = extended_sigma[label(x), j]."""
+    g = xi.grid
+    plan = HeatKernelPlan(g, h)
+    ext = tensions.extended
+    total = np.zeros(g.shape)
+    div = xi.divergence
+    for j in range(tensions.num_grains + 1):
+        w = ext[labels, j]
+        adv = np.zeros(g.shape)
+        for k in range(g.dim):
+            adv += xi.components[k] * gradient_component(plan, fields[j], k)
+        total += w * adv + div * w * plan.apply(fields[j])
+    return float(total.sum()) * g.cell_volume
+
+
+def first_variation_energy_multiphase(
+    state: MultiPhaseState,
+    tensions: SurfaceTensionMatrix,
+    xi: TestVectorField,
+    h: float,
+) -> float:
+    """Inner variation of the multiphase energy along ``xi``."""
+    fields = [state.indicator(j).as_float() for j in range(state.num_grains + 1)]
+    raw = _weighted_variation_terms(state.labels, fields, tensions, xi, h)
+    return 2.0 * raw / math.sqrt(h)
+
+
+def first_variation_dissipation_multiphase(
+    state1: MultiPhaseState,
+    state0: MultiPhaseState,
+    tensions: SurfaceTensionMatrix,
+    xi: TestVectorField,
+    h: float,
+) -> float:
+    """Inner variation of the quadratic increment energy at the update."""
+    omega = state_difference(state1, state0).astype(np.float64)
+    fields = [omega[j] for j in range(state1.num_grains + 1)]
+    raw = _weighted_variation_terms(state1.labels, fields, tensions, xi, h)
+    return 2.0 * raw / math.sqrt(h)
+
+
+def euler_lagrange_residual(
+    chi1: PhaseField, chi0: PhaseField, lam: float, xi: TestVectorField, h: float
+) -> float:
+    """Stationarity residual of a volume-preserving step against ``xi``.
+
+    Sums the energy variation, the dissipation variation, and the volume
+    multiplier term ((2 lam - 1)/sqrt h) * integral of div(xi) chi1.  The
+    exact continuum minimizer makes this vanish; on a grid it is a
+    discretization monitor that should shrink under refinement.
+    """
+    g = chi1.grid
+    multiplier = (2.0 * lam - 1.0) / math.sqrt(h)
+    volume_term = multiplier * _cellsum(g, xi.divergence * chi1.as_float())
+    return (
+        first_variation_energy(chi1, xi, h)
+        + first_variation_dissipation(chi1, chi0, xi, h)
+        + volume_term
+    )
+
+
+def euler_lagrange_residual_forced(
+    chi1: PhaseField,
+    chi0: PhaseField,
+    force_now: RealField,
+    xi: TestVectorField,
+    h: float,
+) -> float:
+    """Stationarity residual of a forced step against ``xi``.
+
+    The multiplier term is replaced by the force coupling
+    -(1/sqrt pi) * integral of div(f xi) chi1, with the product divergence
+    computed spectrally from the sampled force.
+    """
+    g = chi1.grid
+    fxi = tuple(force_now.values * c for c in xi.components)
+    div_fxi = spectral_divergence(g, fxi)
+    force_term = -_cellsum(g, div_fxi * chi1.as_float()) / math.sqrt(math.pi)
+    return (
+        first_variation_energy(chi1, xi, h)
+        + first_variation_dissipation(chi1, chi0, xi, h)
+        + force_term
+    )
+
+
+def euler_lagrange_residual_grain_growth(
+    state1: MultiPhaseState,
+    state0: MultiPhaseState,
+    lam: float,
+    tensions: SurfaceTensionMatrix,
+    xi: TestVectorField,
+    h: float,
+) -> float:
+    """Stationarity residual of a grain-growth step against ``xi``."""
+    g = state1.grid
+    solid1 = state1.solid_mask.astype(np.float64)
+    volume_term = (2.0 * lam / math.sqrt(h)) * _cellsum(g, xi.divergence * solid1)
+    return (
+        first_variation_energy_multiphase(state1, tensions, xi, h)
+        - first_variation_dissipation_multiphase(state1, state0, tensions, xi, h)
+        - volume_term
+    )

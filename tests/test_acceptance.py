@@ -18,13 +18,10 @@ import numpy as np
 import pytest
 
 from mbokit.diagnostics import (
-    constant_vector_field,
     energy_two_phase,
-    euler_lagrange_residual,
     ledger_check,
     loglog_slope,
     multiplier_integral,
-    radial_bump_field,
 )
 from mbokit.grid import (
     Grid,
@@ -50,8 +47,11 @@ from mbokit.schemes import (
 
 from reference_forms import (
     approx_monotonicity_check,
+    constant_vector_field,
     convolve_labels,
+    euler_lagrange_residual,
     junction_angles,
+    radial_bump_field,
     stack_source,
 )
 

@@ -24,22 +24,12 @@ from mbokit.diagnostics import (
     TIGHTNESS_SLOPE,
     LedgerRow,
     LedgerWalk,
-    constant_vector_field,
     energy_multiphase,
     energy_two_phase,
-    euler_lagrange_residual,
-    euler_lagrange_residual_forced,
-    euler_lagrange_residual_grain_growth,
-    first_variation_dissipation,
-    first_variation_dissipation_multiphase,
-    first_variation_energy,
-    first_variation_energy_multiphase,
     ledger_check,
     ledger_report,
     loglog_slope,
     multiplier_integral,
-    radial_bump_field,
-    state_difference,
     tension_rows,
     tightness_monitor,
 )
@@ -54,6 +44,7 @@ from mbokit.grid import (
     voronoi_labels,
 )
 from mbokit.kernel import (
+    ClampWarning,
     HeatKernelPlan,
     ResolutionWarning,
     convolve,
@@ -71,13 +62,23 @@ from mbokit.threshold import select_top_cells
 from conftest import symmetric_tensions
 from reference_forms import (
     approx_monotonicity_check,
+    constant_vector_field,
     convolve_labels,
     dissipation_multiphase,
     dissipation_two_phase,
+    euler_lagrange_residual,
+    euler_lagrange_residual_forced,
+    euler_lagrange_residual_grain_growth,
+    first_variation_dissipation,
+    first_variation_dissipation_multiphase,
+    first_variation_energy,
+    first_variation_energy_multiphase,
     linearized_energy,
     phase_difference,
     plain_tension_rows,
+    radial_bump_field,
     stack_source,
+    state_difference,
 )
 
 
@@ -806,11 +807,15 @@ class TestMultiphaseStationarity:
 
 class TestApproxMonotonicity:
     def test_holds_on_random_shapes(self, grid128):
-        for seed in range(5):
-            blob = random_blob(grid128, seed=seed)
-            chk = approx_monotonicity_check(blob, 1e-4, 1e-3)
-            assert chk.passed
-            assert chk.lhs >= chk.rhs * (1.0 - 1e-6)
+        # at h = 1e-4 (sqrt(h) = 1.3 dx) three blobs' smoothed fields ring
+        # by 1.1-1.6e-9, past the clamp tolerance of 1e-9
+        with pytest.warns(ClampWarning) as caught:
+            for seed in range(5):
+                blob = random_blob(grid128, seed=seed)
+                chk = approx_monotonicity_check(blob, 1e-4, 1e-3)
+                assert chk.passed
+                assert chk.lhs >= chk.rhs * (1.0 - 1e-6)
+        assert sum(w.category is ClampWarning for w in caught) == 3
 
     def test_rejects_bad_bandwidth_order(self, grid128):
         blob = random_blob(grid128, seed=0)

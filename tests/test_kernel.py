@@ -1,23 +1,29 @@
+import ast
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from mbokit.grid import Grid, PhaseField, RealField, rasterize_ball, rasterize_slab
-from reference_forms import full_multipliers
+from mbokit import kernel
+from mbokit.grid import Grid, PhaseField, rasterize_ball, rasterize_slab
 from mbokit.kernel import (
     _BLOCK_CELLS,
     ClampWarning,
     HeatKernelPlan,
     ResolutionWarning,
-    _derivative_factors,
     _rfftn,
     _row_blocks,
     convolve,
     default_workers,
+)
+from reference_forms import (
+    derivative_factors,
+    full_multipliers,
+    gradient_component,
     spectral_divergence,
 )
 
@@ -121,7 +127,8 @@ class TestConvolve:
             warnings.simplefilter("ignore", ResolutionWarning)
             plan = HeatKernelPlan(grid128, 2e-6)
         ball = rasterize_ball(grid128, (0.5, 0.5), 0.2)
-        out = convolve(plan, ball)
+        with pytest.warns(ClampWarning):  # sqrt(h) = dx / 5.5 rings by 1.4e-2
+            out = convolve(plan, ball)
         assert out.values.min() >= 0.0
         assert out.values.max() <= 1.0
 
@@ -186,12 +193,12 @@ class TestConvolve:
         u = np.full(grid128.shape, 0.37)
         assert plan.apply(u) == pytest.approx(u, rel=1e-14)
 
-    def test_real_field_not_clamped_by_default(self, grid128):
+    def test_raw_values_not_clamped(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
-        f = RealField(grid128, np.where(rasterize_ball(
-            grid128, (0.5, 0.5), 0.3).mask, 2.0, -1.0))
-        out = convolve(plan, f)
-        assert out.values.max() > 1.0
+        values = np.where(rasterize_ball(grid128, (0.5, 0.5), 0.3).mask, 2.0, -1.0)
+        out = plan.apply(values)
+        assert out.max() > 1.0
+        assert out.min() < 0.0
 
     def test_given_spectrum_is_written_over_with_the_same_bits(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
@@ -209,7 +216,7 @@ class TestGradConvolve:
         # peak slope of the smoothed step: (4 pi h)^(-1/2)
         plan = HeatKernelPlan(grid512, 1e-3)
         slab = rasterize_slab(grid512, 0, 0.25, 0.75)
-        gx, gy = (plan.apply_grad_component(slab.as_float(), k) for k in (0, 1))
+        gx, gy = (gradient_component(plan, slab.as_float(), k) for k in (0, 1))
         target = (4.0 * math.pi * 1e-3) ** -0.5
         assert np.abs(gx).max() == pytest.approx(target, rel=0.02)
         assert np.abs(gy).max() == 0.0
@@ -217,14 +224,14 @@ class TestGradConvolve:
     def test_gradient_signs_on_slab(self, grid512):
         plan = HeatKernelPlan(grid512, 1e-3)
         slab = rasterize_slab(grid512, 0, 0.25, 0.75)
-        gx = plan.apply_grad_component(slab.as_float(), 0)
+        gx = gradient_component(plan, slab.as_float(), 0)
         # entering interface rises, exiting falls
         assert gx[0, 128] > 0.0
         assert gx[0, 384] < 0.0
 
     def test_gradient_of_constant_vanishes(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
-        comp = plan.apply_grad_component(np.ones(grid128.shape), 0)
+        comp = gradient_component(plan, np.ones(grid128.shape), 0)
         assert np.abs(comp).max() <= 1e-14
 
     def test_divergence_of_gradient_matches_laplacian(self, grid128, rng):
@@ -232,7 +239,7 @@ class TestGradConvolve:
         # smoothed field is band-limited enough for a loose comparison
         plan = HeatKernelPlan(grid128, 1e-3)
         u = rng.random(grid128.shape)
-        comps = tuple(plan.apply_grad_component(u, k) for k in range(2))
+        comps = tuple(gradient_component(plan, u, k) for k in range(2))
         div = spectral_divergence(grid128, comps)
         smooth = plan.apply(u)
         fd = np.zeros(grid128.shape)
@@ -265,7 +272,7 @@ class TestTransformsMatchScipy:
         comps = tuple(rng.standard_normal(grid.shape) for _ in range(dim))
         expected = np.zeros(grid.shape)
         for k in range(dim):
-            spec = sfft.rfftn(comps[k], workers=1) * _derivative_factors(grid)[k]
+            spec = sfft.rfftn(comps[k], workers=1) * derivative_factors(grid)[k]
             expected += sfft.irfftn(spec, s=grid.shape, workers=1)
         assert np.array_equal(spectral_divergence(grid, comps), expected)
 
@@ -343,3 +350,27 @@ class TestTransformsMatchScipy:
         for n in range(8, 2049):
             total = n**dim
             assert 1.0 / total == float(np.longdouble(1) / total), n
+
+
+def test_private_transforms_are_reached_through_the_plan_only():
+    # every transform in the package runs through HeatKernelPlan.forward
+    # and .inverse, on the plan's workers: no second route to pocketfft
+    private = ("_rfftn", "_irfftn")
+    uses = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name in private and isinstance(child, (ast.Name, ast.Attribute)):
+                uses.append((name, f"{module}:{'.'.join(scope)}"))
+            visit(child, inner, module)
+
+    for path in sorted(Path(kernel.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.name)
+    assert sorted(uses) == [
+        ("_irfftn", "kernel.py:HeatKernelPlan.inverse"),
+        ("_rfftn", "kernel.py:HeatKernelPlan.forward"),
+    ]

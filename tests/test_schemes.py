@@ -18,7 +18,7 @@ from mbokit.grid import (
     rasterize_slab,
     voronoi_labels,
 )
-from mbokit.kernel import HeatKernelPlan, ResolutionWarning, convolve
+from mbokit.kernel import ClampWarning, HeatKernelPlan, ResolutionWarning, convolve
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
@@ -70,6 +70,13 @@ def grain_step_reference(state, tensions, smoothed):
     )
     labels = np.where(sel.mask.mask, best.astype(np.int32) + 1, 0)
     return labels, float(sel.threshold)
+
+
+def constant_force(value):
+    def force(grid, _t):
+        return RealField(grid, np.full(grid.shape, value))
+
+    return force
 
 
 def quiet_plan(grid, h):
@@ -600,7 +607,8 @@ class TestRun:
     def test_underresolved_ball_pins(self, grid64):
         ball = rasterize_ball(grid64, (0.5, 0.5), 0.2)
         cfg = SchemeConfig(scheme="mbo", grid=grid64, h=1e-6, steps=10)
-        with warnings.catch_warnings():
+        # sqrt(h) ~ dx / 16: the smoothed ball rings by 2.7e-3
+        with warnings.catch_warnings(), pytest.warns(ClampWarning):
             warnings.simplefilter("ignore", ResolutionWarning)
             stepper = Stepper(cfg, ball)
             list(stepper)
@@ -659,6 +667,28 @@ class TestRun:
         assert (stepper.initial_radius < 0.5) == (kind == "ball")
         radius = [w for w in caught if "support radius" in str(w.message)]
         assert len(radius) == (kind == "ball")
+
+    def test_a_solid_filling_the_torus_does_not_warn(self, grid64):
+        # the threshold 1/2 - f sqrt(h) / (2 sqrt(pi)) is below 0, so the
+        # first step fills the torus: no interface is left, so no images
+        cfg = SchemeConfig("forced", grid64, 4e-3, 3, force=constant_force(30.0))
+        ball = rasterize_ball(grid64, (0.5, 0.5), 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepper = Stepper(cfg, ball)
+            states = list(stepper)
+        assert states[0].cell_count == grid64.total_cells
+        assert stepper.records[0].bounding_radius > 0.4 * grid64.side
+        assert stepper.status == "pinned"
+
+    def test_a_compact_ball_growing_past_the_bound_warns(self, grid64):
+        # radius 0.37 grows to 0.42 at step 2 and 0.46 at step 3, unfilled
+        cfg = SchemeConfig("forced", grid64, 4e-3, 3, force=constant_force(8.0))
+        ball = rasterize_ball(grid64, (0.5, 0.5), 0.37)
+        with pytest.warns(UserWarning, match="support radius .* at step 2") as caught:
+            states = list(Stepper(cfg, ball))
+        assert len(caught) == 1
+        assert states[-1].cell_count < grid64.total_cells
 
     def test_last_step_tells_the_walk_that_nothing_follows(
         self, many_grains, monkeypatch
