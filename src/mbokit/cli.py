@@ -474,7 +474,7 @@ def read_dump(path: Path | str):
                     f"{path}: payload holds label {payload.max()}, "
                     f"above its {header.num_grains} grains"
                 )
-            state = MultiPhaseState(grid, labels.astype(np.int32), header.num_grains)
+            state = MultiPhaseState(grid, labels, header.num_grains)  # casts once
     except (ValueError, OSError) as exc:
         raise DumpError(str(exc)) from exc
     return state, header.h, header.step

@@ -128,40 +128,22 @@ def energy_two_phase(chi: PhaseField, smoothed: RealField, h: float) -> float:
 # multiphase energy pieces
 
 
-def tension_rows(ext: np.ndarray, fields: Sequence[np.ndarray]):
-    """Yield sum over j of ext[i, j] * fields[j] for each label i, in j order.
+def tension_row(weights: np.ndarray, values: np.ndarray, cols: np.ndarray):
+    """Sum over j of weights[j] * values[j, cols], folded from +0.0 in j order.
 
-    Each row is folded from +0.0; weights of exactly 1 add ``f`` itself,
-    which is the same sum without the multiply, and weights of 0 nothing.
-    Row i starts from row i-1's partial sum over the leading weights the
-    two share, saved while row i-1 was folded (when more than one): every
-    cell sees the same operations in the same order, so the bits are those
-    of a fold from scratch.  With equal tensions row i shares i-1 weights,
-    so the rows cost about p²/2 field additions, not p².  A yielded row is
-    valid until the next is asked for; copy it to keep it.
+    ``np.add.accumulate`` adds the terms one by one at any width (a narrow
+    ``np.add.reduce`` does not), a block of at most 2^12 values at a time.
+    Weights of 1 and 0 give the values and signed zeros, which change no
+    nonzero sum; the closing + 0.0, the fold's start, turns -0.0 to +0.0.
     """
-    m = len(fields)
-    # shares[i]: the leading weights row i + 1 has in common with row i
-    # (0 for identical rows, which are folded from scratch)
-    shares = [*(ext[1:] == ext[:-1]).argmin(axis=1).tolist(), 0]
-    acc, saved, term = (np.empty_like(fields[0]) for _ in range(3))
-    start = 0
-    for i, share in enumerate(shares):
-        if start:
-            acc, saved = saved, acc
-        else:
-            acc.fill(0.0)
-        # no save when the prefix was passed already or is one weight long
-        keep = share if share >= max(start, 2) else None
-        for j in range(start, m):
-            if j == keep:
-                np.copyto(saved, acc)
-            if ext[i, j] == 1.0:
-                acc += fields[j]
-            elif ext[i, j] != 0.0:
-                acc += np.multiply(ext[i, j], fields[j], out=term)
-        yield acc
-        start = keep or 0
+    row = np.empty(cols.size)
+    width = max(1, 4096 // weights.size)
+    for lo in range(0, cols.size, width):
+        block = values[:, cols[lo : lo + width]]
+        np.multiply(weights[:, None], block, out=block)
+        np.add.accumulate(block, axis=0, out=block)
+        np.add(block[-1], 0.0, out=row[lo : lo + width])
+    return row
 
 
 class GrainSummary:
@@ -171,7 +153,7 @@ class GrainSummary:
     minus the second largest (inf with one grain); ``rest``, S - psi_max;
     and ``base``, psi_0 - S.  S is the grain values summed from +0.0 in
     label order, bit for bit the vapor comparison field of
-    :func:`tension_rows`, and rest and base are one rounding each from the
+    :func:`tension_row`, and rest and base are one rounding each from the
     folded values.  ``scale`` bounds 1 + psi_0 + 2 S on every cell.  The
     second largest value and ``gap`` are kept in float32, rounded to
     nearest, so ``gap`` lies within 2^-22 ``scale`` of its exact value; a
@@ -398,6 +380,12 @@ class LedgerWalk:
         full-grid integrand, which is zero off them.  Forced steps pass the
         force at the target time, the other schemes None.  ``following`` is
         as for the constructor.
+
+        On a changed cell omega is +1 at the new label, -1 at the old and 0
+        elsewhere, so a partition's row i is folded only on the changed
+        cells whose old or new label is i.  A cell or row left out added
+        signed zeros, which change a sum at most in the sign of a zero sum;
+        ``quad``, from +0.0, is never -0.0, and a zero leaves it alone.
         """
         cfg, prev = self.config, self.state
         grid, h = cfg.grid, cfg.h
@@ -409,10 +397,13 @@ class LedgerWalk:
             energy = self._smooth(cur, following, cells, before)  # now differences
             new_labels = cur.labels.ravel()[cells]
             old_labels = prev.labels.ravel()[cells]
-            quad = 0.0
-            for i, row in enumerate(tension_rows(cfg.tensions.extended, before)):
-                omega = (new_labels == i) * 1.0 - (old_labels == i)
-                quad += _scattered_sum(n, cells, omega * row)
+            quad, ext = 0.0, cfg.tensions.extended
+            found = np.bincount(np.concatenate((new_labels, old_labels)))
+            for i in np.flatnonzero(found):  # in label order
+                at = np.flatnonzero((new_labels == i) | (old_labels == i))
+                row = tension_row(ext[i], before, at)
+                row[old_labels[at] == i] *= -1.0  # omega * row, bit for bit
+                quad += _scattered_sum(n, cells[at], row)
             dissipation = -quad * grid.cell_volume / math.sqrt(h)
             changed = cells.size
         else:

@@ -52,7 +52,7 @@ from .diagnostics import (
     GrainSummary,
     LedgerWalk,
     StepRecord,
-    tension_rows,
+    tension_row,
 )
 
 SCHEMES = ("mbo", "volume_preserving", "forced", "grain_growth")
@@ -249,23 +249,31 @@ def step_grain_growth(
     the state's smoothed labels, and ``gather(cells)`` returns their values
     on sorted flat cells, one row per label, vapor first.  From the summary
     alone :func:`_uncertain_cells` certifies most cells as unchanged; only
-    the rest are gathered, their rows folded by :func:`tension_rows` with a
-    running minimum, and selected among.  Labels and cut are those of the
-    fold over every cell, bit for bit.
+    the rest are gathered and selected among.  There the vapor row is
+    folded by :func:`tension_row`, and grain i's only where the bound of
+    :func:`_uncertain_cells` lets it match the leader's; elsewhere its fold
+    exceeds the leader's, so the running minimum (from +inf, in label
+    order) and its lowest label are the same.  Labels and cut are those of
+    the fold of every row over every cell, bit for bit.
     """
     p = tensions.num_grains
     if state.num_grains != p:
         raise ValueError("state and tension matrix disagree on grain count")
     if state.solid_cell_count == 0:
         raise DegeneratePhaseError("grain growth needs at least one solid cell")
-    cells, solid_outside = _uncertain_cells(state, summary, tensions)
-    rows = tension_rows(tensions.extended, gather(cells))
-    phi_vapor, phi_best = next(rows).copy(), next(rows).copy()
-    best = np.ones(cells.size, dtype=np.int32)
-    for i, row in enumerate(rows, start=2):
-        lower = row < phi_best  # strict, so the lowest grain wins ties
-        np.copyto(phi_best, row, where=lower)
-        np.copyto(best, i, where=lower)
+    cells, solid_outside, err = _uncertain_cells(state, summary, tensions)
+    values, ext, every = gather(cells), tensions.extended, np.arange(cells.size)
+    phi_vapor = tension_row(ext[0], values, every)
+    lo, hi = tensions.sigma_min, tensions.sigma_max
+    psi_max = values[summary.leader.reshape(-1)[cells], every]
+    reach = (hi - lo) * summary.rest.reshape(-1)[cells] + 2.0 * err
+    phi_best, best = np.full(cells.size, np.inf), np.empty(cells.size, np.int32)
+    for i in range(1, p + 1):
+        at = np.flatnonzero(lo * (psi_max - values[i]) <= reach)
+        row = tension_row(ext[i], values, at)
+        lower = row < phi_best[at]  # strict, so the lowest grain wins ties
+        phi_best[at[lower]] = row[lower]
+        best[at[lower]] = i
     sel = select_bottom_cells(
         phi_best - phi_vapor, state.solid_cell_count - solid_outside
     )
@@ -276,9 +284,9 @@ def step_grain_growth(
 
 def _uncertain_cells(
     state: MultiPhaseState, summary: GrainSummary, tensions: SurfaceTensionMatrix
-) -> tuple[np.ndarray, int]:
-    """The sorted flat cells whose new label a step cannot certify as their
-    old one from ``summary``, and how many cells outside them stay solid.
+) -> tuple[np.ndarray, int, float]:
+    """The sorted flat cells a step cannot certify as keeping their label
+    from ``summary``, how many cells outside them stay solid, and ``err``.
 
     In exact arithmetic, with S the grain sum, m the leader and [lo, hi]
     the off-diagonal tensions, the vapor terms cancel and any other grain's
@@ -331,7 +339,7 @@ def _uncertain_cells(
         solid_outside += int(np.count_nonzero(stays))
         stays |= (bounds[part] > cut_high) & (old[part] == 0)
         cells.append(np.flatnonzero(~stays) + start)
-    return np.concatenate(cells), solid_outside
+    return np.concatenate(cells), solid_outside, err
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,18 @@ from typing import Sequence
 
 import numpy as np
 
-from mbokit.diagnostics import GrainSummary, LedgerWalk, tension_rows
+from mbokit.diagnostics import GrainSummary, LedgerWalk
 from mbokit.grid import Grid, MultiPhaseState, PhaseField, RealField
 from mbokit.kernel import HeatKernelPlan, convolve
 from mbokit.schemes import SchemeConfig, SurfaceTensionMatrix
 from mbokit.threshold import select_bottom_cells
 
 
-def plain_tension_rows(ext: np.ndarray, fields) -> list[np.ndarray]:
-    """Every row sum over j of ext[i, j] * fields[j], each folded from +0.0
-    in j order (weights of 1 add the field itself, weights of 0 nothing):
-    the fold ``tension_rows`` must reproduce bit for bit."""
-    rows = []
+def plain_tension_rows(ext: np.ndarray, fields):
+    """Yield every row sum over j of ext[i, j] * fields[j], each a new
+    array folded from +0.0 in j order (weights of 1 add the field itself,
+    weights of 0 nothing): the fold ``tension_row`` must reproduce bit for
+    bit."""
     for i in range(len(fields)):
         acc = np.zeros_like(fields[0])
         for j, f in enumerate(fields):
@@ -43,8 +43,7 @@ def plain_tension_rows(ext: np.ndarray, fields) -> list[np.ndarray]:
                 acc += f
             elif ext[i, j] != 0.0:
                 acc += np.multiply(ext[i, j], f)
-        rows.append(acc)
-    return rows
+        yield acc
 
 
 def full_multipliers(grid: Grid, h: float) -> np.ndarray:
@@ -130,7 +129,8 @@ def dissipation_multiphase(
     if plan is None:
         plan = HeatKernelPlan(grid, h)
     w = omega.astype(np.float64)
-    rows = tension_rows(tensions.extended, [plan.apply(w[j]) for j in range(p + 1)])
+    smoothed = [plan.apply(w[j]) for j in range(p + 1)]
+    rows = plain_tension_rows(tensions.extended, smoothed)
     total = sum(float((w[i] * row).sum()) for i, row in enumerate(rows))
     return -total * grid.cell_volume / math.sqrt(h)
 
@@ -140,12 +140,12 @@ def full_stack_grain_step(
 ) -> tuple[MultiPhaseState, float]:
     """The grain-growth step over every cell from all p+1 smoothed labels
     ``smoothed`` (vapor first): every comparison row folded by
-    ``tension_rows``, a running minimum over the grains (lowest label on
-    ties) and a bottom selection of phi_best - phi_vapor keeping the solid
-    cell count.  ``step_grain_growth`` must give its labels and cut bit for
-    bit."""
-    rows = tension_rows(tensions.extended, smoothed)
-    phi_vapor, phi_best = next(rows).copy(), next(rows).copy()
+    :func:`plain_tension_rows`, a running minimum over the grains (lowest
+    label on ties) and a bottom selection of phi_best - phi_vapor keeping
+    the solid cell count.  ``step_grain_growth`` must give its labels and
+    cut bit for bit."""
+    rows = plain_tension_rows(tensions.extended, smoothed)
+    phi_vapor, phi_best = next(rows), next(rows)
     best = np.ones(state.grid.shape, dtype=np.int32)
     for i, row in enumerate(rows, start=2):
         lower = row < phi_best

@@ -1233,6 +1233,35 @@ class TestImports:
         )
         assert modules_after(code, "scipy") == "[]"
 
+    @pytest.mark.parametrize("scheme", ["grain_growth", "volume_preserving"])
+    def test_run_and_check_leave_numpy_ma_unloaded(self, tmp_path, scheme):
+        # np.union1d and its kin import numpy.ma on their first call, which
+        # adds about 1 MB of traced memory to a run
+        if scheme == "grain_growth":
+            init = (
+                "init = voronoi\nseeds = 0.3 0.3; 0.7 0.4; 0.45 0.75\n"
+                "solid_center = 0.5 0.5\nsolid_radius = 0.35\nsigma_default = 1\n"
+            )
+        else:
+            init = (
+                "init = blob\nblob_seed = 4\nblob_fill = 0.3\n"
+                "blob_smoothing = 0.06\n"
+            )
+        cfg, out = tmp_path / "a.cfg", tmp_path / "out"
+        cfg.write_text(
+            f"scheme = {scheme}\nn = 32\nh = 1e-2\nsteps = 2\n{init}"
+            f"dump_every = 1\nout_dir = {out}\n"
+        )
+        code = (
+            "import contextlib, glob, io, sys\nfrom mbokit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['run', {str(cfg)!r}]) == 0\n"
+            f"    dumps = sorted(glob.glob({str(out / 'state_*.mbof')!r}))\n"
+            "    assert len(dumps) == 3\n"
+            f"    assert main(['check', *dumps, '--config', {str(cfg)!r}]) == 0\n"
+        )
+        assert modules_after(code, "numpy.ma") == "[]"
+
 
 class TestExitMap:
     """``main`` alone turns an error into its exit code and stderr line."""

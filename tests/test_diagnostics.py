@@ -30,7 +30,7 @@ from mbokit.diagnostics import (
     ledger_report,
     loglog_slope,
     multiplier_integral,
-    tension_rows,
+    tension_row,
     tightness_monitor,
 )
 from mbokit.grid import (
@@ -238,40 +238,33 @@ class TestPairwiseSum:
             assert _bits(got) == _bits(zeros.sum()), name
 
 
-class TestTensionRows:
-    """Rows that start from the previous row's saved partial sum have the
-    bits of rows folded from scratch."""
+class TestTensionRow:
+    """A row folded over chosen columns, a block at a time, has the bits of
+    the plain fold of those columns, at every width and number of grains."""
 
-    @staticmethod
-    def tensions(case: str, p: int) -> SurfaceTensionMatrix:
-        if case == "perturbed":
-            return SurfaceTensionMatrix(symmetric_tensions(p, p, 0.97, 1.03))
-        sigma = np.ones((p, p)) - np.eye(p)
-        if case == "overrides":  # sigma.1.2 = 1.2 and sigma.2.5 = 0.9, where
-            # rows 4 and 5 part at a nonzero weight inside row 4's own prefix
-            for i, j, value in [(0, 1, 1.2), (1, 4, 0.9)]:
-                if j < p:
-                    sigma[i, j] = sigma[j, i] = value
-        return SurfaceTensionMatrix(sigma)
+    WIDTHS = (1, 2, 7, 8, 9, 4097)
 
-    @pytest.mark.parametrize("p", [1, 2, 57])
-    @pytest.mark.parametrize("case", ["equal", "perturbed", "overrides", "signed"])
+    @pytest.mark.parametrize("p", [1, 8, 64, 200])
+    @pytest.mark.parametrize("case", ["equal", "perturbed", "signed"])
     def test_rows_equal_the_plain_fold_bit_for_bit(self, rng, case, p):
-        ext = self.tensions("equal" if case == "signed" else case, p).extended
-        if case == "signed":  # the ledger folds signed differences
-            fields = [rng.standard_normal(301) for _ in range(p + 1)]
-            for k, f in enumerate(fields):
-                f[k::7] = -0.0
-                f[k + 1 :: 11] = 0.0
-        else:  # smoothed indicators, with exact 0 and 1 where they clamp
-            fields = [
-                np.clip(rng.random(301) * 1.2 - 0.1, 0.0, 1.0) for _ in range(p + 1)
-            ]
-        expected = plain_tension_rows(ext, fields)
-        got = [row.copy() for row in tension_rows(ext, fields)]
-        assert len(got) == p + 1
-        for row, ref in zip(got, expected):
-            assert row.tobytes() == ref.tobytes()
+        sigma = np.ones((p, p)) - np.eye(p)
+        if case == "perturbed" and p > 1:
+            sigma = symmetric_tensions(p, p, 0.97, 1.03)
+        ext = SurfaceTensionMatrix(sigma).extended  # weights 0 and 1 among them
+        for width in self.WIDTHS:
+            shape = (p + 1, width + 40)
+            # smoothed indicators, with exact 0 and 1 where they clamp
+            values = np.clip(rng.random(shape) * 1.2 - 0.1, 0.0, 1.0)
+            if case == "signed":  # the ledger folds new minus old values
+                values -= np.clip(rng.random(shape) * 1.2 - 0.1, 0.0, 1.0)
+                values[:, ::7] = -0.0  # -0.0 terms sum to +0.0 from +0.0
+            cols = np.sort(rng.choice(shape[1], width, replace=False))
+            kept = values.copy()
+            rows = plain_tension_rows(ext, values[:, cols])
+            for i, ref in enumerate(rows):
+                got = tension_row(ext[i], values, cols)
+                assert got.tobytes() == ref.tobytes(), (width, i)
+            assert i == p and values.tobytes() == kept.tobytes()
 
 
 class TestDissipation:

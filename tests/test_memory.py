@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mbokit.cli import main
+from mbokit.cli import main, read_dump, write_dump
 from mbokit.diagnostics import LedgerWalk, energy_two_phase, ledger_check
 from mbokit.grid import (
     Grid,
@@ -181,6 +181,19 @@ def test_grain_energy_holds_no_stack_of_smoothed_fields(many_grains):
     energy, peak = traced_peak(lambda: LedgerWalk(cfg, initial, initial).energy)
     assert energy == LedgerWalk(cfg, initial, None).energy
     assert peak < 0.1 * stack
+
+
+def test_grain_dump_reads_with_one_label_cast(tmp_path):
+    # the uint8 payload and the state's int32 labels, 5 bytes a cell; a
+    # second int32 copy of the labels made it 9
+    grid = Grid(dim=2, n=256)
+    seeds = [(0.2 + 0.15 * i, 0.3 + 0.1 * (i % 3)) for i in range(5)]
+    state = voronoi_labels(grid, seeds, vapor_margin=0.05)
+    path = tmp_path / "state_000000.mbof"
+    write_dump(path, state, 1e-3, 0)
+    (loaded, _, _), peak = traced_peak(read_dump, path)
+    assert np.array_equal(loaded.labels, state.labels)
+    assert peak < 6 * grid.total_cells
 
 
 def test_voronoi_set_up_peak_does_not_grow_with_seeds():

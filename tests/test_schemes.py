@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mbokit import diagnostics
+from mbokit import diagnostics, schemes
 from mbokit.grid import (
     DegeneratePhaseError,
     Grid,
@@ -18,6 +18,7 @@ from mbokit.grid import (
     rasterize_slab,
     voronoi_labels,
 )
+from mbokit.diagnostics import LedgerWalk
 from mbokit.kernel import ClampWarning, HeatKernelPlan, ResolutionWarning, convolve
 from mbokit.schemes import (
     SchemeConfig,
@@ -35,6 +36,7 @@ from conftest import symmetric_tensions
 from reference_forms import (
     convolve_labels,
     full_stack_grain_step,
+    full_stack_step,
     plain_tension_rows,
     stack_source,
 )
@@ -545,7 +547,7 @@ class TestStreamedGrainStep:
     @pytest.mark.parametrize("unequal", [False, True])
     def test_cut_on_tied_scores(self, unequal):
         state, smoothed, tensions = grain_step_case(2, 3, unequal, "quarters", 11)
-        rows = plain_tension_rows(tensions.extended, smoothed)
+        rows = list(plain_tension_rows(tensions.extended, smoothed))
         scores = np.minimum.reduce(rows[1:]) - rows[0]
         out, lam, _, (ref, lam_ref) = streamed_and_reference_step(
             state, smoothed, tensions
@@ -573,6 +575,126 @@ class TestStreamedGrainStep:
         steps = len(stepper.records)
         assert steps == cfg.steps
         assert len(calls) == (2 * steps + 1) * (initial.num_grains + 1)
+
+
+def grain_voronoi_256(p, unequal):
+    """p grains seeded as the benchmark's generator seeds them (seed 5) in a
+    square with a vapor margin of 0.05 at 256^2, tensions equal or drawn
+    in [0.97, 1.03], and the config of one step at h = 2.5e-4."""
+    grid = Grid(dim=2, n=256)
+    seeds = np.random.default_rng(5).uniform(0.07, 0.93, (p, 2))
+    state = voronoi_labels(grid, [tuple(x) for x in seeds], vapor_margin=0.05)
+    tensions = (
+        SurfaceTensionMatrix(symmetric_tensions(p, p, 0.97, 1.03))
+        if unequal
+        else equal_tensions(p)
+    )
+    cfg = SchemeConfig(
+        scheme="grain_growth", grid=grid, h=2.5e-4, steps=1, tensions=tensions
+    )
+    return cfg, state
+
+
+def every_row_dissipation(cfg, old, new):
+    """The ledger's dissipation of the step from ``old`` to ``new`` with every
+    tension row folded on every changed cell, each summed by the walk's
+    scattered sum in label order: the sum the walk's pruned fold must keep
+    bit for bit."""
+    n, plan = cfg.grid.total_cells, HeatKernelPlan(cfg.grid, cfg.h)
+    cells = np.flatnonzero(new.labels != old.labels)
+
+    def values_on(state):
+        return np.stack(
+            [
+                convolve(plan, state.indicator(j)).values.ravel()[cells]
+                for j in range(state.num_grains + 1)
+            ]
+        )
+
+    before = values_on(new) - values_on(old)
+    new_labels, old_labels = new.labels.ravel()[cells], old.labels.ravel()[cells]
+    quad = 0.0
+    for i, row in enumerate(plain_tension_rows(cfg.tensions.extended, before)):
+        omega = (new_labels == i) * 1.0 - (old_labels == i)
+        quad += diagnostics._scattered_sum(n, cells, omega * row)
+    return -quad * cfg.grid.cell_volume / np.sqrt(cfg.h)
+
+
+class TestPrunedRowsKeepTheBits:
+    """The step folds a grain's row only where it can match the leader's, and
+    the ledger only the rows of a changed cell's old and new labels: labels,
+    cut and ledger row are those of every row folded on every cell."""
+
+    @staticmethod
+    def one_step(cfg, initial, monkeypatch, step_map=None):
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # clamp and support-radius lines
+            if step_map is not None:
+                patch.setattr(schemes, "step_grain_growth", step_map)
+            stepper = Stepper(cfg, initial)
+            [new] = list(stepper)
+        return new, stepper.records[0]
+
+    def assert_same_step(self, cfg, initial, monkeypatch):
+        new, rec = self.one_step(cfg, initial, monkeypatch)
+        ref, rec_ref = self.one_step(cfg, initial, monkeypatch, full_stack_step)
+        assert np.array_equal(new.labels, ref.labels)
+        assert np.float64(rec.lam).tobytes() == np.float64(rec_ref.lam).tobytes()
+        assert repr(rec) == repr(rec_ref)
+        expected = every_row_dissipation(cfg, initial, new)
+        assert np.float64(rec.dissipation).tobytes() == expected.tobytes()
+        assert rec.dissipation > 0.0
+        return new
+
+    def test_two_hundred_grains_unequal_tensions(self, monkeypatch):
+        cfg, initial = grain_voronoi_256(200, unequal=True)
+        new = self.assert_same_step(cfg, initial, monkeypatch)
+        assert np.count_nonzero(new.labels != initial.labels) > 1000
+
+    def test_exact_ties_on_a_mirror_plane(self, monkeypatch):
+        # two grains' smoothed values tie cell for cell on the mirror plane
+        state, smoothed, tensions = grain_step_case(2, 8, False, "mirrored", 2)
+        grains = np.sort(np.stack(smoothed[1:]), axis=0)
+        assert np.count_nonzero((grains[-1] == grains[-2]) & (grains[-1] > 0.05))
+        cfg = SchemeConfig(
+            scheme="grain_growth",
+            grid=state.grid,
+            h=(2.5 * state.grid.dx) ** 2,
+            steps=1,
+            tensions=tensions,
+        )
+        self.assert_same_step(cfg, state, monkeypatch)
+
+    def test_folded_columns_grow_linearly_in_grains(self, monkeypatch):
+        # folding every row on every uncertain and changed cell hands p + 1
+        # columns per cell to the fold, and those cells grow with p too;
+        # the pruned folds hand a few per cell
+        fold, handed, every_row = diagnostics.tension_row, {}, {}
+        for p in (50, 100, 200):
+            cfg, initial = grain_voronoi_256(p, unequal=True)
+            cols, asked = [], []
+
+            def counting(weights, values, at):
+                cols.append(at.size)
+                return fold(weights, values, at)
+
+            monkeypatch.setattr(schemes, "tension_row", counting)
+            monkeypatch.setattr(diagnostics, "tension_row", counting)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ClampWarning)
+                walk = LedgerWalk(cfg, initial, None)
+
+                def gather(cells):
+                    asked.append(cells.size)
+                    return walk.gather(cells)
+
+                new, _ = step_grain_growth(initial, walk.summary, gather, cfg.tensions)
+                walk.advance(1, new, None, None)
+            cells = asked[0] + walk.changed
+            handed[p], every_row[p] = sum(cols), (p + 1) * cells
+            assert handed[p] < 3 * cells
+        for p in (100, 200):
+            assert handed[p] / handed[50] <= p / 50 < every_row[p] / every_row[50]
 
 
 class TestRun:
