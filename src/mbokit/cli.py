@@ -521,11 +521,16 @@ def cmd_run(config_path: str) -> int:
     finished.
     """
     cfg = read_config(config_path)
+    dump_every = int(cfg.get("dump_every", 0))
+    if dump_every < 0:
+        raise ConfigError(
+            f"line {cfg.lines['dump_every']}: dump_every must be 0 or more, "
+            f"got {dump_every}"
+        )
     grid = build_grid(cfg)
     initial = build_initial(cfg, grid)
     scheme_cfg = build_scheme_config(cfg, grid, initial)
     out_dir = Path(str(cfg.get("out_dir", "out")))
-    dump_every = int(cfg.get("dump_every", 0))
 
     def dump(state, step: int) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)

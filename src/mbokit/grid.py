@@ -180,7 +180,8 @@ class MultiPhaseState:
     """Partition of the torus into vapor (label 0) and grains 1..num_grains.
 
     Every cell carries exactly one label, so the indicator fields of all
-    labels sum to one everywhere by construction.
+    labels sum to one everywhere by construction.  C-contiguous int32
+    labels are kept as handed over, not copied.
     """
 
     grid: Grid
@@ -202,7 +203,7 @@ class MultiPhaseState:
                 f"labels must lie in [0, {self.num_grains}], "
                 f"got range [{arr.min()}, {arr.max()}]"
             )
-        object.__setattr__(self, "labels", arr.astype(np.int32))
+        object.__setattr__(self, "labels", arr.astype(np.int32, copy=False))
 
     @property
     def solid_mask(self) -> np.ndarray:
@@ -340,7 +341,8 @@ def random_blob(
 
 # A filter pass works on blocks of whole lines: about 2^15 output cells,
 # and at most 2^18 cells once wrap-padded, however far the kernel reaches.
-# ``bounding_radius`` takes its distances in blocks of about 2^15 cells too.
+# ``bounding_radius`` takes its distances in blocks of about 2^15 cells too,
+# and the heat kernel its transforms' rows and its multipliers.
 _BLOCK_CELLS = 1 << 15
 _BLOCK_PADDED = 1 << 18
 

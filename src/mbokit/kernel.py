@@ -8,22 +8,22 @@ A plan stores only tables of ``|k|^2`` and builds the multipliers a block
 of rows along array axis 0 at a time; frequencies ``m`` and ``n - m`` there
 have equal squares, so a block of rows 0 .. n//2 also serves their mirrors.
 
-The transforms run on numpy's pocketfft one axis at a time, in the axis
-order and with the single ``1/N`` scale of ``scipy.fft.rfftn``/``irfftn``,
-so their bits equal scipy's while no process has to import it.
+The transforms run on numpy's pocketfft in the calling thread, one axis at
+a time, in the axis order and with the single ``1/N`` scale of
+``scipy.fft.rfftn``/``irfftn``, so their bits equal scipy's while no
+process has to import it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, PhaseField, RealField
+from .grid import _BLOCK_CELLS, Grid, PhaseField, RealField
 
 # Below sqrt(h) ~ 4 dx the smoothed profile is too steep for the grid and
 # thresholding dynamics tend to freeze in place.
@@ -45,68 +45,13 @@ class ClampWarning(UserWarning):
         self.overshoot = overshoot
 
 
-def default_workers() -> int:
-    """Transform parallelism: MBO_THREADS if set, else all hardware threads."""
-    env = os.environ.get("MBO_THREADS")
-    if env is not None:
-        try:
-            w = int(env)
-        except ValueError as exc:
-            raise ValueError(f"MBO_THREADS must be an integer, got {env!r}") from exc
-        if w < 1:
-            raise ValueError(f"MBO_THREADS must be >= 1, got {w}")
-        return w
-    return os.cpu_count() or 1
-
-
-@lru_cache(maxsize=None)
-def _thread_pool(workers: int):
-    """One pool per thread count; its threads start on the first submit."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mbokit-fft")
-
-
-def _each(fn, count: int, workers: int) -> None:
-    """``fn(0)`` .. ``fn(count - 1)``, on up to ``workers`` threads."""
-    if workers == 1 or count == 1:
-        for i in range(count):
-            fn(i)
-        return
-    for done in [_thread_pool(workers).submit(fn, i) for i in range(count)]:
-        done.result()
-
-
-def _transform_lines(transform, src, out, axis: int, workers: int, **kwargs) -> None:
-    """Apply a 1-D numpy transform to every line of ``src`` along ``axis``.
-
-    The lines are split into ``workers`` blocks along another axis, run on
-    one thread each (numpy releases the GIL inside pocketfft).  Every line
-    is transformed on its own, so the bits do not depend on ``workers``.
-    """
-    split = 1 if axis == 0 else 0
-    m = src.shape[split]
-    blocks = min(workers, m)
-
-    def run(i: int) -> None:
-        idx = (slice(None),) * split + (slice(m * i // blocks, m * (i + 1) // blocks),)
-        transform(src[idx], axis=axis, out=out[idx], **kwargs)
-
-    _each(run, blocks, workers)
-
-
-# The real transforms along the last axis work on blocks of whole rows,
-# about this many cells per round of ``workers`` blocks (and at least one
-# row per block), so their scratch does not grow with the thread count.
-_BLOCK_CELLS = 1 << 15
-
-
-def _row_blocks(rows: int, n: int, workers: int) -> list[slice]:
-    count = min(rows, max(workers, -(-rows * n * workers // _BLOCK_CELLS)))
+def _row_blocks(rows: int, n: int) -> list[slice]:
+    """Blocks of whole rows of length ``n``, about ``_BLOCK_CELLS`` cells each."""
+    count = min(rows, -(-rows * n // _BLOCK_CELLS))
     return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def _rfftn(values: np.ndarray, workers: int, spectrum: np.ndarray) -> np.ndarray:
+def _rfftn(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """``scipy.fft.rfftn`` bit for bit: r2c on the last axis, then c2c on 0 .. d-2.
 
     ``values`` may be of any real or boolean dtype: each block of rows is
@@ -119,30 +64,28 @@ def _rfftn(values: np.ndarray, workers: int, spectrum: np.ndarray) -> np.ndarray
     values = np.asarray(values)
     shape, n = values.shape, values.shape[-1]
     lines, spec_lines = values.reshape(-1, n), spectrum.reshape(-1, n // 2 + 1)
-    blocks = _row_blocks(lines.shape[0], n, workers)
     zero_row = np.fft.rfft(np.zeros(n))
-
-    def r2c(i: int) -> None:
-        lo, hi = blocks[i].start, blocks[i].stop
+    for block in _row_blocks(lines.shape[0], n):
+        lo, hi = block.start, block.stop
         if values.dtype == bool and not (lines[lo].any() and lines[hi - 1].any()):
             rows = np.flatnonzero(lines[lo:hi].any(axis=1))
             first, last = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
             spec_lines[lo : lo + first] = spec_lines[lo + last : hi] = zero_row
             lo, hi = lo + first, lo + last
+        # the block's float copy is freed before the next block's is made
         src = np.asarray(lines[lo:hi], dtype=np.float64)
         np.fft.rfft(src, axis=1, out=spec_lines[lo:hi])
-
-    _each(r2c, len(blocks), workers)
+        del src
     for axis in range(len(shape) - 1):
-        _transform_lines(np.fft.fft, spectrum, spectrum, axis, workers)
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
     return spectrum
 
 
-def _irfftn(spectrum: np.ndarray, shape, workers: int, clamp: bool) -> np.ndarray:
+def _irfftn(spectrum: np.ndarray, shape, clamp: bool) -> np.ndarray:
     """``scipy.fft.irfftn`` bit for bit, written over ``spectrum``'s memory.
 
     The c2c passes run unscaled and in place.  The c2r pass then takes
-    blocks of rows into a scratch block, scales them by ``1.0 / N`` (which
+    blocks of rows into one scratch block, scales them by ``1.0 / N`` (which
     equals scipy's scale, ``1/N`` in long double rounded to double, for
     every n from 8 to 2048 in 2-D and 3-D), and copies row r to floats
     ``r*n .. (r+1)*n`` of ``spectrum``'s buffer.  Complex row r starts at
@@ -154,30 +97,21 @@ def _irfftn(spectrum: np.ndarray, shape, workers: int, clamp: bool) -> np.ndarra
     spectrum = np.ascontiguousarray(spectrum)
     n, total = shape[-1], math.prod(shape)
     for axis in range(len(shape) - 1):
-        _transform_lines(np.fft.ifft, spectrum, spectrum, axis, workers, norm="forward")
+        np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
     lines = spectrum.reshape(-1, n // 2 + 1)
     flat = spectrum.reshape(-1).view(np.float64)
-    blocks = _row_blocks(lines.shape[0], n, workers)
-    size = max(b.stop - b.start for b in blocks)
-    scratch = [np.empty((size, n)) for _ in range(min(workers, len(blocks)))]
+    blocks = _row_blocks(lines.shape[0], n)
+    scratch = np.empty((max(b.stop - b.start for b in blocks), n))
     extremes = np.zeros((len(blocks), 2))  # each block's max and -min
-    for first in range(0, len(blocks), len(scratch)):
-        batch = blocks[first : first + len(scratch)]
-
-        def c2r(i: int) -> None:
-            rows = batch[i]
-            out = scratch[i][: rows.stop - rows.start]
-            np.fft.irfft(lines[rows], n=n, axis=1, norm="forward", out=out)
-            out *= 1.0 / total
-            if clamp:
-                extremes[first + i] = out.max(), -out.min()
-                np.clip(out, 0.0, 1.0, out=out)
-                out += 0.0
-
-        _each(c2r, len(batch), workers)
-        # every row of the batch is read before any of it is overwritten
-        for rows, out in zip(batch, scratch):
-            flat[rows.start * n : rows.stop * n] = out[: rows.stop - rows.start].ravel()
+    for i, rows in enumerate(blocks):
+        out = scratch[: rows.stop - rows.start]
+        np.fft.irfft(lines[rows], n=n, axis=1, norm="forward", out=out)
+        out *= 1.0 / total
+        if clamp:
+            extremes[i] = out.max(), -out.min()
+            np.clip(out, 0.0, 1.0, out=out)
+            out += 0.0
+        flat[rows.start * n : rows.stop * n] = out.ravel()
     top, bottom = extremes.max(axis=0).tolist()
     if math.isnan(top):
         raise ValueError("field values must be finite")
@@ -225,15 +159,12 @@ class HeatKernelPlan:
     steps of a run.  The zero-frequency multiplier is exactly 1, all others
     in [0, 1).  A bandwidth whose :func:`multiplier_exponent` is not finite
     is refused.
-    The transforms run on ``workers`` threads, read from
-    :func:`default_workers` when the plan is built.
     """
 
     grid: Grid
     h: float
     others: np.ndarray = field(init=False, repr=False)
     squares: np.ndarray = field(init=False, repr=False)
-    workers: int = field(init=False, default_factory=default_workers)
 
     def __post_init__(self) -> None:
         if not self.h > 0:
@@ -266,7 +197,7 @@ class HeatKernelPlan:
         :meth:`empty_spectrum` returns it that shares no memory with
         ``values``, and ``spectrum`` is returned.
         """
-        return _rfftn(values, self.workers, spectrum)
+        return _rfftn(values, spectrum)
 
     def inverse(self, spectrum: np.ndarray, clamp: bool) -> np.ndarray:
         """Complex-to-real transform back to the grid, written over ``spectrum``.
@@ -276,7 +207,7 @@ class HeatKernelPlan:
         a spectrum.  The view keeps that whole buffer alive: 2/n more than a
         field of the grid.  ``clamp`` clips to [0, 1], as for an indicator.
         """
-        return _irfftn(spectrum, self.grid.shape, self.workers, clamp)
+        return _irfftn(spectrum, self.grid.shape, clamp)
 
     def multiply(self, spectrum: np.ndarray) -> np.ndarray:
         """Multiply a spectrum of the plan's grid by ``exp(-h |k|^2)`` in

@@ -448,6 +448,16 @@ class TestCommands:
         cfg = write_cfg(tmp_path, BASE + "mystery = 3\n")
         assert main(["run", cfg]) == 3
 
+    def test_run_negative_dump_every_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # refused before the grid or the initial state is built
+        monkeypatch.setattr(cli, "build_grid", lambda cfg: pytest.fail("set up"))
+        text = BASE + f"dump_every = -3\nout_dir = {tmp_path}/out\n"
+        assert main(["run", write_cfg(tmp_path, text)]) == 3
+        assert capsys.readouterr().err.startswith("config error: line 8: dump_every")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("side", ["inf", "1e-320", "1e200"])
     def test_run_side_out_of_range_is_config_error(self, tmp_path, capsys, side):
         text = BASE + f"side = {side}\nout_dir = {tmp_path}/out\n"
@@ -1237,30 +1247,44 @@ class TestImports:
     def test_run_and_check_leave_numpy_ma_unloaded(self, tmp_path, scheme):
         # np.union1d and its kin import numpy.ma on their first call, which
         # adds about 1 MB of traced memory to a run
-        if scheme == "grain_growth":
-            init = (
-                "init = voronoi\nseeds = 0.3 0.3; 0.7 0.4; 0.45 0.75\n"
-                "solid_center = 0.5 0.5\nsolid_radius = 0.35\nsigma_default = 1\n"
-            )
-        else:
-            init = (
-                "init = blob\nblob_seed = 4\nblob_fill = 0.3\n"
-                "blob_smoothing = 0.06\n"
-            )
-        cfg, out = tmp_path / "a.cfg", tmp_path / "out"
-        cfg.write_text(
-            f"scheme = {scheme}\nn = 32\nh = 1e-2\nsteps = 2\n{init}"
-            f"dump_every = 1\nout_dir = {out}\n"
+        assert modules_after(run_and_check_code(tmp_path, scheme), "numpy.ma") == "[]"
+
+    @pytest.mark.parametrize("scheme", ["grain_growth", "volume_preserving"])
+    def test_run_and_check_leave_concurrent_futures_unloaded(
+        self, tmp_path, monkeypatch, scheme
+    ):
+        # the transforms run in the calling thread: no thread pool is started
+        monkeypatch.delenv("MBO_THREADS", raising=False)
+        code = run_and_check_code(tmp_path, scheme)
+        assert modules_after(code, "concurrent.futures") == "[]"
+
+
+def run_and_check_code(tmp_path, scheme: str) -> str:
+    """Code that runs a two-step config of ``scheme`` at 32^2 with ``main``
+    and checks its three dumps, both quietly and both passing."""
+    if scheme == "grain_growth":
+        init = (
+            "init = voronoi\nseeds = 0.3 0.3; 0.7 0.4; 0.45 0.75\n"
+            "solid_center = 0.5 0.5\nsolid_radius = 0.35\nsigma_default = 1\n"
         )
-        code = (
-            "import contextlib, glob, io, sys\nfrom mbokit.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['run', {str(cfg)!r}]) == 0\n"
-            f"    dumps = sorted(glob.glob({str(out / 'state_*.mbof')!r}))\n"
-            "    assert len(dumps) == 3\n"
-            f"    assert main(['check', *dumps, '--config', {str(cfg)!r}]) == 0\n"
+    else:
+        init = (
+            "init = blob\nblob_seed = 4\nblob_fill = 0.3\n"
+            "blob_smoothing = 0.06\n"
         )
-        assert modules_after(code, "numpy.ma") == "[]"
+    cfg, out = tmp_path / "a.cfg", tmp_path / "out"
+    cfg.write_text(
+        f"scheme = {scheme}\nn = 32\nh = 1e-2\nsteps = 2\n{init}"
+        f"dump_every = 1\nout_dir = {out}\n"
+    )
+    return (
+        "import contextlib, glob, io, sys\nfrom mbokit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['run', {str(cfg)!r}]) == 0\n"
+        f"    dumps = sorted(glob.glob({str(out / 'state_*.mbof')!r}))\n"
+        "    assert len(dumps) == 3\n"
+        f"    assert main(['check', *dumps, '--config', {str(cfg)!r}]) == 0\n"
+    )
 
 
 class TestExitMap:

@@ -1,6 +1,5 @@
 import ast
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -9,16 +8,14 @@ import pytest
 import scipy.fft as sfft
 
 from mbokit import kernel
-from mbokit.grid import Grid, PhaseField, rasterize_ball, rasterize_slab
+from mbokit.grid import _BLOCK_CELLS, Grid, PhaseField, rasterize_ball, rasterize_slab
 from mbokit.kernel import (
-    _BLOCK_CELLS,
     ClampWarning,
     HeatKernelPlan,
     ResolutionWarning,
     _rfftn,
     _row_blocks,
     convolve,
-    default_workers,
 )
 from reference_forms import (
     derivative_factors,
@@ -98,12 +95,6 @@ class TestPlan:
             HeatKernelPlan(grid128, 1e-6)
         # it names the code that built the plan, not the dataclass's __init__
         assert [w.filename for w in caught] == [__file__]
-
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("MBO_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.delenv("MBO_THREADS")
-        assert default_workers() >= 1
 
 
 class TestConvolve:
@@ -257,8 +248,7 @@ class TestTransformsMatchScipy:
 
     @pytest.mark.parametrize("n", [9, 15, 24, 33, 96, 97, 128])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_forward_inverse_divergence_bit_equal(self, dim, n, monkeypatch):
-        monkeypatch.setenv("MBO_THREADS", "1")
+    def test_forward_inverse_divergence_bit_equal(self, dim, n):
         grid = Grid(dim=dim, n=n)
         rng = np.random.default_rng(n * 10 + dim)
         u = rng.standard_normal(grid.shape)
@@ -296,53 +286,28 @@ class TestTransformsMatchScipy:
         ]
         for mask in masks:
             expected = sfft.rfftn(mask.astype(np.float64), workers=1).tobytes()
-            for workers in (1, 3):
-                got = _rfftn(mask, workers, np.empty(shape, dtype=np.complex128))
-                assert got.tobytes() == expected
-
-    @pytest.mark.parametrize("dim, n", [(2, 50), (3, 20)])
-    def test_three_threads_equal_one(self, dim, n, monkeypatch):
-        # n and the half-spectrum length are not multiples of 3: uneven blocks
-        grid = Grid(dim=dim, n=n)
-        rng = np.random.default_rng(7)
-        ball = rasterize_ball(grid, (0.45,) * dim, 0.3)
-        comps = tuple(rng.standard_normal(grid.shape) for _ in range(dim))
-        results = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("MBO_THREADS", threads)
-            plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
-            assert plan.workers == int(threads)
-            results.append(
-                (
-                    plan.forward(comps[0], plan.empty_spectrum()),
-                    convolve(plan, ball).values,
-                    spectral_divergence(grid, comps),
-                )
-            )
-        for one, three in zip(*results):
-            assert np.array_equal(one, three)
+            got = _rfftn(mask, np.empty(shape, dtype=np.complex128))
+            assert got.tobytes() == expected
 
     @pytest.mark.parametrize("dim, n", [(2, 300), (3, 40)])
-    def test_threads_over_several_rounds_equal_one(self, dim, n, monkeypatch):
-        # more threads than cores and several rounds of row blocks, so the
-        # inverse writes each round's rows over a spectrum whose later
-        # rounds are still unread
+    def test_several_row_blocks_equal_scipy(self, dim, n):
+        # the inverse writes each block's rows over a spectrum whose later
+        # blocks are still unread, and clamps each block in its scratch
         grid = Grid(dim=dim, n=n)
+        assert len(_row_blocks(n ** (dim - 1), n)) > 1
         ball = rasterize_ball(grid, (0.45,) * dim, 0.3)
         u = np.random.default_rng(3).standard_normal(grid.shape)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for threads in ("1", "5"):
-                monkeypatch.setenv("MBO_THREADS", threads)
-                plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
-                assert len(_row_blocks(n ** (dim - 1), n, plan.workers)) > plan.workers
-                results.append((plan.apply(u), convolve(plan, ball).values))
-        finally:
-            sys.setswitchinterval(interval)
-        for one, five in zip(*results):
-            assert np.array_equal(one, five)
+        plan = HeatKernelPlan(grid, 16.0 * grid.dx**2)
+        spectrum = plan.forward(u, plan.empty_spectrum())
+        assert spectrum.tobytes() == sfft.rfftn(u, workers=1).tobytes()
+        expected = sfft.irfftn(spectrum, s=grid.shape, workers=1)
+        assert plan.inverse(spectrum, clamp=False).tobytes() == expected.tobytes()
+
+        spectrum = sfft.rfftn(ball.as_float(), workers=1)
+        spectrum *= full_multipliers(grid, plan.h)
+        expected = np.clip(sfft.irfftn(spectrum, s=grid.shape, workers=1), 0.0, 1.0)
+        expected += 0.0
+        assert convolve(plan, ball).values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unit_scale_equals_long_double_scale(self, dim):
@@ -354,7 +319,7 @@ class TestTransformsMatchScipy:
 
 def test_private_transforms_are_reached_through_the_plan_only():
     # every transform in the package runs through HeatKernelPlan.forward
-    # and .inverse, on the plan's workers: no second route to pocketfft
+    # and .inverse: no second route to pocketfft
     private = ("_rfftn", "_irfftn")
     uses = []
 

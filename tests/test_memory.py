@@ -13,7 +13,9 @@ import pytest
 from mbokit.cli import main, read_dump, write_dump
 from mbokit.diagnostics import LedgerWalk, energy_two_phase, ledger_check
 from mbokit.grid import (
+    _BLOCK_CELLS,
     Grid,
+    MultiPhaseState,
     PhaseField,
     RealField,
     bounding_radius,
@@ -22,7 +24,7 @@ from mbokit.grid import (
     rasterize_ball,
     voronoi_labels,
 )
-from mbokit.kernel import _BLOCK_CELLS, HeatKernelPlan, convolve
+from mbokit.kernel import HeatKernelPlan, convolve
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
@@ -194,6 +196,16 @@ def test_grain_dump_reads_with_one_label_cast(tmp_path):
     (loaded, _, _), peak = traced_peak(read_dump, path)
     assert np.array_equal(loaded.labels, state.labels)
     assert peak < 6 * grid.total_cells
+
+
+def test_grain_state_keeps_contiguous_int32_labels():
+    # a step hands over its new labels, and the state keeps them: a copy
+    # would be 4 bytes a cell
+    grid = Grid(dim=2, n=256)
+    labels = np.random.default_rng(5).integers(0, 4, grid.shape, dtype=np.int32)
+    state, peak = traced_peak(MultiPhaseState, grid, labels, 3)
+    assert state.labels is labels
+    assert peak < 0.1 * grid.total_cells
 
 
 def test_voronoi_set_up_peak_does_not_grow_with_seeds():

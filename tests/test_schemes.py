@@ -843,15 +843,21 @@ class TestRun:
             assert [getattr(row, f) for f in fields] == [getattr(record, f) for f in fields]
 
     def test_bitwise_independent_of_thread_count(self, scheme_case, monkeypatch):
+        # Transforms run in the calling thread and MBO_THREADS is not read:
+        # any value of it, including one that used to be refused, gives the
+        # bits of a run with the variable unset.
         cfg, initial = scheme_case
         results = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("MBO_THREADS", threads)
+        for threads in (None, "1", "2", "abc"):
+            if threads is None:
+                monkeypatch.delenv("MBO_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MBO_THREADS", threads)
             stepper = Stepper(cfg, initial)
             final = [initial, *stepper][-1]
             raw = final.labels if isinstance(final, MultiPhaseState) else final.mask
             results.append((raw.tobytes(), stepper.status, stepper.records))
-        assert results[0] == results[1]
+        assert all(r == results[0] for r in results[1:])
 
     def test_rejects_state_grid_mismatch(self, grid64, ball128):
         cfg = SchemeConfig(scheme="mbo", grid=grid64, h=1e-3, steps=1)
