@@ -738,7 +738,11 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
 _EXITS = (
     (ConfigError, EXIT_CONFIG, "config error"),
     (DumpError, EXIT_RUNTIME, "cannot load dump"),
-    ((DegeneratePhaseError, EmptyPhaseError, OSError), EXIT_RUNTIME, "runtime error"),
+    (
+        (DegeneratePhaseError, EmptyPhaseError, OSError, MemoryError),
+        EXIT_RUNTIME,
+        "runtime error",
+    ),
 )
 
 

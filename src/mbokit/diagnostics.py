@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -53,12 +52,14 @@ def _scattered_sum(n: int, cells: np.ndarray, values: np.ndarray) -> float:
 
     def node_sum(lo: int, hi: int) -> np.float64:
         first, end = np.searchsorted(cells, (lo, hi))
+        if first == end:
+            return 0.0  # numpy's sum of the node's +0.0s
         v = scratch[: hi - lo]
         v.fill(0.0)
         v[cells[first:end] - lo] = values[first:end]
         return v.sum()
 
-    return float(_pairwise_sum(n, node_sum, cells))
+    return float(_pairwise_sum(n, node_sum))
 
 
 def _changed_cells(new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -270,10 +271,6 @@ class LedgerWalk:
     ) -> None:
         self.config = config
         self.plan = HeatKernelPlan(config.grid, config.h)
-        if config.scheme == "grain_growth":
-            self._energy = partial(energy_multiphase, tensions=config.tensions)
-        else:
-            self._energy = energy_two_phase
         self._spectrum = self.plan.empty_spectrum()
         self.summary: GrainSummary | None = None
         self._gathered: tuple[np.ndarray, np.ndarray] | None = None
@@ -306,7 +303,7 @@ class LedgerWalk:
         self._gathered = None
         if not isinstance(state, MultiPhaseState):
             self.smoothed = convolve(self.plan, state, self._spectrum)
-            return self._energy(state, self.smoothed, h)
+            return energy_two_phase(state, self.smoothed, h)
         self.smoothed = None
         if following is not None:
             self.summary = None
@@ -326,7 +323,7 @@ class LedgerWalk:
                     self.summary.fold(j, psi)
                 yield j, psi
 
-        return self._energy(state, fields(), h)
+        return energy_multiphase(state, fields(), h, self.config.tensions)
 
     def gather(self, cells: np.ndarray) -> np.ndarray:
         """The smoothed labels of ``state`` on the sorted flat ``cells``,

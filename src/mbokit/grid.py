@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .threshold import _select_cells
+
 
 class EmptyPhaseError(ValueError):
     """An operation that needs occupied cells got an empty phase."""
@@ -390,105 +392,6 @@ def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
     return values
 
 
-# The exact selection reads inputs of this many cells or more in blocks of
-# this many, and brackets its cut from a strided sample of about
-# ``_SAMPLE_KEYS`` keys first; a smaller input is partitioned whole.
-_SELECT_BLOCK = 1 << 13
-_SAMPLE_KEYS = 1 << 12
-
-
-def _select_cells(
-    values: np.ndarray, count: int, top: bool
-) -> tuple[np.ndarray, np.float64]:
-    """Flat mask of the ``count`` largest (``top``) or smallest of the flat
-    ``values``, and the value at the cut.
-
-    Every value beyond the cut is taken; the rest come from values equal to
-    it in ascending index order, so the mask marks the same cells as
-    ``np.argsort(k, kind="stable")[:count]`` for ``k = -(values + 0.0)``
-    (top) or ``values + 0.0``.  The cut is the order statistic of rank
-    ``values.size - count`` (top) or ``count - 1`` (bottom), counted from 0,
-    found by :func:`_kth_smallest` without a full-size copy of ``values``; a
-    zero cut is returned as +0.0.  Needs ``1 <= count <= values.size`` and
-    no NaN.  Shared with :mod:`mbokit.threshold`; private, so a traced run
-    charges its time to the caller.
-    """
-    cut = _kth_smallest(values, values.size - count if top else count - 1) + 0.0
-    mask = values > cut if top else values < cut
-    missing = count - int(np.count_nonzero(mask))
-    for lo in range(0, values.size, _SELECT_BLOCK):  # ties, lowest index first
-        if not missing:
-            break
-        ties = np.flatnonzero(values[lo : lo + _SELECT_BLOCK] == cut)[:missing]
-        mask[lo + ties] = True
-        missing -= ties.size
-    return mask, cut
-
-
-def _kth_smallest(values: np.ndarray, k: int) -> np.float64:
-    """The ``k``-th smallest (from 0) of the flat ``values``, exactly.
-
-    An input of fewer than ``_SELECT_BLOCK`` values is partitioned whole.  A
-    larger one is bracketed first: the sorted values of every ``values.size
-    // _SAMPLE_KEYS``-th cell give the two ends, ``width`` places either
-    side of where rank ``k`` falls among them.  One :func:`_bracket_pass`
-    counts the values up to the low end and gathers the few strictly
-    inside, and rank ``k`` picks its place among those.  Only a rank that
-    falls on an end or outside the bracket needs that end's ties, counted
-    in one more pass.  A sample can miss a cluster of values, so the rank
-    may fall outside the bracket; then the bracket moves to that side, four
-    times as wide, its near end at the old far end and its far end at most
-    an infinity, and the pass runs again.
-    """
-    n = values.size
-    if n < _SELECT_BLOCK:
-        return np.partition(values, k)[k]
-    sample = np.sort(values[:: n // _SAMPLE_KEYS])
-    s = sample.size
-    width = 2 * math.isqrt(s)  # about four standard deviations of the rank
-    lo_at, hi_at = k * s // n - width, k * s // n + width
-    while True:
-        lo = sample[lo_at] if lo_at >= 0 else np.float64(-np.inf)
-        hi = sample[hi_at] if hi_at < s else np.float64(np.inf)
-        upto_lo, inside = _bracket_pass(values, lo, hi)
-        if 0 <= k - upto_lo < inside.size:
-            inside.partition(k - upto_lo)
-            return inside[k - upto_lo]
-        upto_inside = upto_lo + inside.size
-        del inside  # not held through the next pass
-        if k < upto_lo:
-            if k >= upto_lo - _count_equal(values, lo):
-                return lo
-        elif hi > lo and k < upto_inside + _count_equal(values, hi):
-            return hi
-        width *= 4
-        if k < upto_lo:
-            lo_at, hi_at = lo_at - width, lo_at
-        else:
-            lo_at, hi_at = hi_at, hi_at + width
-
-
-def _bracket_pass(values: np.ndarray, lo: np.float64, hi: np.float64):
-    """Read ``values`` a block at a time and return how many are at most
-    ``lo`` and, in index order, those strictly between ``lo`` and ``hi``."""
-    upto_lo = 0
-    parts = []
-    for start in range(0, values.size, _SELECT_BLOCK):
-        block = values[start : start + _SELECT_BLOCK]
-        keep = block > lo
-        upto_lo += block.size - int(np.count_nonzero(keep))
-        parts.append(block[np.logical_and(keep, block < hi, out=keep)])
-    return upto_lo, np.concatenate(parts)
-
-
-def _count_equal(values: np.ndarray, value: np.float64) -> int:
-    """How many of ``values`` equal ``value``, read a block at a time."""
-    return sum(
-        int(np.count_nonzero(values[start : start + _SELECT_BLOCK] == value))
-        for start in range(0, values.size, _SELECT_BLOCK)
-    )
-
-
 # ---------------------------------------------------------------------------
 # measurements
 
@@ -501,27 +404,20 @@ def _count_equal(values: np.ndarray, value: np.float64) -> int:
 _SUM_CHUNK = 1 << 15
 
 
-def _pairwise_sum(n: int, node_sum, cells: np.ndarray | None = None, lo: int = 0):
+def _pairwise_sum(n: int, node_sum, lo: int = 0):
     """``v.sum()`` for a float64 vector ``v`` of ``n`` values, bit for bit,
     where ``node_sum(lo, hi)`` returns ``v[lo:hi].sum()``.
 
     Only the sums of the tree's nodes of at most ``_SUM_CHUNK`` values are
     asked for, in order.  ``node_sum`` may also return a complex number that
-    holds the sums of two vectors' nodes, which add componentwise.  When
-    ``v`` is zero off the sorted flat indices ``cells``, nodes without one
-    are skipped: each would add +0.0, which changes a sum at most in the
-    sign of a zero, and numpy's sum, which starts from +0.0, never returns
-    -0.0.  ``lo`` offsets the node within ``v``.
+    holds the sums of two vectors' nodes, which add componentwise.  ``lo``
+    offsets the node within ``v``.
     """
-    if cells is not None:
-        first, end = np.searchsorted(cells, (lo, lo + n))
-        if first == end:
-            return 0.0
     if n <= _SUM_CHUNK:
         return node_sum(lo, lo + n)
     half = n // 2 - n // 2 % 8
-    return _pairwise_sum(half, node_sum, cells, lo) + _pairwise_sum(
-        n - half, node_sum, cells, lo + half
+    return _pairwise_sum(half, node_sum, lo) + _pairwise_sum(
+        n - half, node_sum, lo + half
     )
 
 

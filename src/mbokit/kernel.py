@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -120,32 +119,18 @@ def _irfftn(spectrum: np.ndarray, shape, clamp: bool) -> np.ndarray:
     return flat[:total].reshape(shape)
 
 
-@lru_cache(maxsize=16)
-def _frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Angular frequency of each spatial axis, broadcastable to rfft layout.
-
-    The last array axis is half-size (real transform).  Returned in spatial
-    order: entry k is the frequency along spatial axis k.
-    """
-    out: list[np.ndarray] = [None] * grid.dim  # type: ignore[list-item]
-    for array_axis in range(grid.dim):
-        spatial = grid.dim - 1 - array_axis
-        if array_axis == grid.dim - 1:
-            f = np.fft.rfftfreq(grid.n, d=grid.dx)
-        else:
-            f = np.fft.fftfreq(grid.n, d=grid.dx)
-        shape = [1] * grid.dim
-        shape[array_axis] = f.size
-        out[spatial] = (2.0 * np.pi * f).reshape(shape)
-    return tuple(out)
+def _squares(grid: Grid) -> np.ndarray:
+    """``|k|^2`` of the frequencies 0 .. n//2 of one axis, which on a cubic
+    grid are those of every axis."""
+    return (2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)) ** 2
 
 
 def multiplier_exponent(grid: Grid, h: float) -> float:
     """The largest ``h |k|^2`` over the grid's frequencies, as a plan forms
     it: ``inf`` when the multipliers of bandwidth ``h`` would overflow."""
-    top = 0.0
-    for f in _frequencies(grid):
-        top += float((f**2).max())
+    top, largest = 0.0, float(_squares(grid).max())
+    for _ in range(grid.dim):  # every axis reaches the largest square
+        top += largest
     return h * top
 
 
@@ -179,10 +164,13 @@ class HeatKernelPlan:
                 ResolutionWarning,
                 stacklevel=3,  # past the dataclass __init__ to the plan's builder
             )
-        # |k|^2 in spatial axis order: array axis 0 (spatial d-1) comes last
-        squares = [f[: self.grid.n // 2 + 1] ** 2 for f in _frequencies(self.grid)]
-        object.__setattr__(self, "others", sum(squares[1:-1], squares[0])[0])
-        object.__setattr__(self, "squares", squares[-1])
+        n, dim, sq = self.grid.n, self.grid.dim, _squares(self.grid)
+        if dim == 3:  # plus the middle axis's squares, in fft order
+            sq_fft = np.concatenate((sq, sq[1 : n - n // 2][::-1]))
+            object.__setattr__(self, "others", sq + sq_fft[:, None])
+        else:
+            object.__setattr__(self, "others", sq)
+        object.__setattr__(self, "squares", sq.reshape((-1,) + (1,) * (dim - 1)))
 
     def empty_spectrum(self) -> np.ndarray:
         """A new, uninitialised buffer for one spectrum of the plan's grid."""

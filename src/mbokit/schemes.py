@@ -41,12 +41,11 @@ from .grid import (
     MultiPhaseState,
     PhaseField,
     RealField,
-    _kth_smallest,
     bounding_radius,
     centroid,
 )
 from .kernel import multiplier_exponent
-from .threshold import select_bottom_cells, select_top_cells
+from .threshold import _kth_smallest, select_bottom_cells, select_top_cells
 from .diagnostics import (
     GOOD_ITERATION_BAND,
     GrainSummary,
@@ -226,8 +225,8 @@ def step_volume_preserving(
         raise DegeneratePhaseError(
             "volume-preserving step needs a phase that is neither empty nor full"
         )
-    sel = select_top_cells(smoothed, count)
-    return sel.mask, float(sel.threshold)
+    sel = select_top_cells(smoothed.values.reshape(-1), count)
+    return PhaseField(chi.grid, sel.mask.reshape(chi.grid.shape)), sel.threshold
 
 
 def step_grain_growth(

@@ -151,10 +151,10 @@ def full_stack_grain_step(
         lower = row < phi_best
         np.copyto(phi_best, row, where=lower)
         np.copyto(best, i, where=lower)
-    scores = RealField(state.grid, phi_best - phi_vapor)
+    scores = (phi_best - phi_vapor).reshape(-1)
     sel = select_bottom_cells(scores, state.solid_cell_count)
-    labels = np.where(sel.mask.mask, best, 0)
-    return MultiPhaseState(state.grid, labels, state.num_grains), float(sel.threshold)
+    labels = np.where(sel.mask.reshape(state.grid.shape), best, 0)
+    return MultiPhaseState(state.grid, labels, state.num_grains), sel.threshold
 
 
 def stack_source(smoothed):

@@ -1232,6 +1232,11 @@ class TestImports:
         )
         assert modules_after(code, "mbokit") == "['mbokit']"
 
+    def test_threshold_loads_no_other_mbokit_module(self):
+        # the order statistic needs numpy alone
+        loaded = modules_after("import sys, mbokit.threshold", "mbokit")
+        assert loaded == "['mbokit', 'mbokit.threshold']"
+
     def test_blob_initial_state_leaves_scipy_unloaded(self):
         # the blob filter used to import scipy.ndimage, about 0.3 s per process
         code = (
@@ -1307,8 +1312,12 @@ class TestExitMap:
             (EmptyPhaseError("phase is empty"), 4, "runtime error"),
             (FileNotFoundError(2, "No such file or directory"), 4, "runtime error"),
             (NotADirectoryError(20, "Not a directory"), 4, "runtime error"),
+            (MemoryError("Unable to allocate 2.98 GiB"), 4, "runtime error"),
         ],
-        ids=["config", "dump", "degenerate", "empty", "missing", "not_a_directory"],
+        ids=[
+            "config", "dump", "degenerate", "empty", "missing", "not_a_directory",
+            "memory",
+        ],
     )
     def test_each_error_has_one_exit_code_and_prefix(
         self, monkeypatch, capsys, command, error, code, prefix
@@ -1321,6 +1330,23 @@ class TestExitMap:
         if isinstance(error, DumpError) and command == "check":
             prefix = "cannot load dumps"
         assert capsys.readouterr() == ("", f"{prefix}: {error}\n")
+
+    def test_run_on_a_grid_too_large_to_allocate_is_runtime_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # numpy's allocation failure (``_ArrayMemoryError``, a MemoryError)
+        # while the initial state is built, before any output is written
+        message = "Unable to allocate 2.98 GiB for an array with shape (20000, 20000)"
+
+        def failing(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_initial", failing)
+        cfg, out = tmp_path / "a.cfg", tmp_path / "out"
+        cfg.write_text(f"n = 20000\nout_dir = {out}\n")
+        assert main(["run", str(cfg)]) == 4
+        assert capsys.readouterr() == ("", f"runtime error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(ARGS))
     @pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")])

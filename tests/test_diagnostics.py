@@ -320,8 +320,9 @@ class TestLinearizedEnergy:
         plan = HeatKernelPlan(g, h)
         blob = random_blob(g, seed=12)
         phi = convolve(plan, blob)
-        sel = select_top_cells(phi, blob.cell_count)
-        best = linearized_energy(phi, sel.mask, sel.threshold, h)
+        sel = select_top_cells(phi.values.reshape(-1), blob.cell_count)
+        chosen = PhaseField(g, sel.mask.reshape(g.shape))
+        best = linearized_energy(phi, chosen, sel.threshold, h)
         for _ in range(200):
             flat = np.zeros(g.total_cells, dtype=bool)
             flat[rng.permutation(g.total_cells)[: blob.cell_count]] = True

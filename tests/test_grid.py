@@ -11,7 +11,6 @@ from mbokit.grid import (
     MultiPhaseState,
     PhaseField,
     _periodic_gaussian,
-    _select_cells,
     bounding_radius,
     centroid,
     random_blob,
@@ -19,6 +18,7 @@ from mbokit.grid import (
     rasterize_slab,
     voronoi_labels,
 )
+from mbokit.threshold import _select_cells
 
 
 class TestGrid:

@@ -319,9 +319,23 @@ class TestTransformsMatchScipy:
 
 def test_private_transforms_are_reached_through_the_plan_only():
     # every transform in the package runs through HeatKernelPlan.forward
-    # and .inverse: no second route to pocketfft
+    # and .inverse: no second route to pocketfft.  The np.fft transforms
+    # (frequency helpers aside) are named only inside _rfftn and _irfftn.
     private = ("_rfftn", "_irfftn")
-    uses = []
+    transforms = {
+        f"{i}{kind}{n}" for i in ("", "i") for kind in ("fft", "rfft", "hfft")
+        for n in ("", "n", "2")
+    }
+    uses, transform_uses = [], set()
+
+    def names_transform(node):
+        # np.fft.rfftn, numpy.fft.fft, ... or from numpy.fft import rfftn
+        if isinstance(node, ast.Attribute) and node.attr in transforms:
+            module = node.value
+            return "fft" in (getattr(module, "attr", None), getattr(module, "id", None))
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name in transforms for alias in node.names)
+        return False
 
     def visit(node, scope, module):
         for child in ast.iter_child_nodes(node):
@@ -331,6 +345,8 @@ def test_private_transforms_are_reached_through_the_plan_only():
             name = getattr(child, "id", None) or getattr(child, "attr", None)
             if name in private and isinstance(child, (ast.Name, ast.Attribute)):
                 uses.append((name, f"{module}:{'.'.join(scope)}"))
+            if names_transform(child):
+                transform_uses.add(f"{module}:{'.'.join(scope)}")
             visit(child, inner, module)
 
     for path in sorted(Path(kernel.__file__).parent.glob("*.py")):
@@ -339,3 +355,4 @@ def test_private_transforms_are_reached_through_the_plan_only():
         ("_irfftn", "kernel.py:HeatKernelPlan.inverse"),
         ("_rfftn", "kernel.py:HeatKernelPlan.forward"),
     ]
+    assert sorted(transform_uses) == ["kernel.py:_irfftn", "kernel.py:_rfftn"]

@@ -67,11 +67,9 @@ def grain_step_reference(state, tensions, smoothed):
                 phi[i] += ext[i, j] * f
     best = np.argmin(phi[1:], axis=0)
     phi_best = np.take_along_axis(phi[1:], best[None], axis=0)[0]
-    sel = select_bottom_cells(
-        RealField(state.grid, phi_best - phi[0]), state.solid_cell_count
-    )
-    labels = np.where(sel.mask.mask, best.astype(np.int32) + 1, 0)
-    return labels, float(sel.threshold)
+    sel = select_bottom_cells((phi_best - phi[0]).reshape(-1), state.solid_cell_count)
+    labels = np.where(sel.mask.reshape(state.grid.shape), best.astype(np.int32) + 1, 0)
+    return labels, sel.threshold
 
 
 def constant_force(value):

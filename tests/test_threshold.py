@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mbokit.grid import Grid, RealField
+from mbokit.grid import Grid
 from mbokit.threshold import select_bottom_cells, select_top_cells
 
 
-def _field(grid: Grid, flat_values) -> RealField:
-    return RealField(grid, np.asarray(flat_values, dtype=np.float64).reshape(grid.shape))
+def _field(grid: Grid, flat_values) -> np.ndarray:
+    """Flat float64 scores, one per cell of ``grid``."""
+    return np.asarray(flat_values, dtype=np.float64).reshape(grid.total_cells)
 
 
 @pytest.fixture(scope="module")
@@ -21,26 +22,27 @@ def grid3():
 
 
 def tiny(values):
-    """Scores on an 8x8 grid: given values first, deep-negative padding after."""
+    """Flat scores of an 8x8 grid: given values first, deep-negative padding
+    after."""
     g = Grid(dim=2, n=8)
     flat = np.full(g.total_cells, -1e300)
     flat[: len(values)] = values
     # padding never wins a top selection with small targets
-    return g, RealField(g, flat.reshape(g.shape))
+    return g, flat
 
 
 class TestTopSelection:
     def test_frozen_example(self):
         g, scores = tiny([0.9, 0.7, 0.3])
         sel = select_top_cells(scores, 2)
-        picked = np.flatnonzero(sel.mask.mask.ravel())
+        picked = np.flatnonzero(sel.mask)
         assert picked.tolist() == [0, 1]
         assert sel.threshold == 0.7
 
     def test_tie_at_cut_lowest_flat_index(self):
         g, scores = tiny([0.5, 0.5, 0.1])
         sel = select_top_cells(scores, 1)
-        picked = np.flatnonzero(sel.mask.mask.ravel())
+        picked = np.flatnonzero(sel.mask)
         assert picked.tolist() == [0]
         assert sel.threshold == 0.5
 
@@ -48,28 +50,23 @@ class TestTopSelection:
         g = Grid(dim=2, n=8)
         scores = _field(g, np.zeros(g.total_cells))
         sel = select_top_cells(scores, 10)
-        picked = np.flatnonzero(sel.mask.mask.ravel())
+        picked = np.flatnonzero(sel.mask)
         assert picked.tolist() == list(range(10))
-
-    def test_target_zero(self):
-        g, scores = tiny([1.0, 2.0])
-        sel = select_top_cells(scores, 0)
-        assert sel.mask.cell_count == 0
-        assert sel.threshold is None
 
     def test_target_all(self):
         g = Grid(dim=2, n=8)
         scores = _field(g, np.arange(g.total_cells, dtype=float))
         sel = select_top_cells(scores, g.total_cells)
-        assert sel.mask.cell_count == g.total_cells
+        assert np.count_nonzero(sel.mask) == g.total_cells
         assert sel.threshold == 0.0
 
     def test_target_out_of_range(self):
         g, scores = tiny([1.0])
-        with pytest.raises(ValueError):
-            select_top_cells(scores, -1)
-        with pytest.raises(ValueError):
-            select_top_cells(scores, g.total_cells + 1)
+        for select in (select_top_cells, select_bottom_cells):
+            # a selection takes at least one cell
+            for target in (0, -1, g.total_cells + 1):
+                with pytest.raises(ValueError, match=r"outside \[1, 64\]"):
+                    select(scores, target)
 
     def test_negative_zero_and_zero_tie_deterministic(self):
         g = Grid(dim=2, n=8)
@@ -79,26 +76,24 @@ class TestTopSelection:
         scores = _field(g, flat)
         sel = select_top_cells(scores, 1)
         # -0.0 == 0.0: the tie must resolve by flat index, not sign bit
-        assert np.flatnonzero(sel.mask.mask.ravel()).tolist() == [3]
+        assert np.flatnonzero(sel.mask).tolist() == [3]
 
 
 class TestBottomSelection:
     def test_mirrors_top_on_negated_scores(self, rng):
         g = Grid(dim=2, n=16)
-        scores = RealField(g, rng.standard_normal(g.shape))
-        neg = RealField(g, -scores.values)
-        for target in (0, 1, 7, 100, g.total_cells):
+        scores = rng.standard_normal(g.total_cells)
+        for target in (1, 7, 100, g.total_cells):
             bot = select_bottom_cells(scores, target)
-            top = select_top_cells(neg, target)
-            assert (bot.mask.mask == top.mask.mask).all()
-            if target:
-                assert bot.threshold == -top.threshold
+            top = select_top_cells(-scores, target)
+            assert (bot.mask == top.mask).all()
+            assert bot.threshold == -top.threshold
 
     def test_frozen_example(self):
         g, scores = tiny([0.9, 0.7, 0.3])
         # -inf padding is picked first by a bottom selection
         sel = select_bottom_cells(scores, 62)
-        kept_out = np.flatnonzero(~sel.mask.mask.ravel())
+        kept_out = np.flatnonzero(~sel.mask)
         assert kept_out.tolist() == [0, 1]
         assert sel.threshold == 0.3
 
@@ -136,7 +131,7 @@ class TestSelectionEdgeCases:
             sel = SELECT[side](_field(g, values), target)
             expected = np.zeros(g.total_cells, dtype=bool)
             expected[order[:target]] = True
-            assert np.array_equal(sel.mask.mask.ravel(), expected)
+            assert np.array_equal(sel.mask, expected)
             assert sel.threshold == values[order[target - 1]]
 
     @pytest.mark.parametrize("zeros", ["mixed", "negative", "positive"])
@@ -161,7 +156,7 @@ def scores_and_target(draw):
             ),
         )
     )
-    target = draw(st.integers(min_value=0, max_value=64))
+    target = draw(st.integers(min_value=1, max_value=64))
     return values, target
 
 
@@ -172,25 +167,13 @@ class TestSelectionProperties:
         values, target = case
         g = Grid(dim=2, n=8)
         sel = select_top_cells(_field(g, values), target)
-        mask = sel.mask.mask.ravel()
+        mask = sel.mask
         assert int(mask.sum()) == target
-        if 0 < target < 64:
+        if target < 64:
             worst_in = values[mask].min()
             best_out = values[~mask].max()
             assert worst_in >= best_out
             assert sel.threshold == worst_in
-
-    @given(scores_and_target())
-    @settings(max_examples=100, deadline=None)
-    def test_flat_scores_select_as_the_field_does(self, case):
-        # a 1-D array of scores (the cells a grain step could not certify)
-        # picks the same entries, ties in order, and the same cut
-        values, target = case
-        g = Grid(dim=2, n=8)
-        on_field = select_bottom_cells(_field(g, values), target)
-        on_array = select_bottom_cells(np.asarray(values, dtype=np.float64), target)
-        assert np.array_equal(on_array.mask, on_field.mask.mask.ravel())
-        assert on_array.threshold == on_field.threshold
 
     @given(scores_and_target())
     @settings(max_examples=100, deadline=None)
@@ -199,7 +182,7 @@ class TestSelectionProperties:
         g = Grid(dim=2, n=8)
         a = select_top_cells(_field(g, values), target)
         b = select_top_cells(_field(g, values), target)
-        assert (a.mask.mask == b.mask.mask).all()
+        assert (a.mask == b.mask).all()
 
     @given(scores_and_target())
     @settings(max_examples=100, deadline=None)
@@ -210,7 +193,7 @@ class TestSelectionProperties:
         g = Grid(dim=2, n=8)
         small = select_top_cells(_field(g, values), target)
         big = select_top_cells(_field(g, values), target + 1)
-        assert (big.mask.mask | ~small.mask.mask).all()
+        assert (big.mask | ~small.mask).all()
 
 
 def stable_selection(values, target, side):
@@ -226,16 +209,16 @@ def stable_selection(values, target, side):
 @pytest.fixture
 def bracket_passes(monkeypatch):
     """Record the brackets of every pass the exact selection makes."""
-    import mbokit.grid as grid_module
+    import mbokit.threshold as threshold_module
 
     calls = []
-    real = grid_module._bracket_pass
+    real = threshold_module._bracket_pass
 
     def spy(values, lo, hi):
         calls.append((lo, hi))
         return real(values, lo, hi)
 
-    monkeypatch.setattr(grid_module, "_bracket_pass", spy)
+    monkeypatch.setattr(threshold_module, "_bracket_pass", spy)
     return calls
 
 
@@ -247,7 +230,7 @@ class TestBracketedSelection:
         for target in targets:
             sel = SELECT[side](_field(grid, values), target)
             expected, cut = stable_selection(values, target, side)
-            assert np.array_equal(sel.mask.mask.ravel(), expected), target
+            assert np.array_equal(sel.mask, expected), target
             assert sel.threshold == cut
             assert math.copysign(1.0, sel.threshold) == math.copysign(1.0, cut)
 
