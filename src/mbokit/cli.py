@@ -41,7 +41,6 @@ from .grid import (
     Grid,
     MultiPhaseState,
     PhaseField,
-    RealField,
     random_blob,
     rasterize_ball,
     rasterize_slab,
@@ -301,20 +300,15 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
     raise ConfigError(f"unknown init '{kind}'")
 
 
-def build_force(cfg: ExperimentConfig):
+def build_force(cfg: ExperimentConfig) -> float | None:
+    """The constant force of ``force = const``; :class:`SchemeConfig`
+    refuses one that is not finite."""
     kind = cfg.get("force")
     if kind is None:
         return None
     if kind != "const":
         raise ConfigError(f"unknown force '{kind}' (supported: const)")
-    value = float(cfg.require("force_value"))
-    if not math.isfinite(value):
-        raise ConfigError(f"force_value must be finite, got {value}")
-
-    def force(grid: Grid, _t: float) -> RealField:
-        return RealField(grid, np.full(grid.shape, value))
-
-    return force
+    return float(cfg.require("force_value"))
 
 
 def _check_initial_kind(scheme: str, initial) -> None:
@@ -703,7 +697,7 @@ def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
     headers = _dump_headers(paths)
     first = headers[0]
     scheme, force, tensions = _audit_setup(first.num_grains, config_path)
-    steps, force = len(headers) - 1, force if scheme == "forced" else None
+    steps = len(headers) - 1
     scheme_cfg = _scheme_config(scheme, first.grid, first.h, steps, force, tensions)
     states = (read_dump(hd.path)[0] for hd in headers)
     report = ledger_check(scheme_cfg, states, first.step)

@@ -359,7 +359,6 @@ class LedgerWalk:
         self,
         step: int,
         cur: PhaseField | MultiPhaseState,
-        force_now: RealField | None,
         following: PhaseField | MultiPhaseState | None,
     ) -> LedgerRow:
         """Ledger row of the step from ``state`` to ``cur``, then move to ``cur``.
@@ -374,9 +373,9 @@ class LedgerWalk:
         known to follow it, else gathered anew), and the dissipation
         (tension rows for a partition) and the forcing transfer are summed
         over the changed cells with the bits of numpy's sum of the
-        full-grid integrand, which is zero off them.  Forced steps pass the
-        force at the target time, the other schemes None.  ``following`` is
-        as for the constructor.
+        full-grid integrand, which is zero off them.  The transfer of a
+        forced walk takes the config's force f on each rising cell and -f on
+        each falling one.  ``following`` is as for the constructor.
 
         On a changed cell omega is +1 at the new label, -1 at the old and 0
         elsewhere, so a partition's row i is folded only on the changed
@@ -415,7 +414,7 @@ class LedgerWalk:
             changed = before.size
             energy = self._smooth(cur, following, None, None)
             after = self.smoothed.values.ravel()
-            force = None if force_now is None else force_now.values.ravel()
+            force = cfg.force
             scratch, taken = np.empty(min(n, _SUM_CHUNK)), 0
 
             def node_sum(lo: int, hi: int):
@@ -430,7 +429,8 @@ class LedgerWalk:
                 taken += flipped.size
                 np.subtract(after[lo:hi][flipped], diff, out=diff)  # G cur - G prev
                 falling, v, sums = old[lo:hi][flipped], scratch[: hi - lo], []
-                for term in [diff] if force is None else [diff, force[lo:hi][flipped]]:
+                terms = [diff] if force is None else [diff, np.full(diff.size, force)]
+                for term in terms:
                     np.negative(term, out=term, where=falling)
                     v.fill(0.0)
                     v[flipped] = term
@@ -477,8 +477,8 @@ def ledger_check(
     so a corrupted state shows up as a violated step regardless of what the
     run recorded.  The states walk the run's own :class:`LedgerWalk`, so
     untouched states reproduce the run's rows bit for bit.  ``first_step``
-    is the step number of the first state: rows are numbered, and a force
-    is evaluated, at the steps the states were produced at.
+    is the step number of the first state: rows are numbered by the steps
+    the states were produced at.
 
     ``states`` may be any iterable; it is read once, in order.  Partitions
     are read one state ahead of the walk, so a grain-growth audit holds at
@@ -490,8 +490,7 @@ def ledger_check(
     walk = LedgerWalk(config, *next(pairs))
     rows: list[LedgerRow] = []
     for step, (state, following) in enumerate(pairs, start=first_step + 1):
-        force_now = config.force(config.grid, step * config.h) if config.force else None
-        rows.append(walk.advance(step, state, force_now, following))
+        rows.append(walk.advance(step, state, following))
     return ledger_report(rows)
 
 

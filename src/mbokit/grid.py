@@ -152,29 +152,12 @@ class PhaseField:
 
 @dataclass(frozen=True)
 class RealField:
-    """Real-valued (float64) field over the grid cells."""
+    """Real-valued field over the grid cells: C-contiguous float64
+    ``values`` of the grid's shape, as their maker built them (the heat
+    kernel's clamp finds every smoothed value finite)."""
 
     grid: Grid
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if arr.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {arr.shape} does not match grid {self.grid.shape}"
-            )
-        flat = arr.reshape(-1)  # checked in blocks: no full-grid mask
-        for lo in range(0, flat.size, _BLOCK_CELLS):
-            if not np.isfinite(flat[lo : lo + _BLOCK_CELLS]).all():
-                raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def unchecked(cls, grid: Grid, values: np.ndarray) -> "RealField":
-        """A field of C-contiguous float64 ``values`` its maker found finite."""
-        out = object.__new__(cls)
-        vars(out).update(grid=grid, values=values)
-        return out
 
 
 @dataclass(frozen=True)

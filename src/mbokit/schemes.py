@@ -10,9 +10,8 @@ per-cell summary of them and a gather of their values on chosen cells):
 * ``step_volume_preserving``: keep exactly the current cell count by
   selecting the top cells of the smoothed field; the reported threshold
   plays the role of a volume multiplier.
-* ``step_forced``: threshold at 1/2 - f sqrt(h) / (2 sqrt(pi)) with a
-  space-time forcing f sampled at the step's target time; adds a normal
-  velocity f on top of curvature.
+* ``step_forced``: threshold at 1/2 - f sqrt(h) / (2 sqrt(pi)) for a
+  constant force f; adds a normal velocity f on top of curvature.
 * ``step_grain_growth``: multiphase vapor/grain version with a surface
   tension matrix; each cell goes to its best grain, and the total solid
   cell count is preserved exactly through a bottom selection of the
@@ -55,8 +54,6 @@ from .diagnostics import (
 )
 
 SCHEMES = ("mbo", "volume_preserving", "forced", "grain_growth")
-
-ForceFunction = Callable[[Grid, float], RealField]
 
 # A solid reaching beyond this fraction of the side starts feeling its own
 # periodic images; runs past it are flagged, not stopped, unless the solid
@@ -156,13 +153,15 @@ class SchemeConfig:
 
     A bandwidth whose kernel multipliers or whose horizon ``steps * h``
     would overflow is refused here, so no plan or step time meets it.
+    ``force`` is the forced scheme's constant force f, a finite number
+    (0.0 included), and None for every other scheme.
     """
 
     scheme: str
     grid: Grid
     h: float
     steps: int
-    force: ForceFunction | None = None
+    force: float | None = None
     tensions: SurfaceTensionMatrix | None = None
 
     def __post_init__(self) -> None:
@@ -176,8 +175,10 @@ class SchemeConfig:
             raise ValueError(f"bandwidth h = {self.h} overflows h |k|^2 on this grid")
         if not math.isfinite(self.steps * self.h):
             raise ValueError(f"horizon steps * h = {self.steps} * {self.h} overflows")
+        if self.force is not None and not math.isfinite(self.force):
+            raise ValueError(f"force_value must be finite, got {self.force}")
         if self.scheme == "forced" and self.force is None:
-            raise ValueError("forced scheme needs a force function")
+            raise ValueError("forced scheme needs a force")
         if self.scheme != "forced" and self.force is not None:
             raise ValueError(f"scheme {self.scheme!r} does not take a force")
         if self.scheme == "grain_growth" and self.tensions is None:
@@ -196,18 +197,13 @@ def step_mbo(chi: PhaseField, smoothed: RealField) -> PhaseField:
     return PhaseField(chi.grid, smoothed.values > 0.5)
 
 
-def step_forced(
-    chi: PhaseField, smoothed: RealField, force_now: RealField, h: float
-) -> PhaseField:
+def step_forced(chi: PhaseField, smoothed: RealField, f: float, h: float) -> PhaseField:
     """One forced step: threshold ``smoothed`` at 1/2 - f sqrt(h) / (2 sqrt(pi)).
 
-    ``force_now`` is the forcing sampled at the step's target time.  A zero
-    force reproduces :func:`step_mbo` bit for bit, because the threshold
-    field then equals 1/2 exactly in every cell.
+    ``f`` is the constant force.  A zero force of either sign reproduces
+    :func:`step_mbo` bit for bit, because the threshold is then 1/2 exactly.
     """
-    if force_now.grid != chi.grid:
-        raise ValueError("force field lives on a different grid")
-    tau = 0.5 - force_now.values * (math.sqrt(h) / (2.0 * math.sqrt(math.pi)))
+    tau = 0.5 - f * (math.sqrt(h) / (2.0 * math.sqrt(math.pi)))
     return PhaseField(chi.grid, smoothed.values > tau)
 
 
@@ -406,7 +402,6 @@ class Stepper:
             t = n * h
             lam: float | None = None
             good: bool | None = None
-            force_now: RealField | None = None
 
             if config.scheme == "grain_growth":
                 new_state, lam = step_grain_growth(
@@ -416,13 +411,12 @@ class Stepper:
             elif config.scheme == "mbo":
                 new_state = step_mbo(walk.state, walk.smoothed)
             elif config.scheme == "forced":
-                force_now = config.force(grid, t)
-                new_state = step_forced(walk.state, walk.smoothed, force_now, h)
+                new_state = step_forced(walk.state, walk.smoothed, config.force, h)
             else:
                 new_state, lam = step_volume_preserving(walk.state, walk.smoothed)
                 good = abs(lam - 0.5) < GOOD_ITERATION_BAND
             last = new_state if n == config.steps else None  # nothing follows it
-            row = walk.advance(n, new_state, force_now, last)
+            row = walk.advance(n, new_state, last)
 
             new_solid = _solid_of(new_state)
             count, radius = new_solid.cell_count, None

@@ -6,7 +6,6 @@ import pytest
 from mbokit.grid import (
     Grid,
     PhaseField,
-    RealField,
     random_blob,
     rasterize_ball,
     voronoi_labels,
@@ -57,10 +56,6 @@ def symmetric_tensions(p, seed, low, high):
     return upper + upper.T
 
 
-def _const_force(grid: Grid, _t: float) -> RealField:
-    return RealField(grid, np.full(grid.shape, 2.0))
-
-
 @pytest.fixture(
     params=["mbo", "volume_preserving", "forced", "grain_growth", "mbo_extinct"]
 )
@@ -85,7 +80,7 @@ def scheme_case(request, grid128, ball128):
     if name == "mbo_extinct":
         small = rasterize_ball(grid128, (0.5, 0.5), 0.05)
         return SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=50), small
-    force = _const_force if name == "forced" else None
+    force = 2.0 if name == "forced" else None
     cfg = SchemeConfig(scheme=name, grid=grid128, h=1e-3, steps=4, force=force)
     if name == "volume_preserving":
         return cfg, random_blob(grid128, seed=31)

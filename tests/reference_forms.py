@@ -46,6 +46,16 @@ def plain_tension_rows(ext: np.ndarray, fields):
         yield acc
 
 
+def forced_step_field_form(
+    chi: PhaseField, smoothed: RealField, f: float, h: float
+) -> PhaseField:
+    """The forced step thresholded against a full grid of the constant force
+    ``f``, as ``step_forced`` once read it: its scalar threshold must give
+    these bits."""
+    c = math.sqrt(h) / (2.0 * math.sqrt(math.pi))
+    return PhaseField(chi.grid, smoothed.values > 0.5 - np.full(chi.grid.shape, f) * c)
+
+
 def full_multipliers(grid: Grid, h: float) -> np.ndarray:
     """``exp(-h |k|^2)`` over every row of the real-to-complex spectrum,
     ``|k|^2`` summed from zero in spatial axis order: the array a plan's

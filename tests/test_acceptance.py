@@ -27,7 +27,6 @@ from mbokit.grid import (
     Grid,
     MultiPhaseState,
     PhaseField,
-    RealField,
     bounding_radius,
     centroid,
     random_blob,
@@ -58,13 +57,6 @@ from reference_forms import (
 MATRIX_N = 256
 MATRIX_H = (1.6e-3, 6.4e-4, 2.5e-4)
 MATRIX_STEPS = 10
-
-
-def constant_force(value):
-    def force(grid, t):
-        return RealField(grid, np.full(grid.shape, float(value)))
-
-    return force
 
 
 def area_radius(field):
@@ -128,7 +120,6 @@ def matrix():
         "brick": brick_wall(g),
         "sectors": sector_disk(g),
     }
-    f2 = constant_force(2.0)
     runs = []
     for h in MATRIX_H:
         for name, chi in shapes.items():
@@ -138,7 +129,7 @@ def matrix():
                     grid=g,
                     h=h,
                     steps=MATRIX_STEPS,
-                    force=f2 if scheme == "forced" else None,
+                    force=2.0 if scheme == "forced" else None,
                 )
                 runs.append((f"{scheme}:{name}:h={h}", scheme, cfg, chi))
         for name, state in states.items():
@@ -297,7 +288,6 @@ def test_c05_two_ball_ripening():
 def test_c06_forced_scheme():
     # (a) zero force reproduces plain thresholding bit for bit
     g = Grid(dim=2, n=256)
-    zero = constant_force(0.0)
     for chi in (
         rasterize_ball(g, (0.5, 0.5), 0.3),
         random_blob(g, seed=3, fill=0.3, smoothing=0.04),
@@ -305,7 +295,7 @@ def test_c06_forced_scheme():
         plain_cfg = SchemeConfig(scheme="mbo", grid=g, h=1e-3, steps=10)
         plain = [chi, *Stepper(plain_cfg, chi)]
         forced_cfg = SchemeConfig(
-            scheme="forced", grid=g, h=1e-3, steps=10, force=zero
+            scheme="forced", grid=g, h=1e-3, steps=10, force=0.0
         )
         forced = [chi, *Stepper(forced_cfg, chi)]
         assert len(plain) == len(forced) and all(
@@ -317,7 +307,7 @@ def test_c06_forced_scheme():
     h, f, steps = 1.0 / 512.0, 4.0, 20
     slab = rasterize_slab(g128, 0, 0.25, 0.75)
     cfg = SchemeConfig(
-        scheme="forced", grid=g128, h=h, steps=steps, force=constant_force(f)
+        scheme="forced", grid=g128, h=h, steps=steps, force=f
     )
     final = [slab, *Stepper(cfg, slab)][-1]
     grown = (final.cell_count - slab.cell_count) * g128.cell_volume
@@ -329,7 +319,7 @@ def test_c06_forced_scheme():
     for r0 in (0.275, 0.225):
         chi = rasterize_ball(g, (0.5, 0.5), r0)
         cfg = SchemeConfig(
-            scheme="forced", grid=g, h=1e-3, steps=20, force=constant_force(4.0)
+            scheme="forced", grid=g, h=1e-3, steps=20, force=4.0
         )
         final = [chi, *Stepper(cfg, chi)][-1]
         drifts[r0] = final.cell_count - chi.cell_count

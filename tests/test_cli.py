@@ -39,7 +39,7 @@ from mbokit.grid import (
     rasterize_ball,
     voronoi_labels,
 )
-from mbokit.kernel import ClampWarning, HeatKernelPlan, convolve
+from mbokit.kernel import ClampWarning, HeatKernelPlan, ResolutionWarning, convolve
 from mbokit.oracles import circle_mcf
 from mbokit import schemes
 from mbokit.schemes import SchemeConfig, Stepper
@@ -739,6 +739,28 @@ class TestCommands:
         assert err.startswith("config error:") and "force_value" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("base", ["ball", "voronoi"])
+    def test_check_refuses_a_force_that_run_refuses(self, tmp_path, capsys, base):
+        # a scheme that takes no force, configured with one: run refuses the
+        # config, and check refuses it for that run's dumps as well
+        def config(name, extra=""):
+            out_dir = f"out_dir = {tmp_path / name}\n"
+            text = f"{NON_FINITE_BASES[base]}dump_every = 1\n{extra}{out_dir}"
+            return write_cfg(tmp_path, text, f"{name}.cfg")
+
+        assert quiet_main(["run", config("out")]) == 0
+        dumps = sorted(str(p) for p in (tmp_path / "out").glob("state_*.mbof"))
+        assert len(dumps) == 3
+        forced = config("forced", "force = const\nforce_value = 0.5\n")
+        capsys.readouterr()
+        for args in (["run", forced], ["check", *dumps, "--config", forced]):
+            assert quiet_main(args) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error:")
+            assert "does not take a force" in captured.err
+        assert not (tmp_path / "forced").exists()
+
     def test_non_finite_ledger_value_fails_run_and_check(self, tmp_path, capsys):
         # step 1's forcing transfer overflows to inf, and so does its slack
         out = tmp_path / "out"
@@ -1394,6 +1416,14 @@ def plausible_values(key):
     return point
 
 
+def is_documented_warning(w):
+    """An under-resolved bandwidth, a clamp above its tolerance, or a support
+    radius past 40 percent of the side: the warnings a command may show."""
+    if issubclass(w.category, (ResolutionWarning, ClampWarning)):
+        return True
+    return w.category is UserWarning and "support radius" in str(w.message)
+
+
 # Configs that run; the fuzz sets, adds or drops keys of one of them.
 FUZZ_BASES = (
     {"scheme": "mbo", "init": "ball", "ball_center": "0.5 0.5", "ball_radius": "0.3"},
@@ -1432,9 +1462,17 @@ class TestFuzzedConfigs:
     @settings(max_examples=600, deadline=None)
     def test_run_check_and_energy_meet_every_config(self, text):
         """Every config ends ``run`` with a documented exit code, raises no
-        numpy RuntimeWarning, and a finished run is audited to its verdict."""
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        numpy RuntimeWarning and no warning of an undocumented kind, and a
+        finished run is audited to its verdict."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             warnings.simplefilter("error", RuntimeWarning)
+            self.meet_config(text)
+        assert all(map(is_documented_warning, caught)), [str(w) for w in caught]
+
+    @staticmethod
+    def meet_config(text):
+        with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp, "out")
             cfg = Path(tmp, "fuzz.cfg")
             cfg.write_text(text + f"out_dir = {out}\ndump_every = 1\n")

@@ -115,17 +115,18 @@ def full_grid_dissipation(cfg, prev, cur, prev_smoothed, cur_smoothed):
     return -quad * cfg.grid.cell_volume / math.sqrt(cfg.h)
 
 
-def full_grid_two_phase(cfg, prev, cur, prev_smoothed, cur_smoothed, force_now):
+def full_grid_two_phase(cfg, prev, cur, prev_smoothed, cur_smoothed):
     """Two-phase dissipation and forcing transfer summed over every cell, as
-    the ledger once formed them."""
+    the ledger once formed them from a full grid of the config's force."""
     omega = cur.as_float()
     omega -= prev.mask
     diff = cur_smoothed.values - prev_smoothed.values
     cell = cfg.grid.cell_volume
     dissipation = float((omega * diff).sum()) * cell / math.sqrt(cfg.h)
     transfer = 0.0
-    if force_now is not None:
-        transfer = float((force_now.values * omega).sum()) * cell / math.sqrt(math.pi)
+    if cfg.force is not None:
+        force = np.full(cfg.grid.shape, cfg.force)
+        transfer = float((force * omega).sum()) * cell / math.sqrt(math.pi)
     return dissipation, transfer
 
 
@@ -435,7 +436,7 @@ class TestStreamedAudit:
         cfg, _, states = grain_run
         prev, cur = states[0], states[2]
         walk = LedgerWalk(cfg, prev, states[1])
-        row = walk.advance(1, cur, None, cur)
+        row = walk.advance(1, cur, cur)
         plan = HeatKernelPlan(cfg.grid, cfg.h)
         omega = state_difference(cur, prev)
         ref = dissipation_multiphase(omega, cfg.grid, cfg.tensions, cfg.h, plan=plan)
@@ -516,9 +517,9 @@ class TestLedger:
             expected = full_grid_dissipation(
                 cfg, prev, cur, smoothed[n - 1], smoothed[n]
             )
-            row = kept.advance(n, cur, None, None)
+            row = kept.advance(n, cur, None)
             following = states[min(n + 1, len(states) - 1)]
-            assert streamed.advance(n, cur, None, following) == row
+            assert streamed.advance(n, cur, following) == row
             assert streamed.smoothed is None
             assert row.dissipation == expected
             assert np.signbit(row.dissipation) == np.signbit(expected)
@@ -531,47 +532,41 @@ class TestLedger:
     def test_changed_cell_two_phase_terms_equal_full_grid_form(
         self, grid128, ball128, scheme
     ):
-        force = None
-        if scheme == "forced":
-            def force(grid, t):  # changes sign across the grid and in time
-                x = grid.coordinate(0) + 0.5 * grid.coordinate(1)
-                return RealField(grid, 10.0 * np.cos(2.0 * np.pi * x) - 40.0 * t)
-
-        cfg = SchemeConfig(
-            scheme=scheme, grid=grid128, h=1e-3, steps=4, force=force
-        )
-        states = [ball128, *Stepper(cfg, ball128)]
-        states.append(states[-1])  # a step that flips no cell
-        plan = HeatKernelPlan(grid128, cfg.h)
-        smoothed = [convolve(plan, s) for s in states]
-        walk = LedgerWalk(cfg, states[0], None)
-        for n in range(1, len(states)):
-            prev, cur = states[n - 1], states[n]
-            force_now = force(grid128, n * cfg.h) if force else None
-            expected = full_grid_two_phase(
-                cfg, prev, cur, smoothed[n - 1], smoothed[n], force_now
+        # a force of either sign grows or shrinks the ball, so the transfer
+        # sums f on rising cells and -f on falling ones; zeros of both signs
+        # give the plain scheme's steps and a zero transfer
+        for force in [None] if scheme == "mbo" else [12.0, -12.0, 0.0, -0.0]:
+            cfg = SchemeConfig(
+                scheme=scheme, grid=grid128, h=1e-3, steps=4, force=force
             )
-            row = walk.advance(n, cur, force_now, None)
-            got = (row.dissipation, row.transfer)
-            assert got == expected
-            assert list(np.signbit(got)) == list(np.signbit(expected))
-            flipped = np.count_nonzero(cur.mask != prev.mask)
-            assert walk.changed == flipped
-            if n == len(states) - 1:
-                assert flipped == 0
-                assert not np.signbit(got).any() and got == (0.0, 0.0)
-            else:
-                assert flipped > 0 and row.dissipation > 0.0
-                assert scheme == "mbo" or row.transfer != 0.0
+            states = [ball128, *Stepper(cfg, ball128)]
+            states.append(states[-1])  # a step that flips no cell
+            plan = HeatKernelPlan(grid128, cfg.h)
+            smoothed = [convolve(plan, s) for s in states]
+            walk = LedgerWalk(cfg, states[0], None)
+            for n in range(1, len(states)):
+                prev, cur = states[n - 1], states[n]
+                expected = full_grid_two_phase(
+                    cfg, prev, cur, smoothed[n - 1], smoothed[n]
+                )
+                row = walk.advance(n, cur, None)
+                got = (row.dissipation, row.transfer)
+                assert got == expected
+                assert list(np.signbit(got)) == list(np.signbit(expected))
+                flipped = np.count_nonzero(cur.mask != prev.mask)
+                assert walk.changed == flipped
+                if n == len(states) - 1:
+                    assert flipped == 0
+                    assert not np.signbit(got).any() and got == (0.0, 0.0)
+                else:
+                    assert flipped > 0 and row.dissipation > 0.0
+                    assert (row.transfer != 0.0) == bool(force)
 
     def test_audit_from_a_later_step_reproduces_run_rows(self, grid128, ball128):
-        # a force that changes every step: rows must be evaluated at their own
-        # step number, not at the position of the state in the audited list
-        def ramp(grid, t):
-            return RealField(grid, np.full(grid.shape, 2.0 - 250.0 * t))
-
+        # rows are numbered by their own step, not by the position of the
+        # state in the audited list
         cfg = SchemeConfig(
-            scheme="forced", grid=grid128, h=1e-3, steps=6, force=ramp
+            scheme="forced", grid=grid128, h=1e-3, steps=6, force=2.0
         )
         stepper = Stepper(cfg, ball128)
         states = [ball128, *stepper]

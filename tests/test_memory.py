@@ -158,7 +158,7 @@ def test_grain_advance_allocates_no_second_stack(many_grains):
     after, _ = step_grain_growth(initial, walk.summary, walk.gather, cfg.tensions)
     summary = walk.summary
     arrays = [id(a) for a in (summary.gap, summary.rest, summary.base, summary.leader)]
-    _, peak = traced_peak(walk.advance, 1, after, None, None)
+    _, peak = traced_peak(walk.advance, 1, after, None)
     assert walk.changed > 0
     assert walk.summary is summary
     assert [id(a) for a in (summary.gap, summary.rest, summary.base, summary.leader)] == arrays
@@ -352,7 +352,7 @@ def test_two_phase_advance_holds_one_spectrum():
     cfg = SchemeConfig("mbo", GRID512, 16.0 * GRID512.dx**2, 1)
     walk = LedgerWalk(cfg, ball, None)
     after = step_mbo(ball, walk.smoothed)
-    _, peak = traced_peak(walk.advance, 1, after, None, None)
+    _, peak = traced_peak(walk.advance, 1, after, None)
     assert 50 < walk.changed < 500
     assert peak < 1.3 * GRID512.total_cells * 8
 
@@ -368,7 +368,19 @@ def test_two_phase_advance_holds_no_full_grid_temporaries(grid):
     after = PhaseField(grid, ball.mask ^ flipped)
     cfg = SchemeConfig("mbo", grid, 16.0 * grid.dx**2, 1)
     walk = LedgerWalk(cfg, ball, None)
-    walk.advance(1, after, None, None)  # warm the caches and hold a step's cells
-    _, peak = traced_peak(walk.advance, 2, ball, None, None)
+    walk.advance(1, after, None)  # warm the caches and hold a step's cells
+    _, peak = traced_peak(walk.advance, 2, ball, None)
     assert walk.changed == np.count_nonzero(flipped)
     assert peak < 0.3 * grid.total_cells * 8
+
+
+def test_forced_step_holds_no_force_field():
+    # the force is a number: a forced step thresholds at a scalar and sums
+    # its transfer over the changed cells, so it holds what a plain step does
+    ball = rasterize_ball(GRID512, (0.45, 0.45), 0.3)
+    h = 16.0 * GRID512.dx**2
+    peaks = {}
+    for scheme, force in [("mbo", None), ("forced", 0.5)] * 2:  # the first warms
+        stepper = Stepper(SchemeConfig(scheme, GRID512, h, 1, force=force), ball)
+        _, peaks[scheme] = traced_peak(next, iter(stepper))
+    assert abs(peaks["forced"] - peaks["mbo"]) < 0.1 * GRID512.total_cells * 8

@@ -12,7 +12,6 @@ from mbokit.grid import (
     Grid,
     MultiPhaseState,
     PhaseField,
-    RealField,
     random_blob,
     rasterize_ball,
     rasterize_slab,
@@ -35,6 +34,7 @@ from mbokit.threshold import select_bottom_cells
 from conftest import symmetric_tensions
 from reference_forms import (
     convolve_labels,
+    forced_step_field_form,
     full_stack_grain_step,
     full_stack_step,
     plain_tension_rows,
@@ -70,13 +70,6 @@ def grain_step_reference(state, tensions, smoothed):
     sel = select_bottom_cells((phi_best - phi[0]).reshape(-1), state.solid_cell_count)
     labels = np.where(sel.mask.reshape(state.grid.shape), best.astype(np.int32) + 1, 0)
     return labels, sel.threshold
-
-
-def constant_force(value):
-    def force(grid, _t):
-        return RealField(grid, np.full(grid.shape, value))
-
-    return force
 
 
 def quiet_plan(grid, h):
@@ -288,22 +281,29 @@ class TestStepMbo:
 
 class TestStepForced:
     def test_zero_force_matches_mbo(self, grid128, ball128):
-        from mbokit.grid import RealField
-
         plan = HeatKernelPlan(grid128, 1e-3)
-        zero = RealField(grid128, np.zeros(grid128.shape))
         a = step_mbo(ball128, convolve(plan, ball128))
-        b = step_forced(ball128, convolve(plan, ball128), zero, 1e-3)
+        b = step_forced(ball128, convolve(plan, ball128), 0.0, 1e-3)
         assert (a.mask == b.mask).all()
 
     def test_positive_force_grows_interface(self, grid128, ball128):
-        from mbokit.grid import RealField
-
         plan = HeatKernelPlan(grid128, 1e-3)
-        f = RealField(grid128, np.full(grid128.shape, 8.0))
-        grown = step_forced(ball128, convolve(plan, ball128), f, 1e-3)
+        grown = step_forced(ball128, convolve(plan, ball128), 8.0, 1e-3)
         plain = step_mbo(ball128, convolve(plan, ball128))
         assert grown.cell_count > plain.cell_count
+
+    @pytest.mark.parametrize("f", [0.0, -0.0, 0.5, -2.0, 30.0, -30.0, 1e308])
+    @pytest.mark.parametrize(
+        "grid, h", [(Grid(2, 128), 1e-3), (Grid(3, 32), 4e-3)], ids=["2d", "3d"]
+    )
+    def test_scalar_threshold_has_the_bits_of_the_field_form(self, grid, h, f):
+        # the scalar threshold is one multiply and one subtract, as each
+        # cell of the constant force grid once saw
+        blob = random_blob(grid, seed=11, fill=0.4, smoothing=0.05)
+        smoothed = convolve(quiet_plan(grid, h), blob)
+        got = step_forced(blob, smoothed, f, h)
+        expected = forced_step_field_form(blob, smoothed, f, h)
+        assert got.mask.tobytes() == expected.mask.tobytes()
 
 
 class TestStepVolumePreserving:
@@ -687,7 +687,7 @@ class TestPrunedRowsKeepTheBits:
                     return walk.gather(cells)
 
                 new, _ = step_grain_growth(initial, walk.summary, gather, cfg.tensions)
-                walk.advance(1, new, None, None)
+                walk.advance(1, new, None)
             cells = asked[0] + walk.changed
             handed[p], every_row[p] = sum(cols), (p + 1) * cells
             assert handed[p] < 3 * cells
@@ -791,7 +791,7 @@ class TestRun:
     def test_a_solid_filling_the_torus_does_not_warn(self, grid64):
         # the threshold 1/2 - f sqrt(h) / (2 sqrt(pi)) is below 0, so the
         # first step fills the torus: no interface is left, so no images
-        cfg = SchemeConfig("forced", grid64, 4e-3, 3, force=constant_force(30.0))
+        cfg = SchemeConfig("forced", grid64, 4e-3, 3, force=30.0)
         ball = rasterize_ball(grid64, (0.5, 0.5), 0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -803,7 +803,7 @@ class TestRun:
 
     def test_a_compact_ball_growing_past_the_bound_warns(self, grid64):
         # radius 0.37 grows to 0.42 at step 2 and 0.46 at step 3, unfilled
-        cfg = SchemeConfig("forced", grid64, 4e-3, 3, force=constant_force(8.0))
+        cfg = SchemeConfig("forced", grid64, 4e-3, 3, force=8.0)
         ball = rasterize_ball(grid64, (0.5, 0.5), 0.37)
         with pytest.warns(UserWarning, match="support radius .* at step 2") as caught:
             states = list(Stepper(cfg, ball))
@@ -819,9 +819,9 @@ class TestRun:
         calls = []
         advance = diagnostics.LedgerWalk.advance
 
-        def recording(walk, step, cur, force_now, following):
+        def recording(walk, step, cur, following):
             calls.append((walk, following))
-            return advance(walk, step, cur, force_now, following)
+            return advance(walk, step, cur, following)
 
         monkeypatch.setattr(diagnostics.LedgerWalk, "advance", recording)
         stepper = Stepper(cfg, initial)
@@ -833,7 +833,7 @@ class TestRun:
         assert all(f is None for _, f in calls[:-1])
         told_nothing = diagnostics.LedgerWalk(cfg, initial, None)
         rows = [
-            told_nothing.advance(n, state, None, None)
+            told_nothing.advance(n, state, None)
             for n, state in enumerate(states[1:], start=1)
         ]
         fields = ("energy_before", "energy_after", "dissipation", "transfer", "slack")
@@ -874,13 +874,8 @@ class TestRun:
             Stepper(cfg, ball128)
 
     def test_forced_records_transfer(self, grid128, ball128):
-        from mbokit.grid import RealField
-
-        def f(grid, t):
-            return RealField(grid, np.full(grid.shape, 2.0))
-
         cfg = SchemeConfig(
-            scheme="forced", grid=grid128, h=1e-3, steps=3, force=f
+            scheme="forced", grid=grid128, h=1e-3, steps=3, force=2.0
         )
         stepper = Stepper(cfg, ball128)
         list(stepper)
