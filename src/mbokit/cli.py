@@ -593,8 +593,10 @@ def cmd_sweep(config_path: str) -> int:
         raise ConfigError("mbo sweep compares against a shrinking ball")
     initial = build_initial(cfg, grid)
     _check_initial_kind(scheme, initial)
+    force = build_force(cfg)
     configs = [
-        _scheme_config(scheme, grid, h, max(1, round(horizon / h))) for h in h_list
+        _scheme_config(scheme, grid, h, max(1, round(horizon / h)), force)
+        for h in h_list
     ]
 
     rows: list[dict[str, float | int | None]] = []
@@ -717,11 +719,10 @@ def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> in
     """Print the interfacial energy of one stored state, as a run's
     :class:`LedgerWalk` takes it."""
     state, dump_h, _step = read_dump(path)
-    scheme, tensions = "mbo", None
-    if isinstance(state, MultiPhaseState):
-        scheme, _, tensions = _audit_setup(state.num_grains, config_path)
+    num_grains = state.num_grains if isinstance(state, MultiPhaseState) else None
+    scheme, force, tensions = _audit_setup(num_grains, config_path)
     bandwidth = dump_h if h is None else h
-    scheme_cfg = _scheme_config(scheme, state.grid, bandwidth, 0, tensions=tensions)
+    scheme_cfg = _scheme_config(scheme, state.grid, bandwidth, 0, force, tensions)
     print(_fmt(LedgerWalk(scheme_cfg, state, state).energy))  # nothing follows
     return EXIT_OK
 

@@ -3,9 +3,8 @@
 The thresholding schemes in this package are implicit descent steps for a
 nonlocal interfacial energy.  This module computes that energy and walks
 the per-step energy ledger, whose dissipation it sums over the changed
-cells only.  On top of those it provides audit tools: the scaling
-statistic of the volume multiplier and its log-log fit, and a
-support-growth monitor.
+cells only.  On top of those it provides the scaling statistic of the
+volume multiplier and its log-log fit, which ``mbokit sweep`` reports.
 
 All integrals are plain cell sums times the cell volume.  Quantities that
 are exact by construction are checked at tolerances near machine rounding;
@@ -21,23 +20,15 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .grid import _SUM_CHUNK, MultiPhaseState, PhaseField, RealField, _pairwise_sum
+from .grid import _SUM_CHUNK, MultiPhaseState, PhaseField, _pairwise_sum
 from .kernel import HeatKernelPlan, convolve
 
 if TYPE_CHECKING:  # only for annotations; no runtime dependency on schemes
-    from .schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
+    from .schemes import SchemeConfig, SurfaceTensionMatrix
 
 # A step is a "good iteration" when its volume multiplier stays within
 # this band of its resting value (1/2 for two-phase, 0 for grain growth).
 GOOD_ITERATION_BAND = 0.25
-
-# Distance C with  integral_0^C of the unit-bandwidth 1-d kernel = 1/4,
-# i.e. erf(C/2) = 1/2, so C = 2 erfinv(1/2).  Within one good iteration the
-# support radius can grow by at most C*sqrt(h) plus a multiplier term with
-# slope 1/G1(C).
-TIGHTNESS_REACH = 0.9538725524089398
-_KERNEL_AT_REACH = float((4.0 * np.pi) ** -0.5 * np.exp(-(TIGHTNESS_REACH**2) / 4.0))
-TIGHTNESS_SLOPE = 1.0 / _KERNEL_AT_REACH
 
 # Ledger slack below -1e-9 times the energy scale counts as a violation,
 # as does any ledger value that is not finite.
@@ -109,7 +100,7 @@ class StepRecord(LedgerRow):
 # two-phase energy pieces
 
 
-def energy_two_phase(chi: PhaseField, smoothed: RealField, h: float) -> float:
+def energy_two_phase(chi: PhaseField, smoothed: np.ndarray, h: float) -> float:
     """Interfacial energy (1/sqrt h) * integral of (1-chi) G_h chi.
 
     ``smoothed`` is G_h chi, as :func:`convolve` returns it.  Scales like
@@ -118,7 +109,7 @@ def energy_two_phase(chi: PhaseField, smoothed: RealField, h: float) -> float:
     integrand is built and summed one chunk at a time, with the bits of
     numpy's sum over the whole grid.
     """
-    mask, values = chi.mask.ravel(), smoothed.values.ravel()
+    mask, values = chi.mask.ravel(), smoothed.ravel()
     total = _pairwise_sum(
         mask.size, lambda lo, hi: (~mask[lo:hi] * values[lo:hi]).sum()
     )
@@ -246,8 +237,8 @@ class LedgerWalk:
     both walk their states through here, so an audit of untouched states
     reproduces the run's rows bit for bit.
 
-    A two-phase walk keeps its state's clamped smoothed field ``smoothed``
-    (as :func:`convolve` returns it), which a step map reads.  A
+    A two-phase walk keeps its state's clamped smoothed values ``smoothed``
+    (the float64 array :func:`convolve` returns), which a step map reads.  A
     grain-growth walk smooths one label at a time and keeps of each field,
     while it is valid, its share of the energy and a few values; its
     ``smoothed`` is None.  ``following``, passed with every state, is the
@@ -281,7 +272,7 @@ class LedgerWalk:
         """Each label with its clamped smoothed field, valid until the next
         is asked for: the grains in order, then the vapor."""
         for j in [*range(1, state.num_grains + 1), 0]:
-            yield j, convolve(self.plan, state.indicator(j), self._spectrum).values
+            yield j, convolve(self.plan, state.indicator(j), self._spectrum)
 
     def _smooth(
         self,
@@ -408,12 +399,12 @@ class LedgerWalk:
             new, old = cur.mask.ravel(), prev.mask.ravel()
             chunks = [slice(lo, lo + _SUM_CHUNK) for lo in range(0, n, _SUM_CHUNK)]
             ends = np.cumsum([0] + [np.count_nonzero(new[c] != old[c]) for c in chunks])
-            before, values = np.empty(int(ends[-1])), self.smoothed.values.ravel()
+            before, values = np.empty(int(ends[-1])), self.smoothed.ravel()
             for c, lo, hi in zip(chunks, ends, ends[1:]):
                 np.compress(new[c] != old[c], values[c], out=before[lo:hi])
             changed = before.size
             energy = self._smooth(cur, following, None, None)
-            after = self.smoothed.values.ravel()
+            after = self.smoothed.ravel()
             force = cfg.force
             scratch, taken = np.empty(min(n, _SUM_CHUNK)), 0
 
@@ -532,56 +523,3 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     if not all(y > 0 for y in ys):
         return None
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-
-
-@dataclass(frozen=True)
-class TightnessReport:
-    reach: float
-    slope: float
-    cell_allowance: float
-    checked_steps: int
-    good_violations: tuple[int, ...]
-    tripling_violations: tuple[int, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not (self.good_violations or self.tripling_violations)
-
-
-def tightness_monitor(stepper: "Stepper") -> TightnessReport:
-    """Check how fast the support radius grows, step by step.
-
-    On good iterations the radius may grow by at most the smaller of
-    ``TIGHTNESS_REACH * sqrt(h)`` and ``TIGHTNESS_SLOPE * sqrt(h) * |lambda
-    - 1/2|`` (the half-space comparison yields both); any iteration may at
-    worst triple it.  Grid quantization gets one cell diagonal of
-    allowance.  This is a monitor: violations are reported, never raised.
-    ``stepper`` is a :class:`Stepper` that has run.
-    """
-    cfg = stepper.config
-    records = stepper.records
-    if any(r.lam is None or r.bounding_radius is None for r in records):
-        raise ValueError("tightness monitor needs recorded lambda and radius")
-    sqrt_h = math.sqrt(cfg.h)
-    allowance = math.sqrt(cfg.grid.dim) * cfg.grid.dx
-    good_bad: list[int] = []
-    tripling_bad: list[int] = []
-    prev_radius = stepper.initial_radius
-    for rec in records:
-        growth = rec.bounding_radius - prev_radius
-        offset = abs(rec.lam - 0.5)
-        if offset < GOOD_ITERATION_BAND:
-            bound = sqrt_h * min(TIGHTNESS_REACH, TIGHTNESS_SLOPE * offset)
-            if growth > bound + allowance:
-                good_bad.append(rec.step)
-        if rec.bounding_radius > 3.0 * prev_radius + allowance:
-            tripling_bad.append(rec.step)
-        prev_radius = rec.bounding_radius
-    return TightnessReport(
-        TIGHTNESS_REACH,
-        TIGHTNESS_SLOPE,
-        allowance,
-        len(records),
-        tuple(good_bad),
-        tuple(tripling_bad),
-    )

@@ -3,9 +3,10 @@
 Everything downstream (convolution, thresholding, schemes) works on a
 d-dimensional torus sampled at cell centers.  Cells never carry partial
 occupancy: an indicator field is a boolean mask, a labeled state is an
-integer array.  Arrays are C-ordered with the x axis varying fastest,
-so ``mask.ravel()`` enumerates cells in row-major order with spatial
-axis 0 innermost.
+integer array; a real field, such as a smoothed indicator, is a plain
+float64 array of the grid's shape.  Arrays are C-ordered with the x axis
+varying fastest, so ``mask.ravel()`` enumerates cells in row-major order
+with spatial axis 0 innermost.
 """
 
 from __future__ import annotations
@@ -148,16 +149,6 @@ class PhaseField:
 
     def as_float(self) -> np.ndarray:
         return self.mask.astype(np.float64)
-
-
-@dataclass(frozen=True)
-class RealField:
-    """Real-valued field over the grid cells: C-contiguous float64
-    ``values`` of the grid's shape, as their maker built them (the heat
-    kernel's clamp finds every smoothed value finite)."""
-
-    grid: Grid
-    values: np.ndarray
 
 
 @dataclass(frozen=True)

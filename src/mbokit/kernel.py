@@ -8,10 +8,11 @@ A plan stores only tables of ``|k|^2`` and builds the multipliers a block
 of rows along array axis 0 at a time; frequencies ``m`` and ``n - m`` there
 have equal squares, so a block of rows 0 .. n//2 also serves their mirrors.
 
-The transforms run on numpy's pocketfft in the calling thread, one axis at
-a time, in the axis order and with the single ``1/N`` scale of
-``scipy.fft.rfftn``/``irfftn``, so their bits equal scipy's while no
-process has to import it.
+The plan's forward and inverse are the package's only transforms.  They
+run on numpy's pocketfft in the calling thread, one axis at a time, in the
+axis order and with the single ``1/N`` scale of ``scipy.fft.rfftn``/
+``irfftn``, so their bits equal scipy's while no process has to import it.
+A smoothed indicator is a plain float64 array of the grid's shape.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _BLOCK_CELLS, Grid, PhaseField, RealField
+from .grid import _BLOCK_CELLS, Grid, PhaseField
 
 # Below sqrt(h) ~ 4 dx the smoothed profile is too steep for the grid and
 # thresholding dynamics tend to freeze in place.
@@ -48,75 +49,6 @@ def _row_blocks(rows: int, n: int) -> list[slice]:
     """Blocks of whole rows of length ``n``, about ``_BLOCK_CELLS`` cells each."""
     count = min(rows, -(-rows * n // _BLOCK_CELLS))
     return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
-
-
-def _rfftn(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """``scipy.fft.rfftn`` bit for bit: r2c on the last axis, then c2c on 0 .. d-2.
-
-    ``values`` may be of any real or boolean dtype: each block of rows is
-    cast to float64 on its own, so no float copy of the whole array is made.
-    A boolean block with an empty end row transforms only its occupied rows'
-    run; the rest get a zero row's transform.  The transform is written
-    into ``spectrum``, a C-contiguous complex128 array of the spectral shape
-    that shares no memory with ``values``, and returned.
-    """
-    values = np.asarray(values)
-    shape, n = values.shape, values.shape[-1]
-    lines, spec_lines = values.reshape(-1, n), spectrum.reshape(-1, n // 2 + 1)
-    zero_row = np.fft.rfft(np.zeros(n))
-    for block in _row_blocks(lines.shape[0], n):
-        lo, hi = block.start, block.stop
-        if values.dtype == bool and not (lines[lo].any() and lines[hi - 1].any()):
-            rows = np.flatnonzero(lines[lo:hi].any(axis=1))
-            first, last = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
-            spec_lines[lo : lo + first] = spec_lines[lo + last : hi] = zero_row
-            lo, hi = lo + first, lo + last
-        # the block's float copy is freed before the next block's is made
-        src = np.asarray(lines[lo:hi], dtype=np.float64)
-        np.fft.rfft(src, axis=1, out=spec_lines[lo:hi])
-        del src
-    for axis in range(len(shape) - 1):
-        np.fft.fft(spectrum, axis=axis, out=spectrum)
-    return spectrum
-
-
-def _irfftn(spectrum: np.ndarray, shape, clamp: bool) -> np.ndarray:
-    """``scipy.fft.irfftn`` bit for bit, written over ``spectrum``'s memory.
-
-    The c2c passes run unscaled and in place.  The c2r pass then takes
-    blocks of rows into one scratch block, scales them by ``1.0 / N`` (which
-    equals scipy's scale, ``1/N`` in long double rounded to double, for
-    every n from 8 to 2048 in 2-D and 3-D), and copies row r to floats
-    ``r*n .. (r+1)*n`` of ``spectrum``'s buffer.  Complex row r starts at
-    float ``r*(n+1)`` or later, so a block's rows land only on rows already
-    read.  Returns a C-contiguous view of the first N floats of that buffer.
-    ``clamp`` clips each block to [0, 1] and adds ``+0.0`` in the scratch:
-    a NaN is refused, and the extremes before it give a ClampWarning's size.
-    """
-    spectrum = np.ascontiguousarray(spectrum)
-    n, total = shape[-1], math.prod(shape)
-    for axis in range(len(shape) - 1):
-        np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
-    lines = spectrum.reshape(-1, n // 2 + 1)
-    flat = spectrum.reshape(-1).view(np.float64)
-    blocks = _row_blocks(lines.shape[0], n)
-    scratch = np.empty((max(b.stop - b.start for b in blocks), n))
-    extremes = np.zeros((len(blocks), 2))  # each block's max and -min
-    for i, rows in enumerate(blocks):
-        out = scratch[: rows.stop - rows.start]
-        np.fft.irfft(lines[rows], n=n, axis=1, norm="forward", out=out)
-        out *= 1.0 / total
-        if clamp:
-            extremes[i] = out.max(), -out.min()
-            np.clip(out, 0.0, 1.0, out=out)
-            out += 0.0
-        flat[rows.start * n : rows.stop * n] = out.ravel()
-    top, bottom = extremes.max(axis=0).tolist()
-    if math.isnan(top):
-        raise ValueError("field values must be finite")
-    if (overshoot := max(0.0, top - 1.0, bottom)) > CLAMP_TOLERANCE:
-        warnings.warn(ClampWarning(overshoot), stacklevel=3)
-    return flat[:total].reshape(shape)
 
 
 def _squares(grid: Grid) -> np.ndarray:
@@ -178,24 +110,78 @@ class HeatKernelPlan:
         return np.empty(shape, dtype=np.complex128)
 
     def forward(self, values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """Real-to-complex transform of a grid array of floats or booleans,
-        read in blocks of rows, so a mask is never copied to floats whole.
+        """Real-to-complex transform of a grid array, ``scipy.fft.rfftn`` bit
+        for bit: r2c on the last axis, then c2c on 0 .. d-2.
 
-        The transform is written into ``spectrum``, a buffer as
+        ``values`` may be of any real or boolean dtype: each block of rows is
+        cast to float64 on its own, so no float copy of the whole array is
+        made.  A boolean block with an empty end row transforms only its
+        occupied rows' run; the rest get a zero row's transform.  The
+        transform is written into ``spectrum``, a buffer as
         :meth:`empty_spectrum` returns it that shares no memory with
         ``values``, and ``spectrum`` is returned.
         """
-        return _rfftn(values, spectrum)
+        values = np.asarray(values)
+        shape, n = values.shape, values.shape[-1]
+        lines, spec_lines = values.reshape(-1, n), spectrum.reshape(-1, n // 2 + 1)
+        zero_row = np.fft.rfft(np.zeros(n))
+        for block in _row_blocks(lines.shape[0], n):
+            lo, hi = block.start, block.stop
+            if values.dtype == bool and not (lines[lo].any() and lines[hi - 1].any()):
+                rows = np.flatnonzero(lines[lo:hi].any(axis=1))
+                first, last = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+                spec_lines[lo : lo + first] = spec_lines[lo + last : hi] = zero_row
+                lo, hi = lo + first, lo + last
+            # the block's float copy is freed before the next block's is made
+            src = np.asarray(lines[lo:hi], dtype=np.float64)
+            np.fft.rfft(src, axis=1, out=spec_lines[lo:hi])
+            del src
+        for axis in range(len(shape) - 1):
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
+        return spectrum
 
     def inverse(self, spectrum: np.ndarray, clamp: bool) -> np.ndarray:
-        """Complex-to-real transform back to the grid, written over ``spectrum``.
+        """Complex-to-real transform back to the grid, ``scipy.fft.irfftn``
+        bit for bit, written over ``spectrum``'s memory.
 
-        Returns a C-contiguous view into the memory of ``spectrum`` (of a
-        contiguous copy, if it is not contiguous), which is then no longer
-        a spectrum.  The view keeps that whole buffer alive: 2/n more than a
-        field of the grid.  ``clamp`` clips to [0, 1], as for an indicator.
+        The c2c passes run unscaled and in place.  The c2r pass then takes
+        blocks of rows into one scratch block, scales them by ``1.0 / N``
+        (which equals scipy's scale, ``1/N`` in long double rounded to
+        double, for every n from 8 to 2048 in 2-D and 3-D), and copies row r
+        to floats ``r*n .. (r+1)*n`` of ``spectrum``'s buffer.  Complex row r
+        starts at float ``r*(n+1)`` or later, so a block's rows land only on
+        rows already read.  Returns a C-contiguous view of the first N
+        floats of that buffer (of a contiguous copy, if ``spectrum`` is not
+        contiguous), which keeps the whole buffer alive: 2/n more than a
+        field.  ``clamp`` clips each block to [0, 1], as for an indicator,
+        and adds ``+0.0`` in the scratch: a NaN is refused, and the extremes
+        before it give a ClampWarning's size.
         """
-        return _irfftn(spectrum, self.grid.shape, clamp)
+        shape = self.grid.shape
+        spectrum = np.ascontiguousarray(spectrum)
+        n, total = shape[-1], math.prod(shape)
+        for axis in range(len(shape) - 1):
+            np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
+        lines = spectrum.reshape(-1, n // 2 + 1)
+        flat = spectrum.reshape(-1).view(np.float64)
+        blocks = _row_blocks(lines.shape[0], n)
+        scratch = np.empty((max(b.stop - b.start for b in blocks), n))
+        extremes = np.zeros((len(blocks), 2))  # each block's max and -min
+        for i, rows in enumerate(blocks):
+            out = scratch[: rows.stop - rows.start]
+            np.fft.irfft(lines[rows], n=n, axis=1, norm="forward", out=out)
+            out *= 1.0 / total
+            if clamp:
+                extremes[i] = out.max(), -out.min()
+                np.clip(out, 0.0, 1.0, out=out)
+                out += 0.0
+            flat[rows.start * n : rows.stop * n] = out.ravel()
+        top, bottom = extremes.max(axis=0).tolist()
+        if math.isnan(top):
+            raise ValueError("field values must be finite")
+        if (overshoot := max(0.0, top - 1.0, bottom)) > CLAMP_TOLERANCE:
+            warnings.warn(ClampWarning(overshoot), stacklevel=2)
+        return flat[:total].reshape(shape)
 
     def multiply(self, spectrum: np.ndarray) -> np.ndarray:
         """Multiply a spectrum of the plan's grid by ``exp(-h |k|^2)`` in
@@ -225,7 +211,7 @@ class HeatKernelPlan:
 
 def convolve(
     plan: HeatKernelPlan, field_in: PhaseField, spectrum: np.ndarray | None = None
-) -> RealField:
+) -> np.ndarray:
     """Smooth an indicator with the heat kernel of the plan's bandwidth.
 
     The values are clamped back to [0, 1] as the inverse writes them; the
@@ -237,13 +223,13 @@ def convolve(
     One transform pair does the work: the forward transform reads the mask
     into ``spectrum``, a buffer from :meth:`HeatKernelPlan.empty_spectrum`
     that shares no memory with the input (a new one when None), and the
-    smoothed values are written over it, so the result's values are a view
-    into that buffer, 2/n larger than a field.
+    smoothed values are written over it: the result is a C-contiguous
+    float64 view of the grid's shape into that buffer, 2/n larger than a
+    field.
     """
     if field_in.grid != plan.grid:
         raise ValueError("field grid does not match plan grid")
     if spectrum is None:
         spectrum = plan.empty_spectrum()
     spectrum = plan.forward(field_in.mask, spectrum)
-    out = plan.inverse(plan.multiply(spectrum), clamp=True)
-    return RealField(plan.grid, out)
+    return plan.inverse(plan.multiply(spectrum), clamp=True)

@@ -39,7 +39,6 @@ from .grid import (
     Grid,
     MultiPhaseState,
     PhaseField,
-    RealField,
     bounding_radius,
     centroid,
 )
@@ -191,24 +190,24 @@ class SchemeConfig:
 # single steps
 
 
-def step_mbo(chi: PhaseField, smoothed: RealField) -> PhaseField:
+def step_mbo(chi: PhaseField, smoothed: np.ndarray) -> PhaseField:
     """One plain thresholding step: keep the cells whose ``smoothed`` value,
     the heat-kernel convolution of ``chi``, exceeds 1/2."""
-    return PhaseField(chi.grid, smoothed.values > 0.5)
+    return PhaseField(chi.grid, smoothed > 0.5)
 
 
-def step_forced(chi: PhaseField, smoothed: RealField, f: float, h: float) -> PhaseField:
+def step_forced(chi: PhaseField, smoothed: np.ndarray, f: float, h: float) -> PhaseField:
     """One forced step: threshold ``smoothed`` at 1/2 - f sqrt(h) / (2 sqrt(pi)).
 
     ``f`` is the constant force.  A zero force of either sign reproduces
     :func:`step_mbo` bit for bit, because the threshold is then 1/2 exactly.
     """
     tau = 0.5 - f * (math.sqrt(h) / (2.0 * math.sqrt(math.pi)))
-    return PhaseField(chi.grid, smoothed.values > tau)
+    return PhaseField(chi.grid, smoothed > tau)
 
 
 def step_volume_preserving(
-    chi: PhaseField, smoothed: RealField
+    chi: PhaseField, smoothed: np.ndarray
 ) -> tuple[PhaseField, float]:
     """One exactly volume-preserving step.
 
@@ -221,7 +220,7 @@ def step_volume_preserving(
         raise DegeneratePhaseError(
             "volume-preserving step needs a phase that is neither empty nor full"
         )
-    sel = select_top_cells(smoothed.values.reshape(-1), count)
+    sel = select_top_cells(smoothed.reshape(-1), count)
     return PhaseField(chi.grid, sel.mask.reshape(chi.grid.shape)), sel.threshold
 
 

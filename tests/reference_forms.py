@@ -7,12 +7,13 @@ the dissipation of runs and audits on the changed cells only, and
 it cannot certify.  They keep the textbook definitions as independent
 oracles, built from public ``mbokit`` names alone.  Next to them sit the
 probes no command reads: every label smoothed whole, the bandwidth
-monotonicity check of the energy (C9), the triple-junction angles (C8),
-and the stationarity probes (C10): inner variations of energy and
-dissipation along a test vector field, whose weighted sum is the discrete
-Euler-Lagrange residual of a step.  Their spectral derivatives run on a
-plan's public ``forward``/``multiply``/``inverse``, with derivative
-factors built from ``np.fft`` as :func:`full_multipliers` builds its table.
+monotonicity check of the energy (C9), the support-growth monitor, the
+triple-junction angles (C8), and the stationarity probes (C10): inner
+variations of energy and dissipation along a test vector field, whose
+weighted sum is the discrete Euler-Lagrange residual of a step.  Their
+spectral derivatives run on a plan's public ``forward``/``multiply``/
+``inverse``, with derivative factors built from ``np.fft`` as
+:func:`full_multipliers` builds its table.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from mbokit.diagnostics import GrainSummary, LedgerWalk
-from mbokit.grid import Grid, MultiPhaseState, PhaseField, RealField
+from mbokit.diagnostics import GOOD_ITERATION_BAND, GrainSummary, LedgerWalk
+from mbokit.grid import Grid, MultiPhaseState, PhaseField
 from mbokit.kernel import HeatKernelPlan, convolve
-from mbokit.schemes import SchemeConfig, SurfaceTensionMatrix
+from mbokit.schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
 from mbokit.threshold import select_bottom_cells
 
 
@@ -47,13 +48,13 @@ def plain_tension_rows(ext: np.ndarray, fields):
 
 
 def forced_step_field_form(
-    chi: PhaseField, smoothed: RealField, f: float, h: float
+    chi: PhaseField, smoothed: np.ndarray, f: float, h: float
 ) -> PhaseField:
     """The forced step thresholded against a full grid of the constant force
     ``f``, as ``step_forced`` once read it: its scalar threshold must give
     these bits."""
     c = math.sqrt(h) / (2.0 * math.sqrt(math.pi))
-    return PhaseField(chi.grid, smoothed.values > 0.5 - np.full(chi.grid.shape, f) * c)
+    return PhaseField(chi.grid, smoothed > 0.5 - np.full(chi.grid.shape, f) * c)
 
 
 def full_multipliers(grid: Grid, h: float) -> np.ndarray:
@@ -69,36 +70,31 @@ def full_multipliers(grid: Grid, h: float) -> np.ndarray:
     return np.exp(-h * k2)
 
 
-def phase_difference(a: PhaseField, b: PhaseField) -> RealField:
-    """Signed difference a - b as a real field with values in {-1, 0, 1}."""
+def phase_difference(a: PhaseField, b: PhaseField) -> np.ndarray:
+    """Signed difference a - b as a float array with values in {-1, 0, 1}."""
     if a.grid != b.grid:
         raise ValueError("phase fields live on different grids")
-    return RealField(a.grid, a.as_float() - b.as_float())
+    return a.as_float() - b.as_float()
 
 
 def dissipation_two_phase(
-    omega: RealField,
-    h: float,
-    *,
-    plan: HeatKernelPlan | None = None,
+    omega: np.ndarray, h: float, *, plan: HeatKernelPlan
 ) -> float:
     """Dissipation (1/sqrt h) * integral of omega G_h omega, nonnegative.
 
     ``omega`` must take values in {-1, 0, 1} (a difference of indicators).
     Positivity holds because the kernel has a positive transform, so tiny
-    negative rounding is the worst that can appear.
+    negative rounding is the worst that can appear.  ``omega`` lives on
+    the grid of ``plan``.
     """
-    vals = omega.values
-    if not np.isin(vals, (-1.0, 0.0, 1.0)).all():
+    if not np.isin(omega, (-1.0, 0.0, 1.0)).all():
         raise ValueError("omega must take values in {-1, 0, 1}")
-    if plan is None:
-        plan = HeatKernelPlan(omega.grid, h)
-    products = vals * plan.apply(vals)
-    return float(products.sum()) * omega.grid.cell_volume / math.sqrt(h)
+    products = omega * plan.apply(omega)
+    return float(products.sum()) * plan.grid.cell_volume / math.sqrt(h)
 
 
 def linearized_energy(
-    phi: RealField, chi: PhaseField, threshold: float, h: float
+    phi: np.ndarray, chi: PhaseField, threshold: float, h: float
 ) -> float:
     """Linear comparison functional whose pointwise minimizer is the update.
 
@@ -107,10 +103,10 @@ def linearized_energy(
     superlevel selection of ``phi`` at ``threshold``, which is how the
     volume-preserving step is defined.
     """
-    if phi.grid != chi.grid:
-        raise ValueError("phi and chi live on different grids")
+    if phi.shape != chi.grid.shape:
+        raise ValueError("phi and chi have different shapes")
     c = chi.as_float()
-    values = (1.0 - c) * phi.values + c * (2.0 * threshold - phi.values)
+    values = (1.0 - c) * phi + c * (2.0 * threshold - phi)
     return float(values.sum()) * chi.grid.cell_volume / math.sqrt(h)
 
 
@@ -192,9 +188,7 @@ def full_stack_step(state: MultiPhaseState, summary, gather, tensions):
 
 def convolve_labels(plan: HeatKernelPlan, state: MultiPhaseState) -> list[np.ndarray]:
     """Clamped smoothed indicator of every label of a partition, vapor first."""
-    return [
-        convolve(plan, state.indicator(j)).values for j in range(state.num_grains + 1)
-    ]
+    return [convolve(plan, state.indicator(j)) for j in range(state.num_grains + 1)]
 
 
 @dataclass(frozen=True)
@@ -224,6 +218,68 @@ def approx_monotonicity_check(
     factor = (math.sqrt(h0) / (math.sqrt(h) + math.sqrt(h0))) ** (d + 1)
     rhs = factor * energy_h0
     return MonotonicityCheck(lhs, rhs, lhs >= rhs * (1.0 - 1e-6))
+
+
+# Distance C with  integral_0^C of the unit-bandwidth 1-d kernel = 1/4,
+# i.e. erf(C/2) = 1/2, so C = 2 erfinv(1/2).  Within one good iteration the
+# support radius can grow by at most C*sqrt(h) plus a multiplier term with
+# slope 1/G1(C).
+TIGHTNESS_REACH = 0.9538725524089398
+_KERNEL_AT_REACH = float((4.0 * np.pi) ** -0.5 * np.exp(-(TIGHTNESS_REACH**2) / 4.0))
+TIGHTNESS_SLOPE = 1.0 / _KERNEL_AT_REACH
+
+
+@dataclass(frozen=True)
+class TightnessReport:
+    reach: float
+    slope: float
+    cell_allowance: float
+    checked_steps: int
+    good_violations: tuple[int, ...]
+    tripling_violations: tuple[int, ...]
+
+    @property
+    def clean(self) -> bool:
+        return not (self.good_violations or self.tripling_violations)
+
+
+def tightness_monitor(stepper: Stepper) -> TightnessReport:
+    """Check how fast the support radius grows, step by step.
+
+    On good iterations the radius may grow by at most the smaller of
+    ``TIGHTNESS_REACH * sqrt(h)`` and ``TIGHTNESS_SLOPE * sqrt(h) * |lambda
+    - 1/2|`` (the half-space comparison yields both); any iteration may at
+    worst triple it.  Grid quantization gets one cell diagonal of
+    allowance.  This is a monitor: violations are reported, never raised.
+    ``stepper`` is a :class:`Stepper` that has run.
+    """
+    cfg = stepper.config
+    records = stepper.records
+    if any(r.lam is None or r.bounding_radius is None for r in records):
+        raise ValueError("tightness monitor needs recorded lambda and radius")
+    sqrt_h = math.sqrt(cfg.h)
+    allowance = math.sqrt(cfg.grid.dim) * cfg.grid.dx
+    good_bad: list[int] = []
+    tripling_bad: list[int] = []
+    prev_radius = stepper.initial_radius
+    for rec in records:
+        growth = rec.bounding_radius - prev_radius
+        offset = abs(rec.lam - 0.5)
+        if offset < GOOD_ITERATION_BAND:
+            bound = sqrt_h * min(TIGHTNESS_REACH, TIGHTNESS_SLOPE * offset)
+            if growth > bound + allowance:
+                good_bad.append(rec.step)
+        if rec.bounding_radius > 3.0 * prev_radius + allowance:
+            tripling_bad.append(rec.step)
+        prev_radius = rec.bounding_radius
+    return TightnessReport(
+        TIGHTNESS_REACH,
+        TIGHTNESS_SLOPE,
+        allowance,
+        len(records),
+        tuple(good_bad),
+        tuple(tripling_bad),
+    )
 
 
 def junction_angles(
@@ -542,7 +598,7 @@ def euler_lagrange_residual(
 def euler_lagrange_residual_forced(
     chi1: PhaseField,
     chi0: PhaseField,
-    force_now: RealField,
+    force_now: np.ndarray,
     xi: TestVectorField,
     h: float,
 ) -> float:
@@ -553,7 +609,7 @@ def euler_lagrange_residual_forced(
     computed spectrally from the sampled force.
     """
     g = chi1.grid
-    fxi = tuple(force_now.values * c for c in xi.components)
+    fxi = tuple(force_now * c for c in xi.components)
     div_fxi = spectral_divergence(g, fxi)
     force_term = -_cellsum(g, div_fxi * chi1.as_float()) / math.sqrt(math.pi)
     return (

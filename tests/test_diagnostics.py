@@ -20,8 +20,6 @@ from mbokit import grid as grid_module
 from mbokit.diagnostics import (
     GOOD_ITERATION_BAND,
     LEDGER_RTOL,
-    TIGHTNESS_REACH,
-    TIGHTNESS_SLOPE,
     LedgerRow,
     LedgerWalk,
     energy_multiphase,
@@ -31,13 +29,11 @@ from mbokit.diagnostics import (
     loglog_slope,
     multiplier_integral,
     tension_row,
-    tightness_monitor,
 )
 from mbokit.grid import (
     Grid,
     MultiPhaseState,
     PhaseField,
-    RealField,
     random_blob,
     rasterize_ball,
     rasterize_slab,
@@ -61,6 +57,8 @@ from mbokit.threshold import select_top_cells
 
 from conftest import symmetric_tensions
 from reference_forms import (
+    TIGHTNESS_REACH,
+    TIGHTNESS_SLOPE,
     approx_monotonicity_check,
     constant_vector_field,
     convolve_labels,
@@ -79,6 +77,7 @@ from reference_forms import (
     radial_bump_field,
     stack_source,
     state_difference,
+    tightness_monitor,
 )
 
 
@@ -120,7 +119,7 @@ def full_grid_two_phase(cfg, prev, cur, prev_smoothed, cur_smoothed):
     the ledger once formed them from a full grid of the config's force."""
     omega = cur.as_float()
     omega -= prev.mask
-    diff = cur_smoothed.values - prev_smoothed.values
+    diff = cur_smoothed - prev_smoothed
     cell = cfg.grid.cell_volume
     dissipation = float((omega * diff).sum()) * cell / math.sqrt(cfg.h)
     transfer = 0.0
@@ -170,7 +169,7 @@ class TestTwoPhaseEnergy:
         blob = random_blob(g, seed=n, fill=0.3, smoothing=0.05)
         h = 16.0 * g.dx**2
         smoothed = convolve(HeatKernelPlan(g, h), blob)
-        integrand = ~blob.mask * smoothed.values
+        integrand = ~blob.mask * smoothed
         full = float(integrand.sum()) * g.cell_volume / math.sqrt(h)
         assert energy_two_phase(blob, smoothed, h) == full
 
@@ -292,7 +291,7 @@ class TestDissipation:
         b = PhaseField(grid, rng.random(grid.shape) < 0.4)
         omega = phase_difference(a, b)
         got = dissipation_two_phase(omega, h, plan=plan)
-        w = omega.values.ravel()
+        w = omega.ravel()
         brute = (w @ kmat @ w) * grid.cell_volume**2 / math.sqrt(h)
         assert got == pytest.approx(brute, rel=1e-10)
 
@@ -306,9 +305,7 @@ class TestDissipation:
 
     def test_rejects_non_difference_values(self, grid64):
         plan = HeatKernelPlan(grid64, 1e-3)
-        from mbokit.grid import RealField
-
-        bad = RealField(grid64, np.full(grid64.shape, 0.5))
+        bad = np.full(grid64.shape, 0.5)
         with pytest.raises(ValueError):
             dissipation_two_phase(bad, 1e-3, plan=plan)
 
@@ -321,7 +318,7 @@ class TestLinearizedEnergy:
         plan = HeatKernelPlan(g, h)
         blob = random_blob(g, seed=12)
         phi = convolve(plan, blob)
-        sel = select_top_cells(phi.values.reshape(-1), blob.cell_count)
+        sel = select_top_cells(phi.reshape(-1), blob.cell_count)
         chosen = PhaseField(g, sel.mask.reshape(g.shape))
         best = linearized_energy(phi, chosen, sel.threshold, h)
         for _ in range(200):
@@ -786,7 +783,7 @@ class TestMultiphaseStationarity:
         self, single_grain_step
     ):
         s = single_grain_step
-        zero = RealField(s.chi1.grid, np.zeros(s.chi1.grid.shape))
+        zero = np.zeros(s.chi1.grid.shape)
         forced = euler_lagrange_residual_forced(
             s.chi1, s.chi0, zero, s.xi, s.h
         )

@@ -604,7 +604,7 @@ def every_row_dissipation(cfg, old, new):
     def values_on(state):
         return np.stack(
             [
-                convolve(plan, state.indicator(j)).values.ravel()[cells]
+                convolve(plan, state.indicator(j)).ravel()[cells]
                 for j in range(state.num_grains + 1)
             ]
         )
