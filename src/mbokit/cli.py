@@ -131,9 +131,6 @@ class ExperimentConfig:
     values: dict[str, object]
     lines: dict[str, int]
 
-    def has(self, key: str) -> bool:
-        return key in self.values
-
     def get(self, key: str, default=None):
         return self.values.get(key, default)
 
@@ -166,17 +163,21 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"line {lineno}: duplicate key '{key}' (first set on line {lines[key]})"
             )
-        parse = _KEYS.get(key, float if _SIGMA_KEY.match(key) else None)
+        sigma = _SIGMA_KEY.match(key)
+        parse = _KEYS.get(key, float if sigma else None)
         if parse is None:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if sigma and int(sigma.group(1)) == int(sigma.group(2)):
+            raise ConfigError(
+                f"line {lineno}: '{key}' sets a diagonal tension; "
+                "diagonal entries are fixed at zero"
+            )
         try:
             values[key] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
         lines[key] = lineno
-    cfg = ExperimentConfig(values, lines)
-    _validate_sigma_entries(cfg)
-    return cfg
+    return ExperimentConfig(values, lines)
 
 
 def read_config(path: Path | str) -> ExperimentConfig:
@@ -188,16 +189,6 @@ def read_config(path: Path | str) -> ExperimentConfig:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read {path}: {reason}") from exc
     return parse_config(text)
-
-
-def _validate_sigma_entries(cfg: ExperimentConfig) -> None:
-    for key in cfg.values:
-        m = _SIGMA_KEY.match(key)
-        if m and int(m.group(1)) == int(m.group(2)):
-            raise ConfigError(
-                f"line {cfg.lines[key]}: '{key}' sets a diagonal tension; "
-                "diagonal entries are fixed at zero"
-            )
 
 
 def build_tensions(cfg: ExperimentConfig, num_grains: int) -> SurfaceTensionMatrix:
@@ -278,12 +269,12 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
                 raise ConfigError(
                     f"{len(seeds)} seeds, but a dump holds at most {MAX_GRAINS} grains"
                 )
-            if cfg.has("grains") and int(cfg.get("grains")) != len(seeds):
+            if cfg.get("grains") is not None and int(cfg.get("grains")) != len(seeds):
                 raise ConfigError(
                     f"grains = {cfg.get('grains')} but {len(seeds)} seeds given"
                 )
             solid = None
-            if cfg.has("solid_center"):
+            if cfg.get("solid_center") is not None:
                 solid = rasterize_ball(
                     grid, cfg.require("solid_center"), cfg.require("solid_radius")
                 )
@@ -311,16 +302,16 @@ def build_force(cfg: ExperimentConfig) -> float | None:
     return float(cfg.require("force_value"))
 
 
-def _check_initial_kind(scheme: str, initial) -> None:
+def _check_initial_kind(scheme: str, partition: bool) -> None:
     """Grain growth evolves a partition (``init = voronoi``) and every other
-    scheme a two-phase field; any other pairing is a config error."""
-    multiphase = isinstance(initial, MultiPhaseState)
-    if scheme == "grain_growth" and not multiphase:
-        raise ConfigError("grain_growth needs init = voronoi")
-    if scheme != "grain_growth" and multiphase:
-        raise ConfigError(
-            f"scheme {scheme} evolves a two-phase field, not init = voronoi"
-        )
+    scheme a two-phase field; any other pairing, of an initial state or of
+    stored ones, is a config error."""
+    if scheme == "grain_growth" and not partition:
+        raise ConfigError("grain_growth evolves a partition (init = voronoi), "
+                          "not a two-phase field")
+    if scheme != "grain_growth" and partition:
+        raise ConfigError(f"scheme {scheme} evolves a two-phase field, "
+                          "not a partition (init = voronoi)")
 
 
 def _scheme_config(*args, **kwargs) -> SchemeConfig:
@@ -333,7 +324,7 @@ def _scheme_config(*args, **kwargs) -> SchemeConfig:
 
 def build_scheme_config(cfg: ExperimentConfig, grid: Grid, initial) -> SchemeConfig:
     scheme = cfg.require("scheme")
-    _check_initial_kind(scheme, initial)
+    _check_initial_kind(scheme, isinstance(initial, MultiPhaseState))
     tensions = None
     if scheme == "grain_growth":
         tensions = build_tensions(cfg, initial.num_grains)
@@ -592,7 +583,7 @@ def cmd_sweep(config_path: str) -> int:
     if scheme == "mbo" and cfg.require("init") != "ball":
         raise ConfigError("mbo sweep compares against a shrinking ball")
     initial = build_initial(cfg, grid)
-    _check_initial_kind(scheme, initial)
+    _check_initial_kind(scheme, isinstance(initial, MultiPhaseState))
     force = build_force(cfg)
     configs = [
         _scheme_config(scheme, grid, h, max(1, round(horizon / h)), force)
@@ -682,12 +673,9 @@ def _audit_setup(num_grains: int | None, config_path: str | None):
         return "mbo", None, None
     cfg = read_config(config_path)
     scheme = str(cfg.get("scheme", "mbo"))
-    force = build_force(cfg)
-    if num_grains is not None:
-        return "grain_growth", force, build_tensions(cfg, num_grains)
-    if scheme == "grain_growth":
-        raise ConfigError("two-phase dumps with a grain_growth config")
-    return scheme, force, None
+    _check_initial_kind(scheme, num_grains is not None)
+    tensions = None if num_grains is None else build_tensions(cfg, num_grains)
+    return scheme, build_force(cfg), tensions
 
 
 def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:

@@ -395,13 +395,11 @@ class LedgerWalk:
             changed = cells.size
         else:
             # the old smoothed values on the changed cells, in cell order,
-            # counted and then kept a chunk at a time: no array of the cells
+            # kept a chunk at a time in one pass: no array of the cells
             new, old = cur.mask.ravel(), prev.mask.ravel()
             chunks = [slice(lo, lo + _SUM_CHUNK) for lo in range(0, n, _SUM_CHUNK)]
-            ends = np.cumsum([0] + [np.count_nonzero(new[c] != old[c]) for c in chunks])
-            before, values = np.empty(int(ends[-1])), self.smoothed.ravel()
-            for c, lo, hi in zip(chunks, ends, ends[1:]):
-                np.compress(new[c] != old[c], values[c], out=before[lo:hi])
+            values = self.smoothed.ravel()
+            before = np.concatenate([values[c][new[c] != old[c]] for c in chunks])
             changed = before.size
             energy = self._smooth(cur, following, None, None)
             after = self.smoothed.ravel()

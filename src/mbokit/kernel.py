@@ -113,11 +113,11 @@ class HeatKernelPlan:
         """Real-to-complex transform of a grid array, ``scipy.fft.rfftn`` bit
         for bit: r2c on the last axis, then c2c on 0 .. d-2.
 
-        ``values`` may be of any real or boolean dtype: each block of rows is
-        cast to float64 on its own, so no float copy of the whole array is
-        made.  A boolean block with an empty end row transforms only its
-        occupied rows' run; the rest get a zero row's transform.  The
-        transform is written into ``spectrum``, a buffer as
+        ``values`` may be of any real or boolean dtype: numpy casts each
+        block of rows to float64 on its own, so no float copy of the whole
+        array is made.  A boolean block with an empty end row transforms
+        only its occupied rows' run; the rest get a zero row's transform.
+        The transform is written into ``spectrum``, a buffer as
         :meth:`empty_spectrum` returns it that shares no memory with
         ``values``, and ``spectrum`` is returned.
         """
@@ -132,10 +132,8 @@ class HeatKernelPlan:
                 first, last = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
                 spec_lines[lo : lo + first] = spec_lines[lo + last : hi] = zero_row
                 lo, hi = lo + first, lo + last
-            # the block's float copy is freed before the next block's is made
-            src = np.asarray(lines[lo:hi], dtype=np.float64)
-            np.fft.rfft(src, axis=1, out=spec_lines[lo:hi])
-            del src
+            # numpy casts the block to float64 itself, and frees that copy
+            np.fft.rfft(lines[lo:hi], axis=1, out=spec_lines[lo:hi])
         for axis in range(len(shape) - 1):
             np.fft.fft(spectrum, axis=axis, out=spectrum)
         return spectrum

@@ -140,12 +140,6 @@ class SurfaceTensionMatrix:
         return self.sigma.shape[0]
 
 
-def equal_tensions(num_grains: int) -> SurfaceTensionMatrix:
-    """All grain pairs at tension 1 (same as the vapor boundary)."""
-    s = np.ones((num_grains, num_grains)) - np.eye(num_grains)
-    return SurfaceTensionMatrix(s)
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Which scheme to run, on which grid, at which bandwidth, how long.
@@ -220,8 +214,8 @@ def step_volume_preserving(
         raise DegeneratePhaseError(
             "volume-preserving step needs a phase that is neither empty nor full"
         )
-    sel = select_top_cells(smoothed.reshape(-1), count)
-    return PhaseField(chi.grid, sel.mask.reshape(chi.grid.shape)), sel.threshold
+    mask, cut = select_top_cells(smoothed.reshape(-1), count)
+    return PhaseField(chi.grid, mask.reshape(chi.grid.shape)), float(cut)
 
 
 def step_grain_growth(
@@ -268,12 +262,12 @@ def step_grain_growth(
         lower = row < phi_best[at]  # strict, so the lowest grain wins ties
         phi_best[at[lower]] = row[lower]
         best[at[lower]] = i
-    sel = select_bottom_cells(
+    mask, cut = select_bottom_cells(
         phi_best - phi_vapor, state.solid_cell_count - solid_outside
     )
     labels = state.labels.copy()
-    labels.ravel()[cells] = np.where(sel.mask, best, 0)
-    return MultiPhaseState(state.grid, labels, p), sel.threshold
+    labels.ravel()[cells] = np.where(mask, best, 0)
+    return MultiPhaseState(state.grid, labels, p), float(cut)
 
 
 def _uncertain_cells(

@@ -1,10 +1,11 @@
 """Exact order-statistic selection of cells by score.
 
 Selection is the discrete counterpart of picking a superlevel set whose
-volume matches a prescribed target: take the ``target`` best cells, with
-the cut value reported as the threshold.  Ties at the cut are resolved by
-ascending flat cell index, which makes the result deterministic and the
-cell count exact no matter how degenerate the scores are.
+volume matches a prescribed target: take the ``target`` best cells and
+return the pair ``(mask, cut)``, a flat boolean mask and the score of the
+last cell in (the threshold).  Ties at the cut are resolved by ascending
+flat cell index, which makes the result deterministic and the cell count
+exact no matter how degenerate the scores are.
 
 The cut is an exact order statistic found without a copy of the scores: a
 strided sample of about 2^12 of them brackets it, and one pass over blocks
@@ -19,50 +20,38 @@ scratch.  This is the one implementation of that order statistic;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    """Outcome of a selection: threshold and mask.
-
-    ``threshold`` is the score of the last cell in: the target-th largest
-    score for top selection, target-th smallest for bottom selection.
-    ``mask`` is a flat boolean array over the scores.
-    """
-
-    threshold: float
-    mask: np.ndarray
-
-
-def _selection(scores: np.ndarray, target_cells: int, top: bool) -> SelectionResult:
-    if not 1 <= target_cells <= scores.size:
-        raise ValueError(f"target_cells {target_cells} outside [1, {scores.size}]")
-    mask, cut = _select_cells(scores, target_cells, top=top)
-    return SelectionResult(float(cut), mask)
-
-
-def select_top_cells(scores: np.ndarray, target_cells: int) -> SelectionResult:
+def select_top_cells(
+    scores: np.ndarray, target_cells: int
+) -> tuple[np.ndarray, np.float64]:
     """Select exactly ``target_cells`` of the flat float64 ``scores``, the
     largest first, for ``target_cells`` in [1, ``scores.size``].
 
-    All cells scoring strictly above the threshold are taken; the remainder
-    is filled from the cells scoring exactly the threshold in ascending
-    index order.
+    Returns the flat boolean mask of the cells taken and the cut, the
+    target-th largest score.  All cells scoring strictly above the cut are
+    taken; the remainder is filled from the cells scoring exactly the cut
+    in ascending index order.
     """
-    return _selection(scores, target_cells, top=True)
+    if not 1 <= target_cells <= scores.size:
+        raise ValueError(f"target_cells {target_cells} outside [1, {scores.size}]")
+    return _select_cells(scores, target_cells, top=True)
 
 
-def select_bottom_cells(scores: np.ndarray, target_cells: int) -> SelectionResult:
+def select_bottom_cells(
+    scores: np.ndarray, target_cells: int
+) -> tuple[np.ndarray, np.float64]:
     """Select exactly ``target_cells`` of the flat float64 ``scores``, the
-    smallest first.
+    smallest first; the cut is the target-th smallest score.
 
     Mirror image of :func:`select_top_cells`; for tie-free scores it picks
     the same cells as top selection on the negated scores.
     """
-    return _selection(scores, target_cells, top=False)
+    if not 1 <= target_cells <= scores.size:
+        raise ValueError(f"target_cells {target_cells} outside [1, {scores.size}]")
+    return _select_cells(scores, target_cells, top=False)
 
 
 # The exact selection reads inputs of this many cells or more in blocks of

@@ -11,7 +11,7 @@ from mbokit.grid import (
     voronoi_labels,
 )
 from mbokit.kernel import HeatKernelPlan
-from mbokit.schemes import SchemeConfig, equal_tensions
+from mbokit.schemes import SchemeConfig, SurfaceTensionMatrix
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +48,12 @@ def generic_mask(grid: Grid, seed: int, fill: float = 0.35) -> np.ndarray:
     """Random mask with no symmetry, for tie-free threshold tests."""
     r = np.random.default_rng(seed)
     return r.random(grid.shape) < fill
+
+
+def equal_tensions(num_grains: int) -> SurfaceTensionMatrix:
+    """All grain pairs at tension 1 (same as the vapor boundary)."""
+    s = np.ones((num_grains, num_grains)) - np.eye(num_grains)
+    return SurfaceTensionMatrix(s)
 
 
 def symmetric_tensions(p, seed, low, high):

@@ -158,9 +158,9 @@ def full_stack_grain_step(
         np.copyto(phi_best, row, where=lower)
         np.copyto(best, i, where=lower)
     scores = (phi_best - phi_vapor).reshape(-1)
-    sel = select_bottom_cells(scores, state.solid_cell_count)
-    labels = np.where(sel.mask.reshape(state.grid.shape), best, 0)
-    return MultiPhaseState(state.grid, labels, state.num_grains), sel.threshold
+    mask, cut = select_bottom_cells(scores, state.solid_cell_count)
+    labels = np.where(mask.reshape(state.grid.shape), best, 0)
+    return MultiPhaseState(state.grid, labels, state.num_grains), float(cut)
 
 
 def stack_source(smoothed):

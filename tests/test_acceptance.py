@@ -39,11 +39,11 @@ from mbokit.oracles import circle_mcf, solve_two_ball_vp
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
-    equal_tensions,
     step_grain_growth,
     step_volume_preserving,
 )
 
+from conftest import equal_tensions
 from reference_forms import (
     approx_monotonicity_check,
     constant_vector_field,

@@ -107,9 +107,11 @@ class TestParseConfig:
         cfg = parse_config("sigma.1.2 = 1.5\nsigma_default = 0.9\n")
         assert cfg.get("sigma.1.2") == 1.5
 
-    def test_diagonal_sigma_rejected(self):
-        with pytest.raises(ConfigError, match="diagonal"):
-            parse_config("sigma.2.2 = 1.0\n")
+    @pytest.mark.parametrize("key", ["sigma.2.2", "sigma.01.1", "sigma.3.03"])
+    def test_diagonal_sigma_rejected(self, key):
+        # the labels compare as integers, so a leading zero names the same grain
+        with pytest.raises(ConfigError, match=rf"^line 2: '{key}' .* diagonal"):
+            parse_config(f"sigma_default = 0.9\n{key} = 1.0\nsigma.1.2 = 0.8\n")
 
 
 class TestBuildTensions:
@@ -857,6 +859,47 @@ class TestCommands:
         assert [line.split(":")[0] for line in out] == [
             "step 1", "step 2", "step 3", "ledger"
         ]
+
+    @pytest.mark.parametrize("command", ["check", "energy"])
+    @pytest.mark.parametrize("scheme", ["mbo", "volume_preserving"])
+    def test_partition_dumps_under_a_two_phase_scheme_are_config_error(
+        self, tmp_path, capsys, scheme, command
+    ):
+        # run refuses a partition under any scheme but grain_growth, and so
+        # does an audit of a partition run's dumps
+        text = (
+            "n = 32\nh = 1.6e-2\nsteps = 2\ninit = voronoi\n"
+            "seeds = 0.3 0.3; 0.7 0.4; 0.5 0.8\nvapor_margin = 0.05\n"
+            f"out_dir = {tmp_path}/out\ndump_every = 1\n"
+        )
+        grains = write_cfg(tmp_path, "scheme = grain_growth\n" + text)
+        assert quiet_main(["run", grains]) == 0
+        dumps = sorted(str(p) for p in (tmp_path / "out").glob("state_*.mbof"))
+        other = write_cfg(tmp_path, f"scheme = {scheme}\n" + text, "other.cfg")
+        capsys.readouterr()
+        args = ["check", *dumps] if command == "check" else ["energy", dumps[-1]]
+        for argv in (["run", other], args + ["--config", other]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error:")
+            assert f"scheme {scheme}" in captured.err and "partition" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["check", "energy"])
+    def test_two_phase_dumps_under_grain_growth_are_config_error(
+        self, tmp_path, capsys, command
+    ):
+        cfg = write_cfg(tmp_path, BASE + f"out_dir = {tmp_path}/out\ndump_every = 1\n")
+        assert main(["run", cfg]) == 0
+        dumps = sorted(str(p) for p in (tmp_path / "out").glob("state_*.mbof"))
+        grains = BASE.replace("scheme = mbo", "scheme = grain_growth")
+        grains = write_cfg(tmp_path, grains, "grains.cfg")
+        capsys.readouterr()
+        args = ["check", *dumps] if command == "check" else ["energy", dumps[-1]]
+        assert main(args + ["--config", grains]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "two-phase" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("damage", ["truncated", "byte_seven"])
     def test_check_bad_dump_midway_prints_no_row(self, tmp_path, capsys, damage):

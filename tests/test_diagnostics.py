@@ -49,13 +49,12 @@ from mbokit.schemes import (
     SchemeConfig,
     Stepper,
     SurfaceTensionMatrix,
-    equal_tensions,
     step_grain_growth,
     step_volume_preserving,
 )
 from mbokit.threshold import select_top_cells
 
-from conftest import symmetric_tensions
+from conftest import equal_tensions, symmetric_tensions
 from reference_forms import (
     TIGHTNESS_REACH,
     TIGHTNESS_SLOPE,
@@ -318,14 +317,14 @@ class TestLinearizedEnergy:
         plan = HeatKernelPlan(g, h)
         blob = random_blob(g, seed=12)
         phi = convolve(plan, blob)
-        sel = select_top_cells(phi.reshape(-1), blob.cell_count)
-        chosen = PhaseField(g, sel.mask.reshape(g.shape))
-        best = linearized_energy(phi, chosen, sel.threshold, h)
+        mask, lam = select_top_cells(phi.reshape(-1), blob.cell_count)
+        chosen = PhaseField(g, mask.reshape(g.shape))
+        best = linearized_energy(phi, chosen, lam, h)
         for _ in range(200):
             flat = np.zeros(g.total_cells, dtype=bool)
             flat[rng.permutation(g.total_cells)[: blob.cell_count]] = True
             rival = PhaseField(g, flat.reshape(g.shape))
-            assert best <= linearized_energy(phi, rival, sel.threshold, h) + 1e-12
+            assert best <= linearized_energy(phi, rival, lam, h) + 1e-12
 
 
 class TestMultiphase:

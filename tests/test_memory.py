@@ -27,11 +27,12 @@ from mbokit.kernel import HeatKernelPlan, convolve
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
-    equal_tensions,
     step_grain_growth,
     step_mbo,
 )
 from mbokit.threshold import select_bottom_cells, select_top_cells
+
+from conftest import equal_tensions
 
 
 def traced_peak(fn, *args):
@@ -240,8 +241,8 @@ def selection_peak(select, grid):
     float64 fields; the mask it returns is an eighth of one."""
     scores = np.random.default_rng(5).standard_normal(grid.shape).reshape(-1)
     target = grid.total_cells // 3
-    sel, peak = traced_peak(select, scores, target)
-    assert np.count_nonzero(sel.mask) == target
+    (mask, _), peak = traced_peak(select, scores, target)
+    assert np.count_nonzero(mask) == target
     return peak / (grid.total_cells * 8)
 
 
@@ -266,8 +267,8 @@ def test_selection_gathers_no_plateau_at_the_cut(select):
     if select is select_bottom_cells:
         values = -values
     target = int(0.6 * grid.total_cells)
-    sel, peak = traced_peak(select, values.reshape(-1), target)
-    assert np.count_nonzero(sel.mask) == target and sel.threshold == 0.0
+    (mask, cut), peak = traced_peak(select, values.reshape(-1), target)
+    assert np.count_nonzero(mask) == target and cut == 0.0
     assert peak < 0.5 * grid.total_cells * 8
 
 

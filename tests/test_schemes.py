@@ -23,7 +23,6 @@ from mbokit.schemes import (
     SchemeConfig,
     Stepper,
     SurfaceTensionMatrix,
-    equal_tensions,
     step_grain_growth,
     step_mbo,
     step_forced,
@@ -31,7 +30,7 @@ from mbokit.schemes import (
 )
 from mbokit.threshold import select_bottom_cells
 
-from conftest import symmetric_tensions
+from conftest import equal_tensions, symmetric_tensions
 from reference_forms import (
     convolve_labels,
     forced_step_field_form,
@@ -67,9 +66,9 @@ def grain_step_reference(state, tensions, smoothed):
                 phi[i] += ext[i, j] * f
     best = np.argmin(phi[1:], axis=0)
     phi_best = np.take_along_axis(phi[1:], best[None], axis=0)[0]
-    sel = select_bottom_cells((phi_best - phi[0]).reshape(-1), state.solid_cell_count)
-    labels = np.where(sel.mask.reshape(state.grid.shape), best.astype(np.int32) + 1, 0)
-    return labels, sel.threshold
+    mask, cut = select_bottom_cells((phi_best - phi[0]).reshape(-1), state.solid_cell_count)
+    labels = np.where(mask.reshape(state.grid.shape), best.astype(np.int32) + 1, 0)
+    return labels, float(cut)
 
 
 def quiet_plan(grid, h):

@@ -34,31 +34,31 @@ def tiny(values):
 class TestTopSelection:
     def test_frozen_example(self):
         g, scores = tiny([0.9, 0.7, 0.3])
-        sel = select_top_cells(scores, 2)
-        picked = np.flatnonzero(sel.mask)
+        mask, cut = select_top_cells(scores, 2)
+        picked = np.flatnonzero(mask)
         assert picked.tolist() == [0, 1]
-        assert sel.threshold == 0.7
+        assert cut == 0.7
 
     def test_tie_at_cut_lowest_flat_index(self):
         g, scores = tiny([0.5, 0.5, 0.1])
-        sel = select_top_cells(scores, 1)
-        picked = np.flatnonzero(sel.mask)
+        mask, cut = select_top_cells(scores, 1)
+        picked = np.flatnonzero(mask)
         assert picked.tolist() == [0]
-        assert sel.threshold == 0.5
+        assert cut == 0.5
 
     def test_all_equal_takes_first_block(self):
         g = Grid(dim=2, n=8)
         scores = _field(g, np.zeros(g.total_cells))
-        sel = select_top_cells(scores, 10)
-        picked = np.flatnonzero(sel.mask)
+        mask, _ = select_top_cells(scores, 10)
+        picked = np.flatnonzero(mask)
         assert picked.tolist() == list(range(10))
 
     def test_target_all(self):
         g = Grid(dim=2, n=8)
         scores = _field(g, np.arange(g.total_cells, dtype=float))
-        sel = select_top_cells(scores, g.total_cells)
-        assert np.count_nonzero(sel.mask) == g.total_cells
-        assert sel.threshold == 0.0
+        mask, cut = select_top_cells(scores, g.total_cells)
+        assert np.count_nonzero(mask) == g.total_cells
+        assert cut == 0.0
 
     def test_target_out_of_range(self):
         g, scores = tiny([1.0])
@@ -74,9 +74,9 @@ class TestTopSelection:
         flat[5] = -0.0
         flat[3] = 0.0
         scores = _field(g, flat)
-        sel = select_top_cells(scores, 1)
+        mask, _ = select_top_cells(scores, 1)
         # -0.0 == 0.0: the tie must resolve by flat index, not sign bit
-        assert np.flatnonzero(sel.mask).tolist() == [3]
+        assert np.flatnonzero(mask).tolist() == [3]
 
 
 class TestBottomSelection:
@@ -84,18 +84,18 @@ class TestBottomSelection:
         g = Grid(dim=2, n=16)
         scores = rng.standard_normal(g.total_cells)
         for target in (1, 7, 100, g.total_cells):
-            bot = select_bottom_cells(scores, target)
-            top = select_top_cells(-scores, target)
-            assert (bot.mask == top.mask).all()
-            assert bot.threshold == -top.threshold
+            bot, bot_cut = select_bottom_cells(scores, target)
+            top, top_cut = select_top_cells(-scores, target)
+            assert (bot == top).all()
+            assert bot_cut == -top_cut
 
     def test_frozen_example(self):
         g, scores = tiny([0.9, 0.7, 0.3])
         # -inf padding is picked first by a bottom selection
-        sel = select_bottom_cells(scores, 62)
-        kept_out = np.flatnonzero(~sel.mask)
+        mask, cut = select_bottom_cells(scores, 62)
+        kept_out = np.flatnonzero(~mask)
         assert kept_out.tolist() == [0, 1]
-        assert sel.threshold == 0.3
+        assert cut == 0.3
 
 
 def signed_zero_scores(zeros):
@@ -128,11 +128,11 @@ class TestSelectionEdgeCases:
         key = values + 0.0
         order = np.argsort(-key if side == "top" else key, kind="stable")
         for target in (1, 17, 100, 128, 200, 255, 256):
-            sel = SELECT[side](_field(g, values), target)
+            mask, cut = SELECT[side](_field(g, values), target)
             expected = np.zeros(g.total_cells, dtype=bool)
             expected[order[:target]] = True
-            assert np.array_equal(sel.mask, expected)
-            assert sel.threshold == values[order[target - 1]]
+            assert np.array_equal(mask, expected)
+            assert cut == values[order[target - 1]]
 
     @pytest.mark.parametrize("zeros", ["mixed", "negative", "positive"])
     @pytest.mark.parametrize("side", ["top", "bottom"])
@@ -141,7 +141,7 @@ class TestSelectionEdgeCases:
         beyond = int(np.count_nonzero(values > 0 if side == "top" else values < 0))
         run = int(np.count_nonzero(values == 0.0))
         for target in (beyond + 1, beyond + run // 2, beyond + run):
-            lam = SELECT[side](_field(g, values), target).threshold
+            _, lam = SELECT[side](_field(g, values), target)
             assert lam == 0.0 and math.copysign(1.0, lam) == 1.0
 
 
@@ -166,23 +166,22 @@ class TestSelectionProperties:
     def test_exact_count_and_order(self, case):
         values, target = case
         g = Grid(dim=2, n=8)
-        sel = select_top_cells(_field(g, values), target)
-        mask = sel.mask
+        mask, cut = select_top_cells(_field(g, values), target)
         assert int(mask.sum()) == target
         if target < 64:
             worst_in = values[mask].min()
             best_out = values[~mask].max()
             assert worst_in >= best_out
-            assert sel.threshold == worst_in
+            assert cut == worst_in
 
     @given(scores_and_target())
     @settings(max_examples=100, deadline=None)
     def test_deterministic(self, case):
         values, target = case
         g = Grid(dim=2, n=8)
-        a = select_top_cells(_field(g, values), target)
-        b = select_top_cells(_field(g, values), target)
-        assert (a.mask == b.mask).all()
+        a, _ = select_top_cells(_field(g, values), target)
+        b, _ = select_top_cells(_field(g, values), target)
+        assert (a == b).all()
 
     @given(scores_and_target())
     @settings(max_examples=100, deadline=None)
@@ -191,9 +190,9 @@ class TestSelectionProperties:
         if target == 64:
             return
         g = Grid(dim=2, n=8)
-        small = select_top_cells(_field(g, values), target)
-        big = select_top_cells(_field(g, values), target + 1)
-        assert (big.mask | ~small.mask).all()
+        small, _ = select_top_cells(_field(g, values), target)
+        big, _ = select_top_cells(_field(g, values), target + 1)
+        assert (big | ~small).all()
 
 
 def stable_selection(values, target, side):
@@ -228,11 +227,11 @@ class TestBracketedSelection:
 
     def check(self, grid, values, targets, side):
         for target in targets:
-            sel = SELECT[side](_field(grid, values), target)
-            expected, cut = stable_selection(values, target, side)
-            assert np.array_equal(sel.mask, expected), target
-            assert sel.threshold == cut
-            assert math.copysign(1.0, sel.threshold) == math.copysign(1.0, cut)
+            mask, cut = SELECT[side](_field(grid, values), target)
+            expected, expected_cut = stable_selection(values, target, side)
+            assert np.array_equal(mask, expected), target
+            assert cut == expected_cut
+            assert math.copysign(1.0, cut) == math.copysign(1.0, expected_cut)
 
     @pytest.mark.parametrize("side", ["top", "bottom"])
     @pytest.mark.parametrize("grid", [Grid(2, 96), Grid(3, 24)], ids=["96^2", "24^3"])
