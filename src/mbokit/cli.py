@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import warnings
-from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +28,6 @@ import numpy as np
 
 from .diagnostics import (
     LedgerWalk,
-    StepRecord,
     ledger_check,
     ledger_report,
     loglog_slope,
@@ -291,45 +289,40 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
     raise ConfigError(f"unknown init '{kind}'")
 
 
-def build_force(cfg: ExperimentConfig) -> float | None:
-    """The constant force of ``force = const``; :class:`SchemeConfig`
-    refuses one that is not finite."""
-    kind = cfg.get("force")
-    if kind is None:
-        return None
-    if kind != "const":
-        raise ConfigError(f"unknown force '{kind}' (supported: const)")
-    return float(cfg.require("force_value"))
+def _scheme_config(
+    cfg: ExperimentConfig, scheme: str, grid: Grid, h: float, steps: int,
+    grains: int | None,
+) -> SchemeConfig:
+    """The :class:`SchemeConfig` of ``scheme`` for states of ``grains`` grains
+    (None for a two-phase field), with the tensions and the force of ``cfg``.
 
-
-def _check_initial_kind(scheme: str, partition: bool) -> None:
-    """Grain growth evolves a partition (``init = voronoi``) and every other
+    Grain growth evolves a partition (``init = voronoi``) and every other
     scheme a two-phase field; any other pairing, of an initial state or of
-    stored ones, is a config error."""
-    if scheme == "grain_growth" and not partition:
+    stored ones, is a config error, and so is a refusal of
+    :class:`SchemeConfig`, which refuses a force that is not finite.
+    """
+    if scheme == "grain_growth" and grains is None:
         raise ConfigError("grain_growth evolves a partition (init = voronoi), "
                           "not a two-phase field")
-    if scheme != "grain_growth" and partition:
+    if scheme != "grain_growth" and grains is not None:
         raise ConfigError(f"scheme {scheme} evolves a two-phase field, "
                           "not a partition (init = voronoi)")
-
-
-def _scheme_config(*args, **kwargs) -> SchemeConfig:
-    """``SchemeConfig(*args, **kwargs)``, whose refusal is a config error."""
+    tensions = None if grains is None else build_tensions(cfg, grains)
+    kind = cfg.get("force")
+    if kind not in (None, "const"):
+        raise ConfigError(f"unknown force '{kind}' (supported: const)")
+    force = None if kind is None else float(cfg.require("force_value"))
     try:
-        return SchemeConfig(*args, **kwargs)
+        return SchemeConfig(scheme, grid, h, steps, force, tensions)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_scheme_config(cfg: ExperimentConfig, grid: Grid, initial) -> SchemeConfig:
     scheme = cfg.require("scheme")
-    _check_initial_kind(scheme, isinstance(initial, MultiPhaseState))
-    tensions = None
-    if scheme == "grain_growth":
-        tensions = build_tensions(cfg, initial.num_grains)
     h, steps = float(cfg.require("h")), int(cfg.require("steps"))
-    return _scheme_config(scheme, grid, h, steps, build_force(cfg), tensions)
+    grains = getattr(initial, "num_grains", None)  # None for a two-phase field
+    return _scheme_config(cfg, scheme, grid, h, steps, grains)
 
 
 # ---------------------------------------------------------------------------
@@ -469,33 +462,6 @@ def read_dump(path: Path | str):
 # commands
 
 
-def _open_ledger_csv(files: ExitStack, path: Path, stepper: Stepper):
-    """Open ``ledger.csv`` at ``path`` into ``files`` with its header and the
-    initial row, and return a function that appends one step's row and
-    flushes it, so that the rows of finished steps outlive a crash."""
-    fh = files.enter_context(open(path, "w", newline=""))
-    writer = csv.writer(fh)
-    writer.writerow(["n", "t", "lambda", "E_h", "D_h", "slack", "radius"])
-    e0, r0 = _fmt(stepper.initial_energy), _fmt(stepper.initial_radius)
-    writer.writerow(["0", _fmt(0.0), "", e0, "", "", r0])
-
-    def append_row(r: StepRecord) -> None:
-        writer.writerow(
-            [
-                str(r.step),
-                _fmt(r.time),
-                "" if r.lam is None else _fmt(r.lam),
-                _fmt(r.energy_after),
-                _fmt(r.dissipation),
-                _fmt(r.slack),
-                "" if r.bounding_radius is None else _fmt(r.bounding_radius),
-            ]
-        )
-        fh.flush()
-
-    return append_row
-
-
 def cmd_run(config_path: str) -> int:
     """Run a configured trajectory, write dumps and the ledger CSV.
 
@@ -503,7 +469,7 @@ def cmd_run(config_path: str) -> int:
     newest state is kept.  The initial dump and the ledger's first rows
     wait for the first step, so a run whose first step fails creates no
     ``out_dir``; a run that fails later leaves the rows of the steps that
-    finished.
+    finished, each flushed as it is written.
     """
     cfg = read_config(config_path)
     dump_every = int(cfg.get("dump_every", 0))
@@ -516,30 +482,37 @@ def cmd_run(config_path: str) -> int:
     initial = build_initial(cfg, grid)
     scheme_cfg = build_scheme_config(cfg, grid, initial)
     out_dir = Path(str(cfg.get("out_dir", "out")))
-
-    def dump(state, step: int) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_dump(out_dir / f"state_{step:06d}.mbof", state, scheme_cfg.h, step)
-
-    def due(step: int) -> bool:
-        return dump_every > 0 and step % dump_every == 0
+    h, steps = scheme_cfg.h, scheme_cfg.steps
 
     stepper = Stepper(scheme_cfg, initial)
-    with ExitStack() as files:
-        step, state = 0, initial
-        for step, state in enumerate(stepper, start=1):
-            if step == 1:
-                dump(initial, 0)
-                del initial
-                append_row = _open_ledger_csv(files, out_dir / "ledger.csv", stepper)
-            append_row(stepper.records[-1])
-            if due(step):
-                dump(state, step)
-        if step == 0:
-            dump(state, 0)
-            _open_ledger_csv(files, out_dir / "ledger.csv", stepper)
-        elif not due(step):
-            dump(state, step)
+    states = iter(stepper)
+    state = next(states, None)  # step 1 runs before out_dir is made
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_dump(out_dir / "state_000000.mbof", initial, h, 0)
+    del initial
+    with open(out_dir / "ledger.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "t", "lambda", "E_h", "D_h", "slack", "radius"])
+        e0, r0 = _fmt(stepper.initial_energy), _fmt(stepper.initial_radius)
+        writer.writerow(["0", _fmt(0.0), "", e0, "", "", r0])
+        while state is not None:  # rebinding ``state`` lets the old one go
+            r = stepper.records[-1]
+            writer.writerow(
+                [
+                    str(r.step),
+                    _fmt(r.time),
+                    "" if r.lam is None else _fmt(r.lam),
+                    _fmt(r.energy_after),
+                    _fmt(r.dissipation),
+                    _fmt(r.slack),
+                    "" if r.bounding_radius is None else _fmt(r.bounding_radius),
+                ]
+            )
+            fh.flush()
+            last = r.step == steps or stepper.status != "running"
+            if last or (dump_every and r.step % dump_every == 0):
+                write_dump(out_dir / f"state_{r.step:06d}.mbof", state, h, r.step)
+            state = next(states, None)
     report = ledger_report(stepper.records)
     print(f"status: {stepper.status} after {len(stepper.records)} steps")
     print(f"ledger: {'PASS' if report.passed else 'FAIL'} "
@@ -583,10 +556,9 @@ def cmd_sweep(config_path: str) -> int:
     if scheme == "mbo" and cfg.require("init") != "ball":
         raise ConfigError("mbo sweep compares against a shrinking ball")
     initial = build_initial(cfg, grid)
-    _check_initial_kind(scheme, isinstance(initial, MultiPhaseState))
-    force = build_force(cfg)
+    grains = getattr(initial, "num_grains", None)
     configs = [
-        _scheme_config(scheme, grid, h, max(1, round(horizon / h)), force)
+        _scheme_config(cfg, scheme, grid, h, max(1, round(horizon / h)), grains)
         for h in h_list
     ]
 
@@ -664,31 +636,28 @@ def _dump_headers(paths: Sequence[str]) -> list[DumpHeader]:
     return headers
 
 
-def _audit_setup(num_grains: int | None, config_path: str | None):
-    """Scheme, force and tensions under which stored states are audited;
-    ``num_grains`` is None for two-phase states."""
-    if config_path is None:
-        if num_grains is not None:
-            raise ConfigError("multiphase dumps need --config for the tensions")
-        return "mbo", None, None
-    cfg = read_config(config_path)
-    scheme = str(cfg.get("scheme", "mbo"))
-    _check_initial_kind(scheme, num_grains is not None)
-    tensions = None if num_grains is None else build_tensions(cfg, num_grains)
-    return scheme, build_force(cfg), tensions
+def _audit_config(
+    config_path: str | None, grid: Grid, h: float, steps: int, grains: int | None
+) -> SchemeConfig:
+    """The config under which stored states of ``grains`` grains (None for
+    two-phase states) are audited: that of ``--config``, whose scheme reads
+    as ``mbo`` when it names none, or plain ``mbo`` without one."""
+    if config_path is None and grains is not None:
+        raise ConfigError("multiphase dumps need --config for the tensions")
+    cfg = ExperimentConfig({}, {}) if config_path is None else read_config(config_path)
+    return _scheme_config(cfg, str(cfg.get("scheme", "mbo")), grid, h, steps, grains)
 
 
-def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
+def cmd_check(paths: Sequence[str], config_path: str | None) -> int:
     """Re-audit stored states: recompute the per-step energy ledger.
 
     Every header is checked first; the states are then read, each when the
     audit asks for it, and audited two at a time.
     """
     headers = _dump_headers(paths)
-    first = headers[0]
-    scheme, force, tensions = _audit_setup(first.num_grains, config_path)
-    steps = len(headers) - 1
-    scheme_cfg = _scheme_config(scheme, first.grid, first.h, steps, force, tensions)
+    first, steps = headers[0], len(headers) - 1
+    grid, h, grains = first.grid, first.h, first.num_grains
+    scheme_cfg = _audit_config(config_path, grid, h, steps, grains)
     states = (read_dump(hd.path)[0] for hd in headers)
     report = ledger_check(scheme_cfg, states, first.step)
     for row in report.rows:
@@ -703,14 +672,13 @@ def cmd_check(paths: Sequence[str], config_path: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_energy(path: str, h: float | None, config_path: str | None = None) -> int:
+def cmd_energy(path: str, h: float | None, config_path: str | None) -> int:
     """Print the interfacial energy of one stored state, as a run's
     :class:`LedgerWalk` takes it."""
     state, dump_h, _step = read_dump(path)
-    num_grains = state.num_grains if isinstance(state, MultiPhaseState) else None
-    scheme, force, tensions = _audit_setup(num_grains, config_path)
     bandwidth = dump_h if h is None else h
-    scheme_cfg = _scheme_config(scheme, state.grid, bandwidth, 0, force, tensions)
+    grains = getattr(state, "num_grains", None)
+    scheme_cfg = _audit_config(config_path, state.grid, bandwidth, 0, grains)
     print(_fmt(LedgerWalk(scheme_cfg, state, state).energy))  # nothing follows
     return EXIT_OK
 

@@ -252,6 +252,10 @@ class LedgerWalk:
     ``smoothed`` and ``summary`` are valid only until the next
     :meth:`advance` writes the next state's over them.  Read them before
     advancing; copy what must outlive the step.
+
+    Each state handed in is refused unless ``config`` can walk it: one of
+    the other kind than its scheme evolves is a TypeError, and a partition
+    whose grain count is not the tensions' a ValueError.
     """
 
     def __init__(
@@ -261,12 +265,21 @@ class LedgerWalk:
         following: PhaseField | MultiPhaseState | None,
     ) -> None:
         self.config = config
+        self._walkable(state, following)
         self.plan = HeatKernelPlan(config.grid, config.h)
         self._spectrum = self.plan.empty_spectrum()
         self.summary: GrainSummary | None = None
         self._gathered: tuple[np.ndarray, np.ndarray] | None = None
         self.state, self.changed = state, 0
         self.energy = self._smooth(state, following, None, None)
+
+    def _walkable(self, *states: PhaseField | MultiPhaseState | None) -> None:
+        tensions = self.config.tensions  # None unless the scheme is grain growth
+        for state in (s for s in states if s is not None):
+            if isinstance(state, MultiPhaseState) != (tensions is not None):
+                raise TypeError(f"scheme {self.config.scheme!r} cannot walk this state")
+            if tensions is not None and state.num_grains != tensions.num_grains:
+                raise ValueError("state and tension matrix disagree on grain count")
 
     def _stream(self, state: MultiPhaseState):
         """Each label with its clamped smoothed field, valid until the next
@@ -374,6 +387,7 @@ class LedgerWalk:
         signed zeros, which change a sum at most in the sign of a zero sum;
         ``quad``, from +0.0, is never -0.0, and a zero leaves it alone.
         """
+        self._walkable(cur, following)
         cfg, prev = self.config, self.state
         grid, h = cfg.grid, cfg.h
         n = grid.total_cells

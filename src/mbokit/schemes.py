@@ -359,10 +359,6 @@ class Stepper:
 
     def __init__(self, config: SchemeConfig, initial) -> None:
         grid = config.grid
-        if (config.scheme == "grain_growth") != isinstance(initial, MultiPhaseState):
-            raise TypeError("initial state type does not match the scheme")
-        if initial.grid != grid:
-            raise ValueError("initial state lives on a different grid")
         self.config = config
         solid0 = _solid_of(initial)
         if solid0.cell_count == 0:

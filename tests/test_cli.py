@@ -1,3 +1,4 @@
+import ast
 import csv
 import inspect
 import io
@@ -57,6 +58,18 @@ ball_center = 0.5 0.5
 ball_radius = 0.3
 """
 
+
+# Runs at n = 32 that complete, pin at once (sqrt h far below dx), fill the
+# torus under a large force (then pin) and empty it; and a run of no steps.
+_SCHEDULE_BALL = "n = 32\nh = 4e-3\ninit = ball\nball_center = 0.5 0.5\nball_radius = 0.3\n"
+_SCHEDULE_FORCED = "scheme = forced\nforce = const\nsteps = 7\n" + _SCHEDULE_BALL
+DUMP_SCHEDULE_RUNS = {
+    "completed": "scheme = mbo\nsteps = 7\n" + _SCHEDULE_BALL,
+    "pinned": "scheme = mbo\nsteps = 7\n" + _SCHEDULE_BALL.replace("4e-3", "1e-5"),
+    "fills": _SCHEDULE_FORCED + "force_value = 30\n",
+    "empties": _SCHEDULE_FORCED + "force_value = -30\n",
+    "no_steps": "scheme = mbo\nsteps = 0\n" + _SCHEDULE_BALL,
+}
 
 # Valid configs at n = 32; the non-finite geometry tests override one key.
 NON_FINITE_BASES = {
@@ -441,6 +454,36 @@ class TestCommands:
         capsys.readouterr()
         assert main(["energy", str(tmp_path / "out0" / "state_000000.mbof")]) == 0
         assert rows[1].split(",")[3] == capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize(
+        "run, status, dumped",
+        [
+            ("completed", "completed", {0: [0, 7], 2: [0, 2, 4, 6, 7], 3: [0, 3, 6, 7]}),
+            ("pinned", "pinned", dict.fromkeys([0, 2, 3], [0, 1])),
+            ("fills", "pinned", dict.fromkeys([0, 2, 3], [0, 2])),
+            ("empties", "extinct", dict.fromkeys([0, 2, 3], [0, 1])),
+            ("no_steps", "completed", dict.fromkeys([0, 2, 3], [0])),
+        ],
+    )
+    def test_run_dumps_on_schedule_and_its_last_state(
+        self, tmp_path, capsys, run, status, dumped
+    ):
+        # ``dumped`` maps dump_every to the steps dumped: the initial and the
+        # last state, and those of the steps dump_every divides
+        for dump_every, steps in dumped.items():
+            out = tmp_path / f"out{dump_every}"
+            text = DUMP_SCHEDULE_RUNS[run] + f"dump_every = {dump_every}\n"
+            cfg = write_cfg(tmp_path, text + f"out_dir = {out}\n")
+            assert quiet_main(["run", cfg]) == 0
+            last = steps[-1]
+            printed = capsys.readouterr().out
+            assert printed.startswith(f"status: {status} after {last} steps\n")
+            names = sorted(p.name for p in out.iterdir())
+            assert names == ["ledger.csv"] + [f"state_{k:06d}.mbof" for k in steps]
+            rows = (out / "ledger.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == [
+                str(k) for k in range(last + 1)
+            ]
 
     def test_run_reruns_bit_identical(self, tmp_path):
         cfg_a = write_cfg(
@@ -1245,6 +1288,26 @@ class TestWarnings:
         code, caught = recorded_main(["check", *dumps, "--config", cfg])
         assert code == 0
         assert len([w for w in caught if w.category is ClampWarning]) == 1
+
+
+def test_scheme_configs_are_built_in_one_place():
+    # every command reaches SchemeConfig through _scheme_config, so each
+    # pairs its scheme with its states and reads the force in one way
+    calls = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call):  # by its name or as an attribute
+                func = child.func
+                if "SchemeConfig" in (getattr(func, "id", 0), getattr(func, "attr", 0)):
+                    calls.add(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(Path(cli.__file__).read_text()), ())
+    assert sorted(calls) == ["_scheme_config"]
 
 
 def modules_after(code: str, package: str) -> str:

@@ -442,6 +442,48 @@ class TestStreamedAudit:
         assert _bits(row.energy_after) == _bits(LedgerWalk(cfg, cur, cur).energy)
 
 
+class TestWalkRefusesStatesItCannotWalk:
+    """A walk refuses every state it is handed, as ``state``, ``cur`` or
+    ``following``, that its config cannot walk: a state of the other kind,
+    or a partition whose grain count is not the tensions'."""
+
+    @pytest.fixture
+    def states(self):
+        grid = Grid(dim=2, n=32)
+        solid = rasterize_ball(grid, (0.5, 0.5), 0.3)
+        three = voronoi_labels(grid, [(0.3, 0.3), (0.7, 0.4), (0.5, 0.7)], solid=solid)
+        two = voronoi_labels(grid, [(0.3, 0.3), (0.7, 0.4)], solid=solid)
+        return grid, solid, three, two
+
+    def test_audit_of_fields_under_grain_growth(self, states):
+        grid, solid, _, _ = states
+        cfg = SchemeConfig("grain_growth", grid, 1e-2, 1, tensions=equal_tensions(3))
+        with pytest.raises(TypeError):
+            ledger_check(cfg, [solid, solid])
+
+    def test_audit_of_partitions_under_a_two_phase_scheme(self, states):
+        grid, _, three, _ = states
+        cfg = SchemeConfig("mbo", grid, 1e-2, 1)
+        with pytest.raises(TypeError):
+            ledger_check(cfg, [three, three])
+
+    def test_following_of_another_grain_count(self, states):
+        grid, _, three, two = states
+        cfg = SchemeConfig("grain_growth", grid, 1e-2, 1, tensions=equal_tensions(3))
+        with pytest.raises(ValueError, match="grain count"):
+            LedgerWalk(cfg, three, two)
+
+    def test_advance_to_a_state_of_the_other_kind(self, states):
+        grid, solid, three, _ = states
+        cfg = SchemeConfig("grain_growth", grid, 1e-2, 1, tensions=equal_tensions(3))
+        walk = LedgerWalk(cfg, three, None)
+        with pytest.raises(TypeError):
+            walk.advance(1, solid, solid)
+        two_phase = LedgerWalk(SchemeConfig("mbo", grid, 1e-2, 1), solid, None)
+        with pytest.raises(TypeError):
+            two_phase.advance(1, solid, three)
+
+
 class TestLedger:
     def test_passes_on_honest_run(self, grid128, ball128):
         cfg = SchemeConfig(
