@@ -35,7 +35,6 @@ from .diagnostics import (
 )
 from .grid import (
     DegeneratePhaseError,
-    EmptyPhaseError,
     Grid,
     MultiPhaseState,
     PhaseField,
@@ -98,7 +97,6 @@ _KEYS = {
     "n": int,
     "steps": int,
     "dump_every": int,
-    "grains": int,
     "blob_seed": int,
     "slab_axis": int,
     "side": float,
@@ -266,10 +264,6 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
             if len(seeds) > MAX_GRAINS:
                 raise ConfigError(
                     f"{len(seeds)} seeds, but a dump holds at most {MAX_GRAINS} grains"
-                )
-            if cfg.get("grains") is not None and int(cfg.get("grains")) != len(seeds):
-                raise ConfigError(
-                    f"grains = {cfg.get('grains')} but {len(seeds)} seeds given"
                 )
             solid = None
             if cfg.get("solid_center") is not None:
@@ -439,19 +433,15 @@ def read_dump(path: Path | str):
     try:
         payload = np.fromfile(path, dtype=np.uint8, offset=header.offset)
         labels = payload.reshape(grid.shape)
+        top = header.num_grains or 1  # the top label: 1 for a two-phase field
+        if payload.max(initial=0) > top:
+            raise ValueError(
+                f"{path}: payload holds label {payload.max()}, "
+                f"above its top label {top}"
+            )
         if header.num_grains is None:
-            if payload.max(initial=0) > 1:
-                raise ValueError(
-                    f"{path}: two-phase payload holds label {payload.max()}, "
-                    "not 0 or 1"
-                )
             state = PhaseField(grid, labels.view(bool))
         else:
-            if payload.max(initial=0) > header.num_grains:
-                raise ValueError(
-                    f"{path}: payload holds label {payload.max()}, "
-                    f"above its {header.num_grains} grains"
-                )
             state = MultiPhaseState(grid, labels, header.num_grains)  # casts once
     except (ValueError, OSError) as exc:
         raise DumpError(str(exc)) from exc
@@ -482,7 +472,7 @@ def cmd_run(config_path: str) -> int:
     initial = build_initial(cfg, grid)
     scheme_cfg = build_scheme_config(cfg, grid, initial)
     out_dir = Path(str(cfg.get("out_dir", "out")))
-    h, steps = scheme_cfg.h, scheme_cfg.steps
+    h = scheme_cfg.h
 
     stepper = Stepper(scheme_cfg, initial)
     states = iter(stepper)
@@ -509,8 +499,7 @@ def cmd_run(config_path: str) -> int:
                 ]
             )
             fh.flush()
-            last = r.step == steps or stepper.status != "running"
-            if last or (dump_every and r.step % dump_every == 0):
+            if stepper.status != "running" or (dump_every and r.step % dump_every == 0):
                 write_dump(out_dir / f"state_{r.step:06d}.mbof", state, h, r.step)
             state = next(states, None)
     report = ledger_report(stepper.records)
@@ -689,11 +678,7 @@ def cmd_energy(path: str, h: float | None, config_path: str | None) -> int:
 _EXITS = (
     (ConfigError, EXIT_CONFIG, "config error"),
     (DumpError, EXIT_RUNTIME, "cannot load dump"),
-    (
-        (DegeneratePhaseError, EmptyPhaseError, OSError, MemoryError),
-        EXIT_RUNTIME,
-        "runtime error",
-    ),
+    ((DegeneratePhaseError, OSError, MemoryError), EXIT_RUNTIME, "runtime error"),
 )
 
 

@@ -281,11 +281,17 @@ class LedgerWalk:
             if tensions is not None and state.num_grains != tensions.num_grains:
                 raise ValueError("state and tension matrix disagree on grain count")
 
-    def _stream(self, state: MultiPhaseState):
+    def _stream(self, state: MultiPhaseState, keep: np.ndarray):
         """Each label with its clamped smoothed field, valid until the next
-        is asked for: the grains in order, then the vapor."""
+        is asked for: the grains in order, then the vapor.  Each label's
+        values on the sorted flat cells ``keep`` are kept, one row per label,
+        vapor first, and left with ``keep`` in ``_gathered``."""
+        values = np.empty((state.num_grains + 1, keep.size))
+        self._gathered = (keep, values)
         for j in [*range(1, state.num_grains + 1), 0]:
-            yield j, convolve(self.plan, state.indicator(j), self._spectrum)
+            psi = convolve(self.plan, state.indicator(j), self._spectrum)
+            np.take(psi.ravel(), keep, out=values[j])
+            yield j, psi
 
     def _smooth(
         self,
@@ -304,26 +310,22 @@ class LedgerWalk:
         labels' ``summary``.
         """
         h = self.config.h
-        self._gathered = None
         if not isinstance(state, MultiPhaseState):
             self.smoothed = convolve(self.plan, state, self._spectrum)
             return energy_two_phase(state, self.smoothed, h)
         self.smoothed = None
+        toward = np.empty(0, dtype=np.intp)  # a step map gathers what it needs
         if following is not None:
             self.summary = None
             toward = _changed_cells(following.labels, state.labels)
-            ahead = np.empty((state.num_grains + 1, toward.size))
-            self._gathered = (toward, ahead)
         elif self.summary is None:
             self.summary = GrainSummary(state.grid.shape, state.num_grains)
 
         def fields():
-            for j, psi in self._stream(state):
+            for j, psi in self._stream(state, toward):
                 if before is not None:
                     np.subtract(psi.ravel()[cells], before[j], out=before[j])
-                if following is not None:
-                    np.take(psi.ravel(), toward, out=ahead[j])
-                else:
+                if following is None:
                     self.summary.fold(j, psi)
                 yield j, psi
 
@@ -337,11 +339,9 @@ class LedgerWalk:
         also kept until the next :meth:`advance`, which takes the ledger's
         old values from them when the changed cells are among ``cells``.
         """
-        values = np.empty((self.state.num_grains + 1, cells.size))
-        for j, psi in self._stream(self.state):
-            np.take(psi.ravel(), cells, out=values[j])
-        self._gathered = (cells, values)
-        return values
+        for _ in self._stream(self.state, cells):
+            pass
+        return self._gathered[1]
 
     def _values_on(self, cells: np.ndarray) -> np.ndarray:
         """Every smoothed label of ``state`` on ``cells``: taken from the

@@ -22,12 +22,9 @@ import numpy as np
 from .threshold import _select_cells
 
 
-class EmptyPhaseError(ValueError):
-    """An operation that needs occupied cells got an empty phase."""
-
-
 class DegeneratePhaseError(ValueError):
-    """A scheme step received an empty or space-filling phase."""
+    """An operation that needs occupied cells got an empty phase, or a
+    scheme step an empty or space-filling one."""
 
 
 @dataclass(frozen=True)
@@ -105,21 +102,21 @@ class Grid:
 
     def periodic_distance_sq(self, point: Sequence[float]) -> np.ndarray:
         """Squared periodic distance from every cell center to ``point``."""
-        return _distance_sq_into(self, point, np.empty(self.shape))
+        return np.add(*_distance_sq_terms(self, point))
 
 
-def _distance_sq_into(grid: Grid, point: Sequence[float], out: np.ndarray):
-    """:meth:`Grid.periodic_distance_sq` written into ``out`` and returned:
-    the per-axis squared deltas summed by broadcasting in axis order, all
-    but the last axis's on their slab-sized partial sum, so only the last
-    addition is grid-sized."""
+def _distance_sq_terms(grid: Grid, point: Sequence[float]):
+    """The two terms whose broadcast sum is :meth:`Grid.periodic_distance_sq`:
+    the per-axis squared deltas of spatial axes 0 ... d-2 summed in axis
+    order, slab-sized, and the column of axis d-1, on array axis 0.  Only
+    their sum is grid-sized."""
     if len(point) != grid.dim:
         raise ValueError(f"point has {len(point)} coords, grid is {grid.dim}-d")
     terms = [grid.wrap_delta(grid.coordinate(k) - point[k]) ** 2 for k in range(grid.dim)]
     partial = terms[0]
     for term in terms[1:-1]:
         partial = partial + term
-    return np.add(partial, terms[-1], out=out)
+    return partial, terms[-1]
 
 
 def _as_bool_mask(grid: Grid, mask: np.ndarray) -> np.ndarray:
@@ -181,10 +178,6 @@ class MultiPhaseState:
             )
         object.__setattr__(self, "labels", arr.astype(np.int32, copy=False))
 
-    @property
-    def solid_mask(self) -> np.ndarray:
-        return self.labels > 0
-
     @cached_property
     def solid_cell_count(self) -> int:
         return int(np.count_nonzero(self.labels))
@@ -196,7 +189,7 @@ class MultiPhaseState:
         return PhaseField(self.grid, self.labels == label)
 
     def solid(self) -> PhaseField:
-        return PhaseField(self.grid, self.solid_mask)
+        return PhaseField(self.grid, self.labels > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +253,12 @@ def voronoi_labels(
     if solid is not None and solid.grid != grid:
         raise ValueError("solid mask lives on a different grid")
     # every seed's distances go into one buffer and are compared in place
-    best_d2 = _distance_sq_into(grid, pts[0], np.empty(grid.shape))
+    best_d2 = grid.periodic_distance_sq(pts[0])
     d2 = np.empty(grid.shape)
     closer = np.empty(grid.shape, dtype=bool)
     labels = np.ones(grid.shape, dtype=np.int32)
     for i, p in enumerate(pts[1:], start=2):
-        _distance_sq_into(grid, p, d2)
+        np.add(*_distance_sq_terms(grid, p), out=d2)
         np.less(d2, best_d2, out=closer)  # strict: ties keep the earlier seed
         np.copyto(labels, i, where=closer)
         np.copyto(best_d2, d2, where=closer)
@@ -404,21 +397,16 @@ def bounding_radius(field: PhaseField, center: Sequence[float]) -> float:
     depend on the order, so the result is that of the full-grid field.
     """
     if field.cell_count == 0:
-        raise EmptyPhaseError("bounding_radius of an empty phase")
+        raise DegeneratePhaseError("bounding_radius of an empty phase")
     g = field.grid
-    if len(center) != g.dim:
-        raise ValueError(f"point has {len(center)} coords, grid is {g.dim}-d")
-    sq = [g.wrap_delta(g.coordinate(k) - center[k]) ** 2 for k in range(g.dim)]
-    inner = sq[0]  # spatial axes 0 .. d-2 share every slab
-    for k in range(1, g.dim - 1):
-        inner = inner + sq[k]
+    inner, column = _distance_sq_terms(g, center)  # inner is shared by every slab
     slabs = max(1, _BLOCK_CELLS * g.n // g.total_cells)
     d2 = np.empty((slabs,) + g.shape[1:])
     occupied = field.mask.reshape(g.n, -1).any(axis=1)
     best = 0.0
     for lo in range(0, g.n, slabs):
         if occupied[lo : lo + slabs].any():
-            outer = sq[-1][lo : lo + slabs]
+            outer = column[lo : lo + slabs]
             block = np.add(inner, outer, out=d2[: len(outer)])
             mask = field.mask[lo : lo + slabs]
             best = max(best, float(np.max(block, where=mask, initial=0.0)))
@@ -437,7 +425,7 @@ def centroid(field: PhaseField) -> tuple[float, ...]:
     """
     count = field.cell_count
     if count == 0:
-        raise EmptyPhaseError("centroid of an empty phase")
+        raise DegeneratePhaseError("centroid of an empty phase")
     g, mask = field.grid, field.mask
     ends = np.cumsum(np.count_nonzero(mask.reshape(g.n, -1), axis=1))
     out = []

@@ -245,8 +245,6 @@ def step_grain_growth(
     the fold of every row over every cell, bit for bit.
     """
     p = tensions.num_grains
-    if state.num_grains != p:
-        raise ValueError("state and tension matrix disagree on grain count")
     if state.solid_cell_count == 0:
         raise DegeneratePhaseError("grain growth needs at least one solid cell")
     cells, solid_outside, err = _uncertain_cells(state, summary, tensions)
@@ -348,8 +346,9 @@ class Stepper:
     ``initial_energy``.  Iterating runs the steps and yields each new state
     as its step finishes, appending the step's ledger row to ``records``.
     It stops early with ``status`` "pinned" when a step changes no cell and
-    "extinct" when the evolving phase empties; ``status`` is "completed"
-    once every step ran.  The step maps read the smoothed field, or the
+    "extinct" when the evolving phase empties, else "completed" when every
+    step ran; it is final when the last state is yielded (at construction
+    with no steps).  The step maps read the smoothed field, or the
     grain summary and gather, of a :class:`LedgerWalk`, so only the current
     and the previous state, one spectrum and the summary are held.  A
     warning fires if the support radius of a compact solid, one that starts
@@ -366,7 +365,7 @@ class Stepper:
         self.center = centroid(solid0)
         self.initial_radius = bounding_radius(solid0, self.center)
         self.records: list[StepRecord] = []
-        self.status = "running"
+        self.status = "running" if config.steps else "completed"
         if WRAP_RADIUS_FRACTION * grid.side < self.initial_radius < grid.side / 2:
             warnings.warn(
                 f"initial support radius {self.initial_radius:.3g} exceeds "
@@ -437,7 +436,8 @@ class Stepper:
                 self.status = "extinct"
             elif walk.changed == 0:
                 self.status = "pinned"
+            elif n == config.steps:
+                self.status = "completed"
             yield new_state
             if self.status != "running":
                 return
-        self.status = "completed"

@@ -35,8 +35,6 @@ def select_top_cells(
     taken; the remainder is filled from the cells scoring exactly the cut
     in ascending index order.
     """
-    if not 1 <= target_cells <= scores.size:
-        raise ValueError(f"target_cells {target_cells} outside [1, {scores.size}]")
     return _select_cells(scores, target_cells, top=True)
 
 
@@ -49,8 +47,6 @@ def select_bottom_cells(
     Mirror image of :func:`select_top_cells`; for tie-free scores it picks
     the same cells as top selection on the negated scores.
     """
-    if not 1 <= target_cells <= scores.size:
-        raise ValueError(f"target_cells {target_cells} outside [1, {scores.size}]")
     return _select_cells(scores, target_cells, top=False)
 
 
@@ -73,9 +69,12 @@ def _select_cells(
     (top) or ``values + 0.0``.  The cut is the order statistic of rank
     ``values.size - count`` (top) or ``count - 1`` (bottom), counted from 0,
     found by :func:`_kth_smallest` without a full-size copy of ``values``; a
-    zero cut is returned as +0.0.  Needs ``1 <= count <= values.size`` and
-    no NaN.  Private, so a traced run charges its time to the caller.
+    zero cut is returned as +0.0.  Needs values free of NaN; a ``count`` out
+    of range is a ValueError.  Private, so a traced run charges its time to
+    the caller.
     """
+    if not 1 <= count <= values.size:
+        raise ValueError(f"target_cells {count} outside [1, {values.size}]")
     cut = _kth_smallest(values, values.size - count if top else count - 1) + 0.0
     mask = values > cut if top else values < cut
     missing = count - int(np.count_nonzero(mask))

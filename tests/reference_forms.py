@@ -629,7 +629,7 @@ def euler_lagrange_residual_grain_growth(
 ) -> float:
     """Stationarity residual of a grain-growth step against ``xi``."""
     g = state1.grid
-    solid1 = state1.solid_mask.astype(np.float64)
+    solid1 = (state1.labels > 0).astype(np.float64)
     volume_term = (2.0 * lam / math.sqrt(h)) * _cellsum(g, xi.divergence * solid1)
     return (
         first_variation_energy_multiphase(state1, tensions, xi, h)

@@ -33,7 +33,6 @@ from mbokit.cli import (
 from mbokit.diagnostics import energy_two_phase
 from mbokit.grid import (
     DegeneratePhaseError,
-    EmptyPhaseError,
     Grid,
     MultiPhaseState,
     PhaseField,
@@ -161,12 +160,12 @@ class TestBuildInitial:
         with pytest.raises(ConfigError, match="overlap"):
             build_initial(cfg, build_grid(cfg))
 
-    def test_voronoi_with_grain_count_mismatch(self):
-        cfg = parse_config(
-            "n = 64\ninit = voronoi\ngrains = 4\nseeds = 0.2 0.2; 0.8 0.8\n"
-        )
-        with pytest.raises(ConfigError, match="seeds"):
-            build_initial(cfg, build_grid(cfg))
+    def test_grains_key_is_unknown(self):
+        # the grain count is that of the seeds; no key restates it
+        with pytest.raises(ConfigError, match="line 3: unknown key 'grains'"):
+            parse_config(
+                "n = 64\ninit = voronoi\ngrains = 2\nseeds = 0.2 0.2; 0.8 0.8\n"
+            )
 
 
 @st.composite
@@ -397,13 +396,28 @@ class TestDumpRoundTrip:
         with pytest.raises(ValueError, match=message):
             read_dump(p)
 
-    def test_two_phase_payload_outside_zero_one_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, label, top", [("two_phase", 7, 1), ("partition", 3, 2)]
+    )
+    def test_two_phase_payload_outside_zero_one_rejected(
+        self, tmp_path, kind, label, top
+    ):
+        # a payload label above the header's top label: 1 for a two-phase
+        # field, the grain count for a partition
+        g = Grid(dim=2, n=64)
+        state = (
+            rasterize_ball(g, (0.5, 0.5), 0.2)
+            if kind == "two_phase"
+            else voronoi_labels(g, [(0.2, 0.3), (0.7, 0.6)])
+        )
         p = tmp_path / "b.mbof"
-        write_dump(p, rasterize_ball(Grid(dim=2, n=64), (0.5, 0.5), 0.2), 1e-3, 0)
+        write_dump(p, state, 1e-3, 0)
         blob = bytearray(p.read_bytes())
-        blob[-1] = 7
+        blob[-1] = label
         p.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="7"):
+        with pytest.raises(
+            DumpError, match=f"holds label {label}, above its top label {top}$"
+        ):
             read_dump(p)
 
 
@@ -1310,6 +1324,34 @@ def test_scheme_configs_are_built_in_one_place():
     assert sorted(calls) == ["_scheme_config"]
 
 
+def test_distances_and_label_values_are_taken_in_one_place():
+    # in the package, wrap_delta is defined in Grid and read only by
+    # _distance_sq_terms, and diagnostics takes label values on cells only
+    # in LedgerWalk._stream
+    uses = set()
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            name = next(
+                (getattr(child, a) for a in ("attr", "id", "name") if hasattr(child, a)),
+                None,
+            )
+            if name == "wrap_delta" or (name == "take" and module == "diagnostics"):
+                uses.add(f"{module}.{name}: {'.'.join(scope)}")
+            visit(child, inner, module)
+
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.stem)
+    assert sorted(uses) == [
+        "diagnostics.take: LedgerWalk._stream",
+        "grid.wrap_delta: Grid",
+        "grid.wrap_delta: _distance_sq_terms",
+    ]
+
+
 def modules_after(code: str, package: str) -> str:
     """Sorted modules of ``package`` (itself and its submodules) loaded by
     running ``code`` in a fresh process."""
@@ -1452,14 +1494,12 @@ class TestExitMap:
             (ConfigError("line 2: bad"), 3, "config error"),
             (DumpError("a.mbof: not a dump"), 4, "cannot load dump"),
             (DegeneratePhaseError("phase fills the grid"), 4, "runtime error"),
-            (EmptyPhaseError("phase is empty"), 4, "runtime error"),
             (FileNotFoundError(2, "No such file or directory"), 4, "runtime error"),
             (NotADirectoryError(20, "Not a directory"), 4, "runtime error"),
             (MemoryError("Unable to allocate 2.98 GiB"), 4, "runtime error"),
         ],
         ids=[
-            "config", "dump", "degenerate", "empty", "missing", "not_a_directory",
-            "memory",
+            "config", "dump", "degenerate", "missing", "not_a_directory", "memory",
         ],
     )
     def test_each_error_has_one_exit_code_and_prefix(

@@ -337,6 +337,14 @@ class TestMultiphase:
         emp = energy_multiphase(state, enumerate(smoothed), 1e-3, equal_tensions(1))
         assert emp == pytest.approx(2.0 * e2, rel=1e-12)
 
+    def test_energy_refuses_tensions_of_another_grain_count(self, grid64):
+        # a one-grain overlap block would broadcast against larger tensions
+        blob = random_blob(grid64, seed=4)
+        state = MultiPhaseState(grid64, blob.mask.astype(np.int32), 1)
+        smoothed = convolve_labels(HeatKernelPlan(grid64, 1e-3), state)
+        with pytest.raises(ValueError, match="tension matrix size"):
+            energy_multiphase(state, enumerate(smoothed), 1e-3, equal_tensions(3))
+
     def test_dissipation_against_double_sum(self, tiny_setup, rng):
         grid, h, plan, kmat = tiny_setup
         labels = np.zeros(grid.shape, dtype=np.int32)

@@ -6,7 +6,7 @@ from scipy import ndimage
 
 from mbokit import grid as grid_module
 from mbokit.grid import (
-    EmptyPhaseError,
+    DegeneratePhaseError,
     Grid,
     MultiPhaseState,
     PhaseField,
@@ -392,7 +392,7 @@ class TestMeasurements:
 
     def test_bounding_radius_empty_raises(self, grid64):
         f = PhaseField(grid64, np.zeros(grid64.shape, dtype=bool))
-        with pytest.raises(EmptyPhaseError):
+        with pytest.raises(DegeneratePhaseError):
             bounding_radius(f, (0.5, 0.5))
 
 

@@ -412,6 +412,20 @@ class TestStepGrainGrowth:
         tied = (phi == phi.min(axis=0)).sum(axis=0) > 1
         assert tied.sum() > 100
 
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_tensions_of_another_grain_count_do_not_broadcast(self, grid128, p):
+        # a run's ledger walk refuses such a pair before any step; a direct
+        # caller meets numpy's broadcast of the tension rows
+        plan = HeatKernelPlan(grid128, 1e-3)
+        state = voronoi_labels(
+            grid128,
+            [(0.3, 0.3), (0.7, 0.4), (0.45, 0.75)],
+            solid=rasterize_ball(grid128, (0.5, 0.5), 0.35),
+        )
+        source = stack_source(convolve_labels(plan, state))
+        with pytest.raises(ValueError, match="broadcast"):
+            step_grain_growth(state, *source, equal_tensions(p))
+
     def test_translation_equivariance(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
         state = voronoi_labels(
@@ -705,6 +719,20 @@ class TestRun:
         assert len(states) == 1
         assert stepper.records == []
         assert stepper.status == "completed"
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_status_is_final_when_the_last_state_is_yielded(
+        self, grid128, ball128, steps
+    ):
+        # a caller that stops at the last state reads how the run ended
+        cfg = SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=steps)
+        stepper = Stepper(cfg, ball128)
+        states = iter(stepper)
+        for _ in range(steps):
+            assert stepper.status == "running"
+            next(states)
+        assert stepper.status == "completed"
+        assert next(states, None) is None
 
     def test_trajectory_length_and_energy_descent(self, grid128, ball128):
         cfg = SchemeConfig(scheme="mbo", grid=grid128, h=1e-3, steps=8)
