@@ -91,14 +91,12 @@ def _seed_list(value: str) -> tuple[tuple[float, ...], ...]:
 _KEYS = {
     "scheme": str,
     "init": str,
-    "force": str,
     "out_dir": str,
     "dim": int,
     "n": int,
     "steps": int,
     "dump_every": int,
     "blob_seed": int,
-    "slab_axis": int,
     "side": float,
     "h": float,
     "ball_radius": float,
@@ -246,12 +244,7 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
                 raise ConfigError("the two balls overlap")
             return PhaseField(grid, a.mask | b.mask)
         if kind == "slab":
-            return rasterize_slab(
-                grid,
-                int(cfg.get("slab_axis", 0)),
-                cfg.require("slab_lo"),
-                cfg.require("slab_hi"),
-            )
+            return rasterize_slab(grid, 0, cfg.require("slab_lo"), cfg.require("slab_hi"))
         if kind == "blob":
             return random_blob(
                 grid,
@@ -288,12 +281,14 @@ def _scheme_config(
     grains: int | None,
 ) -> SchemeConfig:
     """The :class:`SchemeConfig` of ``scheme`` for states of ``grains`` grains
-    (None for a two-phase field), with the tensions and the force of ``cfg``.
+    (None for a two-phase field), with the tensions and the ``force_value``
+    of ``cfg``.
 
     Grain growth evolves a partition (``init = voronoi``) and every other
     scheme a two-phase field; any other pairing, of an initial state or of
     stored ones, is a config error, and so is a refusal of
-    :class:`SchemeConfig`, which refuses a force that is not finite.
+    :class:`SchemeConfig`, which refuses a force that is not finite, a
+    forced scheme without one and any other scheme with one.
     """
     if scheme == "grain_growth" and grains is None:
         raise ConfigError("grain_growth evolves a partition (init = voronoi), "
@@ -302,12 +297,8 @@ def _scheme_config(
         raise ConfigError(f"scheme {scheme} evolves a two-phase field, "
                           "not a partition (init = voronoi)")
     tensions = None if grains is None else build_tensions(cfg, grains)
-    kind = cfg.get("force")
-    if kind not in (None, "const"):
-        raise ConfigError(f"unknown force '{kind}' (supported: const)")
-    force = None if kind is None else float(cfg.require("force_value"))
     try:
-        return SchemeConfig(scheme, grid, h, steps, force, tensions)
+        return SchemeConfig(scheme, grid, h, steps, cfg.get("force_value"), tensions)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -490,7 +481,7 @@ def cmd_run(config_path: str) -> int:
             writer.writerow(
                 [
                     str(r.step),
-                    _fmt(r.time),
+                    _fmt(r.step * h),
                     "" if r.lam is None else _fmt(r.lam),
                     _fmt(r.energy_after),
                     _fmt(r.dissipation),
@@ -522,8 +513,6 @@ def _measured_radius(state: PhaseField) -> float:
 
 def cmd_sweep(config_path: str) -> int:
     """Bandwidth sweep: convergence order for mbo, multiplier scaling for vp."""
-    from .oracles import ExtinctionError, circle_mcf  # no other command reads them
-
     cfg = read_config(config_path)
     grid = build_grid(cfg)
     scheme = cfg.require("scheme")
@@ -562,15 +551,11 @@ def cmd_sweep(config_path: str) -> int:
         records = stepper.records
         row: dict[str, float | int | None] = {"h": h, "steps": len(records)}
         if scheme == "mbo":
-            measured = _measured_radius(final)
-            try:
-                target = circle_mcf(
-                    float(cfg.require("ball_radius")), steps * h, grid.dim
-                )
-            except ExtinctionError:
-                target = 0.0
-            row["radius"] = measured
-            row["oracle"] = target
+            # the circle law sqrt(r0^2 - 2(d-1)t), 0 once the ball is extinct
+            r0 = float(cfg.require("ball_radius"))
+            arg = r0 * r0 - 2.0 * (grid.dim - 1) * (steps * h)
+            row["radius"] = measured = _measured_radius(final)
+            row["oracle"] = target = math.sqrt(arg) if arg > 0 else 0.0
             row["error"] = abs(measured - target)
         else:
             lams = [r.lam for r in records]

@@ -26,8 +26,8 @@ from .kernel import HeatKernelPlan, convolve
 if TYPE_CHECKING:  # only for annotations; no runtime dependency on schemes
     from .schemes import SchemeConfig, SurfaceTensionMatrix
 
-# A step is a "good iteration" when its volume multiplier stays within
-# this band of its resting value (1/2 for two-phase, 0 for grain growth).
+# A volume-preserving step is a "good iteration" when its multiplier stays
+# within this band of 1/2; ``multiplier_integral`` counts the others.
 GOOD_ITERATION_BAND = 0.25
 
 # Ledger slack below -1e-9 times the energy scale counts as a violation,
@@ -90,10 +90,8 @@ class StepRecord(LedgerRow):
     score cut for grain growth, and None for plain and forced thresholding.
     """
 
-    time: float
     lam: float | None
     bounding_radius: float | None
-    good_iteration: bool | None
 
 
 # ---------------------------------------------------------------------------

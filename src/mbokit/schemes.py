@@ -44,13 +44,7 @@ from .grid import (
 )
 from .kernel import multiplier_exponent
 from .threshold import _kth_smallest, select_bottom_cells, select_top_cells
-from .diagnostics import (
-    GOOD_ITERATION_BAND,
-    GrainSummary,
-    LedgerWalk,
-    StepRecord,
-    tension_row,
-)
+from .diagnostics import GrainSummary, LedgerWalk, StepRecord, tension_row
 
 SCHEMES = ("mbo", "volume_preserving", "forced", "grain_growth")
 
@@ -171,7 +165,7 @@ class SchemeConfig:
         if self.force is not None and not math.isfinite(self.force):
             raise ValueError(f"force_value must be finite, got {self.force}")
         if self.scheme == "forced" and self.force is None:
-            raise ValueError("forced scheme needs a force")
+            raise ValueError("forced scheme needs a force_value")
         if self.scheme != "forced" and self.force is not None:
             raise ValueError(f"scheme {self.scheme!r} does not take a force")
         if self.scheme == "grain_growth" and self.tensions is None:
@@ -387,22 +381,17 @@ class Stepper:
         grid, h = config.grid, config.h
         wrap_warned = self.initial_radius > WRAP_RADIUS_FRACTION * grid.side
         for n in range(1, config.steps + 1):
-            t = n * h
             lam: float | None = None
-            good: bool | None = None
-
             if config.scheme == "grain_growth":
                 new_state, lam = step_grain_growth(
                     walk.state, walk.summary, walk.gather, config.tensions
                 )
-                good = abs(lam) < GOOD_ITERATION_BAND
             elif config.scheme == "mbo":
                 new_state = step_mbo(walk.state, walk.smoothed)
             elif config.scheme == "forced":
                 new_state = step_forced(walk.state, walk.smoothed, config.force, h)
             else:
                 new_state, lam = step_volume_preserving(walk.state, walk.smoothed)
-                good = abs(lam - 0.5) < GOOD_ITERATION_BAND
             last = new_state if n == config.steps else None  # nothing follows it
             row = walk.advance(n, new_state, last)
 
@@ -423,15 +412,7 @@ class Stepper:
                 )
                 wrap_warned = True
 
-            self.records.append(
-                StepRecord(
-                    **vars(row),
-                    time=t,
-                    lam=lam,
-                    bounding_radius=radius,
-                    good_iteration=good,
-                )
-            )
+            self.records.append(StepRecord(**vars(row), lam=lam, bounding_radius=radius))
             if radius is None:
                 self.status = "extinct"
             elif walk.changed == 0:

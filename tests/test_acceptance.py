@@ -35,7 +35,6 @@ from mbokit.grid import (
     voronoi_labels,
 )
 from mbokit.kernel import ClampWarning, HeatKernelPlan, convolve
-from mbokit.oracles import circle_mcf, solve_two_ball_vp
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
@@ -44,6 +43,7 @@ from mbokit.schemes import (
 )
 
 from conftest import equal_tensions
+from oracles import circle_mcf, solve_two_ball_vp
 from reference_forms import (
     approx_monotonicity_check,
     constant_vector_field,

@@ -4,6 +4,7 @@ import inspect
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,11 +41,11 @@ from mbokit.grid import (
     voronoi_labels,
 )
 from mbokit.kernel import ClampWarning, HeatKernelPlan, ResolutionWarning, convolve
-from mbokit.oracles import circle_mcf
 from mbokit import schemes
 from mbokit.schemes import SchemeConfig, Stepper
 
 from conftest import GRAIN_BALL, grain_lattice
+from oracles import circle_mcf
 from reference_forms import full_stack_step
 
 BASE = """\
@@ -61,7 +62,7 @@ ball_radius = 0.3
 # Runs at n = 32 that complete, pin at once (sqrt h far below dx), fill the
 # torus under a large force (then pin) and empty it; and a run of no steps.
 _SCHEDULE_BALL = "n = 32\nh = 4e-3\ninit = ball\nball_center = 0.5 0.5\nball_radius = 0.3\n"
-_SCHEDULE_FORCED = "scheme = forced\nforce = const\nsteps = 7\n" + _SCHEDULE_BALL
+_SCHEDULE_FORCED = "scheme = forced\nsteps = 7\n" + _SCHEDULE_BALL
 DUMP_SCHEDULE_RUNS = {
     "completed": "scheme = mbo\nsteps = 7\n" + _SCHEDULE_BALL,
     "pinned": "scheme = mbo\nsteps = 7\n" + _SCHEDULE_BALL.replace("4e-3", "1e-5"),
@@ -792,7 +793,7 @@ class TestCommands:
         self, tmp_path, capsys, command, value
     ):
         text = BASE.replace("scheme = mbo", "scheme = forced")
-        text += f"force = const\nforce_value = {value}\nout_dir = {tmp_path}/out\n"
+        text += f"force_value = {value}\nout_dir = {tmp_path}/out\n"
         cfg = write_cfg(tmp_path, text)
         if command == "run":
             args = ["run", cfg]
@@ -819,7 +820,7 @@ class TestCommands:
         assert quiet_main(["run", config("out")]) == 0
         dumps = sorted(str(p) for p in (tmp_path / "out").glob("state_*.mbof"))
         assert len(dumps) == 3
-        forced = config("forced", "force = const\nforce_value = 0.5\n")
+        forced = config("forced", "force_value = 0.5\n")
         capsys.readouterr()
         for args in (
             ["run", forced],
@@ -833,11 +834,25 @@ class TestCommands:
             assert "does not take a force" in captured.err
         assert not (tmp_path / "forced").exists()
 
+    def test_forced_run_needs_only_its_force_value(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = BASE.replace("scheme = mbo", "scheme = forced")
+        text += f"dump_every = 1\nout_dir = {out}\n"
+        assert quiet_main(["run", write_cfg(tmp_path, text)]) == 3
+        err = capsys.readouterr().err
+        assert err == "config error: forced scheme needs a force_value\n"
+        cfg = write_cfg(tmp_path, text + "force_value = 5\n")
+        assert quiet_main(["run", cfg]) == 0
+        assert capsys.readouterr().out.startswith("status: completed after 3 steps")
+        dumps = sorted(str(p) for p in out.glob("state_*.mbof"))
+        assert quiet_main(["check", *dumps, "--config", cfg]) == 0
+        assert "ledger: PASS" in capsys.readouterr().out
+
     def test_non_finite_ledger_value_fails_run_and_check(self, tmp_path, capsys):
         # step 1's forcing transfer overflows to inf, and so does its slack
         out = tmp_path / "out"
         text = BASE.replace("scheme = mbo", "scheme = forced")
-        text += f"force = const\nforce_value = 1e308\ndump_every = 1\nout_dir = {out}\n"
+        text += f"force_value = 1e308\ndump_every = 1\nout_dir = {out}\n"
         cfg = write_cfg(tmp_path, text)
         assert quiet_main(["run", cfg]) == 2
         assert "ledger: FAIL" in capsys.readouterr().out
@@ -861,7 +876,7 @@ class TestCommands:
         text = BASE.replace("scheme = mbo", "scheme = forced")
         if init == "slab":
             text = text.replace("init = ball", "init = slab\nslab_lo = 0.2\nslab_hi = 0.4")
-        text += f"force = const\nforce_value = {value}\ndump_every = 1\nout_dir = {out}\n"
+        text += f"force_value = {value}\ndump_every = 1\nout_dir = {out}\n"
         cfg = write_cfg(tmp_path, text)
         assert quiet_main(["run", cfg]) == 0
         assert capsys.readouterr().out.startswith(f"status: {status} after")
@@ -1126,6 +1141,20 @@ class TestCommands:
             assert rows[2]["steps"] == "1"
             assert float(rows[2]["error"]) > 0.07
 
+    def test_sweep_scores_an_extinct_ball_at_zero(self, tmp_path):
+        # the circle law empties a ball of radius 0.3 at t = 0.045, so every
+        # row's exact radius is 0 and its error is the measured radius: 0
+        # for the runs that end extinct, the ball's for the finest, which pins
+        text = BASE + "h_list = 4e-3, 1e-3, 2.5e-4\nT = 0.05\n"
+        text += f"out_dir = {tmp_path}/sw\n"
+        assert quiet_main(["sweep", write_cfg(tmp_path, text)]) == 0
+        with open(tmp_path / "sw" / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["radius"]) > 0 for row in rows] == [False, False, True]
+        for row in rows:
+            assert float(row["oracle"]) == 0.0
+            assert float(row["error"]) == float(row["radius"])
+
     def test_sweep_identical_bandwidths_identical_rows(self, tmp_path):
         # a row depends on its own bandwidth and the horizon only, so two
         # sweeps that share a bandwidth write the same row for it
@@ -1169,7 +1198,7 @@ class TestCommands:
             ("T = 8e-3", "T = 0", "0.0"),
             ("T = 8e-3", "T = -8e-3", "-0.008"),
             ("h_list = 4e-3, 2e-3, 1e-3", "h_list = 4e-3, 2e-3, 4e-3", "0.004"),
-            ("T = 8e-3", "T = 8e-3\nforce = const\nforce_value = 0.5", "take a force"),
+            ("T = 8e-3", "T = 8e-3\nforce_value = 0.5", "take a force"),
         ],
         ids=[
             "ball_without_center",
@@ -1352,6 +1381,28 @@ def test_distances_and_label_values_are_taken_in_one_place():
     ]
 
 
+def test_the_good_iteration_band_is_compared_in_one_place():
+    # one definition of a good iteration: multiplier_integral's
+    compares = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Name) and sub.id == "GOOD_ITERATION_BAND"
+                for sub in ast.walk(node)
+            ):
+                compares.append(f"{path.stem}:{node.lineno}")
+    assert len(compares) == 1, compares
+
+
+def test_every_config_key_is_named_in_the_readme():
+    # in a code span, or as a ``key = value`` line of a config example
+    readme = (Path(cli.__file__).parents[2] / "README.md").read_text()
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    named = {span.split("=")[0].strip() for span in spans}
+    named |= set(re.findall(r"^(\w+) *=", readme, flags=re.MULTILINE))
+    assert sorted(set(cli._KEYS) - named) == []
+
+
 def modules_after(code: str, package: str) -> str:
     """Sorted modules of ``package`` (itself and its submodules) loaded by
     running ``code`` in a fresh process."""
@@ -1403,10 +1454,6 @@ class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # importing scipy.fft alone costs about 0.3 s of start-up per process
         assert modules_after("import sys, mbokit.cli", "scipy") == "[]"
-
-    def test_cli_import_leaves_the_oracles_unloaded(self):
-        # only sweep reads an oracle, and it imports them itself
-        assert modules_after("import sys, mbokit.cli", "mbokit.oracles") == "[]"
 
     def test_package_root_loads_no_submodule_and_reexports_no_name(self):
         # every public name is imported from the module that defines it
@@ -1558,8 +1605,6 @@ def plausible_values(key):
         return st.sampled_from(schemes.SCHEMES)
     if key == "init":
         return st.sampled_from(["ball", "two_balls", "slab", "blob", "voronoi"])
-    if key == "force":
-        return st.just("const")
     if key == "steps":
         return st.integers(0, 3).map(str)
     if parse is int:
@@ -1590,7 +1635,7 @@ FUZZ_BASES = (
     {"scheme": "mbo", "init": "ball", "ball_center": "0.5 0.5", "ball_radius": "0.3"},
     {"scheme": "volume_preserving", "init": "blob", "blob_seed": "3"},
     {"scheme": "forced", "init": "slab", "slab_lo": "0.3", "slab_hi": "0.6",
-     "force": "const", "force_value": "0.5"},
+     "force_value": "0.5"},
     {"scheme": "mbo", "init": "two_balls", "ball_center": "0.3 0.5",
      "ball_radius": "0.15", "ball2_center": "0.7 0.5", "ball2_radius": "0.15"},
     {"scheme": "grain_growth", "init": "voronoi", "seeds": "0.3 0.3; 0.7 0.4; 0.5 0.8",
@@ -1618,7 +1663,7 @@ class TestFuzzedConfigs:
     @given(fuzzed_configs())
     @example(  # the forcing transfer overflows: exit 2, without a warning
         "n = 32\nh = 4e-3\nsteps = 2\nscheme = forced\ninit = slab\nslab_lo = 0.3\n"
-        "slab_hi = 0.6\nforce = const\nforce_value = 1e308\n"
+        "slab_hi = 0.6\nforce_value = 1e308\n"
     )
     @settings(max_examples=600, deadline=None)
     def test_run_check_and_energy_meet_every_config(self, text):

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from mbokit.grid import Grid, MultiPhaseState, rasterize_ball
-from mbokit.oracles import (
-    ExtinctionError,
-    circle_mcf,
-    forced_ball,
-    solve_two_ball_vp,
-)
-from mbokit.oracles import _rk4
 
+from oracles import ExtinctionError, _rk4, circle_mcf, forced_ball, solve_two_ball_vp
 from reference_forms import junction_angles
 
 

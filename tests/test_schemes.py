@@ -1,4 +1,3 @@
-import time
 import warnings
 
 import numpy as np
@@ -143,17 +142,22 @@ class TestSurfaceTensionMatrix:
             SurfaceTensionMatrix(sigma)
         assert str(err.value) == expected
 
-    def test_equal_tensions_validate_in_quadratic_time(self):
+    def test_equal_tensions_validate_in_quadratic_time(self, monkeypatch):
         # below twice the smallest tension no triangle can fail, so the
-        # O(p^3) loop is skipped (3.4 s at p = 1000 when it ran)
-        equal_tensions(50)  # load the linear algebra outside the timing
-        elapsed = []
-        for _ in range(3):
-            start = time.perf_counter()
-            m = equal_tensions(1000)
-            elapsed.append(time.perf_counter() - start)
+        # O(p^3) loop makes no pass (3.4 s at p = 1000 when it ran); at
+        # twice the smallest it makes p passes, one per middle grain k
+        passes = []
+
+        def counted_range(*args):
+            passes.append(len(range(*args)))
+            return range(*args)
+
+        monkeypatch.setattr(schemes, "range", counted_range, raising=False)
+        m = equal_tensions(1000)
         assert (m.sigma_min, m.sigma_max) == (1.0, 1.0)
-        assert min(elapsed) < 0.5
+        assert passes == [0]
+        SurfaceTensionMatrix(np.array([[0, 0.5, 1.0], [0.5, 0, 0.9], [1.0, 0.9, 0]]))
+        assert passes == [0, 3]
 
     def test_off_diagonal_range(self):
         sigma = symmetric_tensions(5, 3, 0.7, 1.3)
