@@ -187,7 +187,7 @@ def read_config(path: Path | str) -> ExperimentConfig:
 
 def build_tensions(cfg: ExperimentConfig, num_grains: int) -> SurfaceTensionMatrix:
     """Assemble the tension matrix from sigma_default and sigma.i.j keys."""
-    default = float(cfg.get("sigma_default", 1.0))
+    default = cfg.get("sigma_default", 1.0)
     sigma = np.full((num_grains, num_grains), default)
     np.fill_diagonal(sigma, 0.0)
     seen: dict[tuple[int, int], tuple[float, int]] = {}
@@ -206,8 +206,8 @@ def build_tensions(cfg: ExperimentConfig, num_grains: int) -> SurfaceTensionMatr
                 f"line {cfg.lines[key]}: '{key}' contradicts the value set on "
                 f"line {seen[pair][1]}"
             )
-        seen[pair] = (float(value), cfg.lines[key])
-        sigma[i - 1, j - 1] = sigma[j - 1, i - 1] = float(value)
+        seen[pair] = (value, cfg.lines[key])
+        sigma[i - 1, j - 1] = sigma[j - 1, i - 1] = value
     try:
         return SurfaceTensionMatrix(sigma)
     except ValueError as exc:
@@ -217,9 +217,7 @@ def build_tensions(cfg: ExperimentConfig, num_grains: int) -> SurfaceTensionMatr
 def build_grid(cfg: ExperimentConfig) -> Grid:
     try:
         return Grid(
-            dim=int(cfg.get("dim", 2)),
-            n=int(cfg.require("n")),
-            side=float(cfg.get("side", 1.0)),
+            dim=cfg.get("dim", 2), n=cfg.require("n"), side=cfg.get("side", 1.0)
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -248,9 +246,9 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
         if kind == "blob":
             return random_blob(
                 grid,
-                seed=int(cfg.require("blob_seed")),
-                fill=float(cfg.get("blob_fill", 0.3)),
-                smoothing=float(cfg.get("blob_smoothing", 0.05)),
+                seed=cfg.require("blob_seed"),
+                fill=cfg.get("blob_fill", 0.3),
+                smoothing=cfg.get("blob_smoothing", 0.05),
             )
         if kind == "voronoi":
             seeds = cfg.require("seeds")
@@ -266,7 +264,7 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
             return voronoi_labels(
                 grid,
                 seeds,
-                vapor_margin=float(cfg.get("vapor_margin", 0.0)),
+                vapor_margin=cfg.get("vapor_margin", 0.0),
                 solid=solid,
             )
     except ConfigError:
@@ -281,21 +279,14 @@ def _scheme_config(
     grains: int | None,
 ) -> SchemeConfig:
     """The :class:`SchemeConfig` of ``scheme`` for states of ``grains`` grains
-    (None for a two-phase field), with the tensions and the ``force_value``
-    of ``cfg``.
+    (None for a two-phase field), with the ``force_value`` of ``cfg`` and,
+    exactly when the states have grains, its tensions.
 
-    Grain growth evolves a partition (``init = voronoi``) and every other
-    scheme a two-phase field; any other pairing, of an initial state or of
-    stored ones, is a config error, and so is a refusal of
-    :class:`SchemeConfig`, which refuses a force that is not finite, a
-    forced scheme without one and any other scheme with one.
+    A refusal of :class:`SchemeConfig` is a config error.  It pairs the
+    scheme with the states, initial or stored: grain growth takes tensions
+    and every other scheme none.  It also refuses a force that is not
+    finite, a forced scheme without one and any other scheme with one.
     """
-    if scheme == "grain_growth" and grains is None:
-        raise ConfigError("grain_growth evolves a partition (init = voronoi), "
-                          "not a two-phase field")
-    if scheme != "grain_growth" and grains is not None:
-        raise ConfigError(f"scheme {scheme} evolves a two-phase field, "
-                          "not a partition (init = voronoi)")
     tensions = None if grains is None else build_tensions(cfg, grains)
     try:
         return SchemeConfig(scheme, grid, h, steps, cfg.get("force_value"), tensions)
@@ -305,9 +296,8 @@ def _scheme_config(
 
 def build_scheme_config(cfg: ExperimentConfig, grid: Grid, initial) -> SchemeConfig:
     scheme = cfg.require("scheme")
-    h, steps = float(cfg.require("h")), int(cfg.require("steps"))
-    grains = getattr(initial, "num_grains", None)  # None for a two-phase field
-    return _scheme_config(cfg, scheme, grid, h, steps, grains)
+    h, steps = cfg.require("h"), cfg.require("steps")
+    return _scheme_config(cfg, scheme, grid, h, steps, initial.num_grains)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +443,7 @@ def cmd_run(config_path: str) -> int:
     finished, each flushed as it is written.
     """
     cfg = read_config(config_path)
-    dump_every = int(cfg.get("dump_every", 0))
+    dump_every = cfg.get("dump_every", 0)
     if dump_every < 0:
         raise ConfigError(
             f"line {cfg.lines['dump_every']}: dump_every must be 0 or more, "
@@ -462,7 +452,7 @@ def cmd_run(config_path: str) -> int:
     grid = build_grid(cfg)
     initial = build_initial(cfg, grid)
     scheme_cfg = build_scheme_config(cfg, grid, initial)
-    out_dir = Path(str(cfg.get("out_dir", "out")))
+    out_dir = Path(cfg.get("out_dir", "out"))
     h = scheme_cfg.h
 
     stepper = Stepper(scheme_cfg, initial)
@@ -517,7 +507,7 @@ def cmd_sweep(config_path: str) -> int:
     grid = build_grid(cfg)
     scheme = cfg.require("scheme")
     h_list = cfg.require("h_list")
-    horizon = float(cfg.require("T"))
+    horizon = cfg.require("T")
     if not 0 < horizon < math.inf:
         raise ConfigError(f"T must be positive and finite, got {horizon}")
     if len(h_list) < 3:
@@ -534,9 +524,10 @@ def cmd_sweep(config_path: str) -> int:
     if scheme == "mbo" and cfg.require("init") != "ball":
         raise ConfigError("mbo sweep compares against a shrinking ball")
     initial = build_initial(cfg, grid)
-    grains = getattr(initial, "num_grains", None)
     configs = [
-        _scheme_config(cfg, scheme, grid, h, max(1, round(horizon / h)), grains)
+        _scheme_config(
+            cfg, scheme, grid, h, max(1, round(horizon / h)), initial.num_grains
+        )
         for h in h_list
     ]
 
@@ -552,7 +543,7 @@ def cmd_sweep(config_path: str) -> int:
         row: dict[str, float | int | None] = {"h": h, "steps": len(records)}
         if scheme == "mbo":
             # the circle law sqrt(r0^2 - 2(d-1)t), 0 once the ball is extinct
-            r0 = float(cfg.require("ball_radius"))
+            r0 = cfg.require("ball_radius")
             arg = r0 * r0 - 2.0 * (grid.dim - 1) * (steps * h)
             row["radius"] = measured = _measured_radius(final)
             row["oracle"] = target = math.sqrt(arg) if arg > 0 else 0.0
@@ -576,7 +567,7 @@ def cmd_sweep(config_path: str) -> int:
         )
     print(f"fitted slope: {'n/a' if slope is None else f'{slope:.4f}'}")
 
-    out_dir = Path(str(cfg.get("out_dir", "out")))
+    out_dir = Path(cfg.get("out_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -619,7 +610,7 @@ def _audit_config(
     if config_path is None and grains is not None:
         raise ConfigError("multiphase dumps need --config for the tensions")
     cfg = ExperimentConfig({}, {}) if config_path is None else read_config(config_path)
-    return _scheme_config(cfg, str(cfg.get("scheme", "mbo")), grid, h, steps, grains)
+    return _scheme_config(cfg, cfg.get("scheme", "mbo"), grid, h, steps, grains)
 
 
 def cmd_check(paths: Sequence[str], config_path: str | None) -> int:
@@ -651,8 +642,7 @@ def cmd_energy(path: str, h: float | None, config_path: str | None) -> int:
     :class:`LedgerWalk` takes it."""
     state, dump_h, _step = read_dump(path)
     bandwidth = dump_h if h is None else h
-    grains = getattr(state, "num_grains", None)
-    scheme_cfg = _audit_config(config_path, state.grid, bandwidth, 0, grains)
+    scheme_cfg = _audit_config(config_path, state.grid, bandwidth, 0, state.num_grains)
     print(_fmt(LedgerWalk(scheme_cfg, state, state).energy))  # nothing follows
     return EXIT_OK
 

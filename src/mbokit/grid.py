@@ -132,13 +132,18 @@ def _as_bool_mask(grid: Grid, mask: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseField:
-    """Indicator of one phase: a boolean mask over the grid cells."""
+    """Indicator of one phase: a boolean mask over the grid cells.  It has
+    no grains (``num_grains`` is None) and is its own :meth:`solid`."""
 
     grid: Grid
     mask: np.ndarray
+    num_grains = None  # a class constant, not a dataclass field
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mask", _as_bool_mask(self.grid, self.mask))
+
+    def solid(self) -> PhaseField:
+        return self
 
     @cached_property
     def cell_count(self) -> int:

@@ -6,12 +6,12 @@ step maps are the thresholding rules alone; they are handed the smoothed
 fields, which ``diagnostics.LedgerWalk`` computes (for grain growth, a
 per-cell summary of them and a gather of their values on chosen cells):
 
-* ``step_mbo``: threshold at 1/2; interfaces move by mean curvature.
+* ``step_forced``: threshold at 1/2 - f sqrt(h) / (2 sqrt(pi)) for a
+  constant force f; adds a normal velocity f on top of curvature.  At
+  f = 0 it is the ``mbo`` step: interfaces move by mean curvature.
 * ``step_volume_preserving``: keep exactly the current cell count by
   selecting the top cells of the smoothed field; the reported threshold
   plays the role of a volume multiplier.
-* ``step_forced``: threshold at 1/2 - f sqrt(h) / (2 sqrt(pi)) for a
-  constant force f; adds a normal velocity f on top of curvature.
 * ``step_grain_growth``: multiphase vapor/grain version with a surface
   tension matrix; each cell goes to its best grain, and the total solid
   cell count is preserved exactly through a bottom selection of the
@@ -141,7 +141,8 @@ class SchemeConfig:
     A bandwidth whose kernel multipliers or whose horizon ``steps * h``
     would overflow is refused here, so no plan or step time meets it.
     ``force`` is the forced scheme's constant force f, a finite number
-    (0.0 included), and None for every other scheme.
+    (0.0 included), and None for every other scheme; ``tensions`` are grain
+    growth's, which evolves a partition, and None for the two-phase schemes.
     """
 
     scheme: str
@@ -152,6 +153,16 @@ class SchemeConfig:
     tensions: SurfaceTensionMatrix | None = None
 
     def __post_init__(self) -> None:
+        if self.scheme == "grain_growth" and self.tensions is None:
+            raise ValueError(
+                "grain_growth evolves a partition (init = voronoi), "
+                "not a two-phase field"
+            )
+        if self.scheme != "grain_growth" and self.tensions is not None:
+            raise ValueError(
+                f"scheme {self.scheme} evolves a two-phase field, "
+                "not a partition (init = voronoi)"
+            )
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, pick one of {SCHEMES}")
         if not 0 < self.h < math.inf:
@@ -168,27 +179,17 @@ class SchemeConfig:
             raise ValueError("forced scheme needs a force_value")
         if self.scheme != "forced" and self.force is not None:
             raise ValueError(f"scheme {self.scheme!r} does not take a force")
-        if self.scheme == "grain_growth" and self.tensions is None:
-            raise ValueError("grain growth needs a surface tension matrix")
-        if self.scheme != "grain_growth" and self.tensions is not None:
-            raise ValueError(f"scheme {self.scheme!r} does not take tensions")
 
 
 # ---------------------------------------------------------------------------
 # single steps
 
 
-def step_mbo(chi: PhaseField, smoothed: np.ndarray) -> PhaseField:
-    """One plain thresholding step: keep the cells whose ``smoothed`` value,
-    the heat-kernel convolution of ``chi``, exceeds 1/2."""
-    return PhaseField(chi.grid, smoothed > 0.5)
-
-
 def step_forced(chi: PhaseField, smoothed: np.ndarray, f: float, h: float) -> PhaseField:
     """One forced step: threshold ``smoothed`` at 1/2 - f sqrt(h) / (2 sqrt(pi)).
 
-    ``f`` is the constant force.  A zero force of either sign reproduces
-    :func:`step_mbo` bit for bit, because the threshold is then 1/2 exactly.
+    ``f`` is the constant force.  A zero force of either sign gives the
+    threshold 1/2 exactly: the plain ``mbo`` step.
     """
     tau = 0.5 - f * (math.sqrt(h) / (2.0 * math.sqrt(math.pi)))
     return PhaseField(chi.grid, smoothed > tau)
@@ -326,12 +327,6 @@ def _uncertain_cells(
 # multi-step driver
 
 
-def _solid_of(state) -> PhaseField:
-    if isinstance(state, MultiPhaseState):
-        return state.solid()
-    return state
-
-
 class Stepper:
     """The configured scheme run from ``initial``, one step per iteration.
 
@@ -353,7 +348,7 @@ class Stepper:
     def __init__(self, config: SchemeConfig, initial) -> None:
         grid = config.grid
         self.config = config
-        solid0 = _solid_of(initial)
+        solid0 = initial.solid()
         if solid0.cell_count == 0:
             raise DegeneratePhaseError("initial state has no occupied cells")
         self.center = centroid(solid0)
@@ -386,16 +381,15 @@ class Stepper:
                 new_state, lam = step_grain_growth(
                     walk.state, walk.summary, walk.gather, config.tensions
                 )
-            elif config.scheme == "mbo":
-                new_state = step_mbo(walk.state, walk.smoothed)
-            elif config.scheme == "forced":
-                new_state = step_forced(walk.state, walk.smoothed, config.force, h)
-            else:
+            elif config.scheme == "volume_preserving":
                 new_state, lam = step_volume_preserving(walk.state, walk.smoothed)
+            else:  # mbo is the forced step at f = 0
+                f = 0.0 if config.force is None else config.force
+                new_state = step_forced(walk.state, walk.smoothed, f, h)
             last = new_state if n == config.steps else None  # nothing follows it
             row = walk.advance(n, new_state, last)
 
-            new_solid = _solid_of(new_state)
+            new_solid = new_state.solid()
             count, radius = new_solid.cell_count, None
             if count:
                 radius = bounding_radius(new_solid, self.center)

@@ -848,6 +848,28 @@ class TestCommands:
         assert quiet_main(["check", *dumps, "--config", cfg]) == 0
         assert "ledger: PASS" in capsys.readouterr().out
 
+    def test_mbo_run_is_the_forced_run_at_zero_force(self, tmp_path, capsys):
+        # mbo steps by the forced threshold at f = 0: a forced run at either
+        # zero force writes the same bytes, and each run's check passes
+        forced = BASE.replace("scheme = mbo", "scheme = forced")
+        runs = {
+            "mbo": BASE,
+            "zero": forced + "force_value = 0\n",
+            "negative_zero": forced + "force_value = -0.0\n",
+        }
+        written = {}
+        for name, text in runs.items():
+            out = tmp_path / name
+            text += f"dump_every = 1\nout_dir = {out}\n"
+            cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+            assert quiet_main(["run", cfg]) == 0
+            written[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            dumps = sorted(str(p) for p in out.glob("state_*.mbof"))
+            assert quiet_main(["check", *dumps, "--config", cfg]) == 0
+            assert capsys.readouterr().out.endswith("ledger: PASS\n")
+        assert len(written["mbo"]) == 5  # ledger.csv and the dumps of steps 0-3
+        assert written["zero"] == written["mbo"] == written["negative_zero"]
+
     def test_non_finite_ledger_value_fails_run_and_check(self, tmp_path, capsys):
         # step 1's forcing transfer overflows to inf, and so does its slack
         out = tmp_path / "out"
@@ -1045,7 +1067,7 @@ class TestCommands:
         import mbokit.schemes as schemes
         from mbokit.grid import DegeneratePhaseError
 
-        real_step, calls = schemes.step_mbo, []
+        real_step, calls = schemes.step_forced, []
         ledger = tmp_path / "out" / "ledger.csv"
 
         def failing_third_step(*args, **kwargs):
@@ -1054,7 +1076,7 @@ class TestCommands:
                 raise DegeneratePhaseError("injected failure")
             return real_step(*args, **kwargs)
 
-        monkeypatch.setattr(schemes, "step_mbo", failing_third_step)
+        monkeypatch.setattr(schemes, "step_forced", failing_third_step)
         cfg = write_cfg(
             tmp_path,
             BASE.replace("steps = 3", "steps = 5")
@@ -1074,7 +1096,7 @@ class TestCommands:
         # each row is on disk as its step finishes
         assert rows.startswith(calls[1]) and calls[1].count(b"\n") == 3
         assert calls[2] == rows
-        monkeypatch.setattr(schemes, "step_mbo", real_step)
+        monkeypatch.setattr(schemes, "step_forced", real_step)
         two = write_cfg(
             tmp_path,
             BASE.replace("steps = 3", "steps = 2") + f"out_dir = {tmp_path}/two\n",
@@ -1351,6 +1373,40 @@ def test_scheme_configs_are_built_in_one_place():
 
     visit(ast.parse(Path(cli.__file__).read_text()), ())
     assert sorted(calls) == ["_scheme_config"]
+
+
+def test_each_rule_has_one_owner():
+    # parse_config types every value by _KEYS, so no config value is cast
+    # again; a state says whether it has grains; SchemeConfig alone says
+    # which scheme evolves which kind of state
+    casts, lookups = [], []
+    owners = {"evolves a partition": set(), "evolves a two-phase field": set()}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parsed = {  # the names a loop over the parsed values binds
+            name.id
+            for loop in ast.walk(tree)
+            if isinstance(loop, ast.For)
+            and ast.unparse(loop.iter) == "cfg.values.items()"
+            for name in ast.walk(loop.target)
+            if isinstance(name, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for phrase, modules in owners.items():
+                    if phrase in node.value:
+                        modules.add(path.stem)
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            func, where = node.func.id, f"{path.stem}:{node.lineno}"
+            args = [ast.unparse(getattr(a, "func", a)) for a in node.args]
+            if func == "getattr" and args[1:2] == ["'num_grains'"]:
+                lookups.append(where)
+            reads = {"cfg.get", "cfg.require", *parsed}
+            if func in ("int", "float", "str") and args[:1] and args[0] in reads:
+                casts.append(where)
+    assert casts == [] and lookups == []
+    assert owners == {phrase: {"schemes"} for phrase in owners}
 
 
 def test_distances_and_label_values_are_taken_in_one_place():

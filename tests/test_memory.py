@@ -27,8 +27,8 @@ from mbokit.kernel import HeatKernelPlan, convolve
 from mbokit.schemes import (
     SchemeConfig,
     Stepper,
+    step_forced,
     step_grain_growth,
-    step_mbo,
 )
 from mbokit.threshold import select_bottom_cells, select_top_cells
 
@@ -352,7 +352,7 @@ def test_two_phase_advance_holds_one_spectrum():
     ball = rasterize_ball(GRID512, (0.45, 0.45), 0.3)
     cfg = SchemeConfig("mbo", GRID512, 16.0 * GRID512.dx**2, 1)
     walk = LedgerWalk(cfg, ball, None)
-    after = step_mbo(ball, walk.smoothed)
+    after = step_forced(ball, walk.smoothed, 0.0, cfg.h)
     _, peak = traced_peak(walk.advance, 1, after, None)
     assert 50 < walk.changed < 500
     assert peak < 1.3 * GRID512.total_cells * 8

@@ -23,7 +23,6 @@ from mbokit.schemes import (
     Stepper,
     SurfaceTensionMatrix,
     step_grain_growth,
-    step_mbo,
     step_forced,
     step_volume_preserving,
 )
@@ -251,6 +250,27 @@ class TestSchemeConfig:
                 tensions=equal_tensions(2),
             )
 
+    @pytest.mark.parametrize(
+        "scheme, grains, message",
+        [
+            ("grain_growth", None, "grain_growth evolves a partition "
+             "(init = voronoi), not a two-phase field"),
+            ("mbo", 2, "scheme mbo evolves a two-phase field, "
+             "not a partition (init = voronoi)"),
+            ("forced", 3, "scheme forced evolves a two-phase field, "
+             "not a partition (init = voronoi)"),
+        ],
+        ids=["grain_growth", "mbo", "forced"],
+    )
+    def test_pairs_each_scheme_with_its_kind_of_state(
+        self, grid64, scheme, grains, message
+    ):
+        # the pairing is refused first, before the force is looked at
+        tensions = None if grains is None else equal_tensions(grains)
+        with pytest.raises(ValueError) as raised:
+            SchemeConfig(scheme, grid64, 1e-3, 1, force=1.0, tensions=tensions)
+        assert str(raised.value) == message
+
 
 class TestStepMbo:
     def test_comparison_principle(self, grid128):
@@ -258,41 +278,50 @@ class TestStepMbo:
         plan = HeatKernelPlan(grid128, 1e-3)
         small = rasterize_ball(grid128, (0.5, 0.5), 0.15)
         big = rasterize_ball(grid128, (0.5, 0.5), 0.3)
-        out_small = step_mbo(small, convolve(plan, small))
-        out_big = step_mbo(big, convolve(plan, big))
+        out_small = step_forced(small, convolve(plan, small), 0.0, 1e-3)
+        out_big = step_forced(big, convolve(plan, big), 0.0, 1e-3)
         assert (out_big.mask | ~out_small.mask).all()
 
     def test_ball_shrinks(self, grid128, ball128):
         plan = HeatKernelPlan(grid128, 1e-3)
-        out = step_mbo(ball128, convolve(plan, ball128))
+        out = step_forced(ball128, convolve(plan, ball128), 0.0, 1e-3)
         assert 0 < out.cell_count < ball128.cell_count
 
     def test_slab_is_fixed_point(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
         slab = rasterize_slab(grid128, 0, 0.25, 0.75)
-        out = step_mbo(slab, convolve(plan, slab))
+        out = step_forced(slab, convolve(plan, slab), 0.0, 1e-3)
         assert (out.mask == slab.mask).all()
 
     def test_translation_equivariance_masks(self, grid128):
         plan = HeatKernelPlan(grid128, 1e-3)
         blob = random_blob(grid128, seed=42)
         rolled = PhaseField(grid128, np.roll(blob.mask, (9, 5), axis=(0, 1)))
-        base = step_mbo(blob, convolve(plan, blob))
-        shifted = step_mbo(rolled, convolve(plan, rolled))
+        base = step_forced(blob, convolve(plan, blob), 0.0, 1e-3)
+        shifted = step_forced(rolled, convolve(plan, rolled), 0.0, 1e-3)
         assert (np.roll(base.mask, (9, 5), axis=(0, 1)) == shifted.mask).all()
 
 
 class TestStepForced:
-    def test_zero_force_matches_mbo(self, grid128, ball128):
-        plan = HeatKernelPlan(grid128, 1e-3)
-        a = step_mbo(ball128, convolve(plan, ball128))
-        b = step_forced(ball128, convolve(plan, ball128), 0.0, 1e-3)
-        assert (a.mask == b.mask).all()
+    @pytest.mark.parametrize("f", [0.0, -0.0])
+    @pytest.mark.parametrize(
+        "grid, h", [(Grid(2, 128), 1e-3), (Grid(3, 32), 4e-3)], ids=["2d", "3d"]
+    )
+    def test_zero_force_thresholds_at_one_half(self, grid, h, f):
+        # the mbo step: a zero force of either sign keeps exactly the cells
+        # above 1/2, so a cell at 1/2 goes and the next float above it stays
+        blob = random_blob(grid, seed=11, fill=0.4, smoothing=0.05)
+        smoothed = convolve(quiet_plan(grid, h), blob)
+        flat = smoothed.reshape(-1)
+        flat[:3] = np.nextafter(0.5, [-1.0, 0.5, 1.0], dtype=np.float64)
+        got = step_forced(blob, smoothed, f, h)
+        assert got.mask.tobytes() == (smoothed > 0.5).tobytes()
+        assert got.mask.reshape(-1)[:3].tolist() == [False, False, True]
 
     def test_positive_force_grows_interface(self, grid128, ball128):
         plan = HeatKernelPlan(grid128, 1e-3)
         grown = step_forced(ball128, convolve(plan, ball128), 8.0, 1e-3)
-        plain = step_mbo(ball128, convolve(plan, ball128))
+        plain = step_forced(ball128, convolve(plan, ball128), 0.0, 1e-3)
         assert grown.cell_count > plain.cell_count
 
     @pytest.mark.parametrize("f", [0.0, -0.0, 0.5, -2.0, 30.0, -30.0, 1e308])
