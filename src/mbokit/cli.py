@@ -7,8 +7,10 @@ experiment.  States are stored in a small self-describing dump format
 
 Exit codes: 0 success (and ledger PASS), 2 ledger FAIL, 3 configuration
 error, 4 runtime error (degenerate states, unreadable dumps, output that
-cannot be written).  The commands raise; :func:`main` alone turns an error
-into its exit code and stderr line, through ``_EXITS``.
+cannot be written).  The commands raise; ``_refused_as`` alone turns a
+``ValueError`` or ``OSError`` of bad input into a :class:`ConfigError` or a
+:class:`DumpError`, and :func:`main` alone turns an error into its exit code
+and stderr line, through ``_EXITS``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import re
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -67,6 +70,17 @@ class DumpError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+@contextmanager
+def _refused_as(kind: type[ValueError], prefix: str):
+    """Re-raise a ValueError or OSError, but not a ``kind``, as ``kind``."""
+    try:
+        yield
+    except kind:
+        raise
+    except (ValueError, OSError) as exc:
+        raise kind(f"{prefix}{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +180,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: '{key}' sets a diagonal tension; "
                 "diagonal entries are fixed at zero"
             )
-        try:
+        with _refused_as(ConfigError, f"line {lineno}: bad value for '{key}': "):
             values[key] = parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
         lines[key] = lineno
     return ExperimentConfig(values, lines)
 
@@ -208,25 +220,21 @@ def build_tensions(cfg: ExperimentConfig, num_grains: int) -> SurfaceTensionMatr
             )
         seen[pair] = (value, cfg.lines[key])
         sigma[i - 1, j - 1] = sigma[j - 1, i - 1] = value
-    try:
+    with _refused_as(ConfigError, "invalid surface tensions: "):
         return SurfaceTensionMatrix(sigma)
-    except ValueError as exc:
-        raise ConfigError(f"invalid surface tensions: {exc}") from exc
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
-    try:
+    with _refused_as(ConfigError, ""):
         return Grid(
             dim=cfg.get("dim", 2), n=cfg.require("n"), side=cfg.get("side", 1.0)
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_initial(cfg: ExperimentConfig, grid: Grid):
     """Construct the initial state described by the ``init`` key."""
     kind = cfg.require("init")
-    try:
+    with _refused_as(ConfigError, ""):
         if kind == "ball":
             return rasterize_ball(
                 grid, cfg.require("ball_center"), cfg.require("ball_radius")
@@ -267,10 +275,6 @@ def build_initial(cfg: ExperimentConfig, grid: Grid):
                 vapor_margin=cfg.get("vapor_margin", 0.0),
                 solid=solid,
             )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown init '{kind}'")
 
 
@@ -288,10 +292,8 @@ def _scheme_config(
     finite, a forced scheme without one and any other scheme with one.
     """
     tensions = None if grains is None else build_tensions(cfg, grains)
-    try:
+    with _refused_as(ConfigError, ""):
         return SchemeConfig(scheme, grid, h, steps, cfg.get("force_value"), tensions)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_scheme_config(cfg: ExperimentConfig, grid: Grid, initial) -> SchemeConfig:
@@ -365,7 +367,7 @@ def read_header(path: Path | str) -> DumpHeader:
     holds is accepted, so every dump that reads rewrites to the same bytes.
     A file that cannot be read or accepted is a :class:`DumpError`.
     """
-    try:
+    with _refused_as(DumpError, ""):
         with open(path, "rb") as fh:
             head = fh.read(_HEADER_LIMIT)
             size = os.fstat(fh.fileno()).st_size
@@ -400,8 +402,6 @@ def read_header(path: Path | str) -> DumpHeader:
         cells = size - offset
         if cells != grid.total_cells:
             raise ValueError(f"{path}: expected {grid.total_cells} cells, got {cells}")
-    except (ValueError, OSError) as exc:
-        raise DumpError(str(exc)) from exc
     num_grains = phases - 1 if kind == "labels" or phases > 2 else None
     return DumpHeader(str(path), grid, h, step, num_grains, offset)
 
@@ -411,7 +411,7 @@ def read_dump(path: Path | str):
     read or accepted is a :class:`DumpError`."""
     header = read_header(path)
     grid = header.grid
-    try:
+    with _refused_as(DumpError, ""):
         payload = np.fromfile(path, dtype=np.uint8, offset=header.offset)
         labels = payload.reshape(grid.shape)
         top = header.num_grains or 1  # the top label: 1 for a two-phase field
@@ -424,8 +424,6 @@ def read_dump(path: Path | str):
             state = PhaseField(grid, labels.view(bool))
         else:
             state = MultiPhaseState(grid, labels, header.num_grains)  # casts once
-    except (ValueError, OSError) as exc:
-        raise DumpError(str(exc)) from exc
     return state, header.h, header.step
 
 

@@ -8,9 +8,9 @@ flat cell index, which makes the result deterministic and the cell count
 exact no matter how degenerate the scores are.
 
 The cut is an exact order statistic found without a copy of the scores: a
-strided sample of about 2^12 of them brackets it, and one pass over blocks
-of 2^13 cells counts the scores up to each end of the bracket and gathers
-the few inside it (another pass runs only if the sample missed a cluster).
+strided sample of at most about 2^12 of them brackets it, and one pass over
+blocks of 2^13 cells counts the scores up to the bracket and gathers the
+few inside it (another pass runs only if the sample missed a cluster).
 A selection holds the mask it returns and a small fraction of a field of
 scratch.  This is the one implementation of that order statistic;
 ``grid.random_blob`` and the grain step's certificate use its private
@@ -50,9 +50,8 @@ def select_bottom_cells(
     return _select_cells(scores, target_cells, top=False)
 
 
-# The exact selection reads inputs of this many cells or more in blocks of
-# this many, and brackets its cut from a strided sample of about
-# ``_SAMPLE_KEYS`` keys first; a smaller input is partitioned whole.
+# The exact selection reads its input in blocks of this many cells, and
+# brackets its cut from a strided sample of about ``_SAMPLE_KEYS`` keys first.
 _SELECT_BLOCK = 1 << 13
 _SAMPLE_KEYS = 1 << 12
 
@@ -90,22 +89,19 @@ def _select_cells(
 def _kth_smallest(values: np.ndarray, k: int) -> np.float64:
     """The ``k``-th smallest (from 0) of the flat ``values``, exactly.
 
-    An input of fewer than ``_SELECT_BLOCK`` values is partitioned whole.  A
-    larger one is bracketed first: the sorted values of every ``values.size
-    // _SAMPLE_KEYS``-th cell give the two ends, ``width`` places either
-    side of where rank ``k`` falls among them.  One :func:`_bracket_pass`
-    counts the values up to the low end and gathers the few strictly
-    inside, and rank ``k`` picks its place among those.  Only a rank that
-    falls on an end or outside the bracket needs that end's ties, counted
-    in one more pass.  A sample can miss a cluster of values, so the rank
-    may fall outside the bracket; then the bracket moves to that side, four
-    times as wide, its near end at the old far end and its far end at most
-    an infinity, and the pass runs again.
+    The sorted values of every ``values.size // _SAMPLE_KEYS``-th cell (of
+    every cell, for a smaller input) bracket it: they give the two ends,
+    ``width`` places either side of where rank ``k`` falls among them.
+    One :func:`_bracket_pass` counts the values up to the low end and
+    gathers the few strictly inside, and rank ``k`` picks its place among
+    those.  Only a rank that falls on an end or outside the bracket needs
+    that end's ties, counted in one more pass.  A sample can miss a cluster
+    of values, so the rank may fall outside the bracket; then the bracket
+    moves to that side, four times as wide, its near end at the old far end
+    and its far end at most an infinity, and the pass runs again.
     """
     n = values.size
-    if n < _SELECT_BLOCK:
-        return np.partition(values, k)[k]
-    sample = np.sort(values[:: n // _SAMPLE_KEYS])
+    sample = np.sort(values[:: max(1, n // _SAMPLE_KEYS)])
     s = sample.size
     width = 2 * math.isqrt(s)  # about four standard deviations of the rank
     lo_at, hi_at = k * s // n - width, k * s // n + width

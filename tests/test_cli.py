@@ -527,6 +527,69 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("config error: line 8: dump_every")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, name, content, code, line",
+        [
+            (
+                "run", "run.cfg", BASE.replace("n = 64", "n = abc").encode(), 3,
+                "config error: line 2: bad value for 'n': "
+                "invalid literal for int() with base 10: 'abc'",
+            ),
+            (
+                "run", "run.cfg",
+                NON_FINITE_BASES["voronoi"].replace("= 0.9", "= 3").encode(), 3,
+                "config error: invalid surface tensions: off-diagonal tensions "
+                "must stay below 2, the cost of the vapor route between two grains",
+            ),
+            (
+                "run", "run.cfg", BASE.replace("n = 64", "n = 4").encode(), 3,
+                "config error: need at least 8 cells per axis, got 4",
+            ),
+            (
+                "run", "run.cfg", BASE.replace("= 0.3", "= 0.6").encode(), 3,
+                "config error: radius 0.6 must be below half the side 1.0 "
+                "to avoid periodic self-overlap",
+            ),
+            (
+                "run", "run.cfg", BASE.replace("h = 4e-3", "h = -1").encode(), 3,
+                "config error: bandwidth h must be positive and finite, got -1.0",
+            ),
+            (
+                "check", "s.mbof", _valid_dump_bytes()[:-1] + b"\x07", 4,
+                "cannot load dumps: {path}: payload holds label 7, "
+                "above its top label 1",
+            ),
+            (
+                "check", "s.mbof", b"MBOF1\ndim=2\n", 4,
+                "cannot load dumps: {path}: missing header terminator",
+            ),
+            (
+                "energy", "s.mbof", None, 4,
+                "cannot load dump: [Errno 2] No such file or directory: '{path}'",
+            ),
+            (
+                "run", "run.cfg", None, 3,
+                "config error: cannot read {path}: No such file or directory",
+            ),
+        ],
+        ids=[
+            "bad_value", "tensions", "grid", "initial", "scheme",
+            "payload", "header", "missing_dump", "missing_config",
+        ],
+    )
+    def test_refused_input_names_its_reason(
+        self, tmp_path, capsys, command, name, content, code, line
+    ):
+        # the exit code and the whole last stderr line of each kind of
+        # refused input: a config value, the tensions, the grid, the initial
+        # state, the scheme, a dump's payload and header, a missing file
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert quiet_main([command, str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == line.format(path=path)
+
     @pytest.mark.parametrize("side", ["inf", "1e-320", "1e200"])
     def test_run_side_out_of_range_is_config_error(self, tmp_path, capsys, side):
         text = BASE + f"side = {side}\nout_dir = {tmp_path}/out\n"
@@ -1407,6 +1470,22 @@ def test_each_rule_has_one_owner():
                 casts.append(where)
     assert casts == [] and lookups == []
     assert owners == {phrase: {"schemes"} for phrase in owners}
+
+
+def test_a_refused_input_becomes_a_command_error_in_one_place():
+    # _refused_as turns a ValueError or OSError into a ConfigError or a
+    # DumpError; only read_config, whose message reads the OSError's
+    # strerror, catches one itself
+    catchers = set()
+    for func in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for handler in ast.walk(func):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                names = {getattr(n, "id", None) for n in ast.walk(handler.type)}
+                if names & {"ValueError", "OSError"}:
+                    catchers.add(func.name)
+    assert sorted(catchers) == ["_refused_as", "read_config"]
 
 
 def test_distances_and_label_values_are_taken_in_one_place():

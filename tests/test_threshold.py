@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mbokit.grid import Grid
-from mbokit.threshold import select_bottom_cells, select_top_cells
+from mbokit.threshold import (
+    _kth_smallest,
+    _select_cells,
+    select_bottom_cells,
+    select_top_cells,
+)
 
 
 def _field(grid: Grid, flat_values) -> np.ndarray:
@@ -203,6 +208,25 @@ def stable_selection(values, target, side):
     expected = np.zeros(values.size, dtype=bool)
     expected[order[:target]] = True
     return expected, key[order[target - 1]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 2200, 4095, 4096, 8191, 8192, 12288])
+def test_selection_at_every_size(n):
+    # one path for every size: the cut is the partition's order statistic
+    # and the mask a stable argsort's, on halves with signed zeros and
+    # infinities among them
+    rng = np.random.default_rng(n)
+    values = rng.integers(-3, 4, n) * 0.5
+    values[rng.random(n) < 0.5] *= -1.0  # about half the zeros are -0.0
+    values[rng.random(n) < 0.1] = -np.inf
+    values[rng.random(n) < 0.1] = np.inf
+    for k in range(n) if n <= 7 else (0, n // 3, n - 1):
+        assert _kth_smallest(values, k) + 0.0 == np.partition(values, k)[k] + 0.0
+        for side in ("top", "bottom"):
+            mask, cut = _select_cells(values, k + 1, side == "top")
+            expected, expected_cut = stable_selection(values, k + 1, side)
+            assert np.array_equal(mask, expected), (k, side)
+            assert cut == expected_cut
 
 
 @pytest.fixture
