@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .threshold import _select_cells
+from .threshold import _kth_smallest, _select_cells
 
 
 class DegeneratePhaseError(ValueError):
@@ -279,9 +279,19 @@ def voronoi_labels(
 
 
 # The blob filter may reach this many times n cells: a Gaussian width of
-# about the side, past which the wrapped kernel is nearly flat while the
-# filter's cost and its offset tables keep growing with the width.
+# about the side, past which the wrapped kernel is nearly flat.  The folded
+# approximation costs the same at any reach, but the cells it cannot place
+# are evaluated by the direct filter, whose cost and weight table grow with
+# the reach, so a longer reach stays a configuration error (the same
+# message, exit 3).
 MAX_FILTER_REACH = 4
+
+# The folded filter's distance from the direct filter's bits is bounded by
+# ``_BOUND_MARGIN`` times the rounding bound :func:`_folded_filter` returns,
+# and a blob places every cell farther than ``_CUT_SLACK`` times that bound
+# from its approximate cut.
+_BOUND_MARGIN = 2.0
+_CUT_SLACK = 2.0
 
 
 def random_blob(
@@ -291,10 +301,23 @@ def random_blob(
 
     White noise is smoothed periodically at length ``smoothing`` (0 keeps
     the raw noise) and thresholded at the exact quantile, so the cell count
-    is reproducible bit for bit for a given seed.  The filter reaches
-    ``int(4 sigma + 0.5)`` cells for ``sigma = smoothing / dx``; a reach
-    beyond ``MAX_FILTER_REACH`` times n (a smoothing of about the side) is
-    refused before anything is allocated.
+    is reproducible bit for bit for a given seed.  The mask is the stable
+    top ``fill`` of ``scipy.ndimage.gaussian_filter(noise, sigma,
+    mode="wrap")`` for ``sigma = smoothing / dx``, the direct filter of
+    :func:`_filtered_at`, ties going to the lowest flat index.  The filter
+    reaches ``int(4 sigma + 0.5)`` cells; a reach beyond
+    ``MAX_FILTER_REACH`` times n (a smoothing of about the side) is refused
+    before anything is allocated.
+
+    The direct filter's values are not computed everywhere: the noise is
+    filtered in place by :func:`_folded_filter`, every value within ``err``
+    of the direct filter's, so the two cuts lie within ``err`` and a cell
+    farther than 2 ``err`` from the approximate cut lies on that side of
+    the exact one.  Only when the cells within 2 ``err`` outnumber the
+    cells still to be taken, the approximation is freed, the noise drawn
+    again and those cells evaluated by the direct filter (each must lie
+    within ``err`` of its approximation, or a RuntimeError names it), and
+    the exact selection picks among them.
     """
     if not 0 < fill < 1:
         raise ValueError(f"fill must be in (0, 1), got {fill}")
@@ -306,62 +329,169 @@ def random_blob(
             f"smoothing {smoothing} makes the blob filter reach more than "
             f"{MAX_FILTER_REACH} n = {MAX_FILTER_REACH * grid.n} cells"
         )
+    cells = grid.total_cells
+    target = max(1, min(cells - 1, round(fill * cells)))
+    w = _gaussian_weights(sigma)
     smooth = np.random.default_rng(seed).standard_normal(grid.shape)
-    _periodic_gaussian(smooth, sigma)  # the noise, filtered in place
-    target = max(1, min(grid.total_cells - 1, round(fill * grid.total_cells)))
-    mask, _ = _select_cells(smooth.ravel(), target, top=True)
+    err = _BOUND_MARGIN * _folded_filter(smooth, w)  # the noise, filtered in place
+    flat, band = smooth.reshape(-1), _CUT_SLACK * err
+    cut = _kth_smallest(flat, cells - target)
+    mask, near = np.empty(cells, dtype=bool), []
+    for lo in range(0, cells, _BLOB_BLOCK):
+        above = flat[lo : lo + _BLOB_BLOCK] - cut
+        np.greater(above, band, out=mask[lo : lo + _BLOB_BLOCK])
+        near.append(np.flatnonzero(np.abs(above, out=above) <= band) + lo)
+    near = np.concatenate(near)
+    missing = target - int(np.count_nonzero(mask))
+    if missing < near.size:  # the approximation cannot place them all
+        approx = flat[near]
+        del smooth, flat  # freed before the noise is drawn again
+        noise = np.random.default_rng(seed).standard_normal((1,) + grid.shape)
+        at = np.stack((np.zeros_like(near), *np.unravel_index(near, grid.shape)), axis=1)
+        exact = _filtered_at(noise, w, at)
+        del noise
+        wrong = np.flatnonzero(np.abs(exact - approx) > err)
+        if wrong.size:
+            i = wrong[0]
+            raise RuntimeError(
+                f"blob cell {tuple(at[i, 1:].tolist())}: direct filter "
+                f"{exact[i].item()!r} lies farther than the bound {err!r} "
+                f"from its approximation {approx[i].item()!r}"
+            )
+        near = near[_select_cells(exact, missing, top=True)[0]]
+    mask[near] = True
     return PhaseField(grid, mask.reshape(grid.shape))
 
 
-# A filter pass works on blocks of whole lines: about 2^15 output cells,
-# and at most 2^18 cells once wrap-padded, however far the kernel reaches.
-# ``bounding_radius`` takes its distances in blocks of about 2^15 cells too,
-# and the heat kernel its transforms' rows and its multipliers.
+# ``bounding_radius`` takes its distances in blocks of about 2^15 cells, and
+# the heat kernel its transforms' rows and its multipliers.  A blob's filter
+# and its comparison with the cut take blocks of about 2^13 cells (the
+# filter at least ``_TILE`` lines), which keeps their scratch and the BLAS
+# packing buffers near 64 KiB at 96^3; the filter writes ``_TILE`` cells of
+# a line at a time.
 _BLOCK_CELLS = 1 << 15
-_BLOCK_PADDED = 1 << 18
+_BLOB_BLOCK = 1 << 13
+_TILE = 32
 
 
-def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
-    """``scipy.ndimage.gaussian_filter(values, sigma, mode="wrap")``, bit for
-    bit, written over ``values`` (a C-contiguous float64 array), which is
-    returned.
-
-    scipy's arithmetic in numpy: weights ``exp(-0.5 / sigma**2 * x**2)`` for
-    ``|x| <= r = int(4 * sigma + 0.5)``, divided by their sum; one pass per
-    array axis in order 0 ... d-1, each reading the last pass's output; and
-    per cell ``w[0] * x[k]``, then ``(x[k-j] + x[k+j]) * w[j]`` added for
-    j = r down to 1, indices taken modulo n (r may exceed n).  A ``sigma``
-    of at most 1e-15 (or negative) filters nothing, as in scipy.
-    """
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """The direct filter's weights of offsets 0 ... r for ``r = int(4 sigma
+    + 0.5)``: scipy's ``exp(-0.5 / sigma**2 * x**2)`` for ``|x| <= r``,
+    divided by their sum (exactly symmetric).  A ``sigma`` of at most 1e-15
+    filters nothing, as in scipy: its weights are ``[1.0]``."""
     if not sigma > 1e-15:
-        return values
+        return np.ones(1)
     r = int(4.0 * sigma + 0.5)
     x = np.arange(-r, r + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
-    w = (phi / phi.sum())[r:]  # weight of offsets +j and -j (exactly symmetric)
-    for axis, n in enumerate(values.shape):
-        # the lines along the axis as (outer, n, inner); a block of lines is
-        # gathered whole before its result is written back over them, so
-        # every pass, the first included, filters ``values`` in place
-        outer, inner = values.shape[:axis], values.shape[axis + 1 :]
-        shape = (math.prod(outer), n, math.prod(inner))
-        lines = values.reshape(shape)
-        wrap = np.arange(-r, n + r) % n
-        block = max(1, min(_BLOCK_CELLS // n, _BLOCK_PADDED // (n + 2 * r)))
-        bi = min(shape[2], block)
-        bo = block // bi
-        for o in range(0, shape[0], bo):
-            for i in range(0, shape[2], bi):
-                # the block's lines wrap-padded, the filtered axis first
-                pad = lines[o : o + bo, :, i : i + bi].transpose(1, 0, 2).take(wrap, 0)
-                acc = pad[r : r + n] * w[0]
-                t = np.empty(acc.shape)
-                for j in range(r, 0, -1):
-                    np.add(pad[r - j : r - j + n], pad[r + j : r + j + n], t)
-                    t *= w[j]
-                    acc += t
-                lines[o : o + bo, :, i : i + bi] = acc.transpose(1, 0, 2)
-    return values
+    return (phi / phi.sum())[r:]
+
+
+def _gamma(k: int) -> float:
+    """The rounding factor of k float64 operations, k u / (1 - k u)."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def _folded_filter(values: np.ndarray, w: np.ndarray) -> float:
+    """Filter ``values`` (C-contiguous float64, n cells on every axis) in
+    place by the weights ``w`` of offsets 0 ... r wrapped onto the torus, and
+    return a bound on every result's distance from the direct filter's.
+
+    A pass along an array axis copies a block of lines, wrap-padded, and
+    writes each tile of ``_TILE`` cells of them back as one ``np.matmul`` of
+    the tile's window: the cells within r of the tile, or, where those
+    would cover more than half a line, the whole line, against the kernel
+    folded onto its n cells (a line of at most four tiles is one tile).  So
+    a cell costs at most n multiply-adds a pass, however far r reaches.
+
+    The bound: a pass's results lie within gamma_(n+t) sum|w||v| of the
+    exact filter of its input v, for any summation order (t =
+    ceil((2r+1)/n) weights fold into an entry), and the direct filter's
+    within gamma_(r+2) sum|w||v|, where sum|w||v| is at most the weights'
+    exact sum S times max|v|; the direct filter's input lies within the
+    last pass's bound of ours, which the exact filter scales by S.
+    """
+    r, n = w.size - 1, values.shape[0]
+    if r == 0:
+        return 0.0  # the weights are [1.0], which change no bit
+    if n > 2 * (_TILE + 2 * r):  # a window: the tile and r cells either side
+        tile, left, span = _TILE, r, _TILE + 2 * r
+    else:  # a window: the whole line, from the tile's first cell on
+        tile, left, span = (n if n <= 4 * _TILE else _TILE), 0, n
+    offsets = np.arange(-r, r + 1)
+    folded = np.bincount(offsets % n, w[np.abs(offsets)], n)
+    kernel = folded[(np.arange(span)[:, None] - left - np.arange(tile)) % n]
+    starts = [*range(0, n - tile, tile), n - tile]  # the last tile ends the line
+    right = span - tile - left  # the padded block's cells past the line's end
+    rounding = _gamma(n - (-(2 * r + 1) // n)) + _gamma(r + 2)
+    weight_sum = 1.0 + _gamma(2 * r + 2)
+    rows = max(_TILE, _BLOB_BLOCK // n)
+    scratch = np.empty(rows * (n + left + right))
+    err = 0.0
+    for axis in range(values.ndim):
+        top = max(values.max(), -values.min()).item()
+        err = weight_sum * (err + rounding * (top + err))
+        inner = n ** (values.ndim - 1 - axis)
+        if inner == 1:  # the lines are rows, of blocks (1, rows, n)
+            lines, along, bo, bi = values.reshape(1, -1, n), 2, 1, rows
+        else:  # the lines are columns, of blocks (bo, n, bi)
+            lines, along = values.reshape(-1, n, inner), 1
+            bi = min(inner, rows)
+            bo = rows // bi
+        for o in range(0, lines.shape[0], bo):
+            for i in range(0, lines.shape[3 - along], bi):
+                part = lines[o : o + bo][_cut(3 - along, i, i + bi)]
+                shape = list(part.shape)
+                shape[along] = n + left + right
+                pad = scratch[: math.prod(shape)].reshape(shape)
+                np.copyto(pad[_cut(along, left, left + n)], part)
+                np.copyto(pad[_cut(along, 0, left)], part[_cut(along, n - left, n)])
+                np.copyto(pad[_cut(along, left + n, None)], part[_cut(along, 0, right)])
+                for s in starts:
+                    window = pad[_cut(along, s, s + span)]
+                    out = part[_cut(along, s, s + tile)]
+                    if along == 2:
+                        np.matmul(window, kernel, out=out)
+                    else:
+                        np.matmul(kernel.T, window, out=out)
+    return err
+
+
+def _cut(axis: int, lo: int, hi: int | None) -> tuple:
+    """The index of ``[lo:hi]`` along ``axis``."""
+    return (slice(None),) * axis + (slice(lo, hi),)
+
+
+def _filtered_at(values: np.ndarray, w: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The direct filter of each of the stacked arrays ``values`` (B, n,
+    ..., n) by the weights ``w`` of :func:`_gaussian_weights`, bit for bit,
+    at the cells ``at`` (m, 1 + k): a stack index, then the cell's k
+    indices.
+
+    scipy's arithmetic: one pass per array axis in order 0 ... k-1, each
+    reading the last pass's output, and per cell ``w[0] * x[i]``, then
+    ``(x[i-j] + x[i+j]) * w[j]`` added for j = r down to 1, indices taken
+    modulo n (r may exceed n).  Only the cells' cone is evaluated: the
+    first pass at each distinct pair of stack and first index, a slab of
+    n^(k-1) outputs, as many slabs at a time as make about ``_BLOB_BLOCK``
+    cells (at least one), and the other passes on the stack of those slabs.
+    """
+    if at.shape[1] == 1:
+        return values[at[:, 0]]
+    n = values.shape[1]
+    heads, group = np.unique(at[:, :2], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    chunk = max(1, _BLOB_BLOCK // values[0, 0].size)
+    out = np.empty(len(at))
+    for lo in range(0, len(heads), chunk):
+        stack, first = heads[lo : lo + chunk].T
+        slab = values[stack, first] * w[0]
+        for j in range(w.size - 1, 0, -1):
+            slab += (values[stack, (first - j) % n] + values[stack, (first + j) % n]) * w[j]
+        cells = (group >= lo) & (group < lo + chunk)
+        rest = np.column_stack([group[cells] - lo, at[cells, 2:]])
+        out[cells] = _filtered_at(slab, w, rest)
+    return out
 
 
 # ---------------------------------------------------------------------------

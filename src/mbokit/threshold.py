@@ -12,9 +12,11 @@ strided sample of at most about 2^12 of them brackets it, and one pass over
 blocks of 2^13 cells counts the scores up to the bracket and gathers the
 few inside it (another pass runs only if the sample missed a cluster).
 A selection holds the mask it returns and a small fraction of a field of
-scratch.  This is the one implementation of that order statistic;
-``grid.random_blob`` and the grain step's certificate use its private
-``_select_cells`` and ``_kth_smallest``.
+scratch.  This is the one implementation of that order statistic.  Its
+private ``_kth_smallest`` also gives ``grid.random_blob`` the cut of its
+approximate field and the grain step's certificate the cuts of its
+bounds, and ``random_blob`` picks by ``_select_cells`` among the cells
+its approximation cannot place.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mbokit import grid as grid_module
 from mbokit.grid import (
     Grid,
     PhaseField,
@@ -133,3 +134,18 @@ def twice_the_grains():
     cfg, initial, stack = grain_case(0.05, 36)
     assert initial.num_grains == 109
     return cfg, initial, stack
+
+
+@pytest.fixture
+def rechecked(monkeypatch):
+    """``rechecked(dim)``: how many cells each blob on a ``dim``-d grid
+    handed to the direct filter, one count a recheck."""
+    calls = []
+    evaluate = grid_module._filtered_at
+
+    def counting(values, w, at):
+        calls.append((values.ndim, len(at)))  # the cone's passes recurse
+        return evaluate(values, w, at)
+
+    monkeypatch.setattr(grid_module, "_filtered_at", counting)
+    return lambda dim: [count for ndim, count in calls if ndim == dim + 1]

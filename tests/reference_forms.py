@@ -13,7 +13,10 @@ variations of energy and dissipation along a test vector field, whose
 weighted sum is the discrete Euler-Lagrange residual of a step.  Their
 spectral derivatives run on a plan's public ``forward``/``multiply``/
 ``inverse``, with derivative factors built from ``np.fft`` as
-:func:`full_multipliers` builds its table.
+:func:`full_multipliers` builds its table.  :func:`_periodic_gaussian`, the
+blob filter computed exactly everywhere, is the oracle of
+``grid.random_blob``, which computes it only where its approximation
+cannot place a cell.
 """
 
 from __future__ import annotations
@@ -30,6 +33,55 @@ from mbokit.grid import Grid, MultiPhaseState, PhaseField
 from mbokit.kernel import HeatKernelPlan, convolve
 from mbokit.schemes import SchemeConfig, Stepper, SurfaceTensionMatrix
 from mbokit.threshold import select_bottom_cells
+
+
+# A filter pass works on blocks of whole lines: about 2^15 output cells,
+# and at most 2^18 cells once wrap-padded, however far the kernel reaches.
+_BLOCK_CELLS = 1 << 15
+_BLOCK_PADDED = 1 << 18
+
+
+def _periodic_gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(values, sigma, mode="wrap")``, bit for
+    bit, written over ``values`` (a C-contiguous float64 array), which is
+    returned.
+
+    scipy's arithmetic in numpy: weights ``exp(-0.5 / sigma**2 * x**2)`` for
+    ``|x| <= r = int(4 * sigma + 0.5)``, divided by their sum; one pass per
+    array axis in order 0 ... d-1, each reading the last pass's output; and
+    per cell ``w[0] * x[k]``, then ``(x[k-j] + x[k+j]) * w[j]`` added for
+    j = r down to 1, indices taken modulo n (r may exceed n).  A ``sigma``
+    of at most 1e-15 (or negative) filters nothing, as in scipy.
+    """
+    if not sigma > 1e-15:
+        return values
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = (phi / phi.sum())[r:]  # weight of offsets +j and -j (exactly symmetric)
+    for axis, n in enumerate(values.shape):
+        # the lines along the axis as (outer, n, inner); a block of lines is
+        # gathered whole before its result is written back over them, so
+        # every pass, the first included, filters ``values`` in place
+        outer, inner = values.shape[:axis], values.shape[axis + 1 :]
+        shape = (math.prod(outer), n, math.prod(inner))
+        lines = values.reshape(shape)
+        wrap = np.arange(-r, n + r) % n
+        block = max(1, min(_BLOCK_CELLS // n, _BLOCK_PADDED // (n + 2 * r)))
+        bi = min(shape[2], block)
+        bo = block // bi
+        for o in range(0, shape[0], bo):
+            for i in range(0, shape[2], bi):
+                # the block's lines wrap-padded, the filtered axis first
+                pad = lines[o : o + bo, :, i : i + bi].transpose(1, 0, 2).take(wrap, 0)
+                acc = pad[r : r + n] * w[0]
+                t = np.empty(acc.shape)
+                for j in range(r, 0, -1):
+                    np.add(pad[r - j : r - j + n], pad[r + j : r + j + n], t)
+                    t *= w[j]
+                    acc += t
+                lines[o : o + bo, :, i : i + bi] = acc.transpose(1, 0, 2)
+    return values
 
 
 def plain_tension_rows(ext: np.ndarray, fields):

@@ -10,7 +10,9 @@ from mbokit.grid import (
     Grid,
     MultiPhaseState,
     PhaseField,
-    _periodic_gaussian,
+    _filtered_at,
+    _folded_filter,
+    _gaussian_weights,
     bounding_radius,
     centroid,
     random_blob,
@@ -19,6 +21,8 @@ from mbokit.grid import (
     voronoi_labels,
 )
 from mbokit.threshold import _select_cells
+
+from reference_forms import _periodic_gaussian
 
 
 class TestGrid:
@@ -244,6 +248,110 @@ class TestRandomBlob:
     def test_rejects_negative_or_non_finite_smoothing(self, grid64, smoothing):
         with pytest.raises(ValueError, match="smoothing"):
             random_blob(grid64, seed=1, smoothing=smoothing)
+
+
+def stable_top(values: np.ndarray, count: int) -> np.ndarray:
+    """Flat mask of the ``count`` largest ``values``, ties to the lowest index."""
+    mask = np.zeros(values.size, dtype=bool)
+    mask[np.argsort(-values.ravel(), kind="stable")[:count]] = True
+    return mask
+
+
+# Gaussian widths in cells, sigma = smoothing / dx, by the side n.  Above
+# 2 (32 + 2 r) cells a line is filtered in tiles from windows of reach r
+# (n = 96 and 250 at reach 5, n = 250 at reach 9), and above 128 cells in
+# tiles from windows of the whole line (n = 250 at the other widths).
+BLOB_WIDTHS = {
+    "zero": lambda n: 0.0,
+    "tiny": lambda n: 5e-16,  # at most 1e-15: scipy filters nothing
+    "narrow": lambda n: 1.2,  # reach 5
+    "moderate": lambda n: 2.3,  # reach 9
+    "past_n": lambda n: 0.3 * n + 1.0,  # reach above n
+    "cap": lambda n: float(n),  # reach 4 n, the longest allowed
+}
+BLOB_CASES = [
+    (dim, n, width)
+    for dim in (2, 3)
+    for n in (8, 9, 16, 33, 96, 250)
+    for width in BLOB_WIDTHS
+    if n < 96 or dim == 2 or width in ("narrow", "moderate")  # the oracle's time
+    if (dim, n) != (3, 250)
+]
+
+
+class TestBlobAgainstTheDirectFilter:
+    """``random_blob`` places most cells by its folded approximation; the
+    mask must be the stable top-k of the exact filter, the moved oracle."""
+
+    @pytest.mark.parametrize("dim, n, width", BLOB_CASES)
+    def test_mask_is_the_stable_top_of_the_oracle(self, dim, n, width):
+        g = Grid(dim=dim, n=n)
+        smoothing = BLOB_WIDTHS[width](n) * g.dx
+        for seed in range(3):
+            noise = np.random.default_rng(seed).standard_normal(g.shape)
+            smooth = _periodic_gaussian(noise, smoothing / g.dx)
+            for target in (1, g.total_cells // 3, g.total_cells - 1):
+                fill = target / g.total_cells
+                blob = random_blob(g, seed=seed, fill=fill, smoothing=smoothing)
+                assert np.array_equal(blob.mask.ravel(), stable_top(smooth, target))
+
+    @pytest.mark.parametrize(
+        "dim, n, sigma, slack",
+        [(2, 96, 2.3, 1e10), (3, 24, 1.7, 1e10), (2, 16, 15.9, 1e7), (2, 16, 15.9, 1e12)],
+    )
+    def test_mask_holds_with_dozens_of_cells_rechecked(
+        self, monkeypatch, rechecked, dim, n, sigma, slack
+    ):
+        # a wider band leaves dozens of cells (all of them, at the largest
+        # slack) to the direct filter and the exact selection among them
+        monkeypatch.setattr(grid_module, "_CUT_SLACK", slack)
+        g = Grid(dim=dim, n=n)
+        for seed in range(3):
+            noise = np.random.default_rng(seed).standard_normal(g.shape)
+            smooth = _periodic_gaussian(noise, sigma)
+            blob = random_blob(g, seed=seed, smoothing=sigma * g.dx)
+            target = round(0.3 * g.total_cells)
+            assert np.array_equal(blob.mask.ravel(), stable_top(smooth, target))
+        assert len(rechecked(dim)) == 3 and min(rechecked(dim)) >= 24
+
+    def test_benchmark_blob_needs_no_recheck(self, rechecked):
+        blob = random_blob(Grid(dim=3, n=48), seed=4, smoothing=0.06)
+        assert blob.cell_count == round(0.3 * 48**3) and rechecked(3) == []
+
+    @pytest.mark.parametrize(
+        "dim, n, sigma",
+        [(2, 96, 1.2), (2, 250, 2.3), (2, 250, 40.0), (2, 16, 15.9), (3, 33, 2.3), (3, 96, 1.2)],
+    )
+    def test_folded_filter_lies_within_its_bound(self, dim, n, sigma):
+        # windows of reach r, in tiles ending on the line's last cell; the
+        # whole line in tiles; whole lines, folded past the side (reach 64)
+        x = np.random.default_rng(n).standard_normal((n,) * dim)
+        exact = _periodic_gaussian(x.copy(), sigma)
+        err = _folded_filter(x, _gaussian_weights(sigma))  # x filtered in place
+        assert np.abs(x - exact).max() <= err < 1e-12
+
+    @pytest.mark.parametrize(
+        "dim, n, sigma", [(2, 16, 15.9), (2, 33, 2.3), (3, 9, 3.0), (3, 16, 0.7)]
+    )
+    def test_cone_equals_scipy_bit_for_bit(self, dim, n, sigma):
+        # reach 64 = 4 n on the first grid, below n on the last two
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n,) * dim)
+        expected = ndimage.gaussian_filter(x, sigma, mode="wrap")
+        at = rng.integers(0, n, size=(40, dim))
+        at[1] = at[0]  # a cell asked for twice
+        stacked = np.column_stack([np.zeros(len(at), int), at])  # one array
+        got = _filtered_at(x[None], _gaussian_weights(sigma), stacked)
+        want = expected[tuple(at.T)]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_value_beyond_the_bound_is_an_error(self, monkeypatch, rechecked):
+        # a bound shrunk a billion times is broken by the rechecked cells
+        monkeypatch.setattr(grid_module, "_BOUND_MARGIN", 2e-9)
+        monkeypatch.setattr(grid_module, "_CUT_SLACK", 2e19)
+        with pytest.raises(RuntimeError, match=r"^blob cell \(\d+, \d+\): direct filter"):
+            random_blob(Grid(dim=2, n=96), seed=1, smoothing=2.3 / 96)
+        assert rechecked(2)
 
 
 class TestPeriodicGaussian:

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mbokit import grid as grid_module
 from mbokit.cli import main, read_dump, write_dump
 from mbokit.diagnostics import LedgerWalk, energy_two_phase, ledger_check
 from mbokit.grid import (
@@ -233,6 +234,17 @@ def test_blob_set_up_holds_one_grid_field():
     # the noise, filtered in place, and blocks: no second field
     blob, peak = traced_peak(random_blob, GRID64, 3)
     assert blob.cell_count == round(0.3 * GRID64.total_cells)
+    assert peak < 2 * FIELD64
+
+
+def test_blob_recheck_holds_one_grid_field(monkeypatch, rechecked):
+    # a wide band leaves dozens of cells to the direct filter: the noise is
+    # drawn again only once the approximation is freed, and the cone of
+    # those cells holds one slab of n^2 values at a time
+    monkeypatch.setattr(grid_module, "_CUT_SLACK", 1e8)
+    blob, peak = traced_peak(random_blob, GRID64, 3)
+    assert blob.cell_count == round(0.3 * GRID64.total_cells)
+    assert len(rechecked(3)) == 1 and rechecked(3)[0] >= 24
     assert peak < 2 * FIELD64
 
 
