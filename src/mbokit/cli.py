@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import (
+    LedgerReport,
     LedgerWalk,
     ledger_check,
     ledger_report,
@@ -70,6 +71,13 @@ class DumpError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _cell(x: float | int | None) -> str:
+    """The one text of a CSV value: blank for None, an int as is, else _fmt."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, int) else _fmt(x)
 
 
 @contextmanager
@@ -431,6 +439,16 @@ def read_dump(path: Path | str):
 # commands
 
 
+def _verdict(report: LedgerReport, detail: str) -> int:
+    """Print the ledger verdict followed by ``detail``, name the first
+    violated step on stderr, and return the verdict's exit code."""
+    print(f"ledger: {'PASS' if report.passed else 'FAIL'}{detail}")
+    if report.passed:
+        return EXIT_OK
+    print(f"first violated step: {report.first_violation}", file=sys.stderr)
+    return EXIT_LEDGER_FAIL
+
+
 def cmd_run(config_path: str) -> int:
     """Run a configured trajectory, write dumps and the ledger CSV.
 
@@ -462,33 +480,19 @@ def cmd_run(config_path: str) -> int:
     with open(out_dir / "ledger.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "t", "lambda", "E_h", "D_h", "slack", "radius"])
-        e0, r0 = _fmt(stepper.initial_energy), _fmt(stepper.initial_radius)
-        writer.writerow(["0", _fmt(0.0), "", e0, "", "", r0])
+        e0, r0 = stepper.initial_energy, stepper.initial_radius
+        writer.writerow(map(_cell, (0, 0.0, None, e0, None, None, r0)))
         while state is not None:  # rebinding ``state`` lets the old one go
             r = stepper.records[-1]
-            writer.writerow(
-                [
-                    str(r.step),
-                    _fmt(r.step * h),
-                    "" if r.lam is None else _fmt(r.lam),
-                    _fmt(r.energy_after),
-                    _fmt(r.dissipation),
-                    _fmt(r.slack),
-                    "" if r.bounding_radius is None else _fmt(r.bounding_radius),
-                ]
-            )
+            writer.writerow(map(_cell, (r.step, r.step * h, r.lam, r.energy_after,
+                                        r.dissipation, r.slack, r.bounding_radius)))
             fh.flush()
             if stepper.status != "running" or (dump_every and r.step % dump_every == 0):
                 write_dump(out_dir / f"state_{r.step:06d}.mbof", state, h, r.step)
             state = next(states, None)
     report = ledger_report(stepper.records)
     print(f"status: {stepper.status} after {len(stepper.records)} steps")
-    print(f"ledger: {'PASS' if report.passed else 'FAIL'} "
-          f"(tolerance {report.tolerance:.3g})")
-    if not report.passed:
-        print(f"first violated step: {report.first_violation}", file=sys.stderr)
-        return EXIT_LEDGER_FAIL
-    return EXIT_OK
+    return _verdict(report, f" (tolerance {report.tolerance:.3g})")
 
 
 def _measured_radius(state: PhaseField) -> float:
@@ -571,12 +575,7 @@ def cmd_sweep(config_path: str) -> int:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for row in rows:
-            writer.writerow(
-                [
-                    str(row[c]) if isinstance(row[c], int) else _fmt(float(row[c]))
-                    for c in cols
-                ]
-            )
+            writer.writerow(_cell(row[c]) for c in cols)
     return EXIT_OK
 
 
@@ -628,11 +627,7 @@ def cmd_check(paths: Sequence[str], config_path: str | None) -> int:
             f"step {row.step}: E {row.energy_before:.9g} -> {row.energy_after:.9g}"
             f"  D {row.dissipation:.3e}  slack {row.slack:.3e}"
         )
-    print(f"ledger: {'PASS' if report.passed else 'FAIL'}")
-    if not report.passed:
-        print(f"first violated step: {report.first_violation}", file=sys.stderr)
-        return EXIT_LEDGER_FAIL
-    return EXIT_OK
+    return _verdict(report, "")
 
 
 def cmd_energy(path: str, h: float | None, config_path: str | None) -> int:

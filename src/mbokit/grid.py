@@ -253,8 +253,8 @@ def voronoi_labels(
         raise ValueError("seed coordinates must be finite")
     if len(set(pts)) != len(pts):
         raise ValueError("seeds must be pairwise distinct")
-    if not math.isfinite(vapor_margin):
-        raise ValueError(f"vapor_margin must be finite, got {vapor_margin}")
+    if not 0 <= vapor_margin < math.inf:
+        raise ValueError(f"vapor_margin must be finite and >= 0, got {vapor_margin}")
     if solid is not None and solid.grid != grid:
         raise ValueError("solid mask lives on a different grid")
     # every seed's distances go into one buffer and are compared in place

@@ -361,7 +361,8 @@ class Stepper:
                 f"{WRAP_RADIUS_FRACTION:.0%} of the side; periodic images interact",
                 stacklevel=2,
             )
-        walk = LedgerWalk(config, initial, None)  # a step map makes each next state
+        # a step map makes each next state; with no steps, nothing follows
+        walk = LedgerWalk(config, initial, None if config.steps else initial)
         self.initial_energy = walk.energy
         self._steps = self._iterate(walk)
 

@@ -31,7 +31,7 @@ from mbokit.cli import (
     read_header,
     write_dump,
 )
-from mbokit.diagnostics import energy_two_phase
+from mbokit.diagnostics import energy_two_phase, ledger_report, multiplier_integral
 from mbokit.grid import (
     DegeneratePhaseError,
     Grid,
@@ -1347,6 +1347,144 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "255" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("margin, code", [("-0.2", 3), ("-0.0", 0)])
+    def test_negative_vapor_margin_is_config_error(self, tmp_path, capsys, margin, code):
+        # a negative margin would vapor no cell, as if it were 0; -0.0 is 0
+        text = NON_FINITE_BASES["voronoi"].replace("0.05", margin)
+        cfg = write_cfg(tmp_path, text + f"out_dir = {tmp_path}/out\n")
+        assert quiet_main(["run", cfg]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err == f"config error: vapor_margin must be finite and >= 0, got {margin}\n"
+            assert not (tmp_path / "out").exists()
+
+
+def stepped(text):
+    """The ``Stepper`` of config ``text`` run to its end, and its last state."""
+    cfg = parse_config(text)
+    grid = build_grid(cfg)
+    final = build_initial(cfg, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stepper = Stepper(cli.build_scheme_config(cfg, grid, final), final)
+        for final in stepper:
+            pass
+    return stepper, final
+
+
+def ledger_bytes(stepper):
+    """``ledger.csv`` rebuilt from a run's records: a blank cell for no
+    value, an int as it is, a float by %.17g, CRLF line ends."""
+    e0, r0, h = stepper.initial_energy, stepper.initial_radius, stepper.config.h
+    lines = ["n,t,lambda,E_h,D_h,slack,radius", f"0,0,,{e0:.17g},,,{r0:.17g}"]
+    for r in stepper.records:
+        lam = "" if r.lam is None else f"{r.lam:.17g}"
+        radius = "" if r.bounding_radius is None else f"{r.bounding_radius:.17g}"
+        lines.append(
+            f"{r.step},{r.step * h:.17g},{lam},{r.energy_after:.17g},"
+            f"{r.dissipation:.17g},{r.slack:.17g},{radius}"
+        )
+    return "".join(f"{line}\r\n" for line in lines).encode()
+
+
+# The fuzz's forced slab whose step 1 transfer overflows: a ledger FAIL.
+OVERFLOWING_FORCE = (
+    "n = 32\nh = 4e-3\nsteps = 2\nscheme = forced\ninit = slab\nslab_lo = 0.3\n"
+    "slab_hi = 0.6\nforce_value = 1e308\n"
+)
+
+
+class TestWrittenBytes:
+    """Every line ``run``, ``check`` and ``sweep`` write, byte for byte,
+    against the same lines rebuilt from ``Stepper.records``."""
+
+    @pytest.mark.parametrize("text, code", [(BASE, 0), (OVERFLOWING_FORCE, 2)])
+    def test_run_and_check_print_their_verdict(self, tmp_path, capsys, text, code):
+        stepper, _ = stepped(text)
+        report = ledger_report(stepper.records)
+        assert report.passed == (code == 0)
+        word, err = "PASS", ""
+        if code:
+            word, err = "FAIL", f"first violated step: {report.first_violation}\n"
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, text + f"dump_every = 1\nout_dir = {out}\n")
+        steps = len(stepper.records)
+        assert quiet_main(["run", cfg]) == code
+        assert capsys.readouterr() == (
+            f"status: {stepper.status} after {steps} steps\n"
+            f"ledger: {word} (tolerance {report.tolerance:.3g})\n",
+            err,
+        )
+        assert (out / "ledger.csv").read_bytes() == ledger_bytes(stepper)
+        dumps = [str(out / f"state_{k:06d}.mbof") for k in range(steps + 1)]
+        assert quiet_main(["check", *dumps, "--config", cfg]) == code
+        rows = "".join(
+            f"step {r.step}: E {r.energy_before:.9g} -> {r.energy_after:.9g}"
+            f"  D {r.dissipation:.3e}  slack {r.slack:.3e}\n"
+            for r in stepper.records
+        )
+        assert capsys.readouterr() == (rows + f"ledger: {word}\n", err)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            DUMP_SCHEDULE_RUNS["no_steps"],
+            NON_FINITE_BASES["voronoi"].replace("steps = 2", "steps = 0"),
+            DUMP_SCHEDULE_RUNS["pinned"],
+            DUMP_SCHEDULE_RUNS["empties"],
+            DUMP_SCHEDULE_RUNS["pinned"].replace("mbo", "volume_preserving"),
+            NON_FINITE_BASES["voronoi"],
+        ],
+        ids=["no_steps", "grain_no_steps", "pinned", "extinct", "vp_pinned", "grain"],
+    )
+    def test_run_writes_the_ledger_rows_of_its_records(self, tmp_path, text):
+        # the blank cells: lambda of two-phase rows without a multiplier,
+        # row 0's lambda, D_h and slack, and the radius of an extinct state
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, text + f"out_dir = {out}\n")
+        assert quiet_main(["run", cfg]) == 0
+        assert (out / "ledger.csv").read_bytes() == ledger_bytes(stepped(text)[0])
+
+    @pytest.mark.parametrize("scheme", ["mbo", "volume_preserving"])
+    def test_sweep_writes_the_rows_of_its_runs(self, tmp_path, scheme):
+        base = BASE.replace("scheme = mbo", f"scheme = {scheme}")
+        text = base + f"h_list = 8e-3, 4e-3, 2e-3\nT = 1.6e-2\nout_dir = {tmp_path}/sw\n"
+        assert quiet_main(["sweep", write_cfg(tmp_path, text)]) == 0
+        lines = ["h,steps,radius,oracle,error" if scheme == "mbo" else "h,steps,M,bad"]
+        for h, steps in ((8e-3, 2), (4e-3, 4), (2e-3, 8)):
+            run = base.replace("h = 4e-3", f"h = {h}").replace("steps = 3", f"steps = {steps}")
+            stepper, final = stepped(run)
+            row = f"{h:.17g},{len(stepper.records)}"
+            if scheme == "mbo":
+                radius = math.sqrt(final.cell_count * final.grid.cell_volume / math.pi)
+                oracle = circle_mcf(0.3, steps * h, 2)
+                row += f",{radius:.17g},{oracle:.17g},{abs(radius - oracle):.17g}"
+            else:
+                m, bad = multiplier_integral(h, [r.lam for r in stepper.records], steps)
+                row += f",{m:.17g},{bad}"
+            lines.append(row)
+        expected = "".join(f"{line}\r\n" for line in lines).encode()
+        assert (tmp_path / "sw" / "sweep.csv").read_bytes() == expected
+
+
+def test_each_written_line_has_one_writer():
+    # _cell alone turns a CSV value into text, and _verdict alone prints the
+    # ledger verdict and names the first violated step
+    tree = ast.parse(Path(cli.__file__).read_text())
+    texts = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert sum("first violated step" in t for t in texts) == 1
+    assert sum("ledger: " in t for t in texts) == 1
+    commands = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for name in ("cmd_run", "cmd_sweep"):
+        called = {
+            node.func.id for node in ast.walk(commands[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert called & {"_fmt", "str"} == set(), name
 
 
 # The benchmark's smoke configs (perfbench/workloads.py, seed 0), at the

@@ -182,6 +182,13 @@ class TestVoronoi:
         # vapor sits on the bisectors only
         assert state.solid_cell_count > grid64.total_cells // 2
 
+    def test_negative_vapor_margin_refused(self, grid64):
+        seeds = [(0.25, 0.5), (0.75, 0.5)]
+        with pytest.raises(ValueError, match="finite and >= 0, got -0.2"):
+            voronoi_labels(grid64, seeds, vapor_margin=-0.2)
+        zero = voronoi_labels(grid64, seeds, vapor_margin=-0.0)
+        assert np.array_equal(zero.labels, voronoi_labels(grid64, seeds).labels)
+
     def test_tie_goes_to_lowest_seed(self, grid64):
         # seeds on cell centers, bisector exactly on the column between them
         centers = grid64.axis_centers()

@@ -753,6 +753,23 @@ class TestRun:
         assert stepper.records == []
         assert stepper.status == "completed"
 
+    def test_steps_zero_folds_no_grain_summary(self, grid64, monkeypatch):
+        # nothing follows the initial state of a run of no steps, so no
+        # summary is folded for a step map; the energy is a one-step run's
+        initial = voronoi_labels(grid64, [(0.3, 0.3), (0.7, 0.4), (0.5, 0.8)])
+        folded = []
+        fold = diagnostics.GrainSummary.fold
+        monkeypatch.setattr(
+            diagnostics.GrainSummary, "fold",
+            lambda summary, j, psi: folded.append(j) or fold(summary, j, psi),
+        )
+        tensions = equal_tensions(3)
+        zero = Stepper(SchemeConfig("grain_growth", grid64, 4e-3, 0, None, tensions), initial)
+        assert list(zero) == [] and folded == []
+        one = Stepper(SchemeConfig("grain_growth", grid64, 4e-3, 1, None, tensions), initial)
+        assert folded == [1, 2, 3, 0]
+        assert one.initial_energy == zero.initial_energy
+
     @pytest.mark.parametrize("steps", [0, 3])
     def test_status_is_final_when_the_last_state_is_yielded(
         self, grid128, ball128, steps
